@@ -28,7 +28,6 @@ from .reflection import (
     build_flow,
     minimal_shift,
     skorokhod_residual,
-    solve_constant_driver,
 )
 from .risk import (
     Benchmark,

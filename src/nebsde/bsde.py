@@ -145,16 +145,21 @@ def solve_bsde(
     claim: TerminalClaim,
     driver: Driver,
     start: int = 0,
+    flow=None,
 ) -> BsdePair:
     """Backward solve from the claim's level down to ``start``.
 
     Returns Y on indices ``start..claim.index`` and Z on
-    ``start..claim.index - 1``.
+    ``start..claim.index - 1``.  ``flow``, when given, holds one
+    deterministic increment per step ``start + j``, added to the conditional
+    mean before the implicit step; no constraint logic runs.
     """
     sc.check_rv(scen, claim.rv)
     stop = claim.index
     if not 0 <= start <= stop:
         raise ValueError(f"start {start} must lie in 0..{stop}")
+    if flow is not None and len(flow) != stop - start:
+        raise ValueError(f"flow needs {stop - start} increments, got {len(flow)}")
     nodes = scen.grid.nodes
     dt = scen.grid.dt
     ys = [sc.RandomVariable(stop, claim.values.copy())]
@@ -163,6 +168,8 @@ def solve_bsde(
     for i in range(stop - 1, start - 1, -1):
         z = sc.step_z(scen, vals, i)
         e = sc.step_expect(scen, vals, i)
+        if flow is not None:
+            e = e + flow[i - start]
         vals = implicit_step(driver, float(nodes[i]), e, z, dt)
         if not np.all(np.isfinite(vals)):
             raise FixedPointError(f"non-finite values produced at index {i}")

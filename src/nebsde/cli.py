@@ -14,13 +14,16 @@ config digest and effective seed, so identical inputs produce
 byte-identical files.
 
 Exit codes: 0 success, 1 config problem, 2 infeasible constraint,
-3 divergence or non-contractive step.
+3 divergence or non-contractive step, 4 no root bracket for a shift search
+(the declared loss slope bounds do not hold).
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import configparser
 import hashlib
+import operator
 import re
 import sys
 import time
@@ -38,6 +41,7 @@ from . import risk as rk
 from . import scenarios as sc
 from . import verify as vf
 from .errors import (
+    BracketFailureError,
     ConfigError,
     FixedPointError,
     InfeasibleProblemError,
@@ -47,16 +51,20 @@ from .errors import (
 
 # ---------------------------------------------------------------- expressions
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<sym>[()+\-*/,]))"
-)
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# leading zeros of an integer literal ("007"), which Python's grammar refuses
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
 _FUNCTIONS = {
     "min": (2, np.minimum),
     "max": (2, np.maximum),
     "abs": (1, np.abs),
     "exp": (1, np.exp),
+}
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
 }
 
 
@@ -68,141 +76,79 @@ class Expression:
     broadcasts over numpy arrays.
     """
 
-    def __init__(self, source: str, ast, names: frozenset):
+    def __init__(self, source: str, fn, names: frozenset):
         self.source = source
-        self._ast = ast
+        self._fn = fn
         self.names = names
 
     def __call__(self, **env):
-        return _eval_ast(self._ast, env)
+        return self._fn(env)
 
     def __repr__(self):
         return f"Expression({self.source!r})"
 
 
-def _tokenize(source: str):
-    pos = 0
-    out = []
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        if m is None or m.end() == pos:
-            rest = source[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"cannot read {rest[:10]!r}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            out.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("sym", m.group("sym")))
-    out.append(("end", ""))
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, allowed):
-        self.toks = tokens
-        self.k = 0
-        self.allowed = allowed
-        self.names = set()
-
-    def peek(self):
-        return self.toks[self.k]
-
-    def take(self):
-        tok = self.toks[self.k]
-        self.k += 1
-        return tok
-
-    def expect_sym(self, sym):
-        kind, val = self.take()
-        if kind != "sym" or val != sym:
-            raise ValueError(f"expected {sym!r}")
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
-            _, op = self.take()
-            node = ("bin", op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("sym", "*") or self.peek() == ("sym", "/"):
-            _, op = self.take()
-            node = ("bin", op, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek() == ("sym", "-"):
-            self.take()
-            return ("neg", self.factor())
-        return self.atom()
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if self.peek() == ("sym", "("):
-                if val not in _FUNCTIONS:
-                    raise ValueError(f"unknown function {val!r}")
-                arity = _FUNCTIONS[val][0]
-                self.take()
-                args = [self.expr()]
-                while self.peek() == ("sym", ","):
-                    self.take()
-                    args.append(self.expr())
-                self.expect_sym(")")
-                if len(args) != arity:
-                    raise ValueError(f"{val} takes {arity} argument(s)")
-                return ("call", val, tuple(args))
-            if val not in self.allowed:
-                raise ValueError(
-                    f"variable {val!r} not allowed here (allowed: {sorted(self.allowed)})"
-                )
-            self.names.add(val)
-            return ("var", val)
-        if kind == "sym" and val == "(":
-            node = self.expr()
-            self.expect_sym(")")
-            return node
-        raise ValueError(f"unexpected token {val!r}")
-
-
-def _eval_ast(node, env):
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "var":
-        return env[node[1]]
-    if tag == "neg":
-        return -_eval_ast(node[1], env)
-    if tag == "bin":
-        a = _eval_ast(node[2], env)
-        b = _eval_ast(node[3], env)
-        op = node[1]
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return a / b
-    fn = _FUNCTIONS[node[1]][1]
-    return fn(*(_eval_ast(a, env) for a in node[2]))
+def _compile(node, text: str, allowed: frozenset, names: set):
+    """Check one syntax node against the grammar and return its evaluator."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        left = _compile(node.left, text, allowed, names)
+        right = _compile(node.right, text, allowed, names)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _compile(node.operand, text, allowed, names)
+        return lambda env: -inner(env)
+    segment = text[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+        value = float(segment)
+        return lambda env: value
+    if isinstance(node, ast.Name):
+        if node.id not in allowed:
+            raise ValueError(
+                f"variable {node.id!r} not allowed here (allowed: {sorted(allowed)})"
+            )
+        names.add(node.id)
+        key = node.id
+        return lambda env: env[key]
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.col_offset == node.col_offset
+        and not node.keywords
+    ):
+        name = node.func.id
+        if name not in _FUNCTIONS:
+            raise ValueError(f"unknown function {name!r}")
+        arity, fn = _FUNCTIONS[name]
+        # a trailing comma is Python syntax, not part of this grammar
+        tail = text[node.args[-1].end_col_offset:node.end_col_offset] if node.args else ""
+        if len(node.args) != arity or "," in tail:
+            raise ValueError(f"{name} takes {arity} argument(s)")
+        args = [_compile(a, text, allowed, names) for a in node.args]
+        return lambda env: fn(*(a(env) for a in args))
+    raise ValueError(f"cannot read {segment!r}")
 
 
 def parse_expression(source: str, allowed) -> Expression:
-    """Parse ``source`` restricted to the variable names in ``allowed``."""
-    parser = _Parser(_tokenize(source), frozenset(allowed))
-    ast = parser.expr()
-    kind, _ = parser.peek()
-    if kind != "end":
-        raise ValueError("trailing input after expression")
-    return Expression(source, ast, frozenset(parser.names))
+    """Parse ``source`` restricted to the variable names in ``allowed``.
+
+    The text is read with Python's expression grammar, and every node is
+    checked against the small grammar above.  Any Unicode digit reads as its
+    ASCII value, and integer literals may carry leading zeros.
+    """
+    text = " ".join(source.split())
+    text = re.sub(r"\d", lambda d: str(int(d.group())), text)
+    text = _LEADING_ZEROS.sub("", text)
+    # Python would skip a comment and fold a non-ASCII name to ASCII (NFKC)
+    if not text.isascii() or "#" in text:
+        raise ValueError(f"cannot read {source!r}")
+    names = set()
+    try:
+        tree = ast.parse(text, mode="eval")
+        fn = _compile(tree.body, text, frozenset(allowed), names)
+    except (SyntaxError, RecursionError) as exc:
+        raise ValueError(f"cannot read {source!r}: {exc}") from None
+    return Expression(source, fn, frozenset(names))
 
 
 # ------------------------------------------------------------------- schema
@@ -658,8 +604,8 @@ def _run_verify(run: RunConfig, out: Path, log: _RunLog) -> int:
 
     inst = vf.RampFlowInstance(gamma=params["gamma"], floor=params["floor"], tilt=params["tilt"])
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + params["shift"])
-    sol = rf.solve_constant_driver(
-        scen, claim, -params["gamma"], inst.loss(), ne.NonlinearExpectation.classical()
+    sol = pc.solve_reflected(
+        scen, claim, inst.driver(), inst.loss(), ne.NonlinearExpectation.classical()
     )
     columns = {
         "mean_y": sol.mean_values(scen),
@@ -725,6 +671,12 @@ def run(argv=None) -> int:
         if out.is_dir():
             log.write(out / "run.log")
         return 3
+    except BracketFailureError as exc:
+        print(f"bracket failure: {exc}", file=sys.stderr)
+        log.add(f"bracket failure: {exc}")
+        if out.is_dir():
+            log.write(out / "run.log")
+        return 4
     log.write(out / "run.log")
     return code
 

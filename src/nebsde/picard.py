@@ -66,13 +66,12 @@ class ReflectionProblem:
     """Strategy bundle a reflected solve needs from its constraint side.
 
     ``shift(i, rv) -> (value, iterations)`` is the minimal lift at index
-    ``i``; ``constraint(i, values)`` the diagnostic functional that must end
-    up >= 0; ``terminal_value(rv)`` the feasibility value at the claim.
+    ``i``; ``constraint(i, values)`` the functional that must end up >= 0,
+    also read at the claim to check feasibility.
     """
 
     shift: Callable
     constraint: Callable
-    terminal_value: Callable
 
 
 def mean_constraint_problem(
@@ -89,10 +88,7 @@ def mean_constraint_problem(
     def constraint(i, values):
         return rf.constraint_value(exp, loss, scen, i, values)
 
-    def terminal_value(rv):
-        return rf.constraint_value(exp, loss, scen, rv.index, rv.values)
-
-    return ReflectionProblem(shift=shift, constraint=constraint, terminal_value=terminal_value)
+    return ReflectionProblem(shift=shift, constraint=constraint)
 
 
 def contraction_heuristic(
@@ -174,7 +170,7 @@ def _window_picard(
             np.asarray(driver.fn(float(nodes[start + j]), us[j].values, vs[j].values), dtype=float)
             for j in range(stop - start)
         ]
-        _, flow, ys, zs, iters = rf._window_solve(
+        flow, ys, zs, iters = rf._window_solve(
             scen, terminal, c_process, problem.shift, start
         )
         total_iters += 1
@@ -209,7 +205,7 @@ def _solve_with_problem(
     sc.check_rv(scen, claim.rv)
     if claim.index != scen.grid.steps:
         raise ValueError("claim must live on the terminal level")
-    term = problem.terminal_value(claim.rv)
+    term = problem.constraint(claim.index, claim.values)
     if term < -opts.feasibility_tol:
         raise InfeasibleProblemError(
             f"terminal constraint value {term:.3g} < -{opts.feasibility_tol:g}"
@@ -221,7 +217,7 @@ def _solve_with_problem(
             float(np.asarray(driver.fn(float(t), np.zeros(1), np.zeros(1)), dtype=float).ravel()[0])
             for t in scen.grid.nodes[:-1]
         ]
-        _, flow, ys, zs, iters = rf._window_solve(scen, claim.rv, c, problem.shift, 0)
+        flow, ys, zs, iters = rf._window_solve(scen, claim.rv, c, problem.shift, 0)
         diag_picard = SolveDiagnostics(n_sub=1, window_bounds=[(0, claim.index)], iterations=[1])
         return _finalize(scen, ys, zs, flow.values, iters, problem, diag_picard)
 
@@ -292,9 +288,9 @@ def solve_reflected(
 ) -> rf.ReflectedSolution:
     """Reflected solve under the mean constraint ``E[l(t, Y_t)] >= 0``.
 
-    State-free generators collapse to a single exact pass identical to
-    :func:`nebsde.reflection.solve_constant_driver`; otherwise the windowed
-    successive-approximation loop runs.
+    State-free generators collapse to a single exact pass: backward
+    accumulation, per-index minimal shifts, suffix-max flow.  Otherwise the
+    windowed successive-approximation loop runs.
     """
     opts = opts or SolveOptions()
     problem = mean_constraint_problem(scen, loss, exp, opts.operator_tol)

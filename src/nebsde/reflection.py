@@ -6,7 +6,8 @@ strictly increasing and bi-Lipschitz in its spatial argument.  Reflection is
 performed by the deterministic minimal-shift operator: the smallest
 ``x >= 0`` making the constraint hold after adding ``x``.  For a constant
 (state-independent) generator the reflected solution is explicit: shift
-profile, running-suffix maximum, done.
+profile, running-suffix maximum, done; :func:`nebsde.picard.solve_reflected`
+takes that single pass for state-free generators.
 """
 from __future__ import annotations
 
@@ -15,14 +16,14 @@ from typing import Callable
 
 import numpy as np
 
-from . import bsde as bs
 from . import expectations as ne
 from . import scenarios as sc
-from .errors import BracketFailureError, InfeasibleProblemError
+from .errors import BracketFailureError
 
 OPERATOR_TOL = 1e-8
 FEASIBILITY_TOL = 1e-6
 _MAX_BISECT = 200
+_MAX_WIDEN = 8
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,13 @@ def build_flow(profile: ConstraintProfile) -> ReflectorFlow:
     ``K_i = max(profile) - max(profile[i:])``: the flow pays, as early as
     needed, exactly the largest shift still ahead.
     """
-    suffix = np.maximum.accumulate(profile.values[::-1])[::-1]
+    suffix = _suffix_max(profile.values)
     return ReflectorFlow(suffix[0] - suffix)
+
+
+def _suffix_max(values: np.ndarray) -> np.ndarray:
+    """``max(values[i:])`` for every ``i``: the lift ``K_T - K_i`` of a flow."""
+    return np.maximum.accumulate(values[::-1])[::-1]
 
 
 def constraint_value(
@@ -144,6 +150,34 @@ def constraint_value(
     return ne.evaluate(exp, scen, sc.RandomVariable(i, lv))
 
 
+def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
+    """Bracket and bisect the root of a nondecreasing ``phi`` with ``phi(0) = v0 != 0``.
+
+    ``reach`` is the slope-bound distance from 0 to the root.  The far end of
+    the bracket is doubled up to 8 times when that bound is optimistic.
+    Returns ``(lo, hi, steps)`` with ``phi(hi) >= 0`` and ``hi - lo <= tol``
+    (unless the bisection cap is hit).
+    """
+    sign = 1.0 if v0 < 0.0 else -1.0
+    far = sign * reach
+    doublings = 0
+    while sign * phi(far) < 0.0:
+        if doublings == _MAX_WIDEN:
+            raise BracketFailureError(f"no sign change found within {abs(far):.3g} of 0")
+        far *= 2.0
+        doublings += 1
+    lo, hi = (0.0, far) if v0 < 0.0 else (far, 0.0)
+    steps = 0
+    while hi - lo > tol and steps < _MAX_BISECT:
+        mid = 0.5 * (lo + hi)
+        if phi(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return lo, hi, steps
+
+
 def _minimal_shift_with_iters(
     exp: ne.NonlinearExpectation,
     loss: LossFunction,
@@ -155,36 +189,13 @@ def _minimal_shift_with_iters(
     h0 = constraint_value(exp, loss, scen, i, rv.values)
     if h0 >= 0.0:
         return 0.0, 0
-    horizon = scen.grid.horizon
-    hi = (-h0) * np.exp(exp.kappa * horizon) / (loss.lower * exp.scale)
-    if hi <= tol:
-        # root within tol of zero and below the functional's resolution
-        return hi, 0
-    h_hi = constraint_value(exp, loss, scen, i, rv.values + hi)
-    if h_hi < 0.0:
-        # the slope/domination bracket failed; widen a few times before
-        # giving up, covering losses whose sampled bounds are optimistic
-        grew = False
-        for _ in range(8):
-            hi *= 2.0
-            h_hi = constraint_value(exp, loss, scen, i, rv.values + hi)
-            if h_hi >= 0.0:
-                grew = True
-                break
-        if not grew:
-            raise BracketFailureError(
-                f"no nonnegative constraint value found up to shift {hi:.3g} at index {i}"
-            )
-    lo = 0.0
-    iters = 0
-    while hi - lo > tol and iters < _MAX_BISECT:
-        mid = 0.5 * (lo + hi)
-        if constraint_value(exp, loss, scen, i, rv.values + mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        iters += 1
-    return 0.5 * (lo + hi), iters
+    reach = (-h0) * np.exp(exp.kappa * scen.grid.horizon) / (loss.lower * exp.scale)
+
+    def phi(x):
+        return constraint_value(exp, loss, scen, i, rv.values + x)
+
+    _, hi, steps = _monotone_root(phi, h0, reach, tol)
+    return hi, steps
 
 
 def minimal_shift(
@@ -197,8 +208,9 @@ def minimal_shift(
 ) -> float:
     """Smallest ``x >= 0`` with ``E[l(t_i, x + rv)] >= 0``.
 
-    Zero when the constraint already holds; otherwise a bisection between 0
-    and the slope-based upper bracket, accurate to ``tol / 2``.
+    Zero when the constraint already holds; otherwise the feasible end of a
+    bisection between 0 and the slope-based upper bracket, at most ``tol``
+    above the root.
     """
     sc.check_rv(scen, rv)
     value, _ = _minimal_shift_with_iters(exp, loss, scen, i, rv, tol)
@@ -234,20 +246,25 @@ class ReflectedSolution:
         return np.array([sc.expect(scen, y) for y in self.Y])
 
 
-def _normalize_driver_process(c, scen: sc.ScenarioSet, start: int, stop: int):
-    """Coerce a constant-driver spec to one scalar-or-array per step index."""
-    n = stop - start
-    if np.isscalar(c):
-        return [float(c)] * n
-    if callable(c):
-        return [float(c(float(scen.grid.nodes[start + j]))) for j in range(n)]
-    seq = list(c)
-    if len(seq) != n:
-        raise ValueError(f"driver process needs {n} entries, got {len(seq)}")
-    out = []
-    for item in seq:
-        out.append(float(item) if np.isscalar(item) else np.asarray(item, dtype=float))
-    return out
+def _backward_levels(
+    scen: sc.ScenarioSet,
+    terminal: sc.RandomVariable,
+    c_process,
+    start: int = 0,
+) -> list:
+    """Unreflected levels ``X_i = E_i[X_{i+1}] + c_i dt`` for ``i = start..terminal.index``.
+
+    ``c_process[j]`` is the generator value on step ``start + j`` (scalar or
+    per-node array).
+    """
+    dt = scen.grid.dt
+    xs = [terminal]
+    vals = terminal.values
+    for i in range(terminal.index - 1, start - 1, -1):
+        vals = sc.step_expect(scen, vals, i) + np.asarray(c_process[i - start]) * dt
+        xs.append(sc.RandomVariable(i, vals))
+    xs.reverse()
+    return xs
 
 
 def _window_solve(
@@ -260,87 +277,26 @@ def _window_solve(
     """Shared engine: reflect a constant-generator backward solve.
 
     ``shift_fn(i, rv) -> (shift, iters)`` supplies the per-index minimal
-    shift.  Returns the unreflected levels, the flow, the reflected pair and
-    iteration counts.  ``c_process[j]`` is the generator value on step
-    ``start + j`` (scalar or per-node array).
+    shift.  Returns the flow, the reflected pair and iteration counts.
+    ``c_process`` is as in :func:`_backward_levels`.
     """
-    stop = terminal.index
-    dt = scen.grid.dt
-    xs = [terminal]
-    vals = terminal.values
-    for i in range(stop - 1, start - 1, -1):
-        vals = sc.step_expect(scen, vals, i) + np.asarray(c_process[i - start]) * dt
-        xs.append(sc.RandomVariable(i, vals))
-    xs.reverse()
-
-    shifts = np.zeros(stop - start + 1)
-    iters = np.zeros(stop - start + 1, dtype=int)
+    xs = _backward_levels(scen, terminal, c_process, start)
+    shifts = np.zeros(len(xs))
+    iters = np.zeros(len(xs), dtype=int)
     for j, x in enumerate(xs):
         shifts[j], iters[j] = shift_fn(start + j, x)
-    profile = ConstraintProfile(shifts)
-    flow = build_flow(profile)
+    lifts = _suffix_max(ConstraintProfile(shifts).values)
+    flow = ReflectorFlow(lifts[0] - lifts)
 
-    total = flow.total
+    # lift by the suffix max itself: K_T - K_i, computed as a difference,
+    # can round below the binding shift and leave the constraint at -1e-17
     ys = []
     zs = []
     for j, x in enumerate(xs):
-        ys.append(sc.RandomVariable(x.index, x.values + (total - flow.values[j])))
+        ys.append(sc.RandomVariable(x.index, x.values + lifts[j]))
         if j < len(xs) - 1:
             zs.append(sc.RandomVariable(x.index, sc.step_z(scen, xs[j + 1].values, x.index)))
-    return xs, flow, ys, zs, iters
-
-
-def unreflected_process(
-    scen: sc.ScenarioSet, claim: bs.TerminalClaim, c
-) -> list:
-    """Plain backward accumulation ``X_i = E_i[X_{i+1}] + C_i dt``."""
-    cp = _normalize_driver_process(c, scen, 0, claim.index)
-    xs = [claim.rv]
-    vals = claim.values
-    for i in range(claim.index - 1, -1, -1):
-        vals = sc.step_expect(scen, vals, i) + np.asarray(cp[i]) * scen.grid.dt
-        xs.append(sc.RandomVariable(i, vals))
-    xs.reverse()
-    return xs
-
-
-def solve_constant_driver(
-    scen: sc.ScenarioSet,
-    claim: bs.TerminalClaim,
-    c,
-    loss: LossFunction,
-    exp: ne.NonlinearExpectation,
-    tol: float = OPERATOR_TOL,
-    feasibility_tol: float = FEASIBILITY_TOL,
-) -> ReflectedSolution:
-    """Exact reflected solution for a state-independent generator.
-
-    The generator ``c`` may be a scalar, a callable of t, or a sequence with
-    one entry per step.  The terminal constraint must hold within
-    ``feasibility_tol``.
-    """
-    sc.check_rv(scen, claim.rv)
-    if claim.index != scen.grid.steps:
-        raise ValueError("claim must live on the terminal level")
-    term = constraint_value(exp, loss, scen, claim.index, claim.values)
-    if term < -feasibility_tol:
-        raise InfeasibleProblemError(
-            f"terminal constraint value {term:.3g} < -{feasibility_tol:g}"
-        )
-    cp = _normalize_driver_process(c, scen, 0, claim.index)
-
-    def shift_fn(i, rv):
-        return _minimal_shift_with_iters(exp, loss, scen, i, rv, tol)
-
-    _, flow, ys, zs, iters = _window_solve(scen, claim.rv, cp, shift_fn, 0)
-    cons = np.array(
-        [constraint_value(exp, loss, scen, y.index, y.values) for y in ys]
-    )
-    resid = float(np.sum(cons[:-1] * flow.increments))
-    diag = ReflectionDiagnostics(
-        constraint_values=cons, skorokhod_residual=resid, shift_iterations=iters
-    )
-    return ReflectedSolution(Y=tuple(ys), Z=tuple(zs), K=flow, diagnostics=diag)
+    return flow, ys, zs, iters
 
 
 def skorokhod_residual(

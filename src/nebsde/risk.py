@@ -159,10 +159,7 @@ def _risk_problem(rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet) -> pc.Re
         rv = sc.RandomVariable(i, np.asarray(values, dtype=float))
         return float(q.values[i]) - evaluate_risk(rho, scen, i, rv)
 
-    def terminal_value(rv):
-        return constraint(rv.index, rv.values)
-
-    return pc.ReflectionProblem(shift=shift, constraint=constraint, terminal_value=terminal_value)
+    return pc.ReflectionProblem(shift=shift, constraint=constraint)
 
 
 def solve_risk_reflected(

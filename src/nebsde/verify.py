@@ -24,10 +24,8 @@ from . import expectations as ne
 from . import picard as pc
 from . import reflection as rf
 from . import scenarios as sc
-from .errors import BracketFailureError
 
 _FLOOR_TOL = 1e-8
-_MAX_BISECT = 200
 
 
 def mean_floor(
@@ -58,32 +56,7 @@ def mean_floor(
         # the root is within tol of zero; shifts this small are also below
         # the resolution of the constraint functional, so stop here
         return 0.0
-    if v0 > 0.0:
-        lo, hi = -reach, 0.0
-        if phi(lo) > 0.0:
-            for _ in range(8):
-                lo *= 2.0
-                if phi(lo) <= 0.0:
-                    break
-            else:
-                raise BracketFailureError("no sign change found for the floor root")
-    else:
-        lo, hi = 0.0, reach
-        if phi(hi) < 0.0:
-            for _ in range(8):
-                hi *= 2.0
-                if phi(hi) >= 0.0:
-                    break
-            else:
-                raise BracketFailureError("no sign change found for the floor root")
-    it = 0
-    while hi - lo > tol and it < _MAX_BISECT:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        it += 1
+    lo, hi, _ = rf._monotone_root(phi, v0, reach, tol)
     return 0.5 * (lo + hi)
 
 
@@ -138,12 +111,7 @@ def representation_gap(
 
     # mean-forecast process: claim plus remaining generator, coefficients
     # frozen along the solution
-    ybar_vals = sol.Y[m].values.copy()
-    ybars = [None] * (m + 1)
-    ybars[m] = sc.RandomVariable(m, ybar_vals.copy())
-    for i in range(m - 1, -1, -1):
-        ybar_vals = sc.step_expect(scen, ybar_vals, i) + f_vals[i] * dt
-        ybars[i] = sc.RandomVariable(i, ybar_vals.copy())
+    ybars = rf._backward_levels(scen, sol.Y[m], f_vals)
 
     floors = np.array(
         [mean_floor(exp, loss, scen, i, ybars[i], tol) for i in range(m)]
@@ -164,40 +132,6 @@ def representation_gap(
     return RepresentationData(
         means=means, floors=floors, brackets=brackets, gaps=means - brackets, argmax=arg
     )
-
-
-def solve_with_flow(
-    scen: sc.ScenarioSet,
-    claim: bs.TerminalClaim,
-    driver: bs.Driver,
-    flow: rf.ReflectorFlow,
-) -> bs.BsdePair:
-    """Backward solve with a prescribed deterministic flow added step by step.
-
-    Used to build competitor supersolutions: the flow is taken as given, no
-    constraint logic runs.
-    """
-    m = scen.grid.steps
-    if flow.values.size != m + 1:
-        raise ValueError("flow must be sampled on the full grid")
-    sc.check_rv(scen, claim.rv)
-    if claim.index != m:
-        raise ValueError("claim must live on the terminal level")
-    nodes = scen.grid.nodes
-    dt = scen.grid.dt
-    dk = flow.increments
-    ys = [sc.RandomVariable(m, claim.values.copy())]
-    zs = []
-    vals = claim.values
-    for i in range(m - 1, -1, -1):
-        z = sc.step_z(scen, vals, i)
-        e = sc.step_expect(scen, vals, i) + dk[i]
-        vals = bs.implicit_step(driver, float(nodes[i]), e, z, dt)
-        ys.append(sc.RandomVariable(i, vals))
-        zs.append(sc.RandomVariable(i, z))
-    ys.reverse()
-    zs.reverse()
-    return bs.BsdePair(Y=tuple(ys), Z=tuple(zs))
 
 
 @dataclass(frozen=True)
@@ -306,7 +240,7 @@ def comparison_report(
 
     m = scen.grid.steps
     bumped = rf.ReflectorFlow(sol1.K.values + np.linspace(0.0, bump_total, m + 1))
-    competitor = solve_with_flow(scen, a.claim, a.driver, bumped)
+    competitor = bs.solve_bsde(scen, a.claim, a.driver, flow=bumped.increments)
     viol = max(
         float(np.max(y.values - c.values)) for y, c in zip(sol1.Y, competitor.Y)
     )
@@ -396,12 +330,7 @@ def tilted_competitor_demo(
     ys, yalphas, mart_min = [], [], np.inf
     witness = (0, 0, -np.inf)
     mean_gap_max = 0.0
-    vals = claim.values.copy()
-    xs = [None] * (m + 1)
-    xs[m] = vals
-    for i in range(m - 1, -1, -1):
-        vals = sc.step_expect(scen, vals, i) - inst.gamma * scen.grid.dt
-        xs[i] = vals
+    xs = [x.values for x in rf._backward_levels(scen, claim.rv, [-inst.gamma] * m)]
     for i in range(m + 1):
         lift = total - k_vals[i]
         b = sc.brownian(scen, i)
@@ -497,7 +426,7 @@ def run_structural_checks(
     loss = inst.loss()
     classical = ne.NonlinearExpectation.classical()
 
-    sol = rf.solve_constant_driver(scen, claim, -gamma, loss, classical)
+    sol = pc.solve_reflected(scen, claim, inst.driver(), loss, classical)
     k_exact = inst.flow_values(scen, claim)
     flow_err = float(np.max(np.abs(sol.K.values - k_exact)))
     records.append(

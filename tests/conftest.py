@@ -1,8 +1,20 @@
 """Shared scenario fixtures (session-scoped: building trees is cheap, reuse anyway)."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+import nebsde
 from nebsde import TimeGrid, build_scenarios
+
+
+@pytest.fixture
+def child_env():
+    """Environment for a child interpreter that imports the package under test."""
+    src = str(Path(nebsde.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
 @pytest.fixture(scope="session")

@@ -51,7 +51,7 @@ def test_a03_ramp_flow_closed_form(tree200):
     claim = bs.TerminalClaim.from_function(tree200, lambda b: b + 0.5)
     loss = rf.LossFunction.linear(0.0)
     t0 = time.perf_counter()
-    sol = rf.solve_constant_driver(tree200, claim, -1.0, loss, CLS)
+    sol = pc.solve_reflected(tree200, claim, bs.Driver.constant(-1.0), loss, CLS)
     elapsed = time.perf_counter() - t0
     flow_err = float(np.max(np.abs(sol.K.values - np.minimum(tree200.grid.nodes, 0.5))))
     resid = abs(sol.diagnostics.skorokhod_residual)
@@ -63,11 +63,11 @@ def test_a03_ramp_flow_closed_form(tree200):
 def test_a04_running_floor_representation(tree200):
     loss = rf.LossFunction.linear(0.0)
     claim = bs.TerminalClaim.from_function(tree200, lambda b: b + 0.5)
-    sol = rf.solve_constant_driver(tree200, claim, -1.0, loss, CLS)
+    sol = pc.solve_reflected(tree200, claim, bs.Driver.constant(-1.0), loss, CLS)
     rep = vf.representation_gap(tree200, sol, bs.Driver.constant(-1.0), CLS, loss)
 
     slack_claim = bs.TerminalClaim.from_function(tree200, lambda b: b + 5.0)
-    slack_sol = rf.solve_constant_driver(tree200, slack_claim, -1.0, loss, CLS)
+    slack_sol = pc.solve_reflected(tree200, slack_claim, bs.Driver.constant(-1.0), loss, CLS)
     slack_rep = vf.representation_gap(tree200, slack_sol, bs.Driver.constant(-1.0), CLS, loss)
 
     ok = rep.max_abs_gap <= 5.0 * tree200.grid.dt and slack_rep.max_abs_gap <= 1e-6

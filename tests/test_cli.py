@@ -96,6 +96,25 @@ def test_expression_rejects_garbage():
         parse_expression("b b", {"b"})
     with pytest.raises(ValueError):
         parse_expression("b ^ 2", {"b"})
+    # Python syntax outside the grammar
+    for garbage in ("1_0", "0x1", "1j", "True", "'a'", "b ** 2", "b % 2", "+b",
+                    "min(b, b=1)", "min(*b)", "min(b, b,)", "(min)(b, b)", "b # note",
+                    "b if b else 1", "b, b", "\uff42"):  # last: fullwidth b
+        with pytest.raises(ValueError):
+            parse_expression(garbage, {"b"})
+
+
+def test_expression_number_forms():
+    # Integer literals with leading zeros read as decimals, as they always have.
+    assert parse_expression("01", set())() == 1.0
+    assert parse_expression("007 * b", {"b"})(b=2.0) == 14.0
+    assert parse_expression("1e-01", set())() == 0.1
+    assert parse_expression(".5", set())() == 0.5
+    assert parse_expression("1.", set())() == 1.0
+    assert parse_expression("\u0661 + 1", set())() == 2.0  # Arabic-Indic one
+    # An INI continuation line arrives with its newline and indent.
+    e = parse_expression("max(b,\n    0) +\n    0.5", {"b"})
+    assert e(b=np.array([-1.0, 2.0])) == pytest.approx([0.5, 2.5], abs=0)
 
 
 # ------------------------------------------------------------------ commands
@@ -247,12 +266,24 @@ divergence_action = fail
     assert "divergence" in capsys.readouterr().err
 
 
-def test_module_entry_point(tmp_path):
+def test_bracket_failure_exits_4(tmp_path, capsys):
+    # loss_lower = 1000 overstates the slope of x - 1.0, so the shift
+    # search cannot bracket its root.
+    ini = SOLVE_INI.replace("b + 0.5", "b + 1.5").replace(
+        "loss = x", "loss = x - 1.0\nloss_lower = 1000\nloss_upper = 1000"
+    )
+    cfg = _write(tmp_path / "run.ini", ini)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "bracket failure" in capsys.readouterr().err
+    assert "bracket failure" in (tmp_path / "run.log").read_text()
+
+
+def test_module_entry_point(tmp_path, child_env):
     cfg = _write(tmp_path / "run.ini", SOLVE_INI)
     proc = subprocess.run(
         [sys.executable, "-m", "nebsde", "solve", "--config", cfg,
          "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "solution.csv").exists()

@@ -1,6 +1,5 @@
 """Backward tree kernels: hand-worked cases, backend parity, env override."""
 
-import os
 import subprocess
 import sys
 
@@ -100,8 +99,8 @@ def test_backend_label():
     assert _kernels.BACKEND == nebsde.KERNEL_BACKEND
 
 
-def test_env_override_forces_python_backend():
-    env = dict(os.environ, NEBSDE_PURE_PYTHON="1")
+def test_env_override_forces_python_backend(child_env):
+    env = dict(child_env, NEBSDE_PURE_PYTHON="1")
     out = subprocess.run(
         [sys.executable, "-c", "import nebsde; print(nebsde.KERNEL_BACKEND)"],
         capture_output=True, text=True, env=env, check=True,

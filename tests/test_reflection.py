@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from nebsde import bsde as bs
 from nebsde import expectations as ne
+from nebsde import picard as pc
 from nebsde import reflection as rf
 from nebsde import scenarios as sc
 from nebsde.errors import InfeasibleProblemError
@@ -16,6 +19,10 @@ from nebsde.errors import InfeasibleProblemError
 EXACT = 1e-12
 SHIFT_TOL = 2e-8
 CLS = ne.NonlinearExpectation.classical()
+
+
+def _solve_constant(scen, claim, c, loss):
+    return pc.solve_reflected(scen, claim, bs.Driver.constant(c), loss, CLS)
 
 
 def test_build_flow_hand_cases():
@@ -56,6 +63,37 @@ def test_minimal_shift_against_scalar_bisection(tree50):
     root = brentq(mean_loss, 0.0, 10.0, xtol=1e-12)
     got = rf.minimal_shift(CLS, loss, tree50, 25, rv)
     assert abs(got - root) <= SHIFT_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    index=st.integers(1, 50),
+    level=st.floats(-3.0, 1.0),
+    floor=st.floats(-1.0, 1.0),
+    slopes=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+)
+def test_minimal_shift_feasible_and_near_root(tree50, index, level, floor, slopes):
+    # Kinked linear loss a*min(u, 0) + c*max(u, 0) with u = x - floor: the
+    # returned shift satisfies the constraint exactly and sits within tol of
+    # an independent root.
+    a, c = slopes
+    loss = rf.LossFunction(
+        fn=lambda t, x: a * np.minimum(np.asarray(x) - floor, 0.0)
+        + c * np.maximum(np.asarray(x) - floor, 0.0),
+        lower=min(a, c), upper=max(a, c), shape="general",
+    )
+    rv = sc.RandomVariable(index, tree50.tree_values[index] + level)
+    w = tree50.tree_weights[index]
+
+    def mean_loss(s):
+        u = rv.values + s - floor
+        return float(w @ (a * np.minimum(u, 0.0) + c * np.maximum(u, 0.0)))
+
+    got = rf.minimal_shift(CLS, loss, tree50, index, rv)
+    assert got >= 0.0
+    assert rf.constraint_value(CLS, loss, tree50, index, rv.values + got) >= 0.0
+    root = 0.0 if mean_loss(0.0) >= 0.0 else brentq(mean_loss, 0.0, 50.0, xtol=1e-13)
+    assert abs(got - root) <= rf.OPERATOR_TOL
 
 
 def test_minimal_shift_zero_when_feasible(tree50):
@@ -116,7 +154,7 @@ def test_ramp_flow_closed_form():
     # and stops at t* = 0.5.
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 40), "tree")
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.5)
-    sol = rf.solve_constant_driver(scen, claim, -1.0, rf.LossFunction.linear(0.0), CLS)
+    sol = _solve_constant(scen, claim, -1.0, rf.LossFunction.linear(0.0))
     target = np.minimum(scen.grid.nodes, 0.5)
     assert np.max(np.abs(sol.K.values - target)) <= 2.0 * scen.grid.dt
     assert abs(sol.diagnostics.skorokhod_residual) <= 1e-6
@@ -127,36 +165,23 @@ def test_ramp_flow_closed_form():
 
 def test_unreflected_process_matches_discounted_means(tree50):
     claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.5)
-    xs = rf.unreflected_process(tree50, claim, -1.0)
+    xs = rf._backward_levels(tree50, claim.rv, [-1.0] * 50)
     assert len(xs) == 51
     for i, x in enumerate(xs):
         expected = 0.5 - (1.0 - tree50.grid.nodes[i])
         assert abs(sc.expect(tree50, x) - expected) <= EXACT
 
 
-def test_driver_process_forms_agree(tree50):
-    claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.5)
-    loss = rf.LossFunction.linear(0.0)
-    by_scalar = rf.solve_constant_driver(tree50, claim, -1.0, loss, CLS)
-    by_callable = rf.solve_constant_driver(tree50, claim, lambda t: -1.0, loss, CLS)
-    by_seq = rf.solve_constant_driver(tree50, claim, [-1.0] * 50, loss, CLS)
-    for a, b, c in zip(by_scalar.Y, by_callable.Y, by_seq.Y):
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.values, c.values)
-    with pytest.raises(ValueError):
-        rf.solve_constant_driver(tree50, claim, [-1.0] * 49, loss, CLS)
-
-
 def test_infeasible_terminal_raises(tree50):
     claim = bs.TerminalClaim.from_function(tree50, lambda b: b - 10.0)
     with pytest.raises(InfeasibleProblemError):
-        rf.solve_constant_driver(tree50, claim, 0.0, rf.LossFunction.linear(0.0), CLS)
+        _solve_constant(tree50, claim, 0.0, rf.LossFunction.linear(0.0))
 
 
 def test_claim_must_be_terminal(tree50):
     claim = bs.TerminalClaim(sc.brownian_rv(tree50, 30))
     with pytest.raises(ValueError):
-        rf.solve_constant_driver(tree50, claim, 0.0, rf.LossFunction.linear(0.0), CLS)
+        _solve_constant(tree50, claim, 0.0, rf.LossFunction.linear(0.0))
 
 
 def test_residual_audit_flags_lazy_flow():
@@ -165,7 +190,7 @@ def test_residual_audit_flags_lazy_flow():
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 40), "tree")
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.5)
     loss = rf.LossFunction.linear(0.0)
-    sol = rf.solve_constant_driver(scen, claim, -1.0, loss, CLS)
+    sol = _solve_constant(scen, claim, -1.0, loss)
     lazy = np.zeros(41)
     lazy[-1] = sol.K.total
     candidate = dataclasses.replace(sol, K=rf.ReflectorFlow(lazy))
@@ -176,7 +201,7 @@ def test_residual_audit_flags_lazy_flow():
 def test_solution_accessors():
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), "tree")
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.5)
-    sol = rf.solve_constant_driver(scen, claim, -1.0, rf.LossFunction.linear(0.0), CLS)
+    sol = _solve_constant(scen, claim, -1.0, rf.LossFunction.linear(0.0))
     assert sol.value == pytest.approx(float(sol.Y[0].values[0]), abs=0)
     means = sol.mean_values(scen)
     assert means.shape == (21,)

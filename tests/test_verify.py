@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 from nebsde import bsde as bs
 from nebsde import expectations as ne
+from nebsde import picard as pc
 from nebsde import reflection as rf
 from nebsde import scenarios as sc
 from nebsde import verify as vf
@@ -55,7 +56,7 @@ def test_representation_on_ramp_instance():
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 80), "tree")
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.5)
     loss = rf.LossFunction.linear(0.0)
-    sol = rf.solve_constant_driver(scen, claim, -1.0, loss, CLS)
+    sol = pc.solve_reflected(scen, claim, bs.Driver.constant(-1.0), loss, CLS)
     rep = vf.representation_gap(scen, sol, bs.Driver.constant(-1.0), CLS, loss)
     assert rep.max_abs_gap <= 5.0 * scen.grid.dt
     # In the binding stretch the sup is achieved at the running index itself;
@@ -70,7 +71,7 @@ def test_representation_gap_vanishes_when_slack():
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 80), "tree")
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 5.0)
     loss = rf.LossFunction.linear(0.0)
-    sol = rf.solve_constant_driver(scen, claim, -1.0, loss, CLS)
+    sol = pc.solve_reflected(scen, claim, bs.Driver.constant(-1.0), loss, CLS)
     rep = vf.representation_gap(scen, sol, bs.Driver.constant(-1.0), CLS, loss)
     assert sol.K.total <= EXACT
     assert rep.max_abs_gap <= 1e-6
@@ -82,8 +83,7 @@ def test_solve_with_flow_zero_flow_is_plain_solve(tree50):
     driver = bs.Driver(
         fn=lambda t, y, z: -0.2 * np.asarray(y), lipschitz=0.2, depends_on_y=True
     )
-    flow = rf.ReflectorFlow(np.zeros(51))
-    flowed = vf.solve_with_flow(tree50, claim, driver, flow)
+    flowed = bs.solve_bsde(tree50, claim, driver, flow=np.zeros(50))
     pair = bs.solve_bsde(tree50, claim, driver)
     for a, b in zip(flowed.Y, pair.Y):
         assert np.max(np.abs(a.values - b.values)) <= EXACT
@@ -94,8 +94,8 @@ def test_solve_with_flow_adds_prescribed_increments(tree50):
     claim = bs.TerminalClaim.from_function(tree50, lambda b: b)
     vals = np.zeros(51)
     vals[30:] = 0.25
-    flowed = vf.solve_with_flow(
-        tree50, claim, bs.Driver.constant(0.0), rf.ReflectorFlow(vals)
+    flowed = bs.solve_bsde(
+        tree50, claim, bs.Driver.constant(0.0), flow=rf.ReflectorFlow(vals).increments
     )
     assert abs(sc.expect(tree50, flowed.Y[0]) - 0.25) <= EXACT
     assert abs(sc.expect(tree50, flowed.Y[35])) <= EXACT
