@@ -5,14 +5,21 @@ Usage:
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from nebsde._kernels import _tree_np
+# time the checkout's own package, installed or not
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
+
+from nebsde._kernels import _tree_np  # noqa: E402
 
 try:
-    from nebsde._kernels import _tree_cy
+    from nebsde._kernels import _tree_cy  # noqa: E402
 except ImportError:
     _tree_cy = None
 

@@ -15,7 +15,8 @@ byte-identical files.
 
 Exit codes: 0 success, 1 config problem, 2 infeasible constraint,
 3 divergence or non-contractive step, 4 no root bracket for a shift search
-(the declared loss slope bounds do not hold).
+(the declared loss slope bounds do not hold, or a risk lift misses the
+acceptance set).
 """
 from __future__ import annotations
 
@@ -395,17 +396,21 @@ def _build_risk(cfg, grid) -> tuple:
     if (qc is None) == (qk is None):
         raise ConfigError("set exactly one of q_constant / q_knots", key="risk")
     if qc is not None:
-        bench = rk.Benchmark.constant(grid, qc)
-    else:
-        knots = []
         try:
-            for part in qk.split(","):
-                t_str, v_str = part.split(":")
-                knots.append((float(t_str), float(v_str)))
-        except ValueError:
-            raise ConfigError(f"bad knot list {qk!r}", key="risk.q_knots") from None
-        bench = rk.Benchmark.from_knots(grid, knots)
-    return rho, bench
+            return rho, rk.Benchmark.constant(grid, qc)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key="risk.q_constant") from None
+    knots = []
+    try:
+        for part in qk.split(","):
+            t_str, v_str = part.split(":")
+            knots.append((float(t_str), float(v_str)))
+    except ValueError:
+        raise ConfigError(f"bad knot list {qk!r}", key="risk.q_knots") from None
+    try:
+        return rho, rk.Benchmark.from_knots(grid, knots)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="risk.q_knots") from None
 
 
 def _build_market(cfg) -> rk.Market:

@@ -154,7 +154,10 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
     """Bracket and bisect the root of a nondecreasing ``phi`` with ``phi(0) = v0 != 0``.
 
     ``reach`` is the slope-bound distance from 0 to the root.  The far end of
-    the bracket is doubled up to 8 times when that bound is optimistic.
+    the bracket is doubled up to 8 times when that bound is optimistic, and
+    beyond that for as long as it stays below ``tol``: a level that sits on
+    the constraint up to rounding has a reach far below the spacing of its
+    values, so ``phi`` cannot change sign until the step resolves.
     Returns ``(lo, hi, steps)`` with ``phi(hi) >= 0`` and ``hi - lo <= tol``
     (unless the bisection cap is hit).
     """
@@ -162,7 +165,7 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
     far = sign * reach
     doublings = 0
     while sign * phi(far) < 0.0:
-        if doublings == _MAX_WIDEN:
+        if doublings >= _MAX_WIDEN and not 0.0 < abs(far) < tol:
             raise BracketFailureError(f"no sign change found within {abs(far):.3g} of 0")
         far *= 2.0
         doublings += 1

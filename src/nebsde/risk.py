@@ -2,9 +2,10 @@
 
 The risk side replaces the mean constraint with ``rho(t, Y_t) <= q_t`` for a
 convex risk measure built from finitely many Girsanov tilt kernels with
-penalties.  Translation invariance makes the minimal lift explicit:
-``(rho(t, X) - q_t)^+``, no root search needed.  Superhedging prices a claim
-by reflecting the discounted wealth dynamics through that constraint.
+penalties.  Translation invariance, ``rho(X + x) = rho(X) - scale*x``,
+makes the minimal lift explicit: ``(rho(t, X) - q_t)^+ / scale``, no root
+search needed.  Superhedging prices a claim by reflecting the discounted
+wealth dynamics through that constraint.
 """
 from __future__ import annotations
 
@@ -17,8 +18,10 @@ from . import bsde as bs
 from . import picard as pc
 from . import reflection as rf
 from . import scenarios as sc
+from .errors import BracketFailureError
 
 _YTOL = 1e-12
+_LIFT_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,8 @@ class RiskMeasure:
             raise ValueError("penalties must match kernels in length")
         if np.any(pen < 0.0):
             raise ValueError("penalties must be >= 0")
+        if not np.isfinite(self.scale) or self.scale <= 0.0:
+            raise ValueError("scale must be finite and > 0")
         if self.kappa < 0.0 or np.any(np.abs(ker) > self.kappa + 1e-12):
             raise ValueError("all kernels must satisfy |theta| <= kappa")
 
@@ -59,14 +64,16 @@ class RiskMeasure:
     def coherent_family(kernels, kappa: float | None = None) -> "RiskMeasure":
         ker = np.atleast_1d(np.asarray(kernels, dtype=float))
         if kappa is None:
-            kappa = float(np.max(np.abs(ker)))
+            # an empty list is refused with its own message by __post_init__
+            kappa = float(np.max(np.abs(ker), initial=0.0))
         return RiskMeasure(kernels=ker, penalties=np.zeros(ker.size), kappa=float(kappa))
 
     @staticmethod
     def convex_family(kernels, penalties, kappa: float | None = None) -> "RiskMeasure":
         ker = np.atleast_1d(np.asarray(kernels, dtype=float))
         if kappa is None:
-            kappa = float(np.max(np.abs(ker)))
+            # an empty list is refused with its own message by __post_init__
+            kappa = float(np.max(np.abs(ker), initial=0.0))
         return RiskMeasure(kernels=ker, penalties=np.asarray(penalties, dtype=float),
                            kappa=float(kappa))
 
@@ -143,12 +150,29 @@ def evaluate_risk(rho: RiskMeasure, scen: sc.ScenarioSet, i: int, rv: sc.RandomV
 def risk_shift(
     rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet, i: int, rv: sc.RandomVariable
 ) -> float:
-    """Minimal lift onto the acceptance set: ``(rho(t_i, rv) - q_i)^+``.
+    """Minimal lift onto the acceptance set: ``(rho(t_i, rv) - q_i)^+ / scale``.
 
     Translation invariance of ``rho`` collapses the root search that the
-    mean constraint needs.
+    mean constraint needs.  The closed form can land a rounding error short
+    of the set, so the lift is stepped up until ``rho(t_i, rv + x) <= q_i``
+    holds as evaluated, which makes the reflected level feasible by
+    construction.
     """
-    return max(evaluate_risk(rho, scen, i, rv) - float(q.values[i]), 0.0)
+    qi = float(q.values[i])
+    excess = evaluate_risk(rho, scen, i, rv) - qi
+    if excess <= 0.0:
+        return 0.0
+    x = excess / rho.scale
+    step = np.spacing(float(np.max(np.abs(rv.values))) + x)
+    for _ in range(_LIFT_STEPS):
+        gap = evaluate_risk(rho, scen, i, sc.RandomVariable(i, rv.values + x)) - qi
+        if gap <= 0.0:
+            return x
+        x += max(gap / rho.scale, step)
+        step *= 2.0
+    raise BracketFailureError(
+        f"risk lift at index {i} still {gap:.3g} above q after {_LIFT_STEPS} steps"
+    )
 
 
 def _risk_problem(rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet) -> pc.ReflectionProblem:

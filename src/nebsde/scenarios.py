@@ -233,27 +233,42 @@ def girsanov_weights(scen: ScenarioSet, theta: float) -> RandomVariable:
 
     The raw exponential has mean 1 only in the Gaussian limit; the weights
     are divided by their scenario mean so the tilt is an exact probability
-    reweighting on the discrete support.
+    reweighting on the discrete support.  The renormalisation cancels any
+    constant factor, so the exponent is taken relative to ``max(theta*B_T)``
+    and cannot overflow.
     """
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
     m = scen.grid.steps
-    t = scen.grid.horizon
-    raw = np.exp(theta * brownian(scen, m) - 0.5 * theta * theta * t)
+    expo = theta * brownian(scen, m)
+    raw = np.exp(expo - np.max(expo))
     w = RandomVariable(m, raw)
     return RandomVariable(m, raw / expect(scen, w))
 
 
 def tilted_expect(scen: ScenarioSet, theta: float, rv: RandomVariable) -> float:
-    """Expectation of ``rv`` under the tilted measure with kernel ``theta``."""
+    """Expectation of ``rv`` under the tilted measure with kernel ``theta``.
+
+    On the tree the tilt is closed-form: ``E[exp(theta*(B_T - B_i)) | F_i]``
+    is the constant ``cosh(theta*sqrt(dt))**(m - i)``, so the tilt seen at
+    level ``i`` is the level's own binomial weights times ``exp(theta*B_i)``,
+    renormalised.  The weights are formed in log space, so no tilt
+    overflows.  Above about 1,000 levels the tail nodes whose binomial
+    weight underflows to 0 carry no tilted mass, the same limit
+    :func:`expect` has.  Monte Carlo weights each path by its terminal
+    Girsanov density.
+    """
     check_rv(scen, rv)
-    w = girsanov_weights(scen, theta)
     if scen.mode == "montecarlo":
         # E[w X] per path, no projection needed
+        w = girsanov_weights(scen, theta)
         return float(np.mean(w.values * rv.values))
-    if rv.index < w.index:
-        w = cond_expect(scen, w, rv.index)
-    return expect(scen, RandomVariable(rv.index, w.values * rv.values))
+    if not np.isfinite(theta):
+        raise ValueError("theta must be finite")
+    with np.errstate(divide="ignore"):
+        logw = np.log(scen.tree_weights[rv.index]) + theta * scen.tree_values[rv.index]
+    w = np.exp(logw - np.max(logw))
+    return float(w @ rv.values / np.sum(w))
 
 
 def from_terminal_function(scen: ScenarioSet, fn: Callable[[np.ndarray], np.ndarray]) -> RandomVariable:

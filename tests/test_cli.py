@@ -228,9 +228,35 @@ def test_config_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()  # swallow the error prints
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("q_constant = 10.0", "q_constant = nan", "risk.q_constant: benchmark values must be finite"),
+        ("q_constant = 10.0", "q_knots = 0:0.4,1:inf", "risk.q_knots: benchmark values must be finite"),
+        ("kernels = -0.5, 0, 0.5", "kernels =", "risk.kernels: kernel list must be nonempty"),
+    ],
+)
+def test_risk_config_errors_exit_1(tmp_path, capsys, old, new, message):
+    cfg = _write(tmp_path / "run.ini", PRICE_INI.replace(old, new))
+    assert run(["price", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_infeasible_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path / "run.ini", SOLVE_INI.replace("b + 0.5", "b - 10.0"))
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "infeasible" in capsys.readouterr().err
+    assert "infeasible" in (tmp_path / "run.log").read_text()
+
+
+def test_large_tilt_price_exits_2(tmp_path, capsys):
+    # theta * sqrt(dt) = 40: the tilt must neither overflow nor crash the run
+    ini = (PRICE_INI.replace("steps = 50", "steps = 400")
+           .replace("payoff = 1.0", "payoff = b")
+           .replace("kernels = -0.5, 0, 0.5", "kernels = -800, 800")
+           .replace("q_constant = 10.0", "q_constant = 0.0"))
+    cfg = _write(tmp_path / "run.ini", ini)
+    assert run(["price", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "infeasible" in capsys.readouterr().err
     assert "infeasible" in (tmp_path / "run.log").read_text()
 

@@ -1,7 +1,9 @@
 """Backward tree kernels: hand-worked cases, backend parity, env override."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,3 +108,14 @@ def test_env_override_forces_python_backend(child_env):
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "python"
+
+
+def test_bench_script_runs_from_checkout(tmp_path):
+    # The kernel benchmark finds the checkout's package without PYTHONPATH.
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(script), "--sizes", "8", "--repeats", "1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -72,6 +72,9 @@ def test_minimal_shift_against_scalar_bisection(tree50):
     floor=st.floats(-1.0, 1.0),
     slopes=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
 )
+# A level on the floor up to rounding: h0 = -5.2e-22, whose slope-bound reach
+# stays below the spacing of the level's values for more than 8 doublings.
+@example(index=45, level=0.0, floor=0.0, slopes=(0.1, 0.1))
 def test_minimal_shift_feasible_and_near_root(tree50, index, level, floor, slopes):
     # Kinked linear loss a*min(u, 0) + c*max(u, 0) with u = x - floor: the
     # returned shift satisfies the constraint exactly and sits within tol of

@@ -1,5 +1,6 @@
 """Risk-side constraint: dual evaluation, explicit lifts, superhedging prices."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from nebsde import picard as pc
 from nebsde import reflection as rf
 from nebsde import risk as rk
 from nebsde import scenarios as sc
+from nebsde.errors import BracketFailureError
 
 EXACT = 1e-12
 CLS = ne.NonlinearExpectation.classical()
@@ -63,6 +65,51 @@ def test_risk_shift_is_positive_part(tree50):
     assert rk.risk_shift(rho, q, tree50, 20, rich) == 0.0
 
 
+def test_risk_shift_divides_by_scale_and_is_feasible(tree50):
+    # rho(X + x) = rho(X) - scale * x, so the lift is the excess over scale,
+    # and the lifted level meets q as evaluated.
+    rv = sc.brownian_rv(tree50, 20)
+    q = rk.Benchmark.constant(tree50.grid, 0.0)
+    base = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
+    unit = rk.evaluate_risk(base, tree50, 20, rv)
+    assert unit > 0.1
+    for scale in (0.5, 1.0, 2.0):
+        rho = dataclasses.replace(base, scale=scale)
+        x = rk.risk_shift(rho, q, tree50, 20, rv)
+        assert x == pytest.approx(unit, abs=EXACT)
+        lifted = sc.RandomVariable(20, rv.values + x)
+        assert 0.0 - rk.evaluate_risk(rho, tree50, 20, lifted) >= 0.0
+
+
+def test_risk_shift_raises_when_lift_never_lands(tree50, monkeypatch):
+    # A risk functional that ignores the lift breaks translation invariance;
+    # the correction steps stop and report instead of looping.
+    rho = rk.RiskMeasure.coherent_family([0.0], kappa=0.0)
+    q = rk.Benchmark.constant(tree50.grid, 0.0)
+    monkeypatch.setattr(rk, "evaluate_risk", lambda *args: 1.0)
+    with pytest.raises(BracketFailureError):
+        rk.risk_shift(rho, q, tree50, 20, sc.brownian_rv(tree50, 20))
+
+
+def test_risk_scale_reflection_is_feasible_and_scale_free(tree50):
+    # Scaling rho and q together leaves the acceptance set, hence the
+    # reflection, unchanged; the reflected levels meet it exactly.
+    claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.45)
+    driver = bs.Driver.constant(-1.0)
+    base = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
+    flows = []
+    for scale in (0.5, 1.0, 2.0):
+        rho = dataclasses.replace(base, scale=scale)
+        q = rk.Benchmark.constant(tree50.grid, 0.45 * scale)
+        sol = rk.solve_risk_reflected(tree50, claim, driver, rho, q)
+        assert float(np.min(sol.diagnostics.constraint_values)) >= 0.0
+        assert abs(sol.diagnostics.skorokhod_residual) <= 1e-15
+        flows.append(sol.K.values)
+    assert flows[0][-1] > 0.05
+    for k in flows[1:]:
+        assert np.max(np.abs(k - flows[0])) <= EXACT
+
+
 def test_family_flags_and_validation():
     assert rk.RiskMeasure.coherent_family([-0.5, 0.5]).coherent
     assert not rk.RiskMeasure.convex_family([0.0, 0.5], [0.0, 0.1]).coherent
@@ -75,6 +122,12 @@ def test_family_flags_and_validation():
         rk.RiskMeasure.convex_family([0.0], [-0.1])
     with pytest.raises(ValueError):
         rk.RiskMeasure(kernels=np.array([0.9]), penalties=np.array([0.0]), kappa=0.5)
+    with pytest.raises(ValueError):
+        rk.RiskMeasure.convex_family([], [])
+    for scale in (0.0, -1.0, np.inf):
+        with pytest.raises(ValueError):
+            rk.RiskMeasure(kernels=np.array([0.0]), penalties=np.array([0.0]), kappa=0.0,
+                           scale=scale)
 
 
 def test_schedule_hook(tree50):

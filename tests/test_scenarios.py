@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
 from nebsde import scenarios as sc
 from nebsde.errors import SupportMismatchError
@@ -65,10 +68,11 @@ def test_tree_step_z_of_brownian_is_one(tree50):
 
 def test_tree_tilted_expectation_closed_form(tree100):
     # Tilting by theta factorises into i.i.d. per-step tilts with mean
-    # sqrt(dt) * tanh(theta * sqrt(dt)).
+    # sqrt(dt) * tanh(theta * sqrt(dt)); at |theta| = 800, exp(theta * B_T)
+    # alone would overflow.
     sq = math.sqrt(tree100.grid.dt)
     bt = sc.brownian_rv(tree100, 100)
-    for theta in (-0.7, 0.3, 1.1):
+    for theta in (-0.7, 0.3, 1.1, -800.0, 800.0):
         exact = 100 * sq * math.tanh(theta * sq)
         assert abs(sc.tilted_expect(tree100, theta, bt) - exact) <= EXACT
 
@@ -78,6 +82,47 @@ def test_tree_tilted_expectation_interior_level(tree50):
     bi = sc.brownian_rv(tree50, 13)
     exact = 13 * sq * math.tanh(0.4 * sq)
     assert abs(sc.tilted_expect(tree50, 0.4, bi) - exact) <= EXACT
+
+
+def _chained_tilted_expect(scen, theta, rv):
+    """The conditioning chain the tree closed form replaced: E[E_i[w] X]."""
+    w = sc.cond_expect(scen, sc.girsanov_weights(scen, theta), rv.index)
+    return sc.expect(scen, sc.RandomVariable(rv.index, w.values * rv.values))
+
+
+@pytest.mark.parametrize("m", [8, 50, 400])
+def test_tree_tilted_expectation_matches_conditioning_chain(m):
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
+    rng = np.random.default_rng(m)
+    for theta in (-3.0, -0.5, 0.0, 0.3, 1.1, 5.0):
+        for i in sorted({0, 1, m // 3, m - 1, m}):
+            x = rng.normal(0.3, 1.0, i + 1) + np.sin(scen.tree_values[i])
+            rv = sc.RandomVariable(i, x)
+            # relative to the tilted mean of |X|, the scale of the sum
+            size = _chained_tilted_expect(scen, theta, sc.RandomVariable(i, np.abs(x)))
+            got = sc.tilted_expect(scen, theta, rv)
+            assert abs(got - _chained_tilted_expect(scen, theta, rv)) <= 1e-12 * size, (theta, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, 50),
+    theta=st.floats(-40.0, 40.0),
+    seed=st.integers(0, 2**32 - 1),
+    cash=st.floats(-10.0, 10.0),
+)
+def test_tree_tilt_is_binomial_walk(tree50, index, theta, seed, cash):
+    # An exponential tilt of the symmetric walk is the walk with up
+    # probability p = 1 / (1 + exp(-2 theta sqrt(dt))).
+    x = np.random.default_rng(seed).normal(0.0, 2.0, index + 1)
+    rv = sc.RandomVariable(index, x)
+    p = 1.0 / (1.0 + math.exp(-2.0 * theta * math.sqrt(tree50.grid.dt)))
+    exact = binom.pmf(np.arange(index + 1), index, p) @ x
+    got = sc.tilted_expect(tree50, theta, rv)
+    scale = float(np.max(np.abs(x)))
+    assert abs(got - exact) <= 1e-12 * scale
+    lifted = sc.tilted_expect(tree50, theta, sc.RandomVariable(index, x + cash))
+    assert abs(lifted - (got + cash)) <= 1e-12 * (scale + abs(cash))
 
 
 def test_girsanov_weights_renormalised(tree50, mc50):
@@ -105,6 +150,24 @@ def test_mc_tilted_expectation(mc50):
     # within sampling error at 4000 paths.
     bt = sc.RandomVariable(50, mc50.paths[:, 50].copy())
     assert abs(sc.tilted_expect(mc50, 0.4, bt) - 0.4) <= 0.05
+
+
+def test_mc_large_tilt_stays_finite():
+    # exp(theta*B_T - theta^2*T/2) overflows at theta = 400; the weights are
+    # formed relative to max(theta*B_T) instead.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 50), "montecarlo", n_paths=2000, seed=5)
+    bt = sc.RandomVariable(50, scen.paths[:, 50].copy())
+    got = sc.tilted_expect(scen, 400.0, bt)
+    assert sc.expect(scen, bt) < got <= float(np.max(bt.values))
+    lifted = sc.tilted_expect(scen, 400.0, sc.RandomVariable(50, bt.values + 1.5))
+    assert abs(lifted - (got + 1.5)) <= 1e-12 * (abs(got) + 1.5)
+
+
+def test_mc_girsanov_weights_match_gaussian_density(mc50):
+    b = mc50.paths[:, 50]
+    raw = np.exp(0.4 * b - 0.5 * 0.4**2)
+    w = sc.girsanov_weights(mc50, 0.4)
+    assert np.max(np.abs(w.values / (raw / raw.mean()) - 1.0)) <= 1e-13
 
 
 def test_mc_conditional_expectation_regression(mc50):
@@ -168,3 +231,5 @@ def test_grid_and_builder_validation():
 def test_girsanov_weights_rejects_nonfinite_theta(tree8):
     with pytest.raises(ValueError):
         sc.girsanov_weights(tree8, float("inf"))
+    with pytest.raises(ValueError):
+        sc.tilted_expect(tree8, float("nan"), sc.brownian_rv(tree8, 3))
