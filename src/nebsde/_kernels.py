@@ -1,4 +1,4 @@
-"""Numpy fallback for the compiled tree kernel."""
+"""Backward tree kernels for the kappa-scaled absolute-value driver family."""
 import numpy as np
 
 
@@ -28,3 +28,21 @@ def tree_backward_value(terminal, dt, kappa, include_y):
             a = a / np.where(a >= 0.0, 1.0 - kdt, 1.0 + kdt)
         w[: level + 1] = a
     return float(w[0])
+
+
+def kappa_continuation(values, dt, steps, kappa, include_y):
+    """Propagate node values through ``steps`` zero-noise implicit steps.
+
+    With z frozen at 0 the driver ``kappa*(|y| + |z|)`` reduces to a scalar
+    ODE per node whose implicit step is ``y -> y / (1 - kappa*sign(y)*dt)``.
+    The sign of each value is preserved step by step, so the whole
+    continuation collapses to one scale factor per sign.
+    """
+    values = np.asarray(values, dtype=float)
+    if steps == 0 or not include_y or kappa == 0.0:
+        return values.copy()
+    if abs(kappa) * dt >= 1.0:
+        raise ValueError("kappa * dt must be < 1 for the implicit step")
+    pos = (1.0 - kappa * dt) ** (-steps)
+    neg = (1.0 + kappa * dt) ** (-steps)
+    return np.where(values >= 0.0, values * pos, values * neg)

@@ -28,7 +28,7 @@ class Driver:
     step; drivers that depend on neither y nor z may declare 0.
     ``kappa_structure = (kappa, include_y)`` tags the scaled-absolute-value
     family ``kappa*(|y| + |z|)`` / ``kappa*|z|`` so evaluations can take the
-    compiled fast path.
+    closed-form continuation and the tree kernel in ``_kernels``.
     """
 
     fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray]

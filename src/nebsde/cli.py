@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, __version__
+from . import KERNEL_BACKEND, __version__
 from . import bsde as bs
 from . import expectations as ne
 from . import picard as pc
@@ -317,8 +317,21 @@ def _build_driver(sec: _Section) -> bs.Driver:
         raise ConfigError(str(exc), key="problem.driver") from None
 
 
-def _build_loss(sec: _Section) -> rf.LossFunction:
+# lattice on which a configured loss's slope bounds are checked: x, and the
+# Brownian coordinate b in standard deviations of B_T for b-dependent losses
+_LOSS_PROBE_X = np.linspace(-10.0, 10.0, 81)
+_LOSS_PROBE_B = np.array([-3.0, 0.0, 3.0])
+
+
+def _build_loss(sec: _Section, grid: sc.TimeGrid) -> rf.LossFunction:
+    """The loss, its declared slope bounds probed on a lattice at every grid date.
+
+    A loss that breaks the bounds only outside the lattice still reaches the
+    shift search, which then finds no root bracket (exit 4).
+    """
     expr = sec.expression("loss", {"t", "x", "b"}, required=True)
+    if "x" not in expr.names:
+        raise ConfigError("loss must depend on x", key="problem.loss")
     lower = sec.number("loss_lower", 1.0)
     upper = sec.number("loss_upper", 1.0)
     shape = sec.text("loss_shape", "general")
@@ -327,10 +340,13 @@ def _build_loss(sec: _Section) -> rf.LossFunction:
         fn = lambda t, b, x: expr(t=t, b=b, x=np.asarray(x, dtype=float))
     else:
         fn = lambda t, x: expr(t=t, x=np.asarray(x, dtype=float))
+    b_values = _LOSS_PROBE_B * np.sqrt(grid.horizon) if random else (0.0,)
     try:
-        return rf.LossFunction(fn=fn, lower=lower, upper=upper, shape=shape, random=random)
+        loss = rf.LossFunction(fn=fn, lower=lower, upper=upper, shape=shape, random=random)
+        rf.check_loss_lattice(loss, grid.nodes, _LOSS_PROBE_X, b_values)
     except ValueError as exc:
         raise ConfigError(str(exc), key="problem.loss") from None
+    return loss
 
 
 def _build_expectation(sec: _Section) -> ne.NonlinearExpectation:
@@ -453,7 +469,7 @@ def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
         run.payoff = payoff
     if command == "solve":
         run.driver = _build_driver(prob)
-        run.loss = _build_loss(prob)
+        run.loss = _build_loss(prob, scen.grid)
         run.expectation = _build_expectation(prob)
     if command == "gexp":
         run.expectation = _build_expectation(prob)
@@ -652,7 +668,7 @@ def run(argv=None) -> int:
         log.add(f"config={args.config}")
         log.add(f"digest={run_cfg.digest}")
         log.add(f"seed={run_cfg.seed}")
-        log.add(f"backend={_kernels.BACKEND}")
+        log.add(f"backend={KERNEL_BACKEND}")
         log.add(f"version={__version__}")
         handler = {
             "solve": _run_solve,

@@ -175,5 +175,5 @@ def grid_maxmin_value(
     if exp.kind != "alpha_maxmin":
         raise ValueError("grid values only apply to alpha_maxmin expectations")
     thetas = np.linspace(-exp.kappa, exp.kappa, exp.kernel_grid)
-    vals = [sc.tilted_expect(scen, float(th), rv) for th in thetas]
-    return exp.alpha * max(vals) + (1.0 - exp.alpha) * min(vals)
+    vals = sc.tilted_expect(scen, thetas, rv)
+    return float(exp.alpha * np.max(vals) + (1.0 - exp.alpha) * np.min(vals))

@@ -68,8 +68,8 @@ def check_loss_lattice(
     """Sample the loss on a lattice and verify slope bounds.
 
     Raises ``ValueError`` if any sampled difference quotient falls outside
-    ``[lower, upper]`` (up to 1e-9 slack), which also catches
-    non-monotonicity.
+    ``[lower, upper]`` (up to 1e-9 slack) or is not finite, which also
+    catches non-monotonicity.
     """
     xs = np.asarray(x_values, dtype=float)
     if xs.size < 2:
@@ -77,9 +77,9 @@ def check_loss_lattice(
     for t in t_values:
         for b in b_values:
             barr = np.full_like(xs, float(b))
-            vals = loss(float(t), barr, xs)
-            quot = np.diff(vals) / np.diff(xs)
-            if np.any(quot < loss.lower - 1e-9) or np.any(quot > loss.upper + 1e-9):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                quot = np.diff(loss(float(t), barr, xs)) / np.diff(xs)
+            if not np.all((quot >= loss.lower - 1e-9) & (quot <= loss.upper + 1e-9)):
                 raise ValueError(
                     f"loss slope outside [{loss.lower}, {loss.upper}] near t={t}"
                 )

@@ -10,7 +10,6 @@ wealth dynamics through that constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,15 +29,13 @@ class RiskMeasure:
 
     ``kernels`` are the Girsanov tilt slopes; ``penalties`` their convex
     charges (all zero for a coherent measure).  ``kappa`` bounds the kernel
-    magnitudes and doubles as the domination slope.  ``schedule``, when set,
-    maps t to ``(kernels, penalties)`` so the family can vary in time.
+    magnitudes and doubles as the domination slope.
     """
 
     kernels: np.ndarray
     penalties: np.ndarray
     kappa: float
     scale: float = 1.0
-    schedule: Callable | None = None
 
     def __post_init__(self):
         ker = np.atleast_1d(np.asarray(self.kernels, dtype=float))
@@ -76,14 +73,6 @@ class RiskMeasure:
             kappa = float(np.max(np.abs(ker), initial=0.0))
         return RiskMeasure(kernels=ker, penalties=np.asarray(penalties, dtype=float),
                            kappa=float(kappa))
-
-    def at(self, t: float) -> tuple:
-        if self.schedule is None:
-            return self.kernels, self.penalties
-        ker, pen = self.schedule(float(t))
-        return np.atleast_1d(np.asarray(ker, dtype=float)), np.atleast_1d(
-            np.asarray(pen, dtype=float)
-        )
 
 
 @dataclass(frozen=True)
@@ -134,17 +123,15 @@ class Market:
 
 
 def evaluate_risk(rho: RiskMeasure, scen: sc.ScenarioSet, i: int, rv: sc.RandomVariable) -> float:
-    """``rho(t_i, rv)``: the worst penalised tilted mean of the loss ``-rv``."""
+    """``rho(t_i, rv)``: the worst penalised tilted mean of the loss ``-rv``.
+
+    Every kernel's mean comes from one call, and ``E_theta[-X] = -E_theta[X]``.
+    """
     sc.check_rv(scen, rv)
     if rv.index != i:
         raise ValueError("rv must live on index i")
-    neg = sc.RandomVariable(i, -rv.values)
-    ker, pen = rho.at(float(scen.grid.nodes[i]))
-    vals = [
-        rho.scale * sc.tilted_expect(scen, float(th), neg) - float(p)
-        for th, p in zip(ker, pen)
-    ]
-    return max(vals)
+    means = sc.tilted_expect(scen, rho.kernels, rv)
+    return float(np.max(-rho.scale * means - rho.penalties))
 
 
 def risk_shift(

@@ -246,8 +246,13 @@ def girsanov_weights(scen: ScenarioSet, theta: float) -> RandomVariable:
     return RandomVariable(m, raw / expect(scen, w))
 
 
-def tilted_expect(scen: ScenarioSet, theta: float, rv: RandomVariable) -> float:
+def tilted_expect(
+    scen: ScenarioSet, theta: float | np.ndarray, rv: RandomVariable
+) -> float | np.ndarray:
     """Expectation of ``rv`` under the tilted measure with kernel ``theta``.
+
+    ``theta`` is a scalar, giving a float, or a 1-d array of kernels, giving
+    one mean per kernel; each kernel's mean is the one a scalar call gives.
 
     On the tree the tilt is closed-form: ``E[exp(theta*(B_T - B_i)) | F_i]``
     is the constant ``cosh(theta*sqrt(dt))**(m - i)``, so the tilt seen at
@@ -259,16 +264,23 @@ def tilted_expect(scen: ScenarioSet, theta: float, rv: RandomVariable) -> float:
     Girsanov density.
     """
     check_rv(scen, rv)
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    if thetas.ndim != 1:
+        raise ValueError("theta must be a scalar or a 1-d array")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("theta must be finite")
     if scen.mode == "montecarlo":
         # E[w X] per path, no projection needed
-        w = girsanov_weights(scen, theta)
-        return float(np.mean(w.values * rv.values))
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    with np.errstate(divide="ignore"):
-        logw = np.log(scen.tree_weights[rv.index]) + theta * scen.tree_values[rv.index]
-    w = np.exp(logw - np.max(logw))
-    return float(w @ rv.values / np.sum(w))
+        means = np.array(
+            [np.mean(girsanov_weights(scen, th).values * rv.values) for th in thetas]
+        )
+    else:
+        i = rv.index
+        with np.errstate(divide="ignore"):
+            logw = np.log(scen.tree_weights[i]) + thetas[:, None] * scen.tree_values[i]
+        w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
+        means = np.sum(w * rv.values, axis=1) / np.sum(w, axis=1)
+    return float(means[0]) if np.ndim(theta) == 0 else means
 
 
 def from_terminal_function(scen: ScenarioSet, fn: Callable[[np.ndarray], np.ndarray]) -> RandomVariable:

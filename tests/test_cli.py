@@ -227,6 +227,12 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert run(["price", "--config", both_q, "--out", str(tmp_path)]) == 1
     capsys.readouterr()  # swallow the error prints
 
+    # a loss that ignores x, and losses whose slope breaks the declared bounds
+    for loss in ("t - 2", "x*x - 0.3", "x - 1.0\nloss_lower = 1000\nloss_upper = 1000"):
+        cfg = _write(tmp_path / "s.ini", SOLVE_INI.replace("loss = x", f"loss = {loss}"))
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1, loss
+        assert "config error: problem.loss:" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "old, new, message",
@@ -293,11 +299,10 @@ divergence_action = fail
 
 
 def test_bracket_failure_exits_4(tmp_path, capsys):
-    # loss_lower = 1000 overstates the slope of x - 1.0, so the shift
-    # search cannot bracket its root.
-    ini = SOLVE_INI.replace("b + 0.5", "b + 1.5").replace(
-        "loss = x", "loss = x - 1.0\nloss_lower = 1000\nloss_upper = 1000"
-    )
+    # kappa = 0.1 understates the generator -10 * y, which shrinks a shift
+    # by about exp(-10) over [0, 1], so the shift search cannot bracket its
+    # root.
+    ini = SOLVE_INI + "expectation = gexp\ngexp_driver = -10 * y\nkappa = 0.1\n"
     cfg = _write(tmp_path / "run.ini", ini)
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 4
     assert "bracket failure" in capsys.readouterr().err

@@ -141,6 +141,10 @@ def test_loss_lattice_check(tree50):
         rf.check_loss_lattice(lying, [0.0], np.linspace(-2.0, 2.0, 9))
     with pytest.raises(ValueError):
         rf.check_loss_lattice(ok, [0.0], np.array([1.0]))
+    # a NaN quotient is outside every slope interval
+    undefined = rf.LossFunction(fn=lambda t, x: np.where(np.asarray(x) < 0.0, np.nan, x))
+    with pytest.raises(ValueError):
+        rf.check_loss_lattice(undefined, [0.0], np.linspace(-2.0, 2.0, 9))
 
 
 def test_loss_validation():

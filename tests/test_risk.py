@@ -130,21 +130,6 @@ def test_family_flags_and_validation():
                            scale=scale)
 
 
-def test_schedule_hook(tree50):
-    def schedule(t):
-        return ([0.0], [0.0]) if t < 0.5 else ([0.5], [0.0])
-
-    rho = rk.RiskMeasure(
-        kernels=np.array([0.0]), penalties=np.array([0.0]), kappa=0.5, schedule=schedule
-    )
-    early = rk.evaluate_risk(rho, tree50, 4, sc.brownian_rv(tree50, 4))
-    assert abs(early - 0.0) <= EXACT  # plain mean of -B_4
-    late_rv = sc.brownian_rv(tree50, 40)
-    late = rk.evaluate_risk(rho, tree50, 40, late_rv)
-    tilted = sc.tilted_expect(tree50, 0.5, sc.RandomVariable(40, -late_rv.values))
-    assert abs(late - tilted) <= EXACT
-
-
 def test_risk_solve_equals_mean_solve_on_trivial_family(tree100):
     # Zero-kernel coherent rho(X) = E[-X]: the constraint rho(Y) <= q is the
     # mean floor E[Y] >= -q.

@@ -125,6 +125,22 @@ def test_tree_tilt_is_binomial_walk(tree50, index, theta, seed, cash):
     assert abs(lifted - (got + cash)) <= 1e-12 * (scale + abs(cash))
 
 
+def test_tilted_expect_kernel_array_matches_scalar_calls(tree50, mc50):
+    kernels = np.array([-800.0, -3.0, -0.5, 0.0, 0.4, 1.1, 800.0])
+    rng = np.random.default_rng(11)
+    for scen in (tree50, mc50):
+        for i in (0, 1, 17, 49, 50):
+            x = rng.normal(0.3, 1.0, sc.support_size(scen, i))
+            rv = sc.RandomVariable(i, x)
+            got = sc.tilted_expect(scen, kernels, rv)
+            assert got.shape == kernels.shape
+            for theta, mean in zip(kernels, got):
+                one = sc.tilted_expect(scen, float(theta), rv)
+                assert isinstance(one, float)
+                size = sc.tilted_expect(scen, float(theta), sc.RandomVariable(i, np.abs(x)))
+                assert abs(mean - one) <= 1e-14 * size, (scen, i, theta)
+
+
 def test_girsanov_weights_renormalised(tree50, mc50):
     for scen in (tree50, mc50):
         w = sc.girsanov_weights(scen, 0.4)
@@ -233,3 +249,7 @@ def test_girsanov_weights_rejects_nonfinite_theta(tree8):
         sc.girsanov_weights(tree8, float("inf"))
     with pytest.raises(ValueError):
         sc.tilted_expect(tree8, float("nan"), sc.brownian_rv(tree8, 3))
+    with pytest.raises(ValueError):
+        sc.tilted_expect(tree8, np.array([0.5, np.inf]), sc.brownian_rv(tree8, 3))
+    with pytest.raises(ValueError):
+        sc.tilted_expect(tree8, np.zeros((2, 2)), sc.brownian_rv(tree8, 3))
