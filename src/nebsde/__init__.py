@@ -18,13 +18,11 @@ from .errors import (
     SupportMismatchError,
 )
 from .expectations import DominationReport, NonlinearExpectation, domination_gap, evaluate
-from .picard import SolveDiagnostics, SolveOptions, solve_reflected, subinterval_plan
+from .picard import SolveDiagnostics, SolveOptions, solve_reflected
 from .reflection import (
-    ConstraintProfile,
     LossFunction,
     ReflectedSolution,
     ReflectorFlow,
-    build_flow,
     minimal_shift,
     skorokhod_residual,
 )

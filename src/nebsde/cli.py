@@ -163,10 +163,7 @@ _SCHEMA = {
         "loss_upper", "loss_shape", "expectation", "kappa", "alpha",
         "gexp_driver", "scale",
     },
-    "solver": {
-        "n_sub", "picard_tol", "max_picard_iters", "divergence_action",
-        "operator_tol", "feasibility_tol",
-    },
+    "solver": {"picard_tol", "max_picard_iters", "operator_tol", "feasibility_tol"},
     "risk": {"kernels", "penalties", "kappa", "q_constant", "q_knots"},
     "market": {"rate", "drift", "volatility"},
     "verify": {"gamma", "floor", "shift", "tilt"},
@@ -247,7 +244,7 @@ class RunConfig:
     scen: sc.ScenarioSet
     seed: int
     digest: str
-    payoff: Expression | None = None
+    payoff: sc.RandomVariable | None = None  # the payoff on the terminal support
     driver: bs.Driver | None = None
     loss: rf.LossFunction | None = None
     expectation: ne.NonlinearExpectation | None = None
@@ -349,6 +346,17 @@ def _build_loss(sec: _Section, grid: sc.TimeGrid) -> rf.LossFunction:
     return loss
 
 
+def _build_payoff(sec: _Section, scen: sc.ScenarioSet) -> sc.RandomVariable:
+    """The payoff evaluated on the terminal support, which must come out finite."""
+    expr = sec.expression("payoff", {"b"}, required=True)
+    try:
+        with np.errstate(all="ignore"):
+            return sc.from_terminal_function(scen, lambda b: expr(b=b))
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{exc} on the terminal support",
+                          key="problem.payoff") from None
+
+
 def _build_expectation(sec: _Section) -> ne.NonlinearExpectation:
     kind = sec.text("expectation", "classical")
     kappa = sec.number("kappa", 0.0)
@@ -357,7 +365,6 @@ def _build_expectation(sec: _Section) -> ne.NonlinearExpectation:
         if kind == "classical":
             return ne.NonlinearExpectation(kind="classical", kappa=kappa, scale=scale)
         if kind == "gexp":
-            raw = sec.text("gexp_driver", required=True)
             gexpr = sec.expression("gexp_driver", {"t", "y", "z"}, required=True)
             dep_y = "y" in gexpr.names
             dep_z = "z" in gexpr.names
@@ -385,10 +392,8 @@ def _build_options(cfg) -> pc.SolveOptions:
     sec = _Section(cfg, "solver")
     try:
         return pc.SolveOptions(
-            n_sub=sec.integer("n_sub", 0),
             picard_tol=sec.number("picard_tol", 1e-8),
             max_picard_iters=sec.integer("max_picard_iters", 100),
-            divergence_action=sec.text("divergence_action", "halve-intervals"),
             operator_tol=sec.number("operator_tol", rf.OPERATOR_TOL),
             feasibility_tol=sec.number("feasibility_tol", rf.FEASIBILITY_TOL),
         )
@@ -465,8 +470,7 @@ def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
     if command in ("solve", "gexp", "price"):
         if not cfg.has_section("problem"):
             raise ConfigError("required section missing", key="problem")
-        payoff = prob.expression("payoff", {"b"}, required=True)
-        run.payoff = payoff
+        run.payoff = _build_payoff(prob, scen)
     if command == "solve":
         run.driver = _build_driver(prob)
         run.loss = _build_loss(prob, scen.grid)
@@ -535,14 +539,17 @@ def _log_solution(log: _RunLog, sol: rf.ReflectedSolution):
     log.add(f"flow_total={_fmt(sol.K.total)}")
     log.add(f"skorokhod_residual={_fmt(sol.diagnostics.skorokhod_residual)}")
     log.add(f"min_constraint={_fmt(float(np.min(sol.diagnostics.constraint_values)))}")
-    if sol.picard is not None:
-        log.add(f"n_sub={sol.picard.n_sub} attempts={sol.picard.attempts}")
-        log.add("picard_iterations=" + ",".join(str(n) for n in sol.picard.iterations))
+    its = sol.picard.iterations
+    log.add(
+        f"picard_steps={len(its)} picard_iterations={sum(its)} "
+        f"picard_iterations_max={max(its, default=0)} "
+        f"picard_ratio_max={_fmt(sol.picard.ratio_max)}"
+    )
 
 
 def _run_solve(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
-    claim = bs.TerminalClaim.from_function(scen, lambda b: run.payoff(b=b))
+    claim = bs.TerminalClaim(run.payoff)
     sol = pc.solve_reflected(scen, claim, run.driver, run.loss, run.expectation, run.options)
     floors = None
     if run.mean_floor_column:
@@ -564,7 +571,7 @@ def _run_solve(run: RunConfig, out: Path, log: _RunLog) -> int:
 
 def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
-    rv = sc.from_terminal_function(scen, lambda b: run.payoff(b=b))
+    rv = run.payoff
     value = ne.evaluate(run.expectation, scen, rv)
     exp = run.expectation
     if exp.kind == "gexp":
@@ -592,7 +599,7 @@ def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
 
 def _run_price(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
-    claim = bs.TerminalClaim.from_function(scen, lambda b: run.payoff(b=b))
+    claim = bs.TerminalClaim(run.payoff)
     report = rk.superhedge_price(run.market, scen, claim, run.rho, run.benchmark, run.options)
     sol = report.solution
     columns = {
@@ -641,6 +648,16 @@ def _run_verify(run: RunConfig, out: Path, log: _RunLog) -> int:
     return 0
 
 
+# library failures that end a run after the config was read: exit code, label
+_SOLVER_FAILURES = {
+    InfeasibleProblemError: (2, "infeasible"),
+    PicardDivergenceError: (3, "divergence"),
+    NonContractiveStepError: (3, "divergence"),
+    FixedPointError: (3, "divergence"),
+    BracketFailureError: (4, "bracket failure"),
+}
+
+
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nebsde",
@@ -680,24 +697,13 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except InfeasibleProblemError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        log.add(f"infeasible: {exc}")
+    except tuple(_SOLVER_FAILURES) as exc:
+        code, label = next(v for k, v in _SOLVER_FAILURES.items() if isinstance(exc, k))
+        print(f"{label}: {exc}", file=sys.stderr)
+        log.add(f"{label}: {exc}")
         if out.is_dir():
             log.write(out / "run.log")
-        return 2
-    except (PicardDivergenceError, NonContractiveStepError, FixedPointError) as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        log.add(f"divergence: {exc}")
-        if out.is_dir():
-            log.write(out / "run.log")
-        return 3
-    except BracketFailureError as exc:
-        print(f"bracket failure: {exc}", file=sys.stderr)
-        log.add(f"bracket failure: {exc}")
-        if out.is_dir():
-            log.write(out / "run.log")
-        return 4
+        return code
     log.write(out / "run.log")
     return code
 

@@ -22,7 +22,7 @@ class FixedPointError(RuntimeError):
 
 
 class PicardDivergenceError(RuntimeError):
-    """Successive-approximation iterates moved apart instead of contracting."""
+    """A step's successive approximation did not settle within its iteration budget."""
 
 
 class ConfigError(ValueError):

@@ -1,15 +1,15 @@
-"""Successive approximation for state-dependent generators.
+"""The reflected backward recursion.
 
-A generator that reads y or z is handled by freezing it along the previous
-iterate, solving the resulting constant-generator reflected problem exactly,
-and repeating until the iterates agree.  The horizon is split into
-subintervals sized so each pass is a contraction; windows are solved right to
-left and stitched, which reproduces the single-window flow algebra exactly
-for the converged iterate.
+With a deterministic flow, the mean-reflected scheme is one backward
+recursion ``Y_i = E_i[Y_{i+1}] + f(t_i, Y_i, Z_i) dt + dK_i``, where ``dK_i``
+is the minimal shift that makes level ``i`` meet its constraint.  A
+generator that reads ``y`` makes each step a fixed point in ``(Y_i, dK_i)``;
+it is found by successive approximation within the step, and every pass's
+difference is kept as evidence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,47 +18,48 @@ from . import bsde as bs
 from . import expectations as ne
 from . import reflection as rf
 from . import scenarios as sc
-from .errors import InfeasibleProblemError, PicardDivergenceError
-
-_DIVERGE_RUN = 5
+from .errors import FixedPointError, InfeasibleProblemError, PicardDivergenceError
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the successive-approximation loop.
+    """Tolerances and the per-step iteration budget of a reflected solve."""
 
-    ``n_sub = 0`` chooses the subinterval count automatically from the
-    contraction heuristic.  ``divergence_action`` is ``"halve-intervals"``
-    (double ``n_sub`` and retry) or ``"fail"``.
-    """
-
-    n_sub: int = 0
     picard_tol: float = 1e-8
     max_picard_iters: int = 100
-    divergence_action: str = "halve-intervals"
     operator_tol: float = rf.OPERATOR_TOL
     feasibility_tol: float = rf.FEASIBILITY_TOL
 
     def __post_init__(self):
-        if self.n_sub < 0:
-            raise ValueError("n_sub must be >= 0 (0 = automatic)")
-        if self.picard_tol <= 0.0:
-            raise ValueError("picard_tol must be positive")
+        if not (np.isfinite(self.picard_tol) and self.picard_tol > 0.0):
+            raise ValueError("picard_tol must be finite and positive")
         if self.max_picard_iters < 1:
             raise ValueError("max_picard_iters must be >= 1")
-        if self.divergence_action not in ("halve-intervals", "fail"):
-            raise ValueError("divergence_action must be 'halve-intervals' or 'fail'")
+        if not (np.isfinite(self.operator_tol) and self.operator_tol > 0.0):
+            raise ValueError("operator_tol must be finite and positive")
+        if not (np.isfinite(self.feasibility_tol) and self.feasibility_tol >= 0.0):
+            raise ValueError("feasibility_tol must be finite and >= 0")
 
 
 @dataclass
 class SolveDiagnostics:
-    """Iteration evidence from the successive-approximation loop."""
+    """Per-step evidence from the reflected recursion, ordered by step.
 
-    n_sub: int
-    window_bounds: list = field(default_factory=list)
-    iterations: list = field(default_factory=list)
-    diff_norms: list = field(default_factory=list)
+    Step ``i`` spans ``window_bounds[i] = (i, i + 1)``; ``iterations[i]``
+    counts its passes and ``diff_norms[i]`` holds ``max|y - u|`` after each
+    pass.  ``attempts`` is always 1.
+    """
+
+    window_bounds: list
+    iterations: list
+    diff_norms: list
     attempts: int = 1
+
+    @property
+    def ratio_max(self) -> float:
+        """Largest observed ``norms[k+1] / norms[k]``; NaN when no step iterated."""
+        ratios = [b / a for norms in self.diff_norms for a, b in zip(norms, norms[1:])]
+        return max(ratios, default=float("nan"))
 
 
 @dataclass(frozen=True)
@@ -91,177 +92,65 @@ def mean_constraint_problem(
     return ReflectionProblem(shift=shift, constraint=constraint)
 
 
-def contraction_heuristic(
-    lipschitz: float, kappa: float, lower: float, upper: float, horizon: float
-) -> float:
-    """Crude one-pass contraction coefficient for a window of length h.
-
-    The estimate multiplies the generator's Lipschitz feedback by the shift
-    operator's slope bound; a window of length ``h`` is accepted when
-    ``c_hat * h * max(1, h) < 1/2``.
-    """
-    ratio = upper / lower
-    return (
-        8.0
-        * (1.0 + ratio * ratio * np.exp(2.0 * kappa * horizon))
-        * (1.0 + lipschitz * lipschitz)
-        * np.exp(lipschitz * horizon)
-    )
-
-
-def subinterval_plan(
-    scen: sc.ScenarioSet,
-    driver: bs.Driver,
-    loss_lower: float,
-    loss_upper: float,
-    kappa: float,
-    n_sub: int,
-) -> list:
-    """Split the grid into ``n_sub`` contiguous index windows.
-
-    With ``n_sub = 0`` the smallest window count passing the contraction
-    heuristic is chosen (capped at one step per window).  Returns
-    ``[(start, stop), ...]`` ordered left to right.
-    """
-    m = scen.grid.steps
-    horizon = scen.grid.horizon
-    if n_sub > m:
-        raise ValueError(f"n_sub = {n_sub} exceeds the {m} grid steps; cannot snap")
-    if n_sub == 0:
-        c_hat = contraction_heuristic(driver.lipschitz, kappa, loss_lower, loss_upper, horizon)
-        n_sub = 1
-        while n_sub < m:
-            h = horizon / n_sub
-            if c_hat * h * max(1.0, h) < 0.5:
-                break
-            n_sub += 1
-    bounds = np.unique(np.round(np.linspace(0, m, n_sub + 1)).astype(int))
-    return [(int(bounds[k]), int(bounds[k + 1])) for k in range(len(bounds) - 1)]
-
-
-def _diff_norm(scen, ys, zs, us, vs, dt) -> float:
-    dy = max(float(np.max(np.abs(y.values - u.values))) for y, u in zip(ys, us))
-    dz2 = sum(
-        sc.expect(scen, sc.RandomVariable(z.index, (z.values - v.values) ** 2)) * dt
-        for z, v in zip(zs, vs)
-    )
-    return dy + float(np.sqrt(dz2))
-
-
-def _window_picard(
-    scen: sc.ScenarioSet,
-    terminal: sc.RandomVariable,
-    driver: bs.Driver,
-    problem: ReflectionProblem,
-    start: int,
-    opts: SolveOptions,
-):
-    """Iterate frozen-generator solves on one window until self-consistent."""
-    nodes = scen.grid.nodes
-    dt = scen.grid.dt
-    stop = terminal.index
-    seed_pair = bs.solve_bsde(scen, bs.TerminalClaim(terminal), driver, start=start)
-    us, vs = list(seed_pair.Y), list(seed_pair.Z)
-
-    norms = []
-    total_iters = 0
-    for _ in range(opts.max_picard_iters):
-        c_process = [
-            np.asarray(driver.fn(float(nodes[start + j]), us[j].values, vs[j].values), dtype=float)
-            for j in range(stop - start)
-        ]
-        flow, ys, zs, iters = rf._window_solve(
-            scen, terminal, c_process, problem.shift, start
-        )
-        total_iters += 1
-        d = _diff_norm(scen, ys, zs, us, vs, dt)
-        norms.append(d)
-        us, vs = ys, zs
-        if d <= opts.picard_tol:
-            return ys, zs, flow, iters, total_iters, norms
-        if len(norms) > _DIVERGE_RUN and all(
-            norms[-k] > norms[-k - 1] for k in range(1, _DIVERGE_RUN + 1)
-        ):
-            raise PicardDivergenceError(
-                f"difference norms grew for {_DIVERGE_RUN} consecutive iterations "
-                f"on window [{start}, {stop}]"
-            )
-    raise PicardDivergenceError(
-        f"no self-consistency within {opts.max_picard_iters} iterations "
-        f"on window [{start}, {stop}]"
-    )
-
-
 def _solve_with_problem(
     scen: sc.ScenarioSet,
     claim: bs.TerminalClaim,
     driver: bs.Driver,
     problem: ReflectionProblem,
     opts: SolveOptions,
-    loss_lower: float,
-    loss_upper: float,
-    kappa: float,
 ) -> rf.ReflectedSolution:
     sc.check_rv(scen, claim.rv)
-    if claim.index != scen.grid.steps:
+    m = scen.grid.steps
+    if claim.index != m:
         raise ValueError("claim must live on the terminal level")
-    term = problem.constraint(claim.index, claim.values)
+    term = problem.constraint(m, claim.values)
     if term < -opts.feasibility_tol:
         raise InfeasibleProblemError(
             f"terminal constraint value {term:.3g} < -{opts.feasibility_tol:g}"
         )
 
-    state_free = not (driver.depends_on_y or driver.depends_on_z)
-    if state_free:
-        c = [
-            float(np.asarray(driver.fn(float(t), np.zeros(1), np.zeros(1)), dtype=float).ravel()[0])
-            for t in scen.grid.nodes[:-1]
-        ]
-        flow, ys, zs, iters = rf._window_solve(scen, claim.rv, c, problem.shift, 0)
-        diag_picard = SolveDiagnostics(n_sub=1, window_bounds=[(0, claim.index)], iterations=[1])
-        return _finalize(scen, ys, zs, flow.values, iters, problem, diag_picard)
-
-    n_req = opts.n_sub
-    attempts = 0
-    while True:
-        attempts += 1
-        plan = subinterval_plan(scen, driver, loss_lower, loss_upper, kappa, n_req)
-        try:
-            return _run_plan(scen, claim, driver, problem, opts, plan, attempts)
-        except PicardDivergenceError:
-            n_now = len(plan)
-            if opts.divergence_action == "fail" or n_now >= scen.grid.steps:
-                raise
-            n_req = min(scen.grid.steps, max(n_now * 2, 2))
-
-
-def _run_plan(scen, claim, driver, problem, opts, plan, attempts):
-    m = scen.grid.steps
-    diag = SolveDiagnostics(n_sub=len(plan), window_bounds=list(plan), attempts=attempts)
-    seg_Y, seg_Z, seg_flow, seg_iters = {}, {}, {}, {}
-    terminal = claim.rv
-    for (a, b) in reversed(plan):
-        ys, zs, flow, iters, count, norms = _window_picard(
-            scen, terminal, driver, problem, a, opts
-        )
-        seg_Y[(a, b)], seg_Z[(a, b)] = ys, zs
-        seg_flow[(a, b)], seg_iters[(a, b)] = flow, iters
-        diag.iterations.insert(0, count)
-        diag.diff_norms.insert(0, norms)
-        terminal = ys[0]
-
-    Y, Z, K, it = [], [], [0.0], []
-    offset = 0.0
-    for (a, b) in plan:
-        ys, zs = seg_Y[(a, b)], seg_Z[(a, b)]
-        flow, iters = seg_flow[(a, b)], seg_iters[(a, b)]
-        last = b == m
-        Y.extend(ys if last else ys[:-1])
-        Z.extend(zs)
-        K.extend((offset + flow.values[1:]).tolist())
-        it.extend(iters if last else iters[:-1])
-        offset += flow.total
-    return _finalize(scen, Y, Z, np.array(K), np.array(it), problem, diag)
+    nodes, dt = scen.grid.nodes, scen.grid.dt
+    shift_iters = np.zeros(m + 1, dtype=int)
+    k, shift_iters[m] = problem.shift(m, claim.rv)
+    y = claim.values + k
+    ys, zs = [sc.RandomVariable(m, y)], []
+    dk = np.zeros(m)
+    iterations, diff_norms = [0] * m, [None] * m
+    for i in range(m - 1, -1, -1):
+        t = float(nodes[i])
+        z = sc.step_z(scen, y, i)
+        e = sc.step_expect(scen, y, i)
+        u = x = bs.implicit_step(driver, t, e, z, dt)
+        norms = []
+        while True:
+            if not np.all(np.isfinite(x)):
+                raise FixedPointError(f"non-finite values produced at index {i}")
+            k, steps = problem.shift(i, sc.RandomVariable(i, x))
+            shift_iters[i] += steps
+            y = x + k
+            norms.append(float(np.max(np.abs(y - u))))
+            if not driver.depends_on_y or norms[-1] <= opts.picard_tol:
+                break
+            if len(norms) == opts.max_picard_iters:
+                raise PicardDivergenceError(
+                    f"no self-consistency within {opts.max_picard_iters} iterations "
+                    f"at step {i} (last difference {norms[-1]:.3g})"
+                )
+            u = y
+            x = e + np.asarray(driver.fn(t, u, z), dtype=float) * dt
+        dk[i] = k
+        iterations[i], diff_norms[i] = len(norms), norms
+        ys.append(sc.RandomVariable(i, y))
+        zs.append(sc.RandomVariable(i, z))
+    ys.reverse()
+    zs.reverse()
+    diag = SolveDiagnostics(
+        window_bounds=[(i, i + 1) for i in range(m)],
+        iterations=iterations,
+        diff_norms=diff_norms,
+    )
+    k_values = np.concatenate(([0.0], np.cumsum(dk)))
+    return _finalize(scen, ys, zs, k_values, shift_iters, problem, diag)
 
 
 def _finalize(scen, ys, zs, k_values, iters, problem, picard_diag):
@@ -288,12 +177,10 @@ def solve_reflected(
 ) -> rf.ReflectedSolution:
     """Reflected solve under the mean constraint ``E[l(t, Y_t)] >= 0``.
 
-    State-free generators collapse to a single exact pass: backward
-    accumulation, per-index minimal shifts, suffix-max flow.  Otherwise the
-    windowed successive-approximation loop runs.
+    One backward pass: at each step the level is rolled back, lifted by its
+    minimal shift, and, for a generator that reads ``y``, re-rolled with the
+    lifted level until the two agree to ``picard_tol``.
     """
     opts = opts or SolveOptions()
     problem = mean_constraint_problem(scen, loss, exp, opts.operator_tol)
-    return _solve_with_problem(
-        scen, claim, driver, problem, opts, loss.lower, loss.upper, exp.kappa
-    )
+    return _solve_with_problem(scen, claim, driver, problem, opts)

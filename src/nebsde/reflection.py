@@ -4,10 +4,9 @@ The constraint asks that ``E[l(t_i, Y_i)] >= 0`` at every grid index, where
 ``E`` is a (possibly nonlinear) expectation and ``l`` a loss profile that is
 strictly increasing and bi-Lipschitz in its spatial argument.  Reflection is
 performed by the deterministic minimal-shift operator: the smallest
-``x >= 0`` making the constraint hold after adding ``x``.  For a constant
-(state-independent) generator the reflected solution is explicit: shift
-profile, running-suffix maximum, done; :func:`nebsde.picard.solve_reflected`
-takes that single pass for state-free generators.
+``x >= 0`` making the constraint hold after adding ``x``.
+:func:`nebsde.picard.solve_reflected` applies it once per grid date, so the
+flow's increment at date ``i`` is the shift that date needs.
 """
 from __future__ import annotations
 
@@ -86,19 +85,6 @@ def check_loss_lattice(
 
 
 @dataclass(frozen=True)
-class ConstraintProfile:
-    """Deterministic per-index shift requirements, all >= 0."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if np.any(vals < -1e-12) or not np.all(np.isfinite(vals)):
-            raise ValueError("profile entries must be finite and >= 0")
-        object.__setattr__(self, "values", np.maximum(vals, 0.0))
-
-
-@dataclass(frozen=True)
 class ReflectorFlow:
     """Nondecreasing deterministic flow with ``K_0 = 0``."""
 
@@ -119,21 +105,6 @@ class ReflectorFlow:
     @property
     def total(self) -> float:
         return float(self.values[-1])
-
-
-def build_flow(profile: ConstraintProfile) -> ReflectorFlow:
-    """Flow generated by a shift profile via running suffix maxima.
-
-    ``K_i = max(profile) - max(profile[i:])``: the flow pays, as early as
-    needed, exactly the largest shift still ahead.
-    """
-    suffix = _suffix_max(profile.values)
-    return ReflectorFlow(suffix[0] - suffix)
-
-
-def _suffix_max(values: np.ndarray) -> np.ndarray:
-    """``max(values[i:])`` for every ``i``: the lift ``K_T - K_i`` of a flow."""
-    return np.maximum.accumulate(values[::-1])[::-1]
 
 
 def constraint_value(
@@ -268,38 +239,6 @@ def _backward_levels(
         xs.append(sc.RandomVariable(i, vals))
     xs.reverse()
     return xs
-
-
-def _window_solve(
-    scen: sc.ScenarioSet,
-    terminal: sc.RandomVariable,
-    c_process,
-    shift_fn,
-    start: int,
-):
-    """Shared engine: reflect a constant-generator backward solve.
-
-    ``shift_fn(i, rv) -> (shift, iters)`` supplies the per-index minimal
-    shift.  Returns the flow, the reflected pair and iteration counts.
-    ``c_process`` is as in :func:`_backward_levels`.
-    """
-    xs = _backward_levels(scen, terminal, c_process, start)
-    shifts = np.zeros(len(xs))
-    iters = np.zeros(len(xs), dtype=int)
-    for j, x in enumerate(xs):
-        shifts[j], iters[j] = shift_fn(start + j, x)
-    lifts = _suffix_max(ConstraintProfile(shifts).values)
-    flow = ReflectorFlow(lifts[0] - lifts)
-
-    # lift by the suffix max itself: K_T - K_i, computed as a difference,
-    # can round below the binding shift and leave the constraint at -1e-17
-    ys = []
-    zs = []
-    for j, x in enumerate(xs):
-        ys.append(sc.RandomVariable(x.index, x.values + lifts[j]))
-        if j < len(xs) - 1:
-            zs.append(sc.RandomVariable(x.index, sc.step_z(scen, xs[j + 1].values, x.index)))
-    return flow, ys, zs, iters
 
 
 def skorokhod_residual(

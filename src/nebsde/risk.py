@@ -190,10 +190,7 @@ def solve_risk_reflected(
         raise ValueError("benchmark must be sampled on the full grid")
     opts = opts or pc.SolveOptions()
     problem = _risk_problem(rho, q, scen)
-    return pc._solve_with_problem(
-        scen, claim, driver, problem, opts,
-        loss_lower=1.0, loss_upper=1.0, kappa=rho.kappa,
-    )
+    return pc._solve_with_problem(scen, claim, driver, problem, opts)
 
 
 @dataclass(frozen=True)

@@ -154,27 +154,32 @@ def test_a07_comparison_suites(tree100):
 
 
 def test_a08_window_count_invariance(tree100):
+    # Each step of the reflected recursion against its closed form: with
+    # f = -a y + c, loss x - floor and the classical mean, level i solves
+    # Y = e + (c - a Y) dt + k with the least k >= 0 putting E[Y] on the
+    # floor, where e = E_i[Y_{i+1}] is read off the solver's own next level.
+    a, c, floor = 0.2, 0.05, 1.0
     claim = bs.TerminalClaim.from_function(tree100, lambda b: b + 1.05)
     driver = bs.Driver(
-        fn=lambda t, y, z: -0.2 * np.asarray(y) + 0.1 * np.abs(z),
-        lipschitz=0.3, depends_on_y=True, depends_on_z=True,
+        fn=lambda t, y, z: -a * np.asarray(y) + c, lipschitz=a, depends_on_y=True,
     )
-    loss = rf.LossFunction.linear(1.0)
-    sols = {
-        n: pc.solve_reflected(tree100, claim, driver, loss, CLS,
-                              pc.SolveOptions(n_sub=n, picard_tol=1e-8))
-        for n in (1, 2, 4)
-    }
-    worst = max(
-        max(float(np.max(np.abs(ya.values - yb.values)))
-            for ya, yb in zip(sols[a].Y, sols[b].Y))
-        for a, b in ((1, 2), (1, 4), (2, 4))
-    )
-    norms = sols[1].picard.diff_norms[0]
+    sol = pc.solve_reflected(tree100, claim, driver, rf.LossFunction.linear(floor), CLS,
+                             pc.SolveOptions(picard_tol=1e-8))
+    dt = tree100.grid.dt
+    worst_y = worst_k = 0.0
+    for i in range(tree100.grid.steps):
+        e = sc.step_expect(tree100, sol.Y[i + 1].values, i)
+        mean_e = sc.expect(tree100, sc.RandomVariable(i, e))
+        k = max(0.0, floor * (1.0 + a * dt) - mean_e - c * dt)
+        y = (e + c * dt + k) / (1.0 + a * dt)
+        worst_y = max(worst_y, float(np.max(np.abs(sol.Y[i].values - y))))
+        worst_k = max(worst_k, abs(sol.K.increments[i] - k))
+    binding = [n for n in sol.picard.diff_norms if len(n) >= 2]
+    norms = binding[0] if binding else []
     contracting = len(norms) >= 2 and norms[1] / norms[0] < 1.0
-    ok = worst <= 5e-8 and contracting and sols[1].K.total > 0.01
-    _line("a08-window-invariance", ok, max_pair_diff=worst, tol=5e-8,
-          first_ratio=norms[1] / norms[0] if len(norms) >= 2 else float("nan"))
+    ok = worst_y <= 5e-8 and worst_k <= 5e-8 and contracting and sol.K.total > 0.01
+    _line("a08-per-step-closed-form", ok, max_y_diff=worst_y, max_dk_diff=worst_k,
+          tol=5e-8, first_ratio=norms[1] / norms[0] if len(norms) >= 2 else float("nan"))
 
 
 def test_a09_risk_and_mean_reflection_agree(tree100):

@@ -1,6 +1,7 @@
 """Command line front end: expression grammar, config contract, exit codes."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -191,6 +192,8 @@ def test_price_command(tmp_path, capsys):
     log = (tmp_path / "run.log").read_text()
     assert "price=" in log
     assert "flow_total=0" in log
+    # a slack constraint: one pass per step and no ratio to report
+    assert "picard_steps=50 picard_iterations=50 picard_iterations_max=1 picard_ratio_max=\n" in log
 
 
 def test_verify_command(tmp_path, capsys):
@@ -232,6 +235,24 @@ def test_config_errors_exit_1(tmp_path, capsys):
         cfg = _write(tmp_path / "s.ini", SOLVE_INI.replace("loss = x", f"loss = {loss}"))
         assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1, loss
         assert "config error: problem.loss:" in capsys.readouterr().err
+
+    # solver tolerances that are not finite, or not positive (feasibility: >= 0)
+    for option in ("picard_tol = nan", "picard_tol = 0", "operator_tol = -1",
+                   "operator_tol = 0", "operator_tol = inf", "feasibility_tol = nan",
+                   "feasibility_tol = -1e-6"):
+        cfg = _write(tmp_path / "t.ini", SOLVE_INI + f"\n[solver]\n{option}\n")
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1, option
+        assert "config error: solver:" in capsys.readouterr().err
+
+    # a payoff that is not finite on the terminal support, for every command
+    # that reads one
+    for command, ini in (("solve", SOLVE_INI), ("gexp", GEXP_INI), ("price", PRICE_INI)):
+        for payoff in ("b / 0", "1 / 0", "exp(1000 * b)"):
+            text = re.sub(r"payoff = .*", f"payoff = {payoff}", ini)
+            cfg = _write(tmp_path / "p.ini", text)
+            out = tmp_path / f"p-{command}"
+            assert run([command, "--config", cfg, "--out", str(out)]) == 1, (command, payoff)
+            assert "config error: problem.payoff:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -276,8 +297,7 @@ def test_non_contractive_exits_3(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
-def test_iteration_budget_exit_3(tmp_path, capsys):
-    ini = """\
+BUDGET_INI = """\
 [scenario]
 horizon = 1.0
 steps = 12
@@ -287,15 +307,29 @@ payoff = b + 1.05
 driver = -0.5 * y
 driver_lipschitz = 0.5
 loss = x - 1.0
-
-[solver]
-n_sub = 1
-max_picard_iters = 1
-divergence_action = fail
 """
+
+
+def test_iteration_budget_exit_3(tmp_path, capsys):
+    ini = BUDGET_INI + "\n[solver]\nmax_picard_iters = 1\n"
     cfg = _write(tmp_path / "run.ini", ini)
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "divergence" in capsys.readouterr().err
+
+
+def test_run_log_picard_summary(tmp_path):
+    cfg = _write(tmp_path / "run.ini", BUDGET_INI)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    (line,) = [ln for ln in lines if ln.startswith("picard_steps=")]
+    fields = dict(part.split("=") for part in line.split())
+    assert list(fields) == ["picard_steps", "picard_iterations", "picard_iterations_max",
+                            "picard_ratio_max"]
+    # every binding step of this y-driver takes two passes, the last step one
+    assert fields["picard_steps"] == "12"
+    assert fields["picard_iterations_max"] == "2"
+    assert 12 < int(fields["picard_iterations"]) <= 24
+    assert 0.0 <= float(fields["picard_ratio_max"]) < 1.0
 
 
 def test_bracket_failure_exits_4(tmp_path, capsys):

@@ -25,27 +25,11 @@ def _solve_constant(scen, claim, c, loss):
     return pc.solve_reflected(scen, claim, bs.Driver.constant(c), loss, CLS)
 
 
-def test_build_flow_hand_cases():
-    flow = rf.build_flow(rf.ConstraintProfile(np.array([0.3, 0.1, 0.4, 0.0])))
-    assert np.allclose(flow.values, [0.0, 0.0, 0.0, 0.4], atol=EXACT)
-    flow = rf.build_flow(rf.ConstraintProfile(np.array([0.5, 0.2, 0.1, 0.05])))
-    assert np.allclose(flow.values, [0.0, 0.3, 0.4, 0.45], atol=EXACT)
-    assert flow.total == pytest.approx(0.45, abs=EXACT)
-    assert np.allclose(flow.increments, [0.3, 0.1, 0.05], atol=EXACT)
-
-
 def test_flow_and_profile_validation():
     with pytest.raises(ValueError):
         rf.ReflectorFlow(np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         rf.ReflectorFlow(np.array([0.0, 0.5, 0.4]))
-    with pytest.raises(ValueError):
-        rf.ConstraintProfile(np.array([0.1, -0.2]))
-    with pytest.raises(ValueError):
-        rf.ConstraintProfile(np.array([np.inf]))
-    # Sub-tolerance negatives are rounding debris and get clipped.
-    prof = rf.ConstraintProfile(np.array([0.1, -1e-14]))
-    assert prof.values[1] == 0.0
 
 
 def test_minimal_shift_against_scalar_bisection(tree50):

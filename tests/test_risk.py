@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,27 @@ def test_price_pinned_by_binding_constraint(tree50):
     assert abs(prices[0.45] + 0.45) <= 1e-8
     assert abs(prices[0.3] + 0.3) <= 1e-8
     assert prices[2.0] < prices[0.45] < prices[0.3]
+
+
+def test_superhedge_with_large_kernels_raises_no_warning():
+    # Kernels of +-800 over [0, 1]: a slack constraint, so the price is the
+    # unreflected wealth BSDE's, and nothing along the way may overflow.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 400), "tree")
+    mkt = rk.Market(rate=0.05, drift=0.25, volatility=0.2)
+    rho = rk.RiskMeasure.coherent_family([-800.0, 0.0, 800.0])
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.45)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = rk.superhedge_price(mkt, scen, claim, rho, rk.Benchmark.constant(scen.grid, 50.0))
+    theta = mkt.price_of_risk
+    wealth = bs.Driver(
+        fn=lambda t, y, z: -(0.05 * np.asarray(y) + theta * np.asarray(z)),
+        lipschitz=0.05 + abs(theta), depends_on_y=True, depends_on_z=True,
+    )
+    plain = bs.solve_bsde(scen, claim, wealth)
+    assert rep.solution.K.total == 0.0
+    assert abs(rep.price - plain.value) <= EXACT
+    assert float(np.min(rep.solution.diagnostics.constraint_values)) >= 0.0
 
 
 def test_hedge_ratio_mask(tree50):
