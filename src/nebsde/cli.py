@@ -475,6 +475,10 @@ def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
         run.driver = _build_driver(prob)
         run.loss = _build_loss(prob, scen.grid)
         run.expectation = _build_expectation(prob)
+        try:
+            ne.check_monotone(run.expectation, scen)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key="problem.kappa") from None
     if command == "gexp":
         run.expectation = _build_expectation(prob)
     if command == "price":
@@ -545,6 +549,8 @@ def _log_solution(log: _RunLog, sol: rf.ReflectedSolution):
         f"picard_iterations_max={max(its, default=0)} "
         f"picard_ratio_max={_fmt(sol.picard.ratio_max)}"
     )
+    diag = sol.diagnostics
+    log.add(f"shift_closed_form={diag.shift_closed_form} shift_search={diag.shift_search}")
 
 
 def _run_solve(run: RunConfig, out: Path, log: _RunLog) -> int:

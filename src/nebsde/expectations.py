@@ -38,7 +38,6 @@ class NonlinearExpectation:
     scale: float = 1.0
     driver: bs.Driver | None = None
     alpha: float = 1.0
-    kernel_grid: int = 21
 
     def __post_init__(self):
         if self.kind not in ("classical", "gexp", "alpha_maxmin"):
@@ -55,11 +54,21 @@ class NonlinearExpectation:
                 probe = np.asarray(self.driver.fn(t, zero, zero), dtype=float)
                 if np.max(np.abs(probe)) > 1e-12:
                     raise ValueError("gexp driver must vanish at (y, z) = (0, 0)")
-        if self.kind == "alpha_maxmin":
-            if not 0.0 <= self.alpha <= 1.0:
-                raise ValueError("alpha must lie in [0, 1]")
-            if self.kernel_grid < 2:
-                raise ValueError("kernel_grid must be >= 2")
+        if self.kind == "alpha_maxmin" and not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
+
+    @property
+    def cash_additive(self) -> bool:
+        """Whether ``E[X + c] = E[X] + c`` for every constant ``c``.
+
+        True for the classical mean, for ``alpha_maxmin`` (a mix of two
+        ``kappa*|z|`` g-expectations) and for a g-expectation whose driver
+        ignores ``y``: a constant added to the claim then moves ``Y`` and
+        leaves ``Z`` and the driver unchanged.  On Monte Carlo paths a
+        g-expectation keeps this only up to the sampling error of its
+        regression estimate of ``Z``.
+        """
+        return self.kind != "gexp" or not self.driver.depends_on_y
 
     @staticmethod
     def classical(kappa: float = 0.0) -> "NonlinearExpectation":
@@ -72,10 +81,8 @@ class NonlinearExpectation:
         return NonlinearExpectation(kind="gexp", kappa=float(kappa), scale=scale, driver=driver)
 
     @staticmethod
-    def alpha_maxmin(alpha: float, kappa: float, kernel_grid: int = 21) -> "NonlinearExpectation":
-        return NonlinearExpectation(
-            kind="alpha_maxmin", kappa=float(kappa), alpha=float(alpha), kernel_grid=kernel_grid
-        )
+    def alpha_maxmin(alpha: float, kappa: float) -> "NonlinearExpectation":
+        return NonlinearExpectation(kind="alpha_maxmin", kappa=float(kappa), alpha=float(alpha))
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,32 @@ class DominationReport:
     @property
     def upper_slack(self) -> float:
         return self.upper_bound - self.difference
+
+
+def check_monotone(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> None:
+    """Raise ``ValueError`` when ``exp`` is not monotone on the tree ``scen``.
+
+    One tree step of a generator with z-slope ``k`` weights the two children
+    by ``(1 +- k*sqrt(dt))/2``, so a larger claim keeps a larger value only
+    while ``k*sqrt(dt) <= 1``; the minimal-shift search relies on that.
+    ``k`` is ``kappa`` for ``alpha_maxmin`` and for a ``kappa*|z|``
+    generator, and the declared Lipschitz constant for any other generator
+    that depends on ``z``.  Monte Carlo paths are not checked.
+    """
+    if scen.mode != "tree" or exp.kind == "classical":
+        return
+    if exp.kind == "alpha_maxmin":
+        slope = exp.kappa
+    elif exp.driver.kappa_structure is not None:
+        slope = abs(exp.driver.kappa_structure[0])
+    else:
+        slope = exp.driver.lipschitz if exp.driver.depends_on_z else 0.0
+    step = slope * np.sqrt(scen.grid.dt)
+    if step > 1.0:
+        raise ValueError(
+            f"kappa * sqrt(dt) = {step:.3g} > 1: the operator is not monotone "
+            "on this tree; use more steps or a smaller kappa"
+        )
 
 
 def _continue_to_level(
@@ -161,19 +194,3 @@ def domination_gap(
     hi = exp.scale * _gexp_value(scen, diff, bs.Driver.kappa_abs(exp.kappa))
     return DominationReport(difference=d, lower_bound=lo, upper_bound=hi)
 
-
-def grid_maxmin_value(
-    exp: NonlinearExpectation, scen: sc.ScenarioSet, rv: sc.RandomVariable
-) -> float:
-    """Second-opinion value for ``alpha_maxmin`` from constant tilt kernels.
-
-    Scans ``kernel_grid`` constant Girsanov kernels in ``[-kappa, kappa]``
-    and blends the best and worst tilted means.  The sup over constant
-    kernels only approximates the adapted sup, so this is a sanity check,
-    not an oracle.
-    """
-    if exp.kind != "alpha_maxmin":
-        raise ValueError("grid values only apply to alpha_maxmin expectations")
-    thetas = np.linspace(-exp.kappa, exp.kappa, exp.kernel_grid)
-    vals = sc.tilted_expect(scen, thetas, rv)
-    return float(exp.alpha * np.max(vals) + (1.0 - exp.alpha) * np.min(vals))

@@ -111,10 +111,10 @@ def _solve_with_problem(
 
     nodes, dt = scen.grid.nodes, scen.grid.dt
     shift_iters = np.zeros(m + 1, dtype=int)
-    k, shift_iters[m] = problem.shift(m, claim.rv)
-    y = claim.values + k
+    shifts = np.zeros(m + 1)
+    shifts[m], shift_iters[m] = problem.shift(m, claim.rv)
+    y = claim.values + shifts[m]
     ys, zs = [sc.RandomVariable(m, y)], []
-    dk = np.zeros(m)
     iterations, diff_norms = [0] * m, [None] * m
     for i in range(m - 1, -1, -1):
         t = float(nodes[i])
@@ -138,7 +138,7 @@ def _solve_with_problem(
                 )
             u = y
             x = e + np.asarray(driver.fn(t, u, z), dtype=float) * dt
-        dk[i] = k
+        shifts[i] = k
         iterations[i], diff_norms[i] = len(norms), norms
         ys.append(sc.RandomVariable(i, y))
         zs.append(sc.RandomVariable(i, z))
@@ -149,18 +149,22 @@ def _solve_with_problem(
         iterations=iterations,
         diff_norms=diff_norms,
     )
-    k_values = np.concatenate(([0.0], np.cumsum(dk)))
-    return _finalize(scen, ys, zs, k_values, shift_iters, problem, diag)
+    return _finalize(scen, ys, zs, shifts, shift_iters, problem, diag)
 
 
-def _finalize(scen, ys, zs, k_values, iters, problem, picard_diag):
+def _finalize(scen, ys, zs, shifts, iters, problem, picard_diag):
+    """Assemble the solution from the levels and each level's final shift."""
     cons = np.array([problem.constraint(y.index, y.values) for y in ys])
-    flow = rf.ReflectorFlow(np.asarray(k_values, dtype=float))
+    flow = rf.ReflectorFlow(np.concatenate(([0.0], np.cumsum(shifts[:-1]))))
     resid = float(np.sum(cons[:-1] * flow.increments))
+    iters = np.asarray(iters, dtype=int)
+    binding = shifts > 0.0
     diag = rf.ReflectionDiagnostics(
         constraint_values=cons,
         skorokhod_residual=resid,
-        shift_iterations=np.asarray(iters, dtype=int),
+        shift_iterations=iters,
+        shift_closed_form=int(np.count_nonzero(binding & (iters == 0))),
+        shift_search=int(np.count_nonzero(binding & (iters > 0))),
     )
     return rf.ReflectedSolution(
         Y=tuple(ys), Z=tuple(zs), K=flow, diagnostics=diag, picard=picard_diag

@@ -7,6 +7,13 @@ performed by the deterministic minimal-shift operator: the smallest
 ``x >= 0`` making the constraint hold after adding ``x``.
 :func:`nebsde.picard.solve_reflected` applies it once per grid date, so the
 flow's increment at date ``i`` is the shift that date needs.
+
+For a cash-additive operator and a linear loss of slope ``a`` the
+constraint moves by exactly ``a*x`` under a shift ``x`` (on the tree, and
+for the classical mean also on Monte Carlo paths), so the shift is
+``-E[l(t_i, Y_i)]/a`` in closed form, stepped up until the constraint holds
+as evaluated.  Every other pair bisects between 0 and a slope-bound
+bracket.
 """
 from __future__ import annotations
 
@@ -23,6 +30,7 @@ OPERATOR_TOL = 1e-8
 FEASIBILITY_TOL = 1e-6
 _MAX_BISECT = 200
 _MAX_WIDEN = 8
+_LIFT_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -152,6 +160,42 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
     return lo, hi, steps
 
 
+def _step_up(phi: Callable, x: float, slope: float, values: np.ndarray, what: str) -> float:
+    """Raise a closed-form root ``x`` of a nondecreasing ``phi`` until ``phi(x) >= 0``.
+
+    ``phi(x)`` is a constraint on ``values + x`` that grows at the exact
+    rate ``slope``, so each step adds the remaining gap over it, and at
+    least one spacing of ``max|values| + x``, doubled at each step.  A
+    closed form can land a rounding error short of the root; this makes the
+    result feasible as evaluated.  Raises ``BracketFailureError`` naming
+    ``what`` after 8 steps.
+    """
+    step = np.spacing(float(np.max(np.abs(values))) + x)
+    for _ in range(_LIFT_STEPS):
+        gap = phi(x)
+        if gap >= 0.0:
+            return x
+        x += max(-gap / slope, step)
+        step *= 2.0
+    raise BracketFailureError(f"{what} still {-gap:.3g} short after {_LIFT_STEPS} steps")
+
+
+def closed_form_shift(
+    exp: ne.NonlinearExpectation, loss: LossFunction, scen: sc.ScenarioSet
+) -> bool:
+    """Whether the minimal shift of ``loss`` under ``exp`` on ``scen`` has a closed form.
+
+    It has one when ``exp`` is cash additive as evaluated on ``scen`` and
+    ``loss`` is linear with a single slope, so
+    ``E[l(t, X + x)] = E[l(t, X)] + slope*x``.  On Monte Carlo paths only
+    the classical mean qualifies: there the regression estimate of ``Z``
+    for a constant is sampling noise, not 0, so a g-expectation moves by
+    more or less than the constant added.
+    """
+    exact = scen.mode == "tree" or exp.kind == "classical"
+    return exact and exp.cash_additive and loss.shape == "linear" and loss.lower == loss.upper
+
+
 def _minimal_shift_with_iters(
     exp: ne.NonlinearExpectation,
     loss: LossFunction,
@@ -160,14 +204,31 @@ def _minimal_shift_with_iters(
     rv: sc.RandomVariable,
     tol: float,
 ) -> tuple[float, int]:
+    """The minimal shift and the bisection steps it took (0 for a closed form)."""
+    ne.check_monotone(exp, scen)
     h0 = constraint_value(exp, loss, scen, i, rv.values)
     if h0 >= 0.0:
         return 0.0, 0
-    reach = (-h0) * np.exp(exp.kappa * scen.grid.horizon) / (loss.lower * exp.scale)
 
     def phi(x):
         return constraint_value(exp, loss, scen, i, rv.values + x)
 
+    if closed_form_shift(exp, loss, scen):
+        what = f"closed-form shift at index {i}"
+        return _step_up(phi, -h0 / loss.lower, loss.lower, rv.values, what), 0
+    if exp.cash_additive:
+        # monotone (checked above) and cash additive: phi(x) >= h0 + lower*x
+        # (up to sampling error on Monte Carlo paths, which the bracket
+        # doubling absorbs)
+        reach = -h0 / loss.lower
+    else:
+        with np.errstate(over="ignore"):
+            reach = (-h0) * np.exp(exp.kappa * scen.grid.horizon) / (loss.lower * exp.scale)
+        if not np.isfinite(reach):
+            raise BracketFailureError(
+                f"shift bracket at index {i} overflows (kappa * T = "
+                f"{exp.kappa * scen.grid.horizon:.3g})"
+            )
     _, hi, steps = _monotone_root(phi, h0, reach, tol)
     return hi, steps
 
@@ -182,9 +243,12 @@ def minimal_shift(
 ) -> float:
     """Smallest ``x >= 0`` with ``E[l(t_i, x + rv)] >= 0``.
 
-    Zero when the constraint already holds; otherwise the feasible end of a
-    bisection between 0 and the slope-based upper bracket, at most ``tol``
-    above the root.
+    Zero when the constraint already holds.  Otherwise the closed form
+    when :func:`closed_form_shift` holds, checked feasible as evaluated;
+    else the feasible end of a bisection between 0 and the slope-based
+    upper bracket, at most ``tol`` above the root.  Raises ``ValueError``
+    when ``exp`` is not monotone on the tree
+    (:func:`nebsde.expectations.check_monotone`).
     """
     sc.check_rv(scen, rv)
     value, _ = _minimal_shift_with_iters(exp, loss, scen, i, rv, tol)
@@ -193,11 +257,19 @@ def minimal_shift(
 
 @dataclass(frozen=True)
 class ReflectionDiagnostics:
-    """Post-solve constraint evidence attached to a reflected solution."""
+    """Post-solve constraint evidence attached to a reflected solution.
+
+    ``shift_iterations[i]`` counts the bisection steps spent on level ``i``
+    (0 where the shift has a closed form); ``shift_closed_form`` and
+    ``shift_search`` count the binding levels (positive shift) that took no
+    bisection step and those that took some.
+    """
 
     constraint_values: np.ndarray
     skorokhod_residual: float
     shift_iterations: np.ndarray
+    shift_closed_form: int
+    shift_search: int
 
 
 @dataclass(frozen=True)

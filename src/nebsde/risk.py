@@ -17,10 +17,8 @@ from . import bsde as bs
 from . import picard as pc
 from . import reflection as rf
 from . import scenarios as sc
-from .errors import BracketFailureError
 
 _YTOL = 1e-12
-_LIFT_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -149,17 +147,11 @@ def risk_shift(
     excess = evaluate_risk(rho, scen, i, rv) - qi
     if excess <= 0.0:
         return 0.0
-    x = excess / rho.scale
-    step = np.spacing(float(np.max(np.abs(rv.values))) + x)
-    for _ in range(_LIFT_STEPS):
-        gap = evaluate_risk(rho, scen, i, sc.RandomVariable(i, rv.values + x)) - qi
-        if gap <= 0.0:
-            return x
-        x += max(gap / rho.scale, step)
-        step *= 2.0
-    raise BracketFailureError(
-        f"risk lift at index {i} still {gap:.3g} above q after {_LIFT_STEPS} steps"
-    )
+
+    def slack(x):
+        return qi - evaluate_risk(rho, scen, i, sc.RandomVariable(i, rv.values + x))
+
+    return rf._step_up(slack, excess / rho.scale, rho.scale, rv.values, f"risk lift at index {i}")
 
 
 def _risk_problem(rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet) -> pc.ReflectionProblem:

@@ -19,8 +19,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.stats import binom
 
+from ._kernels import binomial_weights
 from .errors import SupportMismatchError
 
 _RIDGE = 1e-10
@@ -121,9 +121,7 @@ def build_scenarios(
         values = tuple(
             (2.0 * np.arange(i + 1) - i) * sq for i in range(m + 1)
         )
-        weights = tuple(
-            binom.pmf(np.arange(i + 1), i, 0.5) for i in range(m + 1)
-        )
+        weights = tuple(binomial_weights(i, 0.5) for i in range(m + 1))
         return ScenarioSet(grid, "tree", tree_values=values, tree_weights=weights)
     if mode == "montecarlo":
         if n_paths < 2:

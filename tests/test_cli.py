@@ -343,6 +343,69 @@ def test_bracket_failure_exits_4(tmp_path, capsys):
     assert "bracket failure" in (tmp_path / "run.log").read_text()
 
 
+def test_run_log_shift_paths(tmp_path):
+    # A linear loss of one slope under the classical mean takes the closed
+    # form on every binding level; the default shape "general" searches.
+    for shape, closed in (("linear", True), ("general", False)):
+        out = tmp_path / shape
+        cfg = _write(tmp_path / f"{shape}.ini", SOLVE_INI + f"loss_shape = {shape}\n")
+        assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "run.log").read_text().splitlines()
+        (line,) = [ln for ln in lines if ln.startswith("shift_closed_form=")]
+        fields = {k: int(v) for k, v in (part.split("=") for part in line.split())}
+        assert list(fields) == ["shift_closed_form", "shift_search"]
+        binding = fields["shift_closed_form"] + fields["shift_search"]
+        assert binding > 0
+        assert fields["shift_closed_form" if closed else "shift_search"] == binding
+
+
+LARGE_KAPPA_INI = """\
+[scenario]
+horizon = {horizon}
+steps = {steps}
+
+[problem]
+payoff = {payoff}
+driver = {driver}
+loss = {loss}
+"""
+
+
+def test_large_kappa_maxmin_solves(tmp_path):
+    # kappa*T = 710 used to overflow the shift bracket of alpha-maxmin and
+    # end in a traceback without run.log; kappa*sqrt(dt) = 0.84 keeps the
+    # operator monotone on this tree.
+    ini = LARGE_KAPPA_INI.format(horizon=14200.0, steps=50, payoff="b + 3", driver=-0.01,
+                                 loss="min(x, 0.6 * x)")
+    ini += "loss_lower = 0.6\nexpectation = alpha-maxmin\nalpha = 1.0\nkappa = 0.05\n"
+    cfg = _write(tmp_path / "run.ini", ini)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    line = [ln for ln in (tmp_path / "run.log").read_text().splitlines()
+            if ln.startswith("shift_closed_form=")]
+    assert line == [line[0]] and int(line[0].split("shift_search=")[1]) > 0
+
+
+def test_operator_not_monotone_on_tree_exits_1(tmp_path, capsys):
+    # kappa*sqrt(dt) = 113 on 50 steps: the operator is not monotone there.
+    ini = LARGE_KAPPA_INI.format(horizon=1.0, steps=50, payoff="b + 3", driver=-4.0,
+                                 loss="min(x, 0.6 * x)")
+    ini += "loss_lower = 0.6\nexpectation = alpha-maxmin\nalpha = 0.3\nkappa = 800\n"
+    cfg = _write(tmp_path / "run.ini", ini)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "config error: problem.kappa:" in capsys.readouterr().err
+
+
+def test_overflowing_shift_bracket_exits_4(tmp_path, capsys):
+    # The y-dependent generator keeps the exp(kappa*T) bracket, which does
+    # not fit in a float at kappa*T = 800.
+    ini = LARGE_KAPPA_INI.format(horizon=1.0, steps=1000, payoff="-1e-9", driver=0.0, loss="x")
+    ini += "expectation = gexp\ngexp_driver = -0.5 * y\nkappa = 800\n"
+    cfg = _write(tmp_path / "run.ini", ini)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "overflows" in capsys.readouterr().err
+    assert "bracket failure" in (tmp_path / "run.log").read_text()
+
+
 def test_module_entry_point(tmp_path, child_env):
     cfg = _write(tmp_path / "run.ini", SOLVE_INI)
     proc = subprocess.run(

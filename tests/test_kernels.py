@@ -1,7 +1,9 @@
-"""Backward tree kernels: hand-worked cases and continuation identities."""
+"""Backward tree kernels: hand-worked cases, continuation identities, and
+the comonotone closed form against the recursion it replaces."""
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 import nebsde
 from nebsde import _kernels
@@ -65,6 +67,71 @@ def test_input_validation():
         _kernels.tree_backward_value(np.array([]), 1.0, 0.1, False)
     with pytest.raises(ValueError):
         _kernels.tree_backward_value(np.array([1.0]), 0.0, 0.1, False)
+
+
+def _levels(m):
+    b = (2.0 * np.arange(m + 1) - m) / np.sqrt(m)
+    return {"increasing": b + 0.5, "decreasing": -np.exp(b), "constant": np.full(m + 1, 2.0)}
+
+
+@pytest.mark.parametrize("m", [50, 200, 1000])
+def test_comonotone_closed_form_matches_recursion(m):
+    # A monotone claim under kappa*|z| (or any claim at kappa = 0, with or
+    # without the y-part) is one binomial dot product; it agrees with the
+    # node-by-node recursion on every sampled level of the tree.
+    dt = 1.0 / m
+    cases = [(kappa, False) for kappa in (0.5, -0.5, 0.3, 3.0)] + [(0.0, False), (0.0, True)]
+    for kappa, include_y in cases:
+        for name, terminal in _levels(m).items():
+            for n in sorted({0, 1, 2, *np.linspace(0, m, 9).astype(int).tolist()}):
+                level = terminal[: n + 1]
+                got = _kernels.tree_backward_value(level, dt, kappa, include_y)
+                ref = _kernels._backward_recursion(level, dt, kappa, include_y)
+                assert abs(got - ref) <= 1e-13 * np.max(np.abs(level)), (name, kappa, n)
+
+
+def test_non_comonotone_cases_run_the_recursion():
+    # Non-monotone levels, a y-part and steps |kappa|*sqrt(dt) > 1 take the
+    # recursion itself, so the result is bit-identical to it.
+    m, dt = 60, 1.0 / 60
+    b = (2.0 * np.arange(m + 1) - m) * np.sqrt(dt)
+    cases = [
+        (b * b - 1.0, 0.5, False),
+        (np.sin(3.0 * b), -0.7, False),
+        (b + 0.5, 0.5, True),
+        (-np.exp(b), -0.3, True),
+        (b + 0.5, 10.0, False),
+        (-np.exp(b), -800.0, False),
+    ]
+    for level, kappa, include_y in cases:
+        got = _kernels.tree_backward_value(level, dt, kappa, include_y)
+        assert got == _kernels._backward_recursion(level, dt, kappa, include_y)
+
+
+def test_kernel_leaves_its_input_unchanged():
+    level = np.array([3.0, -1.0, 2.0])
+    for kappa, include_y in ((0.4, True), (0.4, False)):
+        _kernels.tree_backward_value(level, 0.5, kappa, include_y)
+        assert level.tolist() == [3.0, -1.0, 2.0]
+
+
+@pytest.mark.parametrize("m", [8, 200, 1000])
+def test_binomial_weights_match_binom_pmf(m):
+    for p in (0.5, 0.3, 0.5 * (1.0 + 0.5 / np.sqrt(m)), 0.9):
+        got = _kernels.binomial_weights(m, p)
+        ref = binom.pmf(np.arange(m + 1), m, p)
+        live = ref > 0.0
+        assert np.max(np.abs(got[live] - ref[live]) / ref[live]) <= 1e-11
+        assert np.all(got[~live] == 0.0)
+
+
+def test_binomial_weights_edge_cases():
+    assert _kernels.binomial_weights(0, 0.3).tolist() == [1.0]
+    assert _kernels.binomial_weights(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert _kernels.binomial_weights(3, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+    for p in (-0.1, 1.1, np.nan):
+        with pytest.raises(ValueError):
+            _kernels.binomial_weights(3, p)
 
 
 def test_backend_label():

@@ -14,7 +14,7 @@ from nebsde import expectations as ne
 from nebsde import picard as pc
 from nebsde import reflection as rf
 from nebsde import scenarios as sc
-from nebsde.errors import InfeasibleProblemError
+from nebsde.errors import BracketFailureError, InfeasibleProblemError
 
 EXACT = 1e-12
 SHIFT_TOL = 2e-8
@@ -81,6 +81,146 @@ def test_minimal_shift_feasible_and_near_root(tree50, index, level, floor, slope
     assert rf.constraint_value(CLS, loss, tree50, index, rv.values + got) >= 0.0
     root = 0.0 if mean_loss(0.0) >= 0.0 else brentq(mean_loss, 0.0, 50.0, xtol=1e-13)
     assert abs(got - root) <= rf.OPERATOR_TOL
+
+
+CASH_ADDITIVE = {
+    "classical": lambda kappa: CLS,
+    "alpha_maxmin": lambda kappa: ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=kappa),
+    "gexp": lambda kappa: ne.NonlinearExpectation.gexp(
+        bs.Driver.kappa_abs(kappa, include_y=False)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(CASH_ADDITIVE)),
+    kappa=st.floats(0.0, 2.0),
+    slope=st.floats(0.2, 5.0),
+    floor=st.floats(-1.0, 1.0),
+    level=st.floats(-3.0, 1.0),
+    index=st.integers(1, 50),
+    noise=st.one_of(st.none(), st.integers(0, 2**16)),
+)
+def test_closed_form_shift_matches_bisection_and_brentq(
+    tree50, kind, kappa, slope, floor, level, index, noise
+):
+    # Cash-additive operator, loss of one slope: the closed-form shift meets
+    # the constraint as evaluated, takes no bisection step, and sits within
+    # tol of the bisection root and of an independent root.  A monotone
+    # level (noise None) takes the kernel's comonotone path, a random one
+    # the recursion.
+    exp = CASH_ADDITIVE[kind](kappa)
+    loss = rf.LossFunction(fn=lambda t, x: slope * (np.asarray(x) - floor),
+                           lower=slope, upper=slope, shape="linear")
+    assert rf.closed_form_shift(exp, loss, tree50)
+    if noise is None:
+        values = tree50.tree_values[index] + level
+    else:
+        values = np.random.default_rng(noise).normal(level, 1.0, index + 1)
+    rv = sc.RandomVariable(index, values)
+
+    def phi(x):
+        return rf.constraint_value(exp, loss, tree50, index, values + x)
+
+    got, steps = rf._minimal_shift_with_iters(exp, loss, tree50, index, rv, rf.OPERATOR_TOL)
+    assert steps == 0
+    h0 = phi(0.0)
+    if h0 >= 0.0:
+        assert got == 0.0
+        return
+    assert phi(got) >= 0.0
+    _, hi, _ = rf._monotone_root(phi, h0, -h0 / slope, rf.OPERATOR_TOL)
+    assert abs(got - hi) <= rf.OPERATOR_TOL
+    root = brentq(phi, 0.0, 1.0 - 2.0 * h0 / slope, xtol=1e-14)
+    assert abs(got - root) <= rf.OPERATOR_TOL
+
+
+def test_closed_form_solve_matches_forced_bisection(tree200):
+    # The benchmark's binding alpha-maxmin instance: declaring the same
+    # linear loss "general" forces the search on every binding level.
+    claim = bs.TerminalClaim.from_function(tree200, lambda b: b + 0.5)
+    driver = bs.Driver.constant(-1.0)
+    maxmin = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=0.5)
+    linear = rf.LossFunction.linear(0.0)
+    fast = pc.solve_reflected(tree200, claim, driver, linear, maxmin)
+    slow = pc.solve_reflected(tree200, claim, driver,
+                              dataclasses.replace(linear, shape="general"), maxmin)
+    fd, sd = fast.diagnostics, slow.diagnostics
+    assert fd.shift_closed_form > 100 and fd.shift_search == 0
+    assert not fd.shift_iterations.any()
+    assert sd.shift_closed_form == 0 and sd.shift_search == fd.shift_closed_form
+    assert sd.shift_iterations.sum() > 10 * sd.shift_search
+    assert float(np.min(fd.constraint_values)) >= 0.0
+    assert np.max(np.abs(fast.K.values - slow.K.values)) <= 1e-8
+    for yf, ys in zip(fast.Y, slow.Y):
+        assert np.max(np.abs(yf.values - ys.values)) <= 1e-8
+
+
+def test_monte_carlo_closed_form_only_for_the_classical_mean():
+    # On paths the regression Z of a constant is sampling noise, so a
+    # g-expectation is not cash additive as evaluated there: it searches,
+    # and the classical mean keeps the closed form.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 10), "montecarlo", n_paths=1000, seed=7)
+    loss = rf.LossFunction.linear(0.3)
+    rv = sc.RandomVariable(5, scen.paths[:, 5] - 0.5)
+    maxmin = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=0.5)
+    assert not rf.closed_form_shift(maxmin, loss, scen)
+    assert rf.closed_form_shift(CLS, loss, scen)
+    got, steps = rf._minimal_shift_with_iters(maxmin, loss, scen, 5, rv, rf.OPERATOR_TOL)
+    assert steps > 0
+    lifted = rf.constraint_value(maxmin, loss, scen, 5, rv.values + got)
+    below = rf.constraint_value(maxmin, loss, scen, 5, rv.values + got - rf.OPERATOR_TOL)
+    assert lifted >= 0.0 > below
+    got, steps = rf._minimal_shift_with_iters(CLS, loss, scen, 5, rv, rf.OPERATOR_TOL)
+    assert steps == 0 and abs(got - (0.8 - float(np.mean(scen.paths[:, 5])))) <= 1e-12
+
+
+def test_cash_additive_bracket_survives_large_kappa():
+    # The search bracket of a cash-additive operator is -h0/lower; it used
+    # to carry a factor exp(kappa*T), which overflows at kappa*T = 710.  The
+    # operator stays monotone on this tree: kappa*sqrt(dt) = 0.84.
+    kappa, horizon = 0.05, 14200.0
+    scen = sc.build_scenarios(sc.TimeGrid(horizon, 50), "tree")
+    assert kappa * horizon > math.log(np.finfo(float).max)
+    assert kappa * math.sqrt(scen.grid.dt) <= 1.0
+    loss = rf.LossFunction(fn=lambda t, x: np.minimum(x, 0.6 * np.asarray(x)),
+                           lower=0.6, upper=1.0, shape="concave")
+    amm = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=kappa)
+    for i, level in ((50, -2.0), (20, -50.0)):
+        rv = sc.RandomVariable(i, scen.tree_values[i] + level)
+        got, steps = rf._minimal_shift_with_iters(amm, loss, scen, i, rv, rf.OPERATOR_TOL)
+        assert steps > 0 and 0.0 < got < np.inf
+        phi = lambda x: rf.constraint_value(amm, loss, scen, i, rv.values + x)
+        assert phi(got) >= 0.0 > phi(got - 2.0 * rf.OPERATOR_TOL)
+
+
+@pytest.mark.parametrize("exp", [
+    ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=800.0),
+    ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(-800.0, include_y=False)),
+    ne.NonlinearExpectation.gexp(bs.Driver(fn=lambda t, y, z: 800.0 * np.sin(z),
+                                           lipschitz=800.0, depends_on_z=True)),
+], ids=["alpha_maxmin", "kappa_abs", "general_z"])
+def test_shift_rejects_operator_not_monotone_on_tree(tree50, exp):
+    # kappa*sqrt(dt) = 113: one tree step weights a child by (1 + 113)/2, so
+    # the constraint is not monotone in the shift and no search can be
+    # trusted; it is refused before any evaluation.
+    rv = sc.RandomVariable(50, tree50.tree_values[50] - 2.0)
+    with pytest.raises(ValueError, match="not monotone"):
+        rf.minimal_shift(exp, rf.LossFunction.linear(0.0), tree50, 50, rv)
+    mc = sc.build_scenarios(sc.TimeGrid(1.0, 50), "montecarlo", n_paths=50, seed=1)
+    ne.check_monotone(exp, mc)  # paths are not checked
+    y_only = ne.NonlinearExpectation.gexp(bs.Driver(fn=lambda t, y, z: -0.5 * y,
+                                                    lipschitz=800.0, depends_on_y=True))
+    ne.check_monotone(y_only, tree50)  # no z-slope
+
+
+def test_overflowing_bracket_raises_bracket_failure(tree50):
+    # A y-dependent operator keeps the exp(kappa*T) bracket; one that does
+    # not fit in a float is reported, not evaluated.
+    exp = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.5), kappa=800.0)
+    rv = sc.RandomVariable(50, tree50.tree_values[50] - 2.0)
+    with pytest.raises(BracketFailureError, match="overflows"):
+        rf.minimal_shift(exp, rf.LossFunction.linear(0.0), tree50, 50, rv)
 
 
 def test_minimal_shift_zero_when_feasible(tree50):
