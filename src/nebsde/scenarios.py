@@ -6,8 +6,12 @@ Two interchangeable backends over a uniform time grid:
   probability one half each.  Level ``i`` has ``i + 1`` nodes and carries
   exact binomial weights, so expectations and conditional expectations are
   exact (up to rounding) rather than sampled.
-* ``montecarlo``: seeded Gaussian paths with per-step polynomial-regression
-  conditional expectations.
+* ``montecarlo``: seeded Gaussian paths with per-step regression
+  conditional expectations.  The basis at index ``i`` is the powers
+  ``1, x, ..., x**basis_degree`` of the standardised coordinate
+  ``x = B_i / sqrt(t_i)``, and the fit is plain least squares with no ridge,
+  so ``n_paths`` must exceed ``basis_degree``.  At ``i = 0`` every path sits
+  at 0 and the projection is the sample mean.
 
 Random variables are stored as value arrays over the support of a single
 grid index.
@@ -22,8 +26,6 @@ import numpy as np
 
 from ._kernels import binomial_weights
 from .errors import SupportMismatchError
-
-_RIDGE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,13 @@ def build_scenarios(
     mode : str
         ``"tree"`` or ``"montecarlo"``.
     n_paths : int
-        Number of simulated paths (Monte Carlo only, must be >= 2).
+        Number of simulated paths (Monte Carlo only, must exceed
+        ``basis_degree`` so the least-squares fit is determined).
     seed : int
         Seed for the path generator (Monte Carlo only).
     basis_degree : int
-        Polynomial degree of the regression basis (Monte Carlo only,
-        must be >= 1).
+        Highest power of the regression basis (Monte Carlo only, must be
+        >= 1).
     """
     if mode == "tree":
         m = grid.steps
@@ -124,10 +127,12 @@ def build_scenarios(
         weights = tuple(binomial_weights(i, 0.5) for i in range(m + 1))
         return ScenarioSet(grid, "tree", tree_values=values, tree_weights=weights)
     if mode == "montecarlo":
-        if n_paths < 2:
-            raise ValueError("montecarlo mode needs n_paths >= 2")
         if basis_degree < 1:
             raise ValueError("basis_degree must be >= 1")
+        if n_paths <= basis_degree:
+            raise ValueError(
+                f"montecarlo mode needs n_paths > basis_degree = {basis_degree}"
+            )
         rng = np.random.default_rng(seed)
         steps = rng.standard_normal((n_paths, grid.steps)) * np.sqrt(grid.dt)
         paths = np.zeros((n_paths, grid.steps + 1))
@@ -180,19 +185,30 @@ def expect(scen: ScenarioSet, rv: RandomVariable) -> float:
 
 
 def _basis(scen: ScenarioSet, i: int) -> np.ndarray:
-    b = scen.paths[:, i]
-    return b[:, None] ** np.arange(scen.basis_degree + 1)
+    """Powers ``1, x, ..., x**basis_degree`` of ``x = B_i / sqrt(t_i)``.
+
+    ``B_i`` has variance ``t_i``, so the columns keep the scale of the
+    standard normal moments at every index; they are built by repeated
+    multiplication (a float raised to an integer array goes through ``pow``
+    element by element).
+    """
+    x = scen.paths[:, i] / np.sqrt(scen.grid.nodes[i])
+    a = np.empty((x.size, scen.basis_degree + 1))
+    a[:, 0] = 1.0
+    for k in range(1, scen.basis_degree + 1):
+        np.multiply(a[:, k - 1], x, out=a[:, k])
+    return a
 
 
 def _project(scen: ScenarioSet, i: int, target: np.ndarray) -> np.ndarray:
-    # ridge-regularised normal equations; the ridge also covers the
-    # degenerate design at i = 0 where all basis columns but the constant
-    # vanish, making the projection a plain mean
+    """Least-squares projection of ``target`` onto the basis at index ``i``.
+
+    Every path starts at 0, so at ``i = 0`` the projection is the mean.
+    """
+    if i == 0:
+        return np.full(target.shape, target.mean())
     a = _basis(scen, i)
-    gram = a.T @ a
-    gram[np.diag_indices_from(gram)] += _RIDGE
-    beta = np.linalg.solve(gram, a.T @ target)
-    return a @ beta
+    return a @ np.linalg.solve(a.T @ a, a.T @ target)
 
 
 def step_expect(scen: ScenarioSet, next_values: np.ndarray, i: int) -> np.ndarray:

@@ -27,6 +27,10 @@ driver = -1.0
 loss = x
 """
 
+MC_SOLVE_INI = SOLVE_INI.replace(
+    "steps = 40", "steps = 40\nmode = montecarlo\nn_paths = 2000\nseed = 3"
+)
+
 GEXP_INI = """\
 [scenario]
 horizon = 1.0
@@ -137,11 +141,12 @@ def test_solve_command(tmp_path, capsys):
 
 
 def test_solve_reruns_byte_identical(tmp_path):
-    cfg = _write(tmp_path / "run.ini", SOLVE_INI)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["solve", "--config", cfg, "--out", str(out1)]) == 0
-    assert run(["solve", "--config", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
+    for mode, ini in (("tree", SOLVE_INI), ("montecarlo", MC_SOLVE_INI)):
+        cfg = _write(tmp_path / f"{mode}.ini", ini)
+        out1, out2 = tmp_path / f"{mode}-a", tmp_path / f"{mode}-b"
+        assert run(["solve", "--config", cfg, "--out", str(out1)]) == 0
+        assert run(["solve", "--config", cfg, "--out", str(out2)]) == 0
+        assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes(), mode
 
 
 def test_seed_override_changes_digest(tmp_path):
@@ -166,10 +171,7 @@ def test_solve_mean_floor_column(tmp_path):
 
 
 def test_solve_montecarlo_mode(tmp_path, capsys):
-    ini = SOLVE_INI.replace(
-        "steps = 40", "steps = 40\nmode = montecarlo\nn_paths = 2000\nseed = 3"
-    )
-    cfg = _write(tmp_path / "run.ini", ini)
+    cfg = _write(tmp_path / "run.ini", MC_SOLVE_INI)
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert abs(float(capsys.readouterr().out.strip())) <= 0.05
 
@@ -229,6 +231,12 @@ def test_config_errors_exit_1(tmp_path, capsys):
     both_q = _write(tmp_path / "q.ini", PRICE_INI + "q_knots = 0:1,1:1\n")
     assert run(["price", "--config", both_q, "--out", str(tmp_path)]) == 1
     capsys.readouterr()  # swallow the error prints
+
+    # the least-squares fit needs more paths than basis_degree
+    few = MC_SOLVE_INI.replace("n_paths = 2000", "n_paths = 3\nbasis_degree = 3")
+    cfg = _write(tmp_path / "n.ini", few)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "config error: scenario:" in capsys.readouterr().err
 
     # a loss that ignores x, and losses whose slope breaks the declared bounds
     for loss in ("t - 2", "x*x - 0.3", "x - 1.0\nloss_lower = 1000\nloss_upper = 1000"):

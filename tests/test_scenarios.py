@@ -1,14 +1,19 @@
 """Scenario engines: tree/Monte Carlo construction, conditioning, measure tilts."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from nebsde import bsde as bs
+from nebsde import expectations as ne
+from nebsde import picard as pc
+from nebsde import reflection as rf
 from nebsde import scenarios as sc
 from nebsde.errors import SupportMismatchError
 
@@ -195,6 +200,98 @@ def test_mc_conditional_expectation_regression(mc50):
     assert abs(sc.expect(mc50, ce) - sc.expect(mc50, bt)) <= 1e-9
 
 
+def _normal_equation_projection(scen, i, target):
+    """The projection the standardised least-squares fit replaced.
+
+    Unscaled powers of ``B_i`` and ridge-regularised normal equations; the
+    ridge also covers the degenerate design at ``i = 0``.
+    """
+    b = scen.paths[:, i]
+    a = b[:, None] ** np.arange(scen.basis_degree + 1)
+    gram = a.T @ a
+    gram[np.diag_indices_from(gram)] += 1e-10
+    return a @ np.linalg.solve(gram, a.T @ target)
+
+
+@pytest.mark.parametrize("m", [50, 1000])
+@pytest.mark.parametrize("degree", [1, 3, 6])
+def test_mc_projection_reproduces_polynomials(m, degree):
+    # A polynomial of degree <= basis_degree in B_i is its own projection,
+    # also where t_i is small; the quadratic term drops for a linear basis.
+    scen = sc.build_scenarios(
+        sc.TimeGrid(1.0, m), "montecarlo", n_paths=2000, seed=3, basis_degree=degree
+    )
+    for i in (1, 2, m // 2, m - 1):
+        b = sc.brownian(scen, i)
+        coefs = (1.0, 2.0, 3.0)[: degree + 1]
+        v = sum(c * b**k for k, c in enumerate(coefs)) + 4.0 * b**degree
+        size = float(np.max(np.abs(v)))
+        got = sc.step_expect(scen, v, i)
+        assert np.max(np.abs(got - v)) <= 1e-10 * size, (i, np.max(np.abs(got - v)) / size)
+        mean_gap = sc.expect(scen, sc.RandomVariable(i, got)) - sc.expect(scen, sc.RandomVariable(i, v))
+        assert abs(mean_gap) <= 1e-12 * size, (i, mean_gap)
+
+
+def test_mc_projection_at_origin_is_mean(mc50):
+    target = np.sin(sc.brownian(mc50, 1) * 3.0) + 2.0
+    got = sc.step_expect(mc50, target, 0)
+    assert np.all(got == target.mean())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    degree=st.integers(1, 6),
+    index=st.integers(0, 49),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1.0, 1e3]),
+    wiggle=st.floats(0.0, 5.0),
+)
+def test_mc_projection_matches_normal_equations(mc50, degree, index, seed, noise, wiggle):
+    # The oracle's ridge biases its fit where t_i**degree is small: at these
+    # 4,000 paths, by 1.4e-9 relative at degree 4 and i = 1, and by 3.2e-7
+    # at degree 6.  Where t_i**degree >= 1e-6 it stays near 1e-10.
+    t = mc50.grid.nodes[index]
+    assume(index == 0 or t**degree >= 1e-6)
+    scen = dataclasses.replace(mc50, basis_degree=degree)
+    rng = np.random.default_rng(seed)
+    b_next = sc.brownian(scen, index + 1)
+    target = (np.polyval(rng.normal(size=degree + 2), b_next) + np.sin(wiggle * b_next)
+              + noise * rng.normal(size=b_next.size))
+    size = float(np.max(np.abs(target)))
+    got = sc.step_expect(scen, target, index)
+    assert np.max(np.abs(got - _normal_equation_projection(scen, index, target))) <= 1e-9 * size
+    assert np.max(np.abs(sc.step_expect(scen, got, index) - got)) <= 1e-12 * size
+    basis = sc._basis(scen, index) if index else np.ones((target.size, 1))
+    resid = basis.T @ (target - got)
+    bound = 1e-12 * np.linalg.norm(basis, axis=0) * np.linalg.norm(target)
+    assert np.all(np.abs(resid) <= bound), resid / bound
+
+
+@pytest.mark.parametrize("offset, floor", [(0.5, 0.0), (2.0, 2.0)])
+def test_mc_reflected_solve_matches_normal_equations(mc50, monkeypatch, offset, floor):
+    # The mc-solve problem (y/z driver, linear loss); the claim b + 0.5 over
+    # the floor 0 leaves the constraint slack, and b + 2 over the floor 2
+    # binds it, since the driver pulls E[Y] down at about 0.3 per unit time.
+    claim = bs.TerminalClaim.from_function(mc50, lambda b: b + offset)
+    driver = bs.Driver(
+        fn=lambda t, y, z: -0.2 * np.asarray(y) + 0.1 * np.abs(z),
+        lipschitz=0.3, depends_on_y=True, depends_on_z=True,
+    )
+
+    def solve():
+        return pc.solve_reflected(
+            mc50, claim, driver, rf.LossFunction.linear(floor), ne.NonlinearExpectation.classical()
+        )
+
+    got = solve()
+    monkeypatch.setattr(sc, "_project", _normal_equation_projection)
+    want = solve()
+    for y, y_ref in zip(got.Y, want.Y):
+        assert np.max(np.abs(y.values - y_ref.values)) <= 1e-9
+    assert np.max(np.abs(got.K.values - want.K.values)) <= 1e-9
+    assert (got.K.total > 0.0) == (floor > 0.0)
+
+
 def test_mc_determinism():
     grid = sc.TimeGrid(1.0, 10)
     a = sc.build_scenarios(grid, "montecarlo", n_paths=200, seed=11)
@@ -240,6 +337,8 @@ def test_grid_and_builder_validation():
         sc.build_scenarios(grid, "lattice")
     with pytest.raises(ValueError):
         sc.build_scenarios(grid, "montecarlo", n_paths=1)
+    with pytest.raises(ValueError):
+        sc.build_scenarios(grid, "montecarlo", n_paths=3, basis_degree=3)
     with pytest.raises(ValueError):
         sc.build_scenarios(grid, "montecarlo", n_paths=100, basis_degree=0)
 
