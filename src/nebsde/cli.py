@@ -15,8 +15,9 @@ byte-identical files.
 
 Exit codes: 0 success, 1 config problem, 2 infeasible constraint,
 3 divergence or non-contractive step, 4 no root bracket for a shift search
-(the declared loss slope bounds do not hold, or a risk lift misses the
-acceptance set).
+(the declared loss slope bounds do not hold, a bracket, also that of a
+mean floor, does not fit in a float, or a risk lift misses the acceptance
+set).
 """
 from __future__ import annotations
 

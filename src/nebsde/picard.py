@@ -2,15 +2,16 @@
 
 With a deterministic flow, the mean-reflected scheme is one backward
 recursion ``Y_i = E_i[Y_{i+1}] + f(t_i, Y_i, Z_i) dt + dK_i``, where ``dK_i``
-is the minimal shift that makes level ``i`` meet its constraint.  A
-generator that reads ``y`` makes each step a fixed point in ``(Y_i, dK_i)``;
-it is found by successive approximation within the step, and every pass's
-difference is kept as evidence.
+is the minimal lift (:func:`nebsde.reflection.lift`) that makes level ``i``
+meet its constraint.  A generator that reads ``y`` makes each step a fixed
+point in ``(Y_i, dK_i)``; it is found by successive approximation within
+the step, and every pass's difference is kept as evidence.  The constraint
+value the final lift verified is kept as ``constraint_values[i]``;
+:func:`nebsde.reflection.skorokhod_residual` audits it from scratch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -62,41 +63,11 @@ class SolveDiagnostics:
         return max(ratios, default=float("nan"))
 
 
-@dataclass(frozen=True)
-class ReflectionProblem:
-    """Strategy bundle a reflected solve needs from its constraint side.
-
-    ``shift(i, rv) -> (value, iterations)`` is the minimal lift at index
-    ``i``; ``constraint(i, values)`` the functional that must end up >= 0,
-    also read at the claim to check feasibility.
-    """
-
-    shift: Callable
-    constraint: Callable
-
-
-def mean_constraint_problem(
-    scen: sc.ScenarioSet,
-    loss: rf.LossFunction,
-    exp: ne.NonlinearExpectation,
-    tol: float = rf.OPERATOR_TOL,
-) -> ReflectionProblem:
-    """The E[l(t, .)] >= 0 constraint as a reflection strategy."""
-
-    def shift(i, rv):
-        return rf._minimal_shift_with_iters(exp, loss, scen, i, rv, tol)
-
-    def constraint(i, values):
-        return rf.constraint_value(exp, loss, scen, i, values)
-
-    return ReflectionProblem(shift=shift, constraint=constraint)
-
-
 def _solve_with_problem(
     scen: sc.ScenarioSet,
     claim: bs.TerminalClaim,
     driver: bs.Driver,
-    problem: ReflectionProblem,
+    problem: rf.ReflectionProblem,
     opts: SolveOptions,
 ) -> rf.ReflectedSolution:
     sc.check_rv(scen, claim.rv)
@@ -112,7 +83,8 @@ def _solve_with_problem(
     nodes, dt = scen.grid.nodes, scen.grid.dt
     shift_iters = np.zeros(m + 1, dtype=int)
     shifts = np.zeros(m + 1)
-    shifts[m], shift_iters[m] = problem.shift(m, claim.rv)
+    cons = np.zeros(m + 1)
+    shifts[m], shift_iters[m], cons[m] = rf.lift(problem, m, claim.values, opts.operator_tol)
     y = claim.values + shifts[m]
     ys, zs = [sc.RandomVariable(m, y)], []
     iterations, diff_norms = [0] * m, [None] * m
@@ -125,7 +97,7 @@ def _solve_with_problem(
         while True:
             if not np.all(np.isfinite(x)):
                 raise FixedPointError(f"non-finite values produced at index {i}")
-            k, steps = problem.shift(i, sc.RandomVariable(i, x))
+            k, steps, cons[i] = rf.lift(problem, i, x, opts.operator_tol)
             shift_iters[i] += steps
             y = x + k
             norms.append(float(np.max(np.abs(y - u))))
@@ -144,27 +116,19 @@ def _solve_with_problem(
         zs.append(sc.RandomVariable(i, z))
     ys.reverse()
     zs.reverse()
-    diag = SolveDiagnostics(
-        window_bounds=[(i, i + 1) for i in range(m)],
-        iterations=iterations,
-        diff_norms=diff_norms,
-    )
-    return _finalize(scen, ys, zs, shifts, shift_iters, problem, diag)
-
-
-def _finalize(scen, ys, zs, shifts, iters, problem, picard_diag):
-    """Assemble the solution from the levels and each level's final shift."""
-    cons = np.array([problem.constraint(y.index, y.values) for y in ys])
     flow = rf.ReflectorFlow(np.concatenate(([0.0], np.cumsum(shifts[:-1]))))
-    resid = float(np.sum(cons[:-1] * flow.increments))
-    iters = np.asarray(iters, dtype=int)
     binding = shifts > 0.0
     diag = rf.ReflectionDiagnostics(
         constraint_values=cons,
-        skorokhod_residual=resid,
-        shift_iterations=iters,
-        shift_closed_form=int(np.count_nonzero(binding & (iters == 0))),
-        shift_search=int(np.count_nonzero(binding & (iters > 0))),
+        skorokhod_residual=float(np.sum(cons[:-1] * flow.increments)),
+        shift_iterations=shift_iters,
+        shift_closed_form=int(np.count_nonzero(binding & (shift_iters == 0))),
+        shift_search=int(np.count_nonzero(binding & (shift_iters > 0))),
+    )
+    picard_diag = SolveDiagnostics(
+        window_bounds=[(i, i + 1) for i in range(m)],
+        iterations=iterations,
+        diff_norms=diff_norms,
     )
     return rf.ReflectedSolution(
         Y=tuple(ys), Z=tuple(zs), K=flow, diagnostics=diag, picard=picard_diag
@@ -185,6 +149,6 @@ def solve_reflected(
     minimal shift, and, for a generator that reads ``y``, re-rolled with the
     lifted level until the two agree to ``picard_tol``.
     """
-    opts = opts or SolveOptions()
-    problem = mean_constraint_problem(scen, loss, exp, opts.operator_tol)
-    return _solve_with_problem(scen, claim, driver, problem, opts)
+    ne.check_monotone(exp, scen)
+    problem = rf.mean_constraint_problem(scen, loss, exp)
+    return _solve_with_problem(scen, claim, driver, problem, opts or SolveOptions())

@@ -1,12 +1,15 @@
-"""Reflection through a mean constraint.
+"""Reflection through a constraint on each level: one minimal lift.
 
-The constraint asks that ``E[l(t_i, Y_i)] >= 0`` at every grid index, where
-``E`` is a (possibly nonlinear) expectation and ``l`` a loss profile that is
-strictly increasing and bi-Lipschitz in its spatial argument.  Reflection is
-performed by the deterministic minimal-shift operator: the smallest
-``x >= 0`` making the constraint hold after adding ``x``.
-:func:`nebsde.picard.solve_reflected` applies it once per grid date, so the
-flow's increment at date ``i`` is the shift that date needs.
+The mean constraint asks that ``E[l(t_i, Y_i)] >= 0`` at every grid index,
+where ``E`` is a (possibly nonlinear) expectation and ``l`` a loss profile
+that is strictly increasing and bi-Lipschitz in its spatial argument.
+Reflection is performed by the deterministic minimal-shift operator: the
+smallest ``x >= 0`` making the constraint hold after adding ``x``.
+:func:`lift` is that operator for any :class:`ReflectionProblem`; it serves
+the mean constraint, the risk constraint of :mod:`nebsde.risk` and
+:func:`nebsde.verify.mean_floor`, and returns the constraint value it
+verified, which the reflected solve stores as the level's constraint value.
+:func:`skorokhod_residual` is the from-scratch audit.
 
 For a cash-additive operator and a linear loss of slope ``a`` the
 constraint moves by exactly ``a*x`` under a shift ``x`` (on the tree, and
@@ -137,47 +140,28 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
     beyond that for as long as it stays below ``tol``: a level that sits on
     the constraint up to rounding has a reach far below the spacing of its
     values, so ``phi`` cannot change sign until the step resolves.
-    Returns ``(lo, hi, steps)`` with ``phi(hi) >= 0`` and ``hi - lo <= tol``
-    (unless the bisection cap is hit).
+    Returns ``(lo, hi, steps, phi(hi))`` with ``phi(hi) >= 0`` and
+    ``hi - lo <= tol`` (unless the bisection cap is hit).
     """
     sign = 1.0 if v0 < 0.0 else -1.0
     far = sign * reach
     doublings = 0
-    while sign * phi(far) < 0.0:
+    while sign * (at_far := phi(far)) < 0.0:
         if doublings >= _MAX_WIDEN and not 0.0 < abs(far) < tol:
             raise BracketFailureError(f"no sign change found within {abs(far):.3g} of 0")
         far *= 2.0
         doublings += 1
-    lo, hi = (0.0, far) if v0 < 0.0 else (far, 0.0)
+    lo, hi, at_hi = (0.0, far, at_far) if v0 < 0.0 else (far, 0.0, v0)
     steps = 0
     while hi - lo > tol and steps < _MAX_BISECT:
         mid = 0.5 * (lo + hi)
-        if phi(mid) >= 0.0:
-            hi = mid
+        at_mid = phi(mid)
+        if at_mid >= 0.0:
+            hi, at_hi = mid, at_mid
         else:
             lo = mid
         steps += 1
-    return lo, hi, steps
-
-
-def _step_up(phi: Callable, x: float, slope: float, values: np.ndarray, what: str) -> float:
-    """Raise a closed-form root ``x`` of a nondecreasing ``phi`` until ``phi(x) >= 0``.
-
-    ``phi(x)`` is a constraint on ``values + x`` that grows at the exact
-    rate ``slope``, so each step adds the remaining gap over it, and at
-    least one spacing of ``max|values| + x``, doubled at each step.  A
-    closed form can land a rounding error short of the root; this makes the
-    result feasible as evaluated.  Raises ``BracketFailureError`` naming
-    ``what`` after 8 steps.
-    """
-    step = np.spacing(float(np.max(np.abs(values))) + x)
-    for _ in range(_LIFT_STEPS):
-        gap = phi(x)
-        if gap >= 0.0:
-            return x
-        x += max(-gap / slope, step)
-        step *= 2.0
-    raise BracketFailureError(f"{what} still {-gap:.3g} short after {_LIFT_STEPS} steps")
+    return lo, hi, steps, at_hi
 
 
 def closed_form_shift(
@@ -196,41 +180,93 @@ def closed_form_shift(
     return exact and exp.cash_additive and loss.shape == "linear" and loss.lower == loss.upper
 
 
-def _minimal_shift_with_iters(
-    exp: ne.NonlinearExpectation,
-    loss: LossFunction,
-    scen: sc.ScenarioSet,
-    i: int,
-    rv: sc.RandomVariable,
-    tol: float,
-) -> tuple[float, int]:
-    """The minimal shift and the bisection steps it took (0 for a closed form)."""
-    ne.check_monotone(exp, scen)
-    h0 = constraint_value(exp, loss, scen, i, rv.values)
-    if h0 >= 0.0:
-        return 0.0, 0
+@dataclass(frozen=True)
+class ReflectionProblem:
+    """A per-level constraint ``constraint(i, values) >= 0`` and how it grows under a lift.
+
+    The constraint is nondecreasing in a constant ``x`` added to ``values``.
+    With ``exact`` it grows by exactly ``slope*x``, so the lift has a closed
+    form; otherwise it grows by at least ``slope*x*exp(-kappa_t)``, which
+    bounds the bracket of a search.
+    """
+
+    constraint: Callable
+    slope: float
+    exact: bool = False
+    kappa_t: float = 0.0
+
+
+def mean_constraint_problem(
+    scen: sc.ScenarioSet, loss: LossFunction, exp: ne.NonlinearExpectation
+) -> ReflectionProblem:
+    """The mean constraint ``E[l(t_i, .)] >= 0`` with its lift data.
+
+    Exact at the loss slope when :func:`closed_form_shift` holds; a
+    cash-additive operator grows at least at the lower loss slope (up to
+    sampling error on Monte Carlo paths, which the bracket doubling
+    absorbs); any other operator at least at ``lower*scale*exp(-kappa*T)``.
+    """
+
+    def constraint(i, values):
+        return constraint_value(exp, loss, scen, i, values)
+
+    if exp.cash_additive:
+        return ReflectionProblem(constraint, loss.lower, closed_form_shift(exp, loss, scen))
+    return ReflectionProblem(constraint, loss.lower * exp.scale,
+                             kappa_t=exp.kappa * scen.grid.horizon)
+
+
+def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float, tol: float):
+    """Root of ``phi(x) = problem.constraint(i, values + x)``, given ``phi(0) = v0 != 0``.
+
+    Returns ``(lo, hi, steps, phi(hi))`` with ``phi(hi) >= 0``.  An exact
+    problem takes the closed form ``-v0/slope`` (``lo = hi``, no steps),
+    stepped up until it holds as evaluated: each step adds the remaining
+    gap over the slope, and at least one spacing of ``max|values| + |x|``,
+    doubled at each step, since a closed form can land a rounding error
+    short of the root.  Any other bisects from the slope-bound reach
+    ``|v0|*exp(kappa_t)/slope``.  Raises ``BracketFailureError`` when the
+    reach does not fit in a float or the closed form is still short after 8
+    steps.
+    """
 
     def phi(x):
-        return constraint_value(exp, loss, scen, i, rv.values + x)
+        return problem.constraint(i, values + x)
 
-    if closed_form_shift(exp, loss, scen):
-        what = f"closed-form shift at index {i}"
-        return _step_up(phi, -h0 / loss.lower, loss.lower, rv.values, what), 0
-    if exp.cash_additive:
-        # monotone (checked above) and cash additive: phi(x) >= h0 + lower*x
-        # (up to sampling error on Monte Carlo paths, which the bracket
-        # doubling absorbs)
-        reach = -h0 / loss.lower
-    else:
-        with np.errstate(over="ignore"):
-            reach = (-h0) * np.exp(exp.kappa * scen.grid.horizon) / (loss.lower * exp.scale)
-        if not np.isfinite(reach):
-            raise BracketFailureError(
-                f"shift bracket at index {i} overflows (kappa * T = "
-                f"{exp.kappa * scen.grid.horizon:.3g})"
-            )
-    _, hi, steps = _monotone_root(phi, h0, reach, tol)
-    return hi, steps
+    if problem.exact:
+        x = -v0 / problem.slope
+        step = np.spacing(float(np.max(np.abs(values))) + abs(x))
+        for _ in range(_LIFT_STEPS):
+            gap = phi(x)
+            if gap >= 0.0:
+                return x, x, 0, gap
+            x += max(-gap / problem.slope, step)
+            step *= 2.0
+        raise BracketFailureError(
+            f"closed-form shift at index {i} still {-gap:.3g} short after {_LIFT_STEPS} steps"
+        )
+    with np.errstate(over="ignore"):
+        reach = abs(v0) * np.exp(problem.kappa_t) / problem.slope
+    if not np.isfinite(reach):
+        raise BracketFailureError(
+            f"shift bracket at index {i} overflows (kappa * T = {problem.kappa_t:.3g})"
+        )
+    return _monotone_root(phi, v0, reach, tol)
+
+
+def lift(problem: ReflectionProblem, i: int, values: np.ndarray, tol: float = OPERATOR_TOL):
+    """The minimal lift of level ``i`` onto ``problem.constraint(i, .) >= 0``.
+
+    Returns ``(x, steps, value)``: the smallest ``x >= 0`` (to ``tol``) with
+    ``value = problem.constraint(i, values + x) >= 0`` as evaluated, and the
+    bisection steps it took (0 when the constraint holds at 0 or the lift
+    has a closed form).
+    """
+    h0 = problem.constraint(i, values)
+    if h0 >= 0.0:
+        return 0.0, 0, h0
+    _, x, steps, value = _root(problem, i, values, h0, tol)
+    return x, steps, value
 
 
 def minimal_shift(
@@ -251,14 +287,16 @@ def minimal_shift(
     (:func:`nebsde.expectations.check_monotone`).
     """
     sc.check_rv(scen, rv)
-    value, _ = _minimal_shift_with_iters(exp, loss, scen, i, rv, tol)
-    return value
+    ne.check_monotone(exp, scen)
+    return lift(mean_constraint_problem(scen, loss, exp), i, rv.values, tol)[0]
 
 
 @dataclass(frozen=True)
 class ReflectionDiagnostics:
     """Post-solve constraint evidence attached to a reflected solution.
 
+    ``constraint_values[i]`` is the value the lift verified on the final
+    level ``i``, and ``skorokhod_residual`` is built from it.
     ``shift_iterations[i]`` counts the bisection steps spent on level ``i``
     (0 where the shift has a closed form); ``shift_closed_form`` and
     ``shift_search`` count the binding levels (positive shift) that took no
@@ -280,7 +318,6 @@ class ReflectedSolution:
     Z: tuple
     K: ReflectorFlow
     diagnostics: ReflectionDiagnostics
-    start: int = 0
     picard: object | None = None
 
     @property

@@ -132,6 +132,16 @@ def evaluate_risk(rho: RiskMeasure, scen: sc.ScenarioSet, i: int, rv: sc.RandomV
     return float(np.max(-rho.scale * means - rho.penalties))
 
 
+def _risk_problem(rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet) -> rf.ReflectionProblem:
+    """The slack ``q_i - rho(t_i, .) >= 0``, which grows at exactly ``scale``."""
+
+    def constraint(i, values):
+        rv = sc.RandomVariable(i, np.asarray(values, dtype=float))
+        return float(q.values[i]) - evaluate_risk(rho, scen, i, rv)
+
+    return rf.ReflectionProblem(constraint, rho.scale, exact=True)
+
+
 def risk_shift(
     rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet, i: int, rv: sc.RandomVariable
 ) -> float:
@@ -139,30 +149,11 @@ def risk_shift(
 
     Translation invariance of ``rho`` collapses the root search that the
     mean constraint needs.  The closed form can land a rounding error short
-    of the set, so the lift is stepped up until ``rho(t_i, rv + x) <= q_i``
-    holds as evaluated, which makes the reflected level feasible by
-    construction.
+    of the set, so the lift (:func:`nebsde.reflection.lift`) is stepped up
+    until ``rho(t_i, rv + x) <= q_i`` holds as evaluated, which makes the
+    reflected level feasible by construction.
     """
-    qi = float(q.values[i])
-    excess = evaluate_risk(rho, scen, i, rv) - qi
-    if excess <= 0.0:
-        return 0.0
-
-    def slack(x):
-        return qi - evaluate_risk(rho, scen, i, sc.RandomVariable(i, rv.values + x))
-
-    return rf._step_up(slack, excess / rho.scale, rho.scale, rv.values, f"risk lift at index {i}")
-
-
-def _risk_problem(rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet) -> pc.ReflectionProblem:
-    def shift(i, rv):
-        return risk_shift(rho, q, scen, i, rv), 0
-
-    def constraint(i, values):
-        rv = sc.RandomVariable(i, np.asarray(values, dtype=float))
-        return float(q.values[i]) - evaluate_risk(rho, scen, i, rv)
-
-    return pc.ReflectionProblem(shift=shift, constraint=constraint)
+    return rf.lift(_risk_problem(rho, q, scen), i, rv.values)[0]
 
 
 def solve_risk_reflected(

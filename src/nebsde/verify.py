@@ -40,23 +40,18 @@ def mean_floor(
 
     This is the lowest admissible mean at index ``i`` for a process whose
     centered fluctuation matches ``ybar``.  Monotonicity of the constraint
-    functional in x makes the root unique; it is bracketed by the slope
-    bound and bisected to ``tol``.
+    functional in x makes the root unique.  It is found as the minimal lift
+    finds a shift (:func:`nebsde.reflection.lift`), by the same closed form
+    or from the same slope-bound reach, and a search returns the midpoint of
+    its final bracket, within ``tol`` of the root.  Raises
+    ``BracketFailureError`` when the reach does not fit in a float.
     """
-    centered = sc.RandomVariable(i, ybar.values - sc.expect(scen, ybar))
-
-    def phi(x: float) -> float:
-        return rf.constraint_value(exp, loss, scen, i, centered.values + x)
-
-    v0 = phi(0.0)
+    problem = rf.mean_constraint_problem(scen, loss, exp)
+    centered = ybar.values - sc.expect(scen, ybar)
+    v0 = problem.constraint(i, centered)
     if v0 == 0.0:
         return 0.0
-    reach = abs(v0) * np.exp(exp.kappa * scen.grid.horizon) / (loss.lower * exp.scale)
-    if reach <= tol:
-        # the root is within tol of zero; shifts this small are also below
-        # the resolution of the constraint functional, so stop here
-        return 0.0
-    lo, hi, _ = rf._monotone_root(phi, v0, reach, tol)
+    lo, hi, _, _ = rf._root(problem, i, centered, v0, tol)
     return 0.5 * (lo + hi)
 
 
@@ -91,7 +86,7 @@ def representation_gap(
     means are used for the accumulated brackets.
     """
     m = scen.grid.steps
-    if len(sol.Y) != m + 1 or sol.start != 0:
+    if len(sol.Y) != m + 1:
         raise ValueError("representation needs a full-grid solution")
     dt = scen.grid.dt
     nodes = scen.grid.nodes

@@ -393,6 +393,22 @@ def test_large_kappa_maxmin_solves(tmp_path):
     assert line == [line[0]] and int(line[0].split("shift_search=")[1]) > 0
 
 
+
+def test_large_kappa_maxmin_mean_floor_column(tmp_path):
+    # The same config with the floor column: alpha-maxmin is cash additive,
+    # so the floor's bracket is |v0|/loss_lower with no exp(kappa*T) factor.
+    ini = LARGE_KAPPA_INI.format(horizon=14200.0, steps=50, payoff="b + 3", driver=-0.01,
+                                 loss="min(x, 0.6 * x)")
+    ini += "loss_lower = 0.6\nexpectation = alpha-maxmin\nalpha = 1.0\nkappa = 0.05\n"
+    ini += "\n[output]\nmean_floor_column = yes\n"
+    cfg = _write(tmp_path / "run.ini", ini)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "solution.csv").read_text().splitlines()
+    assert rows[1] == "t,mean_y,flow,constraint,mean_floor"
+    floors = [float(row.split(",")[4]) for row in rows[2:-1]]
+    assert len(floors) == 50 and all(math.isfinite(f) for f in floors)
+
+
 def test_operator_not_monotone_on_tree_exits_1(tmp_path, capsys):
     # kappa*sqrt(dt) = 113 on 50 steps: the operator is not monotone there.
     ini = LARGE_KAPPA_INI.format(horizon=1.0, steps=50, payoff="b + 3", driver=-4.0,

@@ -7,6 +7,7 @@ from nebsde import bsde as bs
 from nebsde import expectations as ne
 from nebsde import picard as pc
 from nebsde import reflection as rf
+from nebsde import risk as rk
 from nebsde import scenarios as sc
 from nebsde.errors import FixedPointError, PicardDivergenceError
 
@@ -120,11 +121,101 @@ def test_options_validation():
 
 def test_mean_constraint_problem_wiring(tree50):
     loss = rf.LossFunction.linear(0.2)
-    problem = pc.mean_constraint_problem(tree50, loss, CLS, 1e-8)
+    problem = rf.mean_constraint_problem(tree50, loss, CLS)
+    assert problem.exact and problem.slope == 1.0
     rv = sc.RandomVariable(50, tree50.tree_values[50] + 0.7)
     assert abs(problem.constraint(50, rv.values) - (0.7 - 0.2)) <= 1e-12
-    shift, iters = problem.shift(50, rv)
+    shift, iters, _ = rf.lift(problem, 50, rv.values, 1e-8)
     assert shift == 0.0 and iters == 0
     low = sc.RandomVariable(50, tree50.tree_values[50] - 0.7)
-    shift, _ = problem.shift(50, low)
+    shift, _, value = rf.lift(problem, 50, low.values, 1e-8)
     assert shift == pytest.approx(0.9, abs=2e-8)
+    assert value == problem.constraint(50, low.values + shift) >= 0.0
+
+
+CONCAVE = rf.LossFunction(fn=lambda t, x: np.minimum(x, 0.6 * np.asarray(x)),
+                          lower=0.6, upper=1.0, shape="concave")
+Y_DRIVER = bs.Driver(fn=lambda t, y, z: -0.2 * np.asarray(y) + 0.1 * np.abs(z),
+                     lipschitz=0.3, depends_on_y=True, depends_on_z=True)
+
+
+@pytest.mark.parametrize("case", ["maxmin-linear", "gexp-concave", "montecarlo-classical"])
+def test_stored_constraint_values_match_a_fresh_evaluation(case):
+    # constraint_values[i] is the value the lift verified on the final level
+    # i; it must equal a from-scratch evaluation of Y_i bit for bit, and the
+    # stored residual must equal the from-scratch audit.
+    if case == "montecarlo-classical":
+        scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), "montecarlo", n_paths=500, seed=3,
+                                  basis_degree=3)
+        claim = bs.TerminalClaim.from_function(scen, lambda b: b + 1.05)
+        exp, loss, driver = CLS, rf.LossFunction.linear(1.0), Y_DRIVER
+    else:
+        scen = sc.build_scenarios(sc.TimeGrid(1.0, 60), "tree")
+        claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.5)
+        driver = bs.Driver.constant(-1.0)
+        if case == "maxmin-linear":
+            exp = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=0.5)
+            loss = rf.LossFunction.linear(0.0)
+        else:
+            exp = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.3, include_y=True))
+            loss = CONCAVE
+    sol = pc.solve_reflected(scen, claim, driver, loss, exp)
+    diag = sol.diagnostics
+    assert diag.shift_closed_form + diag.shift_search > 0
+    if case == "maxmin-linear":
+        assert diag.shift_search == 0
+    elif case == "gexp-concave":
+        assert diag.shift_closed_form == 0
+    else:
+        assert max(sol.picard.iterations) > 1
+    fresh = [rf.constraint_value(exp, loss, scen, y.index, y.values) for y in sol.Y]
+    assert np.array_equal(diag.constraint_values, fresh)
+    assert rf.skorokhod_residual(scen, sol, loss, exp) == diag.skorokhod_residual
+
+
+def test_stored_risk_slack_matches_a_fresh_evaluation(tree50):
+    # A rate != 0 makes the generator read y, so binding steps take several
+    # passes; the stored slack is the one of the final pass.
+    mkt = rk.Market(rate=0.05, drift=0.25, volatility=0.2)
+    rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
+    q = rk.Benchmark.constant(tree50.grid, 0.45)
+    claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.45)
+    sol = rk.superhedge_price(mkt, tree50, claim, rho, q).solution
+    assert sol.K.total > 0.0 and max(sol.picard.iterations) > 1
+    fresh = [0.45 - rk.evaluate_risk(rho, tree50, y.index, y) for y in sol.Y]
+    assert np.array_equal(sol.diagnostics.constraint_values, fresh)
+
+
+def _counting(monkeypatch, module, name):
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["tree", "montecarlo", "risk"])
+def test_slack_solve_evaluates_each_level_once(monkeypatch, mode):
+    # Nothing binds: the terminal feasibility check, then one evaluation per
+    # level, kept as that level's constraint value.
+    m = 20
+    if mode == "montecarlo":
+        scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "montecarlo", n_paths=200, seed=1)
+    else:
+        scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 5.0)
+    driver = bs.Driver.constant(0.0)
+    if mode == "risk":
+        calls = _counting(monkeypatch, rk, "evaluate_risk")
+        rho = rk.RiskMeasure.coherent_family([-0.5, 0.5])
+        sol = rk.solve_risk_reflected(scen, claim, driver, rho,
+                                      rk.Benchmark.constant(scen.grid, 0.0))
+    else:
+        calls = _counting(monkeypatch, rf, "constraint_value")
+        sol = pc.solve_reflected(scen, claim, driver, rf.LossFunction.linear(0.0), CLS)
+    assert sol.K.total == 0.0
+    assert calls[0] <= m + 2

@@ -25,6 +25,10 @@ def _solve_constant(scen, claim, c, loss):
     return pc.solve_reflected(scen, claim, bs.Driver.constant(c), loss, CLS)
 
 
+def _lift(exp, loss, scen, i, rv):
+    return rf.lift(rf.mean_constraint_problem(scen, loss, exp), i, rv.values, rf.OPERATOR_TOL)
+
+
 def test_flow_and_profile_validation():
     with pytest.raises(ValueError):
         rf.ReflectorFlow(np.array([0.1, 0.2]))
@@ -122,14 +126,15 @@ def test_closed_form_shift_matches_bisection_and_brentq(
     def phi(x):
         return rf.constraint_value(exp, loss, tree50, index, values + x)
 
-    got, steps = rf._minimal_shift_with_iters(exp, loss, tree50, index, rv, rf.OPERATOR_TOL)
+    got, steps, value = _lift(exp, loss, tree50, index, rv)
     assert steps == 0
+    assert value == phi(got)
     h0 = phi(0.0)
     if h0 >= 0.0:
         assert got == 0.0
         return
     assert phi(got) >= 0.0
-    _, hi, _ = rf._monotone_root(phi, h0, -h0 / slope, rf.OPERATOR_TOL)
+    _, hi, _, _ = rf._monotone_root(phi, h0, -h0 / slope, rf.OPERATOR_TOL)
     assert abs(got - hi) <= rf.OPERATOR_TOL
     root = brentq(phi, 0.0, 1.0 - 2.0 * h0 / slope, xtol=1e-14)
     assert abs(got - root) <= rf.OPERATOR_TOL
@@ -166,12 +171,12 @@ def test_monte_carlo_closed_form_only_for_the_classical_mean():
     maxmin = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=0.5)
     assert not rf.closed_form_shift(maxmin, loss, scen)
     assert rf.closed_form_shift(CLS, loss, scen)
-    got, steps = rf._minimal_shift_with_iters(maxmin, loss, scen, 5, rv, rf.OPERATOR_TOL)
+    got, steps, _ = _lift(maxmin, loss, scen, 5, rv)
     assert steps > 0
     lifted = rf.constraint_value(maxmin, loss, scen, 5, rv.values + got)
     below = rf.constraint_value(maxmin, loss, scen, 5, rv.values + got - rf.OPERATOR_TOL)
     assert lifted >= 0.0 > below
-    got, steps = rf._minimal_shift_with_iters(CLS, loss, scen, 5, rv, rf.OPERATOR_TOL)
+    got, steps, _ = _lift(CLS, loss, scen, 5, rv)
     assert steps == 0 and abs(got - (0.8 - float(np.mean(scen.paths[:, 5])))) <= 1e-12
 
 
@@ -188,7 +193,7 @@ def test_cash_additive_bracket_survives_large_kappa():
     amm = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=kappa)
     for i, level in ((50, -2.0), (20, -50.0)):
         rv = sc.RandomVariable(i, scen.tree_values[i] + level)
-        got, steps = rf._minimal_shift_with_iters(amm, loss, scen, i, rv, rf.OPERATOR_TOL)
+        got, steps, _ = _lift(amm, loss, scen, i, rv)
         assert steps > 0 and 0.0 < got < np.inf
         phi = lambda x: rf.constraint_value(amm, loss, scen, i, rv.values + x)
         assert phi(got) >= 0.0 > phi(got - 2.0 * rf.OPERATOR_TOL)

@@ -13,6 +13,7 @@ from nebsde import picard as pc
 from nebsde import reflection as rf
 from nebsde import scenarios as sc
 from nebsde import verify as vf
+from nebsde.errors import BracketFailureError
 
 EXACT = 1e-12
 CLS = ne.NonlinearExpectation.classical()
@@ -50,6 +51,43 @@ def test_mean_floor_signed_root(tree50):
     ybar = sc.RandomVariable(10, tree50.tree_values[10])
     got = vf.mean_floor(CLS, loss, tree50, 10, ybar)
     assert abs(got - (-0.4)) <= 2e-8
+
+
+
+@pytest.mark.parametrize("mode", ["tree", "montecarlo"])
+def test_mean_floor_overflowing_bracket_raises_bracket_failure(mode):
+    # A y-dependent driver declared at kappa = 800 keeps the exp(kappa*T)
+    # reach, which does not fit in a float; it is reported as the shift
+    # search reports it, not evaluated.
+    kw = {"n_paths": 200, "seed": 1} if mode == "montecarlo" else {}
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), mode, **kw)
+    driver = bs.Driver(fn=lambda t, y, z: -0.5 * np.asarray(y), lipschitz=0.5,
+                       depends_on_y=True)
+    exp = ne.NonlinearExpectation.gexp(driver, kappa=800.0)
+    ybar = sc.brownian_rv(scen, 10)
+    with pytest.raises(BracketFailureError, match="overflows"):
+        vf.mean_floor(exp, rf.LossFunction.linear(0.2), scen, 10, ybar)
+    with pytest.raises(BracketFailureError, match="overflows"):
+        rf.minimal_shift(exp, rf.LossFunction.linear(0.2), scen, 10, ybar)
+
+
+def test_mean_floor_cash_additive_reach_has_no_exponential():
+    # alpha-maxmin at kappa*T = 710 is cash additive, so the reach is
+    # |v0|/lower and the floor is finite and solves its equation.
+    kappa, horizon = 0.05, 14200.0
+    scen = sc.build_scenarios(sc.TimeGrid(horizon, 50), "tree")
+    amm = ne.NonlinearExpectation.alpha_maxmin(alpha=1.0, kappa=kappa)
+    loss = rf.LossFunction(fn=lambda t, x: np.minimum(x, 0.6 * np.asarray(x)),
+                           lower=0.6, upper=1.0, shape="concave")
+    ybar = sc.RandomVariable(30, scen.tree_values[30] + 3.0)
+    got = vf.mean_floor(amm, loss, scen, 30, ybar)
+    centered = ybar.values - sc.expect(scen, ybar)
+
+    def phi(x):
+        return rf.constraint_value(amm, loss, scen, 30, centered + x)
+
+    assert np.isfinite(got)
+    assert phi(got - 1e-8) <= 0.0 <= phi(got + 1e-8)
 
 
 def test_representation_on_ramp_instance():
