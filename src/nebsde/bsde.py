@@ -75,6 +75,26 @@ class Driver:
         )
 
 
+def check_lipschitz_lattice(driver: Driver, t_values, values) -> None:
+    """Sample ``driver`` on the ``(y, z)`` lattice ``values x values`` and verify its constant.
+
+    Raises ``ValueError`` if any sampled difference quotient in ``y`` or in
+    ``z`` exceeds ``driver.lipschitz`` (up to 1e-9 slack) or is not finite.
+    """
+    y, z = np.meshgrid(np.asarray(values, dtype=float), np.asarray(values, dtype=float),
+                       indexing="ij")
+    for t in t_values:
+        with np.errstate(all="ignore"):
+            f = np.broadcast_to(np.asarray(driver.fn(float(t), y, z), dtype=float), y.shape)
+            quot = np.concatenate([(np.diff(f, axis=0) / np.diff(y, axis=0)).ravel(),
+                                   (np.diff(f, axis=1) / np.diff(z, axis=1)).ravel()])
+        if not np.all(np.abs(quot) <= driver.lipschitz + 1e-9):
+            raise ValueError(
+                f"driver slope above its Lipschitz constant {driver.lipschitz:g}, "
+                f"or not finite, near t={t:g}"
+            )
+
+
 @dataclass(frozen=True)
 class TerminalClaim:
     """A square-integrable payoff on the terminal (or an interior) level."""
@@ -103,15 +123,14 @@ class TerminalClaim:
 
 @dataclass(frozen=True)
 class BsdePair:
-    """Adapted solution pair: ``Y`` on indices ``start..stop``, ``Z`` on steps."""
+    """Adapted solution pair: ``Y`` on indices ``0..stop``, ``Z`` on steps."""
 
     Y: tuple
     Z: tuple
-    start: int = 0
 
     @property
     def value(self) -> float:
-        """Root value ``Y_start`` when it is deterministic (tree mode)."""
+        """Root value ``Y_0`` (the mean over its nodes on Monte Carlo paths)."""
         v = self.Y[0].values
         return float(v[0]) if v.size == 1 else float(v.mean())
 
@@ -144,32 +163,29 @@ def solve_bsde(
     scen: sc.ScenarioSet,
     claim: TerminalClaim,
     driver: Driver,
-    start: int = 0,
     flow=None,
 ) -> BsdePair:
-    """Backward solve from the claim's level down to ``start``.
+    """Backward solve from the claim's level down to 0.
 
-    Returns Y on indices ``start..claim.index`` and Z on
-    ``start..claim.index - 1``.  ``flow``, when given, holds one
-    deterministic increment per step ``start + j``, added to the conditional
-    mean before the implicit step; no constraint logic runs.
+    Returns Y on indices ``0..claim.index`` and Z on ``0..claim.index - 1``.
+    ``flow``, when given, holds one deterministic increment per step, added
+    to the conditional mean before the implicit step; no constraint logic
+    runs.
     """
     sc.check_rv(scen, claim.rv)
     stop = claim.index
-    if not 0 <= start <= stop:
-        raise ValueError(f"start {start} must lie in 0..{stop}")
-    if flow is not None and len(flow) != stop - start:
-        raise ValueError(f"flow needs {stop - start} increments, got {len(flow)}")
+    if flow is not None and len(flow) != stop:
+        raise ValueError(f"flow needs {stop} increments, got {len(flow)}")
     nodes = scen.grid.nodes
     dt = scen.grid.dt
     ys = [sc.RandomVariable(stop, claim.values.copy())]
     zs = []
     vals = claim.values
-    for i in range(stop - 1, start - 1, -1):
+    for i in range(stop - 1, -1, -1):
         z = sc.step_z(scen, vals, i)
         e = sc.step_expect(scen, vals, i)
         if flow is not None:
-            e = e + flow[i - start]
+            e = e + flow[i]
         vals = implicit_step(driver, float(nodes[i]), e, z, dt)
         if not np.all(np.isfinite(vals)):
             raise FixedPointError(f"non-finite values produced at index {i}")
@@ -177,4 +193,4 @@ def solve_bsde(
         zs.append(sc.RandomVariable(i, z))
     ys.reverse()
     zs.reverse()
-    return BsdePair(Y=tuple(ys), Z=tuple(zs), start=start)
+    return BsdePair(Y=tuple(ys), Z=tuple(zs))

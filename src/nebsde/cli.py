@@ -13,7 +13,9 @@ and ``run.log`` always, ``report.csv`` for ``verify``.  CSV numbers carry
 config digest and effective seed, so identical inputs produce
 byte-identical files.
 
-Exit codes: 0 success, 1 config problem, 2 infeasible constraint,
+Exit codes: 0 success, 1 config problem (including a loss slope bound or
+driver Lipschitz constant that its probe lattice refutes, and a gexp driver
+that does not vanish at the origin on a grid date), 2 infeasible constraint,
 3 divergence or non-contractive step, 4 no root bracket for a shift search
 (the declared loss slope bounds do not hold, a bracket, also that of a
 mean floor, does not fit in a float, or a risk lift misses the acceptance
@@ -162,10 +164,10 @@ _SCHEMA = {
     "problem": {
         "payoff", "driver", "driver_lipschitz", "loss", "loss_lower",
         "loss_upper", "loss_shape", "expectation", "kappa", "alpha",
-        "gexp_driver", "scale",
+        "gexp_driver",
     },
     "solver": {"picard_tol", "max_picard_iters", "operator_tol", "feasibility_tol"},
-    "risk": {"kernels", "penalties", "kappa", "q_constant", "q_knots"},
+    "risk": {"kernels", "penalties", "q_constant", "q_knots"},
     "market": {"rate", "drift", "volatility"},
     "verify": {"gamma", "floor", "shift", "tilt"},
     "output": {"mean_floor_column"},
@@ -292,27 +294,39 @@ def _build_scenario(cfg, seed_override):
     return scen, seed
 
 
-def _build_driver(sec: _Section) -> bs.Driver:
-    expr = sec.expression("driver", {"t", "y", "z"}, default=None)
+# (y, z) lattice on which a configured driver's Lipschitz constant is checked
+_DRIVER_PROBE = np.linspace(-10.0, 10.0, 41)
+
+
+def _build_driver(sec: _Section, key: str, lipschitz_key: str, grid: sc.TimeGrid,
+                  required: bool = False) -> bs.Driver:
+    """The generator in ``key``, an expression in ``t, y, z``.
+
+    One that reads ``y`` or ``z`` needs a positive ``lipschitz_key``, probed
+    on a ``(y, z)`` lattice at every grid date (not beyond it).
+    """
+    expr = sec.expression(key, {"t", "y", "z"}, required=required)
     if expr is None:
         return bs.Driver.constant(0.0)
     dep_y = "y" in expr.names
     dep_z = "z" in expr.names
+    lam = 0.0
     if dep_y or dep_z:
-        lam = sec.number("driver_lipschitz", required=True)
+        lam = sec.number(lipschitz_key, required=True)
         if lam <= 0:
             raise ConfigError("must be > 0 for a y/z-dependent driver",
-                              key="problem.driver_lipschitz")
-    else:
-        lam = 0.0
+                              key=f"problem.{lipschitz_key}")
 
     def fn(t, y, z):
         return expr(t=t, y=np.asarray(y, dtype=float), z=np.asarray(z, dtype=float))
 
     try:
-        return bs.Driver(fn=fn, lipschitz=lam, depends_on_y=dep_y, depends_on_z=dep_z)
+        driver = bs.Driver(fn=fn, lipschitz=lam, depends_on_y=dep_y, depends_on_z=dep_z)
+        if dep_y or dep_z:
+            bs.check_lipschitz_lattice(driver, grid.nodes, _DRIVER_PROBE)
     except ValueError as exc:
-        raise ConfigError(str(exc), key="problem.driver") from None
+        raise ConfigError(str(exc), key=f"problem.{lipschitz_key}") from None
+    return driver
 
 
 # lattice on which a configured loss's slope bounds are checked: x, and the
@@ -358,38 +372,29 @@ def _build_payoff(sec: _Section, scen: sc.ScenarioSet) -> sc.RandomVariable:
                           key="problem.payoff") from None
 
 
-def _build_expectation(sec: _Section) -> ne.NonlinearExpectation:
+def _build_expectation(sec: _Section, grid: sc.TimeGrid) -> ne.NonlinearExpectation:
+    """The expectation; ``kappa`` is the gexp driver's constant or the alpha-maxmin radius."""
     kind = sec.text("expectation", "classical")
-    kappa = sec.number("kappa", 0.0)
-    scale = sec.number("scale", 1.0)
-    try:
-        if kind == "classical":
-            return ne.NonlinearExpectation(kind="classical", kappa=kappa, scale=scale)
-        if kind == "gexp":
-            gexpr = sec.expression("gexp_driver", {"t", "y", "z"}, required=True)
-            dep_y = "y" in gexpr.names
-            dep_z = "z" in gexpr.names
-            if (dep_y or dep_z) and kappa <= 0:
-                raise ConfigError("kappa must be > 0 for a state-dependent generator",
-                                  key="problem.kappa")
-
-            def gfn(t, y, z):
-                return gexpr(t=t, y=np.asarray(y, dtype=float), z=np.asarray(z, dtype=float))
-
-            driver = bs.Driver(fn=gfn, lipschitz=kappa if (dep_y or dep_z) else 0.0,
-                               depends_on_y=dep_y, depends_on_z=dep_z)
-            return ne.NonlinearExpectation.gexp(driver, kappa=kappa, scale=scale)
-        if kind == "alpha-maxmin":
-            alpha = sec.number("alpha", 1.0)
-            return ne.NonlinearExpectation.alpha_maxmin(alpha=alpha, kappa=kappa)
-        raise ConfigError(f"unknown expectation kind {kind!r}", key="problem.expectation")
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="problem.expectation") from None
+    if kind == "classical":
+        return ne.NonlinearExpectation.classical()
+    if kind == "gexp":
+        driver = _build_driver(sec, "gexp_driver", "kappa", grid, required=True)
+        try:
+            ne.check_vanishing(driver, grid.nodes)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key="problem.gexp_driver") from None
+        return ne.NonlinearExpectation.gexp(driver)
+    if kind == "alpha-maxmin":
+        try:
+            return ne.NonlinearExpectation.alpha_maxmin(
+                alpha=sec.number("alpha", 1.0), kappa=sec.number("kappa", 0.0)
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc), key="problem.expectation") from None
+    raise ConfigError(f"unknown expectation kind {kind!r}", key="problem.expectation")
 
 
 def _build_options(cfg) -> pc.SolveOptions:
-    if not cfg.has_section("solver"):
-        return pc.SolveOptions()
     sec = _Section(cfg, "solver")
     try:
         return pc.SolveOptions(
@@ -408,9 +413,8 @@ def _build_risk(cfg, grid) -> tuple:
     sec = _Section(cfg, "risk")
     kernels = sec.numbers("kernels", required=True)
     penalties = sec.numbers("penalties", [0.0] * len(kernels))
-    kappa = sec.number("kappa", None)
     try:
-        rho = rk.RiskMeasure.convex_family(kernels, penalties, kappa)
+        rho = rk.RiskMeasure.convex_family(kernels, penalties)
     except ValueError as exc:
         raise ConfigError(str(exc), key="risk.kernels") from None
     qc = sec.number("q_constant", None)
@@ -473,28 +477,27 @@ def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
             raise ConfigError("required section missing", key="problem")
         run.payoff = _build_payoff(prob, scen)
     if command == "solve":
-        run.driver = _build_driver(prob)
+        run.driver = _build_driver(prob, "driver", "driver_lipschitz", scen.grid)
         run.loss = _build_loss(prob, scen.grid)
-        run.expectation = _build_expectation(prob)
+        run.expectation = _build_expectation(prob, scen.grid)
         try:
-            ne.check_monotone(run.expectation, scen)
+            ne.check_operator(run.expectation, scen)
         except ValueError as exc:
             raise ConfigError(str(exc), key="problem.kappa") from None
     if command == "gexp":
-        run.expectation = _build_expectation(prob)
+        run.expectation = _build_expectation(prob, scen.grid)
     if command == "price":
         run.market = _build_market(cfg)
         run.rho, run.benchmark = _build_risk(cfg, scen.grid)
     if command == "verify":
         vsec = _Section(cfg, "verify")
         run.verify_params = {
-            "gamma": vsec.number("gamma", 1.0) if cfg.has_section("verify") else 1.0,
-            "floor": vsec.number("floor", 0.0) if cfg.has_section("verify") else 0.0,
-            "shift": vsec.number("shift", 0.5) if cfg.has_section("verify") else 0.5,
-            "tilt": vsec.number("tilt", 1.0) if cfg.has_section("verify") else 1.0,
+            "gamma": vsec.number("gamma", 1.0),
+            "floor": vsec.number("floor", 0.0),
+            "shift": vsec.number("shift", 0.5),
+            "tilt": vsec.number("tilt", 1.0),
         }
-    if cfg.has_section("output"):
-        run.mean_floor_column = _Section(cfg, "output").flag("mean_floor_column", False)
+    run.mean_floor_column = _Section(cfg, "output").flag("mean_floor_column", False)
     return run
 
 
@@ -579,23 +582,18 @@ def _run_solve(run: RunConfig, out: Path, log: _RunLog) -> int:
 def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
     rv = run.payoff
-    value = ne.evaluate(run.expectation, scen, rv)
     exp = run.expectation
-    if exp.kind == "gexp":
-        pair = bs.solve_bsde(scen, bs.TerminalClaim(rv), exp.driver)
-        means = np.array([sc.expect(scen, y) for y in pair.Y])
-    elif exp.kind == "alpha_maxmin":
-        hi = bs.solve_bsde(scen, bs.TerminalClaim(rv), bs.Driver.kappa_abs(exp.kappa, include_y=False))
-        lo = bs.solve_bsde(scen, bs.TerminalClaim(rv), bs.Driver.kappa_abs(-exp.kappa, include_y=False))
-        means = np.array(
-            [
-                exp.alpha * sc.expect(scen, a) + (1.0 - exp.alpha) * sc.expect(scen, b)
-                for a, b in zip(hi.Y, lo.Y)
-            ]
-        )
+    value = ne.evaluate(exp, scen, rv)
+    if exp.kind == "classical":
+        means = np.full(scen.grid.steps + 1, sc.expect(scen, rv))
     else:
-        cond_means = [sc.expect(scen, rv)] * (scen.grid.steps + 1)
-        means = np.array(cond_means)
+        claim = bs.TerminalClaim(rv)
+        means = np.array([sc.expect(scen, y) for y in bs.solve_bsde(scen, claim, exp.driver).Y])
+        if exp.kind == "alpha_maxmin":
+            lower = bs.solve_bsde(scen, claim, bs.Driver.kappa_abs(-exp.kappa, include_y=False))
+            means = exp.alpha * means + (1.0 - exp.alpha) * np.array(
+                [sc.expect(scen, y) for y in lower.Y]
+            )
     columns = {"mean_y": means, "flow": np.zeros(scen.grid.steps + 1), "constraint": None,
                "mean_floor": None}
     _write_solution(out / "solution.csv", run, columns)

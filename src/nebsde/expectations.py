@@ -4,9 +4,9 @@ Three families share one evaluation entry point:
 
 * ``classical``: the scenario mean, with domination slope ``kappa = 0``.
 * ``gexp``: the value at time 0 of the BSDE driven by a generator that
-  vanishes at ``(y, z) = (0, 0)``.
+  vanishes at ``(y, z) = (0, 0)``; ``kappa`` is its Lipschitz constant.
 * ``alpha_maxmin``: the convex mix ``alpha * sup + (1 - alpha) * inf`` of the
-  scaled-|z| bounds, which is constant-preserving.
+  ``+-kappa*|z|`` g-expectations, which is constant-preserving.
 
 A claim living on an interior level is continued to the terminal solve by
 freezing z at 0 node by node (the conditional system degenerates to scalar
@@ -22,40 +22,34 @@ from . import _kernels as kern
 from . import bsde as bs
 from . import scenarios as sc
 
-_A3_PROBE_TIMES = (0.0, 0.5, 1.0)
-
 
 @dataclass(frozen=True)
 class NonlinearExpectation:
-    """A constant-preserving expectation operator with domination metadata.
+    """A constant-preserving expectation operator.
 
-    ``kappa`` and ``scale`` describe the dominating pair: the operator is
-    assumed to sit within ``scale`` times the two-sided ``kappa``-envelope.
+    ``driver`` is the ``gexp`` generator, or the upper ``kappa*|z|``
+    generator of ``alpha_maxmin``, whose value ``alpha`` weighs against the
+    lower one; its Lipschitz constant is the domination slope :attr:`kappa`.
     """
 
     kind: str
-    kappa: float = 0.0
-    scale: float = 1.0
     driver: bs.Driver | None = None
     alpha: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("classical", "gexp", "alpha_maxmin"):
             raise ValueError(f"unknown expectation kind {self.kind!r}")
-        if self.kappa < 0.0 or not np.isfinite(self.kappa):
-            raise ValueError("kappa must be finite and >= 0")
-        if self.scale <= 0.0 or not np.isfinite(self.scale):
-            raise ValueError("scale must be finite and > 0")
-        if self.kind == "gexp":
-            if self.driver is None:
-                raise ValueError("gexp expectation needs a driver")
-            zero = np.zeros(3)
-            for t in _A3_PROBE_TIMES:
-                probe = np.asarray(self.driver.fn(t, zero, zero), dtype=float)
-                if np.max(np.abs(probe)) > 1e-12:
-                    raise ValueError("gexp driver must vanish at (y, z) = (0, 0)")
+        if self.kind != "classical" and self.driver is None:
+            raise ValueError(f"{self.kind} expectation needs a driver")
         if self.kind == "alpha_maxmin" and not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        if self.kind == "alpha_maxmin" and self.driver.kappa_structure != (self.kappa, False):
+            raise ValueError("alpha_maxmin needs the upper driver kappa*|z| with kappa >= 0")
+
+    @property
+    def kappa(self) -> float:
+        """Domination constant: the driver's Lipschitz constant, 0 for the mean."""
+        return 0.0 if self.kind == "classical" else self.driver.lipschitz
 
     @property
     def cash_additive(self) -> bool:
@@ -68,21 +62,20 @@ class NonlinearExpectation:
         g-expectation keeps this only up to the sampling error of its
         regression estimate of ``Z``.
         """
-        return self.kind != "gexp" or not self.driver.depends_on_y
+        return self.kind == "classical" or not self.driver.depends_on_y
 
     @staticmethod
-    def classical(kappa: float = 0.0) -> "NonlinearExpectation":
-        return NonlinearExpectation(kind="classical", kappa=kappa)
+    def classical() -> "NonlinearExpectation":
+        return NonlinearExpectation(kind="classical")
 
     @staticmethod
-    def gexp(driver: bs.Driver, kappa: float | None = None, scale: float = 1.0) -> "NonlinearExpectation":
-        if kappa is None:
-            kappa = driver.lipschitz
-        return NonlinearExpectation(kind="gexp", kappa=float(kappa), scale=scale, driver=driver)
+    def gexp(driver: bs.Driver) -> "NonlinearExpectation":
+        return NonlinearExpectation(kind="gexp", driver=driver)
 
     @staticmethod
     def alpha_maxmin(alpha: float, kappa: float) -> "NonlinearExpectation":
-        return NonlinearExpectation(kind="alpha_maxmin", kappa=float(kappa), alpha=float(alpha))
+        return NonlinearExpectation(kind="alpha_maxmin", alpha=float(alpha),
+                                    driver=bs.Driver.kappa_abs(kappa, include_y=False))
 
 
 @dataclass(frozen=True)
@@ -102,22 +95,40 @@ class DominationReport:
         return self.upper_bound - self.difference
 
 
-def check_monotone(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> None:
-    """Raise ``ValueError`` when ``exp`` is not monotone on the tree ``scen``.
+def check_vanishing(driver: bs.Driver, t_values) -> None:
+    """Raise ``ValueError`` unless ``driver`` vanishes at ``(y, z) = (0, 0)`` at every ``t``.
 
-    One tree step of a generator with z-slope ``k`` weights the two children
-    by ``(1 +- k*sqrt(dt))/2``, so a larger claim keeps a larger value only
-    while ``k*sqrt(dt) <= 1``; the minimal-shift search relies on that.
-    ``k`` is ``kappa`` for ``alpha_maxmin`` and for a ``kappa*|z|``
-    generator, and the declared Lipschitz constant for any other generator
-    that depends on ``z``.  Monte Carlo paths are not checked.
+    A g-expectation preserves constants only then.
     """
-    if scen.mode != "tree" or exp.kind == "classical":
+    zero = np.zeros(1)
+    for t in t_values:
+        value = np.max(np.abs(np.asarray(driver.fn(float(t), zero, zero), dtype=float)))
+        if not value <= 1e-12:
+            raise ValueError(f"gexp driver must vanish at (y, z) = (0, 0); it is {value:.3g} "
+                             f"at t={float(t):g}")
+
+
+def check_operator(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> None:
+    """Raise ``ValueError`` when ``exp`` is not a valid operator on ``scen``.
+
+    A generator must vanish at ``(y, z) = (0, 0)`` on every grid date
+    (:func:`check_vanishing`).  On the tree the operator must be monotone:
+    one step of a generator with z-slope ``k`` weights the two children by
+    ``(1 +- k*sqrt(dt))/2``, so a larger claim keeps a larger value only
+    while ``k*sqrt(dt) <= 1``; the minimal-shift search relies on that.
+    ``k`` is ``|kappa|`` for a ``kappa*|z|`` generator (as in
+    ``alpha_maxmin``), and the declared Lipschitz constant for any other
+    generator that depends on ``z``.  Monte Carlo paths are not checked.
+    """
+    if exp.kind == "classical":
         return
-    if exp.kind == "alpha_maxmin":
-        slope = exp.kappa
-    elif exp.driver.kappa_structure is not None:
-        slope = abs(exp.driver.kappa_structure[0])
+    structure = exp.driver.kappa_structure
+    if structure is None:
+        check_vanishing(exp.driver, scen.grid.nodes)
+    if scen.mode != "tree":
+        return
+    if structure is not None:
+        slope = abs(structure[0])
     else:
         slope = exp.driver.lipschitz if exp.driver.depends_on_z else 0.0
     step = slope * np.sqrt(scen.grid.dt)
@@ -168,9 +179,9 @@ def evaluate(exp: NonlinearExpectation, scen: sc.ScenarioSet, rv: sc.RandomVaria
     sc.check_rv(scen, rv)
     if exp.kind == "classical":
         return sc.expect(scen, rv)
+    hi = _gexp_value(scen, rv, exp.driver)
     if exp.kind == "gexp":
-        return _gexp_value(scen, rv, exp.driver)
-    hi = _gexp_value(scen, rv, bs.Driver.kappa_abs(exp.kappa, include_y=False))
+        return hi
     lo = _gexp_value(scen, rv, bs.Driver.kappa_abs(-exp.kappa, include_y=False))
     return exp.alpha * hi + (1.0 - exp.alpha) * lo
 
@@ -183,14 +194,14 @@ def domination_gap(
 ) -> DominationReport:
     """Check ``E[X1] - E[X2]`` against its two-sided ``kappa``-envelope.
 
-    The envelope is ``scale`` times the signed ``kappa*(|y| + |z|)`` values
-    of the difference claim.
+    The envelope is the pair of signed ``kappa*(|y| + |z|)`` values of the
+    difference claim.
     """
     if rv1.index != rv2.index:
         raise ValueError("claims must live on the same grid index")
     diff = sc.RandomVariable(rv1.index, rv1.values - rv2.values)
     d = evaluate(exp, scen, rv1) - evaluate(exp, scen, rv2)
-    lo = exp.scale * _gexp_value(scen, diff, bs.Driver.kappa_abs(-exp.kappa))
-    hi = exp.scale * _gexp_value(scen, diff, bs.Driver.kappa_abs(exp.kappa))
+    lo = _gexp_value(scen, diff, bs.Driver.kappa_abs(-exp.kappa))
+    hi = _gexp_value(scen, diff, bs.Driver.kappa_abs(exp.kappa))
     return DominationReport(difference=d, lower_bound=lo, upper_bound=hi)
 

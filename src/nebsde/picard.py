@@ -149,6 +149,6 @@ def solve_reflected(
     minimal shift, and, for a generator that reads ``y``, re-rolled with the
     lifted level until the two agree to ``picard_tol``.
     """
-    ne.check_monotone(exp, scen)
+    ne.check_operator(exp, scen)
     problem = rf.mean_constraint_problem(scen, loss, exp)
     return _solve_with_problem(scen, claim, driver, problem, opts or SolveOptions())

@@ -204,7 +204,7 @@ def mean_constraint_problem(
     Exact at the loss slope when :func:`closed_form_shift` holds; a
     cash-additive operator grows at least at the lower loss slope (up to
     sampling error on Monte Carlo paths, which the bracket doubling
-    absorbs); any other operator at least at ``lower*scale*exp(-kappa*T)``.
+    absorbs); any other operator at least at ``lower*exp(-kappa*T)``.
     """
 
     def constraint(i, values):
@@ -212,8 +212,7 @@ def mean_constraint_problem(
 
     if exp.cash_additive:
         return ReflectionProblem(constraint, loss.lower, closed_form_shift(exp, loss, scen))
-    return ReflectionProblem(constraint, loss.lower * exp.scale,
-                             kappa_t=exp.kappa * scen.grid.horizon)
+    return ReflectionProblem(constraint, loss.lower, kappa_t=exp.kappa * scen.grid.horizon)
 
 
 def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float, tol: float):
@@ -283,11 +282,11 @@ def minimal_shift(
     when :func:`closed_form_shift` holds, checked feasible as evaluated;
     else the feasible end of a bisection between 0 and the slope-based
     upper bracket, at most ``tol`` above the root.  Raises ``ValueError``
-    when ``exp`` is not monotone on the tree
-    (:func:`nebsde.expectations.check_monotone`).
+    when ``exp`` is not a valid operator on ``scen``
+    (:func:`nebsde.expectations.check_operator`).
     """
     sc.check_rv(scen, rv)
-    ne.check_monotone(exp, scen)
+    ne.check_operator(exp, scen)
     return lift(mean_constraint_problem(scen, loss, exp), i, rv.values, tol)[0]
 
 
@@ -327,27 +326,6 @@ class ReflectedSolution:
 
     def mean_values(self, scen: sc.ScenarioSet) -> np.ndarray:
         return np.array([sc.expect(scen, y) for y in self.Y])
-
-
-def _backward_levels(
-    scen: sc.ScenarioSet,
-    terminal: sc.RandomVariable,
-    c_process,
-    start: int = 0,
-) -> list:
-    """Unreflected levels ``X_i = E_i[X_{i+1}] + c_i dt`` for ``i = start..terminal.index``.
-
-    ``c_process[j]`` is the generator value on step ``start + j`` (scalar or
-    per-node array).
-    """
-    dt = scen.grid.dt
-    xs = [terminal]
-    vals = terminal.values
-    for i in range(terminal.index - 1, start - 1, -1):
-        vals = sc.step_expect(scen, vals, i) + np.asarray(c_process[i - start]) * dt
-        xs.append(sc.RandomVariable(i, vals))
-    xs.reverse()
-    return xs
 
 
 def skorokhod_residual(

@@ -2,9 +2,9 @@
 
 The risk side replaces the mean constraint with ``rho(t, Y_t) <= q_t`` for a
 convex risk measure built from finitely many Girsanov tilt kernels with
-penalties.  Translation invariance, ``rho(X + x) = rho(X) - scale*x``,
-makes the minimal lift explicit: ``(rho(t, X) - q_t)^+ / scale``, no root
-search needed.  Superhedging prices a claim by reflecting the discounted
+penalties.  Translation invariance, ``rho(X + x) = rho(X) - x``, makes
+the minimal lift explicit: ``(rho(t, X) - q_t)^+``, no root search
+needed.  Superhedging prices a claim by reflecting the discounted
 wealth dynamics through that constraint.
 """
 from __future__ import annotations
@@ -26,14 +26,11 @@ class RiskMeasure:
     """Max over tilted means minus penalties.
 
     ``kernels`` are the Girsanov tilt slopes; ``penalties`` their convex
-    charges (all zero for a coherent measure).  ``kappa`` bounds the kernel
-    magnitudes and doubles as the domination slope.
+    charges (all zero for a coherent measure).
     """
 
     kernels: np.ndarray
     penalties: np.ndarray
-    kappa: float
-    scale: float = 1.0
 
     def __post_init__(self):
         ker = np.atleast_1d(np.asarray(self.kernels, dtype=float))
@@ -46,31 +43,18 @@ class RiskMeasure:
             raise ValueError("penalties must match kernels in length")
         if np.any(pen < 0.0):
             raise ValueError("penalties must be >= 0")
-        if not np.isfinite(self.scale) or self.scale <= 0.0:
-            raise ValueError("scale must be finite and > 0")
-        if self.kappa < 0.0 or np.any(np.abs(ker) > self.kappa + 1e-12):
-            raise ValueError("all kernels must satisfy |theta| <= kappa")
 
     @property
     def coherent(self) -> bool:
         return bool(np.all(self.penalties == 0.0))
 
     @staticmethod
-    def coherent_family(kernels, kappa: float | None = None) -> "RiskMeasure":
-        ker = np.atleast_1d(np.asarray(kernels, dtype=float))
-        if kappa is None:
-            # an empty list is refused with its own message by __post_init__
-            kappa = float(np.max(np.abs(ker), initial=0.0))
-        return RiskMeasure(kernels=ker, penalties=np.zeros(ker.size), kappa=float(kappa))
+    def coherent_family(kernels) -> "RiskMeasure":
+        return RiskMeasure(kernels=kernels, penalties=np.zeros(np.size(kernels)))
 
     @staticmethod
-    def convex_family(kernels, penalties, kappa: float | None = None) -> "RiskMeasure":
-        ker = np.atleast_1d(np.asarray(kernels, dtype=float))
-        if kappa is None:
-            # an empty list is refused with its own message by __post_init__
-            kappa = float(np.max(np.abs(ker), initial=0.0))
-        return RiskMeasure(kernels=ker, penalties=np.asarray(penalties, dtype=float),
-                           kappa=float(kappa))
+    def convex_family(kernels, penalties) -> "RiskMeasure":
+        return RiskMeasure(kernels=kernels, penalties=penalties)
 
 
 @dataclass(frozen=True)
@@ -129,23 +113,23 @@ def evaluate_risk(rho: RiskMeasure, scen: sc.ScenarioSet, i: int, rv: sc.RandomV
     if rv.index != i:
         raise ValueError("rv must live on index i")
     means = sc.tilted_expect(scen, rho.kernels, rv)
-    return float(np.max(-rho.scale * means - rho.penalties))
+    return float(np.max(-means - rho.penalties))
 
 
 def _risk_problem(rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet) -> rf.ReflectionProblem:
-    """The slack ``q_i - rho(t_i, .) >= 0``, which grows at exactly ``scale``."""
+    """The slack ``q_i - rho(t_i, .) >= 0``, which grows at exactly rate 1."""
 
     def constraint(i, values):
         rv = sc.RandomVariable(i, np.asarray(values, dtype=float))
         return float(q.values[i]) - evaluate_risk(rho, scen, i, rv)
 
-    return rf.ReflectionProblem(constraint, rho.scale, exact=True)
+    return rf.ReflectionProblem(constraint, 1.0, exact=True)
 
 
 def risk_shift(
     rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet, i: int, rv: sc.RandomVariable
 ) -> float:
-    """Minimal lift onto the acceptance set: ``(rho(t_i, rv) - q_i)^+ / scale``.
+    """Minimal lift onto the acceptance set: ``(rho(t_i, rv) - q_i)^+``.
 
     Translation invariance of ``rho`` collapses the root search that the
     mean constraint needs.  The closed form can land a rounding error short

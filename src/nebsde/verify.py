@@ -83,7 +83,10 @@ def representation_gap(
     The candidate representation at index i is the best, over stopping
     levels s >= i, of the accumulated generator mean plus either the
     floor level at s (s interior) or the claim mean (s terminal).  Scenario
-    means are used for the accumulated brackets.
+    means are used for the accumulated brackets.  The floor at s is that of
+    the fluctuation of ``Y_s``: the mean forecast of the claim plus the
+    remaining generator differs from ``Y_s`` only by the deterministic
+    ``K_T - K_s``, which :func:`mean_floor` centres away.
     """
     m = scen.grid.steps
     if len(sol.Y) != m + 1:
@@ -93,23 +96,17 @@ def representation_gap(
 
     means = sol.mean_values(scen)
     f_mean = np.zeros(m)
-    f_vals = []
     for i in range(m):
         fv = np.asarray(
             driver.fn(float(nodes[i]), sol.Y[i].values, sol.Z[i].values), dtype=float
         )
         fv = np.broadcast_to(fv, sol.Y[i].values.shape)
-        f_vals.append(fv)
         f_mean[i] = sc.expect(scen, sc.RandomVariable(i, fv.copy()))
     fsum = np.zeros(m + 1)
     np.cumsum(f_mean * dt, out=fsum[1:])
 
-    # mean-forecast process: claim plus remaining generator, coefficients
-    # frozen along the solution
-    ybars = rf._backward_levels(scen, sol.Y[m], f_vals)
-
     floors = np.array(
-        [mean_floor(exp, loss, scen, i, ybars[i], tol) for i in range(m)]
+        [mean_floor(exp, loss, scen, i, sol.Y[i], tol) for i in range(m)]
     )
     c = np.empty(m + 1)
     c[:m] = fsum[:m] + floors
@@ -325,7 +322,7 @@ def tilted_competitor_demo(
     ys, yalphas, mart_min = [], [], np.inf
     witness = (0, 0, -np.inf)
     mean_gap_max = 0.0
-    xs = [x.values for x in rf._backward_levels(scen, claim.rv, [-inst.gamma] * m)]
+    xs = [x.values for x in bs.solve_bsde(scen, claim, inst.driver()).Y]
     for i in range(m + 1):
         lift = total - k_vals[i]
         b = sc.brownian(scen, i)

@@ -185,7 +185,7 @@ def test_a08_window_count_invariance(tree100):
 def test_a09_risk_and_mean_reflection_agree(tree100):
     claim = bs.TerminalClaim.from_function(tree100, lambda b: b + 0.2)
     driver = bs.Driver.constant(-1.0)
-    rho = rk.RiskMeasure.coherent_family([0.0], kappa=0.0)
+    rho = rk.RiskMeasure.coherent_family([0.0])
     solr = rk.solve_risk_reflected(
         tree100, claim, driver, rho, rk.Benchmark.constant(tree100.grid, 0.3)
     )

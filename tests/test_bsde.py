@@ -133,17 +133,27 @@ def test_comparison_in_terminal_value(tree8):
             assert np.min(yb.values - ya.values) >= -EXACT
 
 
-def test_interior_claim_and_start(tree8):
+def test_lipschitz_lattice_probe():
+    ts, lattice = np.linspace(0.0, 1.0, 5), np.linspace(-10.0, 10.0, 41)
+    mixed = bs.Driver(fn=lambda t, y, z: -0.2 * y + 0.1 * np.abs(z), lipschitz=0.2,
+                      depends_on_y=True, depends_on_z=True)
+    bs.check_lipschitz_lattice(mixed, ts, lattice)
+    bs.check_lipschitz_lattice(bs.Driver.kappa_abs(-0.3), ts, lattice)
+    bs.check_lipschitz_lattice(bs.Driver.constant(2.0), ts, lattice)
+    understated = bs.Driver(fn=lambda t, y, z: -10.0 * y, lipschitz=0.1, depends_on_y=True)
+    late = bs.Driver(fn=lambda t, y, z: np.maximum(t - 0.5, 0.0) * z, lipschitz=0.25,
+                     depends_on_z=True)
+    blowup = bs.Driver(fn=lambda t, y, z: 1.0 / y, lipschitz=1.0, depends_on_y=True)
+    for driver in (understated, late, blowup):
+        with pytest.raises(ValueError, match="Lipschitz"):
+            bs.check_lipschitz_lattice(driver, ts, lattice)
+
+
+def test_interior_claim(tree8):
     claim = bs.TerminalClaim(sc.brownian_rv(tree8, 5))
     pair = bs.solve_bsde(tree8, claim, bs.Driver.constant(0.0))
     assert len(pair.Y) == 6
     assert abs(pair.value) <= EXACT
-    tail = bs.solve_bsde(tree8, claim, bs.Driver.constant(0.0), start=2)
-    assert tail.start == 2
-    assert tail.Y[0].index == 2
-    assert tail.Y[0].values.size == 3
-    # BsdePair.value averages when the start level has several nodes.
-    assert abs(tail.value - float(tail.Y[0].values.mean())) <= EXACT
 
 
 def test_z_vanishes_on_deterministic_claim(tree8):

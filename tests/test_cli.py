@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +253,25 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1, option
         assert "config error: solver:" in capsys.readouterr().err
 
+    # keys that are gone: the loss scale and the risk kernels' bound
+    for command, text in (("solve", SOLVE_INI + "scale = 1.0\n"),
+                          ("price", PRICE_INI + "kappa = 0.5\n")):
+        cfg = _write(tmp_path / "u.ini", text)
+        assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 1, command
+        assert "unknown option" in capsys.readouterr().err
+
+    # declared Lipschitz constants are probed on a (y, z) lattice: kappa = 0.1
+    # understates the generator -10 * y, and 1 / y is not finite at y = 0
+    for text, key in (
+        (SOLVE_INI + "expectation = gexp\ngexp_driver = -10 * y\nkappa = 0.1\n", "kappa"),
+        (SOLVE_INI + "expectation = gexp\ngexp_driver = -10 * y\n", "kappa"),
+        (SOLVE_INI.replace("-1.0", "-10 * y\ndriver_lipschitz = 0.1"), "driver_lipschitz"),
+        (SOLVE_INI.replace("-1.0", "1 / y\ndriver_lipschitz = 1.0"), "driver_lipschitz"),
+    ):
+        cfg = _write(tmp_path / "lip.ini", text)
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1, text
+        assert f"config error: problem.{key}:" in capsys.readouterr().err
+
     # a payoff that is not finite on the terminal support, for every command
     # that reads one
     for command, ini in (("solve", SOLVE_INI), ("gexp", GEXP_INI), ("price", PRICE_INI)):
@@ -340,17 +360,6 @@ def test_run_log_picard_summary(tmp_path):
     assert 0.0 <= float(fields["picard_ratio_max"]) < 1.0
 
 
-def test_bracket_failure_exits_4(tmp_path, capsys):
-    # kappa = 0.1 understates the generator -10 * y, which shrinks a shift
-    # by about exp(-10) over [0, 1], so the shift search cannot bracket its
-    # root.
-    ini = SOLVE_INI + "expectation = gexp\ngexp_driver = -10 * y\nkappa = 0.1\n"
-    cfg = _write(tmp_path / "run.ini", ini)
-    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 4
-    assert "bracket failure" in capsys.readouterr().err
-    assert "bracket failure" in (tmp_path / "run.log").read_text()
-
-
 def test_run_log_shift_paths(tmp_path):
     # A linear loss of one slope under the classical mean takes the closed
     # form on every binding level; the default shape "general" searches.
@@ -426,8 +435,36 @@ def test_overflowing_shift_bracket_exits_4(tmp_path, capsys):
     ini += "expectation = gexp\ngexp_driver = -0.5 * y\nkappa = 800\n"
     cfg = _write(tmp_path / "run.ini", ini)
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 4
-    assert "overflows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bracket failure" in err and "overflows" in err
     assert "bracket failure" in (tmp_path / "run.log").read_text()
+
+
+def test_gexp_driver_must_vanish_on_every_grid_date(tmp_path, capsys):
+    # The generator max(t - 1, 0) is 0 on [0, 1] only; on a horizon of 2 it
+    # moves constants (gexp of 1 read 1.45), so both commands refuse it.
+    head = "[scenario]\nhorizon = 2\nsteps = 20\n\n[problem]\nexpectation = gexp\n"
+    for command, body in (
+        ("gexp", "payoff = 1\ngexp_driver = max(t - 1, 0)\n"),
+        ("solve", "payoff = b + 1\nloss = x - 1\ngexp_driver = max(t - 1, 0) * 5\n"),
+    ):
+        cfg = _write(tmp_path / f"{command}.ini", head + body)
+        assert run([command, "--config", cfg, "--out", str(tmp_path / command)]) == 1
+        assert "config error: problem.gexp_driver:" in capsys.readouterr().err
+    # one that vanishes up to the horizon is accepted
+    cfg = _write(tmp_path / "ok.ini", head + "payoff = 1\ngexp_driver = max(t - 2, 0)\n")
+    assert run(["gexp", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    assert float(capsys.readouterr().out) == 1.0
+
+
+def test_readme_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"Example `run.ini`.*?```ini\n(.*?)```", readme, re.S)
+    cfg = _write(tmp_path / "run.ini", block)
+    for command in ("solve", "price", "verify"):
+        code = run([command, "--config", cfg, "--out", str(tmp_path / command)])
+        assert code == 0, (command, capsys.readouterr().err)
+    assert "checks=10 failed=0" in capsys.readouterr().out
 
 
 def test_module_entry_point(tmp_path, child_env):

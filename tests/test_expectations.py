@@ -1,5 +1,6 @@
 """Nonlinear expectation functionals: closed forms, dualities, envelopes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from nebsde import bsde as bs
 from nebsde import expectations as ne
+from nebsde import picard as pc
+from nebsde import reflection as rf
 from nebsde import scenarios as sc
 
 EXACT = 1e-12
@@ -158,7 +161,7 @@ def test_interior_fast_path_matches_generic_solver(tree50):
         fn=lambda t, y, z: KAPPA * (np.abs(y) + np.abs(z)),
         lipschitz=KAPPA, depends_on_y=True, depends_on_z=True,
     )
-    generic = ne.NonlinearExpectation.gexp(generic_driver, kappa=KAPPA)
+    generic = ne.NonlinearExpectation.gexp(generic_driver)
     a = ne.evaluate(fast, tree50, rv)
     b = ne.evaluate(generic, tree50, rv)
     assert abs(a - b) <= 1e-10
@@ -177,19 +180,52 @@ def test_domination_gap_report(tree50):
         ne.domination_gap(exp, tree50, x, sc.RandomVariable(49, np.zeros(50)))
 
 
-def test_driver_without_vanishing_origin_rejected():
-    with pytest.raises(ValueError):
-        ne.NonlinearExpectation.gexp(bs.Driver.constant(0.3))
+def test_driver_without_vanishing_origin_rejected(tree8):
+    with pytest.raises(ValueError, match="vanish"):
+        ne.check_operator(ne.NonlinearExpectation.gexp(bs.Driver.constant(0.3)), tree8)
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
         ne.NonlinearExpectation(kind="median")
-    with pytest.raises(ValueError):
-        ne.NonlinearExpectation.classical(kappa=-0.1)
+    for kappa in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=kappa)
     with pytest.raises(ValueError):
         ne.NonlinearExpectation.alpha_maxmin(alpha=1.2, kappa=0.5)
     with pytest.raises(ValueError):
-        ne.NonlinearExpectation(kind="classical", scale=0.0)
+        ne.NonlinearExpectation(kind="gexp")
+    # the mixture's driver is its upper kappa*|z| envelope, nothing else
+    for driver in (bs.Driver.kappa_abs(-0.5, include_y=False), bs.Driver.kappa_abs(0.5),
+                   bs.Driver(fn=lambda t, y, z: 0.5 * np.abs(z), lipschitz=0.5,
+                             depends_on_z=True)):
+        with pytest.raises(ValueError):
+            ne.NonlinearExpectation(kind="alpha_maxmin", driver=driver, alpha=0.3)
     exp = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.4))
     assert exp.kappa == pytest.approx(0.4, abs=0)
+    # one constant per operator: kappa is the driver's Lipschitz constant
+    generic = bs.Driver(fn=lambda t, y, z: -0.5 * y, lipschitz=0.7, depends_on_y=True)
+    amm = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=0.5)
+    assert ne.NonlinearExpectation.gexp(generic).kappa == 0.7
+    assert amm.kappa == amm.driver.lipschitz == 0.5
+    assert amm.driver.kappa_structure == (0.5, False)
+    assert ne.NonlinearExpectation.classical().kappa == 0.0
+    assert [f.name for f in dataclasses.fields(ne.NonlinearExpectation)] == [
+        "kind", "driver", "alpha"]
+
+
+def test_driver_vanishing_checked_on_every_grid_date():
+    # A generator that is 0 on [0, 1] but not on (1, 2] does not preserve
+    # constants on a horizon of 2; the solve refuses it before evaluating.
+    scen = sc.build_scenarios(sc.TimeGrid(2.0, 20), "tree")
+    late = ne.NonlinearExpectation.gexp(bs.Driver.time_dependent(lambda t: max(t - 1.0, 0.0)))
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 1.0)
+    with pytest.raises(ValueError, match="vanish"):
+        pc.solve_reflected(scen, claim, bs.Driver.constant(0.0),
+                           rf.LossFunction.linear(1.0), late)
+    with pytest.raises(ValueError, match="vanish"):
+        rf.minimal_shift(late, rf.LossFunction.linear(1.0), scen, 20, claim.rv)
+    with pytest.raises(ValueError, match="vanish"):
+        ne.check_operator(late, scen)
+    early = ne.NonlinearExpectation.gexp(bs.Driver.time_dependent(lambda t: max(t - 2.0, 0.0)))
+    ne.check_operator(early, scen)

@@ -213,19 +213,23 @@ def test_shift_rejects_operator_not_monotone_on_tree(tree50, exp):
     with pytest.raises(ValueError, match="not monotone"):
         rf.minimal_shift(exp, rf.LossFunction.linear(0.0), tree50, 50, rv)
     mc = sc.build_scenarios(sc.TimeGrid(1.0, 50), "montecarlo", n_paths=50, seed=1)
-    ne.check_monotone(exp, mc)  # paths are not checked
+    ne.check_operator(exp, mc)  # paths are not checked for monotonicity
     y_only = ne.NonlinearExpectation.gexp(bs.Driver(fn=lambda t, y, z: -0.5 * y,
                                                     lipschitz=800.0, depends_on_y=True))
-    ne.check_monotone(y_only, tree50)  # no z-slope
+    ne.check_operator(y_only, tree50)  # no z-slope
 
 
-def test_overflowing_bracket_raises_bracket_failure(tree50):
+def test_overflowing_bracket_raises_bracket_failure():
     # A y-dependent operator keeps the exp(kappa*T) bracket; one that does
-    # not fit in a float is reported, not evaluated.
-    exp = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.5), kappa=800.0)
-    rv = sc.RandomVariable(50, tree50.tree_values[50] - 2.0)
+    # not fit in a float is reported, not evaluated.  The generator -0.5*y
+    # declares kappa = 800, which 810 steps keep contractive.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 810), "tree")
+    driver = bs.Driver(fn=lambda t, y, z: -0.5 * np.asarray(y), lipschitz=800.0,
+                       depends_on_y=True)
+    exp = ne.NonlinearExpectation.gexp(driver)
+    rv = sc.RandomVariable(50, scen.tree_values[50] - 2.0)
     with pytest.raises(BracketFailureError, match="overflows"):
-        rf.minimal_shift(exp, rf.LossFunction.linear(0.0), tree50, 50, rv)
+        rf.minimal_shift(exp, rf.LossFunction.linear(0.0), scen, 50, rv)
 
 
 def test_minimal_shift_zero_when_feasible(tree50):
@@ -301,7 +305,7 @@ def test_ramp_flow_closed_form():
 
 def test_unreflected_process_matches_discounted_means(tree50):
     claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.5)
-    xs = rf._backward_levels(tree50, claim.rv, [-1.0] * 50)
+    xs = bs.solve_bsde(tree50, claim, bs.Driver.constant(-1.0)).Y
     assert len(xs) == 51
     for i, x in enumerate(xs):
         expected = 0.5 - (1.0 - tree50.grid.nodes[i])

@@ -25,7 +25,7 @@ def test_evaluate_risk_matches_weighted_sums():
     x = rng.normal(0.3, 0.8, 21)
     rv = sc.RandomVariable(20, x)
     kernels, penalties = [-0.4, 0.0, 0.4], [0.0, 0.05, 0.1]
-    rho = rk.RiskMeasure.convex_family(kernels, penalties, kappa=0.4)
+    rho = rk.RiskMeasure.convex_family(kernels, penalties)
     b, w = scen.tree_values[20], scen.tree_weights[20]
     cands = []
     for theta, pen in zip(kernels, penalties):
@@ -37,7 +37,7 @@ def test_evaluate_risk_matches_weighted_sums():
 def test_evaluate_risk_interior_closed_form(tree50):
     # Single kernel theta on B_i: tilted mean factorises into per-step tanh.
     sq = math.sqrt(tree50.grid.dt)
-    rho = rk.RiskMeasure(kernels=np.array([0.6]), penalties=np.array([0.0]), kappa=0.6)
+    rho = rk.RiskMeasure(kernels=np.array([0.6]), penalties=np.array([0.0]))
     got = rho_val = rk.evaluate_risk(rho, tree50, 13, sc.brownian_rv(tree50, 13))
     exact = -13 * sq * math.tanh(0.6 * sq)
     assert abs(got - exact) <= EXACT
@@ -67,25 +67,23 @@ def test_risk_shift_is_positive_part(tree50):
 
 
 def test_risk_shift_divides_by_scale_and_is_feasible(tree50):
-    # rho(X + x) = rho(X) - scale * x, so the lift is the excess over scale,
-    # and the lifted level meets q as evaluated.
+    # rho(X + x) = rho(X) - x (the scale is 1), so the lift is the excess
+    # over q, and the lifted level meets q as evaluated.
     rv = sc.brownian_rv(tree50, 20)
     q = rk.Benchmark.constant(tree50.grid, 0.0)
-    base = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
-    unit = rk.evaluate_risk(base, tree50, 20, rv)
+    rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
+    unit = rk.evaluate_risk(rho, tree50, 20, rv)
     assert unit > 0.1
-    for scale in (0.5, 1.0, 2.0):
-        rho = dataclasses.replace(base, scale=scale)
-        x = rk.risk_shift(rho, q, tree50, 20, rv)
-        assert x == pytest.approx(unit, abs=EXACT)
-        lifted = sc.RandomVariable(20, rv.values + x)
-        assert 0.0 - rk.evaluate_risk(rho, tree50, 20, lifted) >= 0.0
+    x = rk.risk_shift(rho, q, tree50, 20, rv)
+    assert x == pytest.approx(unit, abs=EXACT)
+    lifted = sc.RandomVariable(20, rv.values + x)
+    assert 0.0 - rk.evaluate_risk(rho, tree50, 20, lifted) >= 0.0
 
 
 def test_risk_shift_raises_when_lift_never_lands(tree50, monkeypatch):
     # A risk functional that ignores the lift breaks translation invariance;
     # the correction steps stop and report instead of looping.
-    rho = rk.RiskMeasure.coherent_family([0.0], kappa=0.0)
+    rho = rk.RiskMeasure.coherent_family([0.0])
     q = rk.Benchmark.constant(tree50.grid, 0.0)
     monkeypatch.setattr(rk, "evaluate_risk", lambda *args: 1.0)
     with pytest.raises(BracketFailureError):
@@ -93,28 +91,23 @@ def test_risk_shift_raises_when_lift_never_lands(tree50, monkeypatch):
 
 
 def test_risk_scale_reflection_is_feasible_and_scale_free(tree50):
-    # Scaling rho and q together leaves the acceptance set, hence the
-    # reflection, unchanged; the reflected levels meet it exactly.
+    # The translation-invariant rho (scale 1): the reflected levels meet the
+    # acceptance set exactly, and the flow is flat off it.
     claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.45)
     driver = bs.Driver.constant(-1.0)
-    base = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
-    flows = []
-    for scale in (0.5, 1.0, 2.0):
-        rho = dataclasses.replace(base, scale=scale)
-        q = rk.Benchmark.constant(tree50.grid, 0.45 * scale)
-        sol = rk.solve_risk_reflected(tree50, claim, driver, rho, q)
-        assert float(np.min(sol.diagnostics.constraint_values)) >= 0.0
-        assert abs(sol.diagnostics.skorokhod_residual) <= 1e-15
-        flows.append(sol.K.values)
-    assert flows[0][-1] > 0.05
-    for k in flows[1:]:
-        assert np.max(np.abs(k - flows[0])) <= EXACT
+    rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
+    q = rk.Benchmark.constant(tree50.grid, 0.45)
+    sol = rk.solve_risk_reflected(tree50, claim, driver, rho, q)
+    assert float(np.min(sol.diagnostics.constraint_values)) >= 0.0
+    assert abs(sol.diagnostics.skorokhod_residual) <= 1e-15
+    assert sol.K.values[-1] > 0.05
 
 
 def test_family_flags_and_validation():
     assert rk.RiskMeasure.coherent_family([-0.5, 0.5]).coherent
     assert not rk.RiskMeasure.convex_family([0.0, 0.5], [0.0, 0.1]).coherent
-    assert rk.RiskMeasure.coherent_family([-0.5, 0.5]).kappa == pytest.approx(0.5)
+    # the kernels and their penalties are the whole measure
+    assert [f.name for f in dataclasses.fields(rk.RiskMeasure)] == ["kernels", "penalties"]
     with pytest.raises(ValueError):
         rk.RiskMeasure.coherent_family([])
     with pytest.raises(ValueError):
@@ -122,13 +115,7 @@ def test_family_flags_and_validation():
     with pytest.raises(ValueError):
         rk.RiskMeasure.convex_family([0.0], [-0.1])
     with pytest.raises(ValueError):
-        rk.RiskMeasure(kernels=np.array([0.9]), penalties=np.array([0.0]), kappa=0.5)
-    with pytest.raises(ValueError):
         rk.RiskMeasure.convex_family([], [])
-    for scale in (0.0, -1.0, np.inf):
-        with pytest.raises(ValueError):
-            rk.RiskMeasure(kernels=np.array([0.0]), penalties=np.array([0.0]), kappa=0.0,
-                           scale=scale)
 
 
 def test_risk_solve_equals_mean_solve_on_trivial_family(tree100):
@@ -136,7 +123,7 @@ def test_risk_solve_equals_mean_solve_on_trivial_family(tree100):
     # mean floor E[Y] >= -q.
     claim = bs.TerminalClaim.from_function(tree100, lambda b: b + 0.2)
     driver = bs.Driver.constant(-1.0)
-    rho = rk.RiskMeasure.coherent_family([0.0], kappa=0.0)
+    rho = rk.RiskMeasure.coherent_family([0.0])
     solr = rk.solve_risk_reflected(
         tree100, claim, driver, rho, rk.Benchmark.constant(tree100.grid, 0.3)
     )
@@ -270,7 +257,7 @@ def test_hedge_ratio_mask(tree50):
 
 
 def test_benchmark_must_cover_grid(tree50):
-    rho = rk.RiskMeasure.coherent_family([0.0], kappa=0.0)
+    rho = rk.RiskMeasure.coherent_family([0.0])
     claim = bs.TerminalClaim.constant(tree50, 1.0)
     short = rk.Benchmark(np.full(10, 1.0))
     with pytest.raises(ValueError):

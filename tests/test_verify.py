@@ -60,10 +60,11 @@ def test_mean_floor_overflowing_bracket_raises_bracket_failure(mode):
     # reach, which does not fit in a float; it is reported as the shift
     # search reports it, not evaluated.
     kw = {"n_paths": 200, "seed": 1} if mode == "montecarlo" else {}
-    scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), mode, **kw)
-    driver = bs.Driver(fn=lambda t, y, z: -0.5 * np.asarray(y), lipschitz=0.5,
+    # 810 steps keep the declared constant contractive in the implicit step
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 810), mode, **kw)
+    driver = bs.Driver(fn=lambda t, y, z: -0.5 * np.asarray(y), lipschitz=800.0,
                        depends_on_y=True)
-    exp = ne.NonlinearExpectation.gexp(driver, kappa=800.0)
+    exp = ne.NonlinearExpectation.gexp(driver)
     ybar = sc.brownian_rv(scen, 10)
     with pytest.raises(BracketFailureError, match="overflows"):
         vf.mean_floor(exp, rf.LossFunction.linear(0.2), scen, 10, ybar)
