@@ -428,6 +428,18 @@ def test_operator_not_monotone_on_tree_exits_1(tmp_path, capsys):
     assert "config error: problem.kappa:" in capsys.readouterr().err
 
 
+def test_bracket_failure_exits_4(tmp_path, capsys):
+    # The loss keeps its declared slope 1 on the probe lattice |x| <= 10 but
+    # is flat above x = 10.5, so before t = 0.475 no shift meets the
+    # constraint and the search finds no sign change.
+    ini = SOLVE_INI.replace("loss = x", "loss = min(x, 10.5) - 20 * (1 - t)")
+    cfg = _write(tmp_path / "run.ini", ini)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "bracket failure" in err and "no sign change" in err
+    assert "bracket failure" in (tmp_path / "run.log").read_text()
+
+
 def test_overflowing_shift_bracket_exits_4(tmp_path, capsys):
     # The y-dependent generator keeps the exp(kappa*T) bracket, which does
     # not fit in a float at kappa*T = 800.
