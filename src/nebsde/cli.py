@@ -453,6 +453,30 @@ def _build_market(cfg) -> rk.Market:
         raise ConfigError(str(exc), key="market") from None
 
 
+def _build_verify(cfg, scen: sc.ScenarioSet) -> dict:
+    """The ramp-flow instance's options: finite, ``gamma > 0``, and binding."""
+    sec = _Section(cfg, "verify")
+    params = {
+        "gamma": sec.number("gamma", 1.0),
+        "floor": sec.number("floor", 0.0),
+        "shift": sec.number("shift", 0.5),
+        "tilt": sec.number("tilt", 1.0),
+    }
+    for key, value in params.items():
+        if not np.isfinite(value):
+            raise ConfigError("must be finite", key=f"verify.{key}")
+    try:
+        inst = vf.RampFlowInstance(gamma=params["gamma"], floor=params["floor"],
+                                   tilt=params["tilt"])
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="verify.gamma") from None
+    try:
+        inst.t_star(scen, bs.TerminalClaim.from_function(scen, lambda b: b + params["shift"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="verify.shift") from None
+    return params
+
+
 def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
     """Read, validate and materialise a run configuration."""
     p = Path(path)
@@ -490,13 +514,7 @@ def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
         run.market = _build_market(cfg)
         run.rho, run.benchmark = _build_risk(cfg, scen.grid)
     if command == "verify":
-        vsec = _Section(cfg, "verify")
-        run.verify_params = {
-            "gamma": vsec.number("gamma", 1.0),
-            "floor": vsec.number("floor", 0.0),
-            "shift": vsec.number("shift", 0.5),
-            "tilt": vsec.number("tilt", 1.0),
-        }
+        run.verify_params = _build_verify(cfg, scen)
     run.mean_floor_column = _Section(cfg, "output").flag("mean_floor_column", False)
     return run
 
@@ -554,7 +572,8 @@ def _log_solution(log: _RunLog, sol: rf.ReflectedSolution):
         f"picard_ratio_max={_fmt(sol.picard.ratio_max)}"
     )
     diag = sol.diagnostics
-    log.add(f"shift_closed_form={diag.shift_closed_form} shift_search={diag.shift_search}")
+    log.add(f"shift_closed_form={diag.shift_closed_form} shift_search={diag.shift_search} "
+            f"shift_steps={int(diag.shift_iterations.sum())}")
 
 
 def _run_solve(run: RunConfig, out: Path, log: _RunLog) -> int:
@@ -583,12 +602,16 @@ def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
     rv = run.payoff
     exp = run.expectation
-    value = ne.evaluate(exp, scen, rv)
     if exp.kind == "classical":
+        value = ne.evaluate(exp, scen, rv)
         means = np.full(scen.grid.steps + 1, sc.expect(scen, rv))
     else:
         claim = bs.TerminalClaim(rv)
-        means = np.array([sc.expect(scen, y) for y in bs.solve_bsde(scen, claim, exp.driver).Y])
+        upper = bs.solve_bsde(scen, claim, exp.driver)
+        means = np.array([sc.expect(scen, y) for y in upper.Y])
+        # a configured gexp driver carries no kappa_structure, so ne.evaluate
+        # would run this same solve; alpha-maxmin's value comes from the tree kernel
+        value = upper.value if exp.kind == "gexp" else ne.evaluate(exp, scen, rv)
         if exp.kind == "alpha_maxmin":
             lower = bs.solve_bsde(scen, claim, bs.Driver.kappa_abs(-exp.kappa, include_y=False))
             means = exp.alpha * means + (1.0 - exp.alpha) * np.array(

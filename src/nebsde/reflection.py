@@ -15,11 +15,13 @@ For a cash-additive operator and a linear loss of slope ``a`` the
 constraint moves by exactly ``a*x`` under a shift ``x`` (on the tree, and
 for the classical mean also on Monte Carlo paths), so the shift is
 ``-E[l(t_i, Y_i)]/a`` in closed form, stepped up until the constraint holds
-as evaluated.  Every other pair bisects between 0 and a slope-bound
-bracket.
+as evaluated.  Every other pair searches for the root of the constraint
+in the shift between 0 and a slope-bound bracket, with the ITP method
+(:func:`_monotone_root`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +33,10 @@ from .errors import BracketFailureError
 
 OPERATOR_TOL = 1e-8
 FEASIBILITY_TOL = 1e-6
-_MAX_BISECT = 200
+_MAX_ROOT_STEPS = 200
+# ITP constants: k1 = _ITP_K1 / (initial bracket width), k2 = 2, n0 = _ITP_N0
+_ITP_K1 = 0.2
+_ITP_N0 = 1
 _MAX_WIDEN = 8
 _LIFT_STEPS = 8
 
@@ -133,15 +138,24 @@ def constraint_value(
 
 
 def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
-    """Bracket and bisect the root of a nondecreasing ``phi`` with ``phi(0) = v0 != 0``.
+    """Bracket and search the root of a nondecreasing ``phi`` with ``phi(0) = v0 != 0``.
 
     ``reach`` is the slope-bound distance from 0 to the root.  The far end of
     the bracket is doubled up to 8 times when that bound is optimistic, and
     beyond that for as long as it stays below ``tol``: a level that sits on
     the constraint up to rounding has a reach far below the spacing of its
     values, so ``phi`` cannot change sign until the step resolves.
-    Returns ``(lo, hi, steps, phi(hi))`` with ``phi(hi) >= 0`` and
-    ``hi - lo <= tol`` (unless the bisection cap is hit).
+
+    The search is ITP (interpolate, truncate, project; Oliveira and
+    Takahashi, *ACM TOMS* 47(1), 2021).  Each step takes the regula falsi
+    point of the bracket, moves it towards the midpoint by ``k1*w**2`` (``w``
+    the bracket width, ``k1 = 0.2/w0`` for the initial width ``w0``) and
+    projects it to within ``r`` of the midpoint, where ``r`` keeps the
+    bracket on the bisection schedule plus ``n0 = 1`` step.  So the search
+    takes at most one step more than bisection (two when the final width
+    rounds just above ``tol``), and far fewer where ``phi`` is smooth or
+    piecewise linear.  Returns ``(lo, hi, steps, phi(hi))`` with
+    ``phi(hi) >= 0`` and ``hi - lo <= tol`` (unless the step cap is hit).
     """
     sign = 1.0 if v0 < 0.0 else -1.0
     far = sign * reach
@@ -151,15 +165,37 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
             raise BracketFailureError(f"no sign change found within {abs(far):.3g} of 0")
         far *= 2.0
         doublings += 1
-    lo, hi, at_hi = (0.0, far, at_far) if v0 < 0.0 else (far, 0.0, v0)
+    if v0 < 0.0:
+        lo, hi, at_lo, at_hi = 0.0, far, v0, at_far
+    else:
+        lo, hi, at_lo, at_hi = far, 0.0, at_far, v0
+    width = hi - lo
+    # ITP's eps is tol/2: the projection radius is eps * 2**(n_max - step) - w/2
+    eps = 0.5 * tol
+    n_max = max(0, math.ceil(math.log2(width) - math.log2(tol))) + _ITP_N0
     steps = 0
-    while hi - lo > tol and steps < _MAX_BISECT:
+    while hi - lo > tol and steps < _MAX_ROOT_STEPS:
+        w = hi - lo
         mid = 0.5 * (lo + hi)
-        at_mid = phi(mid)
-        if at_mid >= 0.0:
-            hi, at_hi = mid, at_mid
+        span = at_hi - at_lo
+        # interpolate: the regula falsi point (the midpoint on a flat bracket)
+        x = lo - at_lo / span * w if span > 0.0 else mid
+        toward = 1.0 if mid >= x else -1.0
+        # truncate: move it towards the midpoint by k1*w**2
+        delta = _ITP_K1 * w * (w / width)
+        if delta <= abs(mid - x):
+            x += toward * delta
         else:
-            lo = mid
+            x = mid
+        # project: stay within the radius that keeps the minmax step count
+        radius = max(0.0, math.ldexp(eps, n_max - steps) - 0.5 * w)
+        if abs(x - mid) > radius:
+            x = mid - toward * radius
+        at_x = phi(x)
+        if at_x >= 0.0:
+            hi, at_hi = x, at_x
+        else:
+            lo, at_lo = x, at_x
         steps += 1
     return lo, hi, steps, at_hi
 
@@ -223,10 +259,10 @@ def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float, tol
     stepped up until it holds as evaluated: each step adds the remaining
     gap over the slope, and at least one spacing of ``max|values| + |x|``,
     doubled at each step, since a closed form can land a rounding error
-    short of the root.  Any other bisects from the slope-bound reach
-    ``|v0|*exp(kappa_t)/slope``.  Raises ``BracketFailureError`` when the
-    reach does not fit in a float or the closed form is still short after 8
-    steps.
+    short of the root.  Any other searches (:func:`_monotone_root`) from the
+    slope-bound reach ``|v0|*exp(kappa_t)/slope``.  Raises
+    ``BracketFailureError`` when the reach does not fit in a float or the
+    closed form is still short after 8 steps.
     """
 
     def phi(x):
@@ -258,8 +294,8 @@ def lift(problem: ReflectionProblem, i: int, values: np.ndarray, tol: float = OP
 
     Returns ``(x, steps, value)``: the smallest ``x >= 0`` (to ``tol``) with
     ``value = problem.constraint(i, values + x) >= 0`` as evaluated, and the
-    bisection steps it took (0 when the constraint holds at 0 or the lift
-    has a closed form).
+    search steps it took, each one constraint evaluation (0 when the
+    constraint holds at 0 or the lift has a closed form).
     """
     h0 = problem.constraint(i, values)
     if h0 >= 0.0:
@@ -280,7 +316,7 @@ def minimal_shift(
 
     Zero when the constraint already holds.  Otherwise the closed form
     when :func:`closed_form_shift` holds, checked feasible as evaluated;
-    else the feasible end of a bisection between 0 and the slope-based
+    else the feasible end of a root search between 0 and the slope-based
     upper bracket, at most ``tol`` above the root.  Raises ``ValueError``
     when ``exp`` is not a valid operator on ``scen``
     (:func:`nebsde.expectations.check_operator`).
@@ -296,10 +332,11 @@ class ReflectionDiagnostics:
 
     ``constraint_values[i]`` is the value the lift verified on the final
     level ``i``, and ``skorokhod_residual`` is built from it.
-    ``shift_iterations[i]`` counts the bisection steps spent on level ``i``
-    (0 where the shift has a closed form); ``shift_closed_form`` and
-    ``shift_search`` count the binding levels (positive shift) that took no
-    bisection step and those that took some.
+    ``shift_iterations[i]`` counts the root-search steps spent on level
+    ``i``, each one constraint evaluation (0 where the shift has a closed
+    form); ``shift_closed_form`` and ``shift_search`` count the binding
+    levels (positive shift) that took no search step and those that took
+    some.
     """
 
     constraint_values: np.ndarray

@@ -268,7 +268,7 @@ class RampFlowInstance:
     tilt: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
 
     def t_star(self, scen: sc.ScenarioSet, claim: bs.TerminalClaim) -> float:
@@ -312,10 +312,11 @@ def tilted_competitor_demo(
     (per-level renormalised) martingale ``M_i = exp(a B_i - a^2 t_i / 2)``
     keeps every mean equal to the reflected solution's but drops below it on
     the low nodes wherever flow remains, so the reflected solution is not
-    pathwise minimal among mean-matching supersolutions.
+    pathwise minimal among mean-matching supersolutions.  The renormalisation
+    cancels every constant factor, so ``M_i`` is formed from
+    ``exp(a B_i - max(a B_i))``, which stays finite for any finite tilt.
     """
     m = scen.grid.steps
-    nodes = scen.grid.nodes
     k_vals = inst.flow_values(scen, claim)
     total = k_vals[-1]
 
@@ -326,7 +327,10 @@ def tilted_competitor_demo(
     for i in range(m + 1):
         lift = total - k_vals[i]
         b = sc.brownian(scen, i)
-        raw = np.exp(inst.tilt * b - 0.5 * inst.tilt**2 * nodes[i])
+        # a*(B_i - top) = a*B_i - max(a*B_i) <= 0; it may round to -inf
+        top = b.max() if inst.tilt >= 0.0 else b.min()
+        with np.errstate(over="ignore"):
+            raw = np.exp(inst.tilt * (b - top))
         mart = raw / sc.expect(scen, sc.RandomVariable(i, raw))
         mart_min = min(mart_min, float(np.min(mart)))
         y = xs[i] + lift

@@ -209,6 +209,10 @@ def test_verify_command(tmp_path, capsys):
     assert len(report) == 11
     assert report[0] == "name,property,status,evidence"
     assert (tmp_path / "solution.csv").exists()
+    # any finite tilt runs
+    cfg = _write(tmp_path / "tilt.ini", VERIFY_INI + "\n[verify]\ntilt = 1e9\n")
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "tilt")]) == 0
+    assert "checks=10 failed=0" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- exit codes
@@ -281,6 +285,16 @@ def test_config_errors_exit_1(tmp_path, capsys):
             out = tmp_path / f"p-{command}"
             assert run([command, "--config", cfg, "--out", str(out)]) == 1, (command, payoff)
             assert "config error: problem.payoff:" in capsys.readouterr().err
+
+    # verify options: finite, gamma > 0, and a ramp-flow instance that binds
+    # (0 < shift - floor < gamma * horizon)
+    verify_ini = VERIFY_INI.replace("steps = 50", "steps = 20")
+    for option, key in (("gamma = -1", "gamma"), ("gamma = nan", "gamma"),
+                        ("shift = 5", "shift"), ("floor = 0.5", "shift"),
+                        ("tilt = inf", "tilt"), ("floor = nan", "floor")):
+        cfg = _write(tmp_path / "v.ini", verify_ini + f"\n[verify]\n{option}\n")
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 1, option
+        assert f"config error: verify.{key}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -370,10 +384,12 @@ def test_run_log_shift_paths(tmp_path):
         lines = (out / "run.log").read_text().splitlines()
         (line,) = [ln for ln in lines if ln.startswith("shift_closed_form=")]
         fields = {k: int(v) for k, v in (part.split("=") for part in line.split())}
-        assert list(fields) == ["shift_closed_form", "shift_search"]
+        assert list(fields) == ["shift_closed_form", "shift_search", "shift_steps"]
         binding = fields["shift_closed_form"] + fields["shift_search"]
         assert binding > 0
         assert fields["shift_closed_form" if closed else "shift_search"] == binding
+        if not closed:
+            assert fields["shift_steps"] >= fields["shift_search"]
 
 
 LARGE_KAPPA_INI = """\
@@ -399,7 +415,8 @@ def test_large_kappa_maxmin_solves(tmp_path):
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     line = [ln for ln in (tmp_path / "run.log").read_text().splitlines()
             if ln.startswith("shift_closed_form=")]
-    assert line == [line[0]] and int(line[0].split("shift_search=")[1]) > 0
+    fields = dict(part.split("=") for part in line[0].split())
+    assert line == [line[0]] and int(fields["shift_search"]) > 0
 
 
 

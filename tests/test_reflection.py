@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -87,6 +87,77 @@ def test_minimal_shift_feasible_and_near_root(tree50, index, level, floor, slope
     assert abs(got - root) <= rf.OPERATOR_TOL
 
 
+def _bisect_root(phi, v0, reach, tol):
+    """The bracket of ``rf._monotone_root``, then plain bisection: the oracle."""
+    sign = 1.0 if v0 < 0.0 else -1.0
+    far = sign * reach
+    doublings = 0
+    while sign * (at_far := phi(far)) < 0.0:
+        if doublings >= rf._MAX_WIDEN and not 0.0 < abs(far) < tol:
+            raise BracketFailureError(f"no sign change found within {abs(far):.3g} of 0")
+        far *= 2.0
+        doublings += 1
+    lo, hi, at_hi = (0.0, far, at_far) if v0 < 0.0 else (far, 0.0, v0)
+    steps = 0
+    while hi - lo > tol and steps < rf._MAX_ROOT_STEPS:
+        mid = 0.5 * (lo + hi)
+        at_mid = phi(mid)
+        if at_mid >= 0.0:
+            hi, at_hi = mid, at_mid
+        else:
+            lo = mid
+        steps += 1
+    return lo, hi, steps, at_hi
+
+
+# nondecreasing functions with their smallest root at r
+ROOT_FAMILIES = {
+    "linear": lambda x, r: x - r,
+    "kinked": lambda x, r: min(x - r, 0.1 * (x - r)),
+    "expm1": lambda x, r: math.expm1(x - r),
+    "cubic": lambda x, r: (x - r) ** 3,
+    "near_step": lambda x, r: math.tanh(1e7 * (x - r)),
+    "flat_above": lambda x, r: min(x - r, 0.0) + max(x - r - 1e-3, 0.0),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(sorted(ROOT_FAMILIES)),
+    sign=st.sampled_from([1.0, -1.0]),
+    exponent=st.floats(-6.0, 1.5),
+    reach_factor=st.floats(0.01, 20.0),
+    tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
+)
+def test_itp_root_matches_bisection_oracle(family, sign, exponent, reach_factor, tol):
+    # Both signs of phi(0): a positive one is the mean floor's root below 0.
+    root = sign * 10.0**exponent
+    phi = lambda x: ROOT_FAMILIES[family](x, root)
+    v0 = phi(0.0)
+    assume(v0 != 0.0)
+    reach = abs(root) * reach_factor
+    lo, hi, steps, at_hi = rf._monotone_root(phi, v0, reach, tol)
+    b_lo, b_hi, b_steps, _ = _bisect_root(phi, v0, reach, tol)
+    assert phi(lo) <= 0.0 <= phi(hi) and at_hi == phi(hi)
+    assert hi - lo <= tol
+    assert max(lo, b_lo) <= min(hi, b_hi) + tol
+    # one step from n0 = 1, one from a final width rounding just above tol
+    assert steps <= b_steps + 2
+
+
+def test_itp_root_takes_fewer_steps_on_smooth_phi():
+    # Where phi is linear or smooth the interpolation lands near the root,
+    # so the search takes well under half of bisection's steps.
+    for family in ("linear", "expm1"):
+        itp = bisection = 0
+        for root in (-3.1, -0.7, -0.02, 0.003, 0.4, 2.5, 11.0):
+            phi = lambda x: ROOT_FAMILIES[family](x, root)
+            reach = 1.3 * abs(root)
+            itp += rf._monotone_root(phi, phi(0.0), reach, rf.OPERATOR_TOL)[2]
+            bisection += _bisect_root(phi, phi(0.0), reach, rf.OPERATOR_TOL)[2]
+        assert 2 * itp < bisection, (family, itp, bisection)
+
+
 CASH_ADDITIVE = {
     "classical": lambda kappa: CLS,
     "alpha_maxmin": lambda kappa: ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=kappa),
@@ -154,7 +225,8 @@ def test_closed_form_solve_matches_forced_bisection(tree200):
     assert fd.shift_closed_form > 100 and fd.shift_search == 0
     assert not fd.shift_iterations.any()
     assert sd.shift_closed_form == 0 and sd.shift_search == fd.shift_closed_form
-    assert sd.shift_iterations.sum() > 10 * sd.shift_search
+    # the forced solve searched on every binding level
+    assert np.all(sd.shift_iterations[:-1][slow.K.increments > 0.0] > 0)
     assert float(np.min(fd.constraint_values)) >= 0.0
     assert np.max(np.abs(fast.K.values - slow.K.values)) <= 1e-8
     for yf, ys in zip(fast.Y, slow.Y):

@@ -169,6 +169,22 @@ def test_tilted_competitor_demo():
     assert 0 < demo.witness_index < 80
 
 
+def test_tilted_competitor_demo_large_tilt_stays_finite():
+    # At a = 1e9, exp(a*B_i - a^2 t_i/2) is 0 on every node of a level, so
+    # the renormalisation divided 0 by 0; exp(a*B_i - max(a*B_i)) is 1 on
+    # the top node, and the competitor still keeps every mean.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), "tree")
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.5)
+    demo = vf.tilted_competitor_demo(vf.RampFlowInstance(1.0, 0.0, 1e9), scen, claim)
+    assert demo.mean_gap_max <= 1e-6
+    assert demo.martingale_min >= 0.0
+    assert np.isfinite(demo.witness_gap) and demo.witness_gap >= 1e-6
+    assert demo.competitor_feasible
+    records = vf.run_structural_checks(scen, tilt=1e9)
+    assert all(np.isfinite(v) for r in records for v in r.evidence.values()
+               if isinstance(v, float))
+
+
 def test_comparison_report_driver_and_expectation_ordering(tree100):
     claim = bs.TerminalClaim.from_function(tree100, lambda b: b + 0.5)
     loss = rf.LossFunction.linear(0.0)
