@@ -2,8 +2,8 @@
 
 One backward sweep per grid step: the martingale integrand is read off the
 next level first, then the value is rolled back with an implicit-in-y Euler
-step.  Tree mode uses exact pairwise averages and one-step difference
-quotients; Monte Carlo mode uses regression projections.
+step, :func:`implicit_step`.  Tree mode uses exact pairwise averages and
+one-step difference quotients; Monte Carlo mode uses regression projections.
 """
 from __future__ import annotations
 
@@ -27,8 +27,9 @@ class Driver:
     broadcast.  ``lipschitz`` bounds the (y, z) slope and gates the implicit
     step; drivers that depend on neither y nor z may declare 0.
     ``kappa_structure = (kappa, include_y)`` tags the scaled-absolute-value
-    family ``kappa*(|y| + |z|)`` / ``kappa*|z|`` so evaluations can take the
-    closed-form continuation and the tree kernel in ``_kernels``.
+    family ``kappa*(|y| + |z|)`` / ``kappa*|z|``, whose implicit step and
+    zero-noise continuation have closed forms and whose tree value may be
+    the comonotone dot product in ``_kernels``.
     """
 
     fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -135,20 +136,32 @@ class BsdePair:
         return float(v[0]) if v.size == 1 else float(v.mean())
 
 
+def _check_contractive(driver: Driver, dt: float) -> None:
+    if driver.depends_on_y and driver.lipschitz * dt >= 1.0:
+        raise NonContractiveStepError(
+            f"lipschitz * dt = {driver.lipschitz * dt:.3g} >= 1; refine the grid"
+        )
+
+
 def implicit_step(
     driver: Driver, t: float, e: np.ndarray, z: np.ndarray, dt: float
 ) -> np.ndarray:
     """Solve ``y = e + f(t, y, z) * dt`` for y.
 
-    Explicit when the driver ignores y.  Otherwise a fixed-point sweep from
-    ``e``, contractive because ``lipschitz * dt < 1`` is enforced.
+    Explicit when the driver ignores y.  The ``kappa*(|y| + |z|)`` family is
+    solved exactly: ``a = e + |z|*kappa*dt``, then ``a / (1 - kappa*sign(a)*dt)``
+    with a y-part (``y`` keeps the sign of ``a``).  Any other y-dependent
+    driver takes a fixed-point sweep from ``e``, contractive because
+    ``lipschitz * dt < 1`` is enforced.
     """
+    _check_contractive(driver, dt)
+    if driver.kappa_structure is not None:
+        kappa, include_y = driver.kappa_structure
+        kdt = kappa * dt
+        a = e + np.abs(z) * kdt
+        return a / np.where(a >= 0.0, 1.0 - kdt, 1.0 + kdt) if include_y else a
     if not driver.depends_on_y:
         return e + np.asarray(driver.fn(t, e, z), dtype=float) * dt
-    if driver.lipschitz * dt >= 1.0:
-        raise NonContractiveStepError(
-            f"lipschitz * dt = {driver.lipschitz * dt:.3g} >= 1; refine the grid"
-        )
     y = e.copy()
     for _ in range(_MAX_SWEEPS):
         y_next = e + np.asarray(driver.fn(t, y, z), dtype=float) * dt
@@ -157,6 +170,30 @@ def implicit_step(
         if gap <= _SWEEP_TOL * (1.0 + float(np.max(np.abs(y)))):
             return y
     raise FixedPointError("implicit step did not converge in 50 sweeps")
+
+
+def zero_noise_continuation(
+    driver: Driver, values: np.ndarray, times: np.ndarray, dt: float
+) -> np.ndarray:
+    """Roll ``values`` back through one implicit step per date in ``times``, z frozen at 0.
+
+    Each node follows ``y' = -f(t, y, 0)`` on its own.  A step of the
+    ``kappa`` family keeps each value's sign, so the steps collapse to
+    ``(1 - kappa*dt)**(-steps)`` on values >= 0 and ``(1 + kappa*dt)**(-steps)``
+    below (1 without a y-part).
+    """
+    vals = np.asarray(values, dtype=float)
+    _check_contractive(driver, dt)
+    if driver.kappa_structure is not None:
+        kappa, include_y = driver.kappa_structure
+        kdt = kappa * dt if include_y else 0.0
+        steps = len(times)
+        return np.where(vals >= 0.0, vals * (1.0 - kdt) ** (-steps),
+                        vals * (1.0 + kdt) ** (-steps))
+    zeros = np.zeros_like(vals)
+    for t in reversed(times):
+        vals = implicit_step(driver, float(t), vals, zeros, dt)
+    return vals
 
 
 def solve_bsde(

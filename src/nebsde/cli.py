@@ -609,8 +609,8 @@ def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
         claim = bs.TerminalClaim(rv)
         upper = bs.solve_bsde(scen, claim, exp.driver)
         means = np.array([sc.expect(scen, y) for y in upper.Y])
-        # a configured gexp driver carries no kappa_structure, so ne.evaluate
-        # would run this same solve; alpha-maxmin's value comes from the tree kernel
+        # for a gexp, ne.evaluate would take these same steps (the tree kernel
+        # runs solve_bsde's step per level); alpha-maxmin's value needs both envelopes
         value = upper.value if exp.kind == "gexp" else ne.evaluate(exp, scen, rv)
         if exp.kind == "alpha_maxmin":
             lower = bs.solve_bsde(scen, claim, bs.Driver.kappa_abs(-exp.kappa, include_y=False))

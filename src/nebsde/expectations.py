@@ -10,7 +10,8 @@ Three families share one evaluation entry point:
 
 A claim living on an interior level is continued to the terminal solve by
 freezing z at 0 node by node (the conditional system degenerates to scalar
-ODEs there), then rolled back through the scenario tree or path regression.
+ODEs there), then rolled back by the one tree kernel for every driver or,
+on Monte Carlo paths, by :func:`nebsde.bsde.solve_bsde`.
 """
 from __future__ import annotations
 
@@ -116,21 +117,16 @@ def check_operator(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> None:
     one step of a generator with z-slope ``k`` weights the two children by
     ``(1 +- k*sqrt(dt))/2``, so a larger claim keeps a larger value only
     while ``k*sqrt(dt) <= 1``; the minimal-shift search relies on that.
-    ``k`` is ``|kappa|`` for a ``kappa*|z|`` generator (as in
-    ``alpha_maxmin``), and the declared Lipschitz constant for any other
-    generator that depends on ``z``.  Monte Carlo paths are not checked.
+    ``k`` is the driver's Lipschitz constant when it depends on ``z``
+    (``|kappa|`` for ``kappa*|z|``, as in ``alpha_maxmin``) and 0
+    otherwise.  Monte Carlo paths are not checked for monotonicity.
     """
     if exp.kind == "classical":
         return
-    structure = exp.driver.kappa_structure
-    if structure is None:
-        check_vanishing(exp.driver, scen.grid.nodes)
+    check_vanishing(exp.driver, scen.grid.nodes)
     if scen.mode != "tree":
         return
-    if structure is not None:
-        slope = abs(structure[0])
-    else:
-        slope = exp.driver.lipschitz if exp.driver.depends_on_z else 0.0
+    slope = exp.driver.lipschitz if exp.driver.depends_on_z else 0.0
     step = slope * np.sqrt(scen.grid.dt)
     if step > 1.0:
         raise ValueError(
@@ -139,39 +135,13 @@ def check_operator(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> None:
         )
 
 
-def _continue_to_level(
-    scen: sc.ScenarioSet, rv: sc.RandomVariable, driver: bs.Driver
-) -> np.ndarray:
-    """Freeze z at 0 and roll the claim's own level forward--backward ODEs.
-
-    Node values at an interior level evolve independently under
-    ``y' = -f(t, y, 0)``; the implicit step mirrors the tree recursion so a
-    level-``index`` claim becomes usable as terminal data at that level.
-    """
-    m = scen.grid.steps
-    steps = m - rv.index
-    if steps == 0:
-        return rv.values.copy()
-    if driver.kappa_structure is not None:
-        kappa, include_y = driver.kappa_structure
-        return kern.kappa_continuation(rv.values, scen.grid.dt, steps, kappa, include_y)
-    vals = rv.values.copy()
-    zeros = np.zeros_like(vals)
-    nodes = scen.grid.nodes
-    for j in range(m - 1, rv.index - 1, -1):
-        vals = bs.implicit_step(driver, float(nodes[j]), vals, zeros, scen.grid.dt)
-    return vals
-
-
 def _gexp_value(scen: sc.ScenarioSet, rv: sc.RandomVariable, driver: bs.Driver) -> float:
     sc.check_rv(scen, rv)
-    vals = _continue_to_level(scen, rv, driver)
-    if scen.mode == "tree" and driver.kappa_structure is not None:
-        kappa, include_y = driver.kappa_structure
-        return float(kern.tree_backward_value(vals, scen.grid.dt, kappa, include_y))
-    claim = bs.TerminalClaim(sc.RandomVariable(rv.index, vals))
-    pair = bs.solve_bsde(scen, claim, driver)
-    return pair.value
+    grid = scen.grid
+    vals = bs.zero_noise_continuation(driver, rv.values, grid.nodes[rv.index:grid.steps], grid.dt)
+    if scen.mode == "tree":
+        return kern.tree_backward_value(vals, grid.dt, driver, grid.nodes)
+    return bs.solve_bsde(scen, bs.TerminalClaim(sc.RandomVariable(rv.index, vals)), driver).value
 
 
 def evaluate(exp: NonlinearExpectation, scen: sc.ScenarioSet, rv: sc.RandomVariable) -> float:

@@ -24,8 +24,29 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import binomial_weights
 from .errors import SupportMismatchError
+
+
+def binomial_weights(n, p):
+    """Binomial(``n``, ``p``) probabilities of ``0..n`` up-moves.
+
+    Formed in log space (``log C(n, k)`` is a cumulative sum of
+    ``log((n - k + 1) / k)``) and normalised by their sum, so no factor
+    overflows and the weights sum to 1 up to rounding.  Above about 1,000
+    steps the tail weights underflow to 0.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if p == 0.0 or p == 1.0:
+        w = np.zeros(n + 1)
+        w[n if p == 1.0 else 0] = 1.0
+        return w
+    k = np.arange(n + 1)
+    log_choose = np.zeros(n + 1)
+    np.cumsum(np.log((n - k[1:] + 1) / k[1:]), out=log_choose[1:])
+    logw = log_choose + k * np.log(p) + (n - k) * np.log1p(-p)
+    w = np.exp(logw - np.max(logw))
+    return w / np.sum(w)
 
 
 @dataclass(frozen=True)

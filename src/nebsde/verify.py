@@ -411,9 +411,11 @@ def run_structural_checks(
     """Run the desk-scale structural suite on one scenario set.
 
     The workhorse instance is the ramp-flow problem with claim
-    ``B_T + shift``; comparison and domination checks run on fixed derived
-    bundles.  Thresholds scale with the grid so the suite stays meaningful
-    at any desk-size resolution.
+    ``B_T + shift``; comparison and domination checks run on derived
+    bundles; the comparison's claim and loss are offset by ``0.4`` and
+    ``0.6`` times the margin ``shift - floor``, so its terminal constraint
+    holds with ``0.8*(shift - floor) > 0``.  Thresholds scale with the grid
+    so the suite stays meaningful at any desk-size resolution.
     """
     dt = scen.grid.dt
     records = []
@@ -477,10 +479,11 @@ def run_structural_checks(
         )
     )
 
+    margin = shift - floor
     first = ParameterBundle(
-        claim=bs.TerminalClaim.from_function(scen, lambda b: b + shift + 0.2),
+        claim=bs.TerminalClaim.from_function(scen, lambda b: b + shift + 0.4 * margin),
         driver=bs.Driver.constant(-0.5 * gamma),
-        loss=rf.LossFunction.linear(floor + 0.3),
+        loss=rf.LossFunction.linear(floor + 0.6 * margin),
         expectation=classical,
     )
     second = ParameterBundle(

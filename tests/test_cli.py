@@ -1,6 +1,7 @@
 """Command line front end: expression grammar, config contract, exit codes."""
 
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nebsde
 from nebsde.cli import parse_expression, run
 
 
@@ -212,6 +214,12 @@ def test_verify_command(tmp_path, capsys):
     # any finite tilt runs
     cfg = _write(tmp_path / "tilt.ini", VERIFY_INI + "\n[verify]\ntilt = 1e9\n")
     assert run(["verify", "--config", cfg, "--out", str(tmp_path / "tilt")]) == 0
+    assert "checks=10 failed=0" in capsys.readouterr().out
+    # a small margin shift - floor = 0.05 keeps the comparison bundle feasible
+    small = VERIFY_INI.replace("steps = 50", "steps = 20")
+    small += "\n[verify]\nshift = 0.55\nfloor = 0.5\n"
+    cfg = _write(tmp_path / "margin.ini", small)
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "margin")]) == 0
     assert "checks=10 failed=0" in capsys.readouterr().out
 
 
@@ -494,6 +502,25 @@ def test_readme_example_runs(tmp_path, capsys):
         code = run([command, "--config", cfg, "--out", str(tmp_path / command)])
         assert code == 0, (command, capsys.readouterr().err)
     assert "checks=10 failed=0" in capsys.readouterr().out
+
+
+# The child loads one module first and fails if that pulls in a test-only
+# dependency: the library needs numpy alone.
+_IMPORT_FIRST = """\
+import importlib, sys
+importlib.import_module(sys.argv[1])
+loaded = {name.partition(".")[0] for name in sys.modules}
+sys.exit(sorted(loaded & {"scipy", "hypothesis", "pytest"}) or 0)
+"""
+
+
+@pytest.mark.parametrize(
+    "module", ["nebsde"] + [f"nebsde.{m.name}" for m in pkgutil.iter_modules(nebsde.__path__)]
+)
+def test_each_module_imports_first(module, child_env):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_FIRST, module],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point(tmp_path, child_env):

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nebsde import bsde as bs
 from nebsde import expectations as ne
 from nebsde import picard as pc
 from nebsde import reflection as rf
 from nebsde import scenarios as sc
+from nebsde.errors import FixedPointError
 
 EXACT = 1e-12
 KAPPA = 0.5
@@ -165,6 +168,75 @@ def test_interior_fast_path_matches_generic_solver(tree50):
     a = ne.evaluate(fast, tree50, rv)
     b = ne.evaluate(generic, tree50, rv)
     assert abs(a - b) <= 1e-10
+
+
+def _drivers(kappa):
+    """``kappa*(|y| + |z|)`` and ``kappa*|z|`` (``kappa`` of either sign), the
+    same formulas as plain callables, and a driver outside the family that
+    reads t, y and z."""
+    k = abs(kappa)
+    return {
+        "kappa_abs": bs.Driver.kappa_abs(kappa),
+        "kappa_abs z": bs.Driver.kappa_abs(kappa, include_y=False),
+        "plain y and z": bs.Driver(fn=lambda t, y, z: kappa * (np.abs(y) + np.abs(z)),
+                                   lipschitz=k, depends_on_y=True, depends_on_z=True),
+        "plain z": bs.Driver(fn=lambda t, y, z: kappa * np.abs(z), lipschitz=k,
+                             depends_on_z=True),
+        "non-kappa": bs.Driver(fn=lambda t, y, z: -0.4 * (1.0 + t) * y + 0.3 * np.tanh(z),
+                               lipschitz=0.8, depends_on_y=True, depends_on_z=True),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(4, 12),
+    data=st.data(),
+    kappa=st.floats(0.05, 0.9) | st.floats(-0.9, -0.05),
+    case=st.sampled_from(sorted(_drivers(1.0))),
+    order=st.sampled_from(["none", "increasing", "decreasing"]),
+)
+def test_tree_evaluate_matches_solve_bsde_on_continued_claim(m, data, kappa, case, order):
+    # The fast paths of ne.evaluate on the tree (the kappa family's
+    # continuation factor and step, the comonotone dot product, the lean
+    # roll-back) against the generic solver on the claim continued step by
+    # step with z frozen at 0.  At least 4 steps keep lipschitz * dt <= 0.225,
+    # where 50 fixed-point sweeps reach their tolerance.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
+    index = data.draw(st.integers(0, m))
+    x = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=index + 1,
+                                    max_size=index + 1)))
+    if order != "none":
+        x = np.sort(x) if order == "increasing" else -np.sort(x)
+    driver = _drivers(kappa)[case]
+    got = ne.evaluate(ne.NonlinearExpectation.gexp(driver), scen, sc.RandomVariable(index, x))
+    continued = x
+    for j in range(m - 1, index - 1, -1):
+        continued = bs.implicit_step(driver, float(scen.grid.nodes[j]), continued,
+                                     np.zeros_like(x), scen.grid.dt)
+    claim = bs.TerminalClaim(sc.RandomVariable(index, continued))
+    ref = bs.solve_bsde(scen, claim, driver).value
+    assert abs(got - ref) <= 1e-12 * (1.0 + np.max(np.abs(continued))), (case, got, ref)
+
+
+def test_tree_evaluate_runs_no_bsde_solve(tree8, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree evaluation ran bs.solve_bsde")
+
+    monkeypatch.setattr(bs, "solve_bsde", refuse)
+    driver = bs.Driver(fn=lambda t, y, z: -0.5 * y + 0.2 * np.abs(z), lipschitz=0.5,
+                       depends_on_y=True, depends_on_z=True)
+    rv = sc.from_terminal_function(tree8, lambda b: b * b)
+    assert np.isfinite(ne.evaluate(ne.NonlinearExpectation.gexp(driver), tree8, rv))
+
+
+def test_non_finite_driver_on_tree_raises_fixed_point_error(tree8):
+    nan = bs.Driver(fn=lambda t, y, z: np.full_like(np.asarray(z, dtype=float), np.nan),
+                    lipschitz=0.5, depends_on_z=True)
+    rv = sc.from_terminal_function(tree8, lambda b: b + 1.0)
+    with pytest.raises(FixedPointError):
+        ne.evaluate(ne.NonlinearExpectation.gexp(nan), tree8, rv)
+    with pytest.raises(FixedPointError):
+        ne.evaluate(ne.NonlinearExpectation.gexp(nan), tree8, sc.RandomVariable(3, np.ones(4)))
 
 
 def test_domination_gap_report(tree50):

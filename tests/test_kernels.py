@@ -1,4 +1,4 @@
-"""Backward tree kernels: hand-worked cases, continuation identities, and
+"""Backward tree kernel: hand-worked cases, continuation identities, and
 the comonotone closed form against the recursion it replaces."""
 
 import numpy as np
@@ -7,31 +7,61 @@ from scipy.stats import binom
 
 import nebsde
 from nebsde import _kernels
+from nebsde import bsde as bs
+from nebsde import scenarios as sc
+from nebsde.errors import NonContractiveStepError
 
 EXACT = 1e-12
 
 
+def _backward_recursion(terminal, dt, kappa, include_y):
+    """Oracle: the node-by-node ``kappa*(|y| + |z|)`` recursion, inlined."""
+    w = np.array(terminal, dtype=float)
+    half_inv_sq = 0.5 / np.sqrt(dt)
+    kdt = kappa * dt
+    for level in range(w.size - 2, -1, -1):
+        lo = w[: level + 1]
+        hi = w[1 : level + 2]
+        a = 0.5 * (lo + hi) + np.abs((hi - lo) * half_inv_sq) * kdt
+        if include_y:
+            a = a / np.where(a >= 0.0, 1.0 - kdt, 1.0 + kdt)
+        w[: level + 1] = a
+    return float(w[0])
+
+
+def _kernel(terminal, dt, kappa, include_y):
+    """The tree kernel under ``kappa*(|y| + |z|)``, or ``kappa*|z|`` without y."""
+    nodes = dt * np.arange(np.size(terminal))
+    return _kernels.tree_backward_value(terminal, dt, bs.Driver.kappa_abs(kappa, include_y),
+                                        nodes)
+
+
+def _continuation(values, dt, steps, kappa, include_y):
+    return bs.zero_noise_continuation(bs.Driver.kappa_abs(kappa, include_y), values,
+                                      dt * np.arange(steps), dt)
+
+
 def test_single_step_z_only_by_hand():
     # Terminal [-1, 3], dt=1: midpoint 1, |z| contribution |(3+1)/2| = 2.
-    v = _kernels.tree_backward_value(np.array([-1.0, 3.0]), 1.0, 0.3, False)
+    v = _kernel(np.array([-1.0, 3.0]), 1.0, 0.3, False)
     assert abs(v - 1.6) <= EXACT
-    v = _kernels.tree_backward_value(np.array([-1.0, 3.0]), 1.0, -0.3, False)
+    v = _kernel(np.array([-1.0, 3.0]), 1.0, -0.3, False)
     assert abs(v - 0.4) <= EXACT
 
 
 def test_single_step_with_y_term_by_hand():
     # Positive intermediate value divides by (1 - kappa*dt) resp. (1 + kappa*dt).
-    v = _kernels.tree_backward_value(np.array([-1.0, 3.0]), 1.0, 0.3, True)
+    v = _kernel(np.array([-1.0, 3.0]), 1.0, 0.3, True)
     assert abs(v - 1.6 / 0.7) <= EXACT
-    v = _kernels.tree_backward_value(np.array([-1.0, 3.0]), 1.0, -0.3, True)
+    v = _kernel(np.array([-1.0, 3.0]), 1.0, -0.3, True)
     assert abs(v - 0.4 / 1.3) <= EXACT
 
 
 def test_constant_terminal_matches_continuation():
     dt, m = 0.02, 10
     for kappa in (0.7, -0.7):
-        v = _kernels.tree_backward_value(np.full(m + 1, 2.0), dt, kappa, True)
-        cont = _kernels.kappa_continuation(np.array([2.0]), dt, m, kappa, True)
+        v = _kernel(np.full(m + 1, 2.0), dt, kappa, True)
+        cont = _continuation(np.array([2.0]), dt, m, kappa, True)
         assert abs(v - cont[0]) <= EXACT
         assert abs(v - 2.0 * (1.0 - kappa * dt) ** (-m)) <= EXACT
 
@@ -39,34 +69,39 @@ def test_constant_terminal_matches_continuation():
 def test_continuation_matches_stepwise_factors():
     vals = np.array([-2.0, 0.001, 3.0])
     dt, steps, kappa = 0.01, 7, 0.4
-    out = _kernels.kappa_continuation(vals, dt, steps, kappa, True)
+    out = _continuation(vals, dt, steps, kappa, True)
     pos = (1.0 - kappa * dt) ** (-steps)
     neg = (1.0 + kappa * dt) ** (-steps)
     expected = np.where(vals >= 0.0, vals * pos, vals * neg)
     assert np.max(np.abs(out - expected)) <= EXACT
+    # the closed form against the implicit steps it collapses
+    stepped = vals
+    for _ in range(steps):
+        stepped = bs.implicit_step(bs.Driver.kappa_abs(kappa), 0.0, stepped, np.zeros(3), dt)
+    assert np.max(np.abs(out - stepped)) <= EXACT
 
 
 def test_continuation_identity_cases():
     vals = np.array([1.0, -4.0])
-    assert np.array_equal(_kernels.kappa_continuation(vals, 0.1, 0, 0.5, True), vals)
-    assert np.array_equal(_kernels.kappa_continuation(vals, 0.1, 5, 0.5, False), vals)
-    assert np.array_equal(_kernels.kappa_continuation(vals, 0.1, 5, 0.0, True), vals)
+    assert np.array_equal(_continuation(vals, 0.1, 0, 0.5, True), vals)
+    assert np.array_equal(_continuation(vals, 0.1, 5, 0.5, False), vals)
+    assert np.array_equal(_continuation(vals, 0.1, 5, 0.0, True), vals)
 
 
 def test_step_size_guard():
-    with pytest.raises(ValueError):
-        _kernels.kappa_continuation(np.array([1.0]), 1.0, 3, 1.5, True)
-    with pytest.raises(ValueError):
-        _kernels.tree_backward_value(np.array([-1.0, 3.0]), 1.0, 1.5, True)
+    with pytest.raises(NonContractiveStepError):
+        _continuation(np.array([1.0]), 1.0, 3, 1.5, True)
+    with pytest.raises(NonContractiveStepError):
+        _kernel(np.array([-1.0, 3.0]), 1.0, 1.5, True)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        _kernels.tree_backward_value(np.zeros((2, 2)), 1.0, 0.1, False)
+        _kernel(np.zeros((2, 2)), 1.0, 0.1, False)
     with pytest.raises(ValueError):
-        _kernels.tree_backward_value(np.array([]), 1.0, 0.1, False)
+        _kernel(np.array([]), 1.0, 0.1, False)
     with pytest.raises(ValueError):
-        _kernels.tree_backward_value(np.array([1.0]), 0.0, 0.1, False)
+        _kernel(np.array([1.0]), 0.0, 0.1, False)
 
 
 def _levels(m):
@@ -85,8 +120,8 @@ def test_comonotone_closed_form_matches_recursion(m):
         for name, terminal in _levels(m).items():
             for n in sorted({0, 1, 2, *np.linspace(0, m, 9).astype(int).tolist()}):
                 level = terminal[: n + 1]
-                got = _kernels.tree_backward_value(level, dt, kappa, include_y)
-                ref = _kernels._backward_recursion(level, dt, kappa, include_y)
+                got = _kernel(level, dt, kappa, include_y)
+                ref = _backward_recursion(level, dt, kappa, include_y)
                 assert abs(got - ref) <= 1e-13 * np.max(np.abs(level)), (name, kappa, n)
 
 
@@ -104,21 +139,21 @@ def test_non_comonotone_cases_run_the_recursion():
         (-np.exp(b), -800.0, False),
     ]
     for level, kappa, include_y in cases:
-        got = _kernels.tree_backward_value(level, dt, kappa, include_y)
-        assert got == _kernels._backward_recursion(level, dt, kappa, include_y)
+        got = _kernel(level, dt, kappa, include_y)
+        assert got == _backward_recursion(level, dt, kappa, include_y)
 
 
 def test_kernel_leaves_its_input_unchanged():
     level = np.array([3.0, -1.0, 2.0])
     for kappa, include_y in ((0.4, True), (0.4, False)):
-        _kernels.tree_backward_value(level, 0.5, kappa, include_y)
+        _kernel(level, 0.5, kappa, include_y)
         assert level.tolist() == [3.0, -1.0, 2.0]
 
 
 @pytest.mark.parametrize("m", [8, 200, 1000])
 def test_binomial_weights_match_binom_pmf(m):
     for p in (0.5, 0.3, 0.5 * (1.0 + 0.5 / np.sqrt(m)), 0.9):
-        got = _kernels.binomial_weights(m, p)
+        got = sc.binomial_weights(m, p)
         ref = binom.pmf(np.arange(m + 1), m, p)
         live = ref > 0.0
         assert np.max(np.abs(got[live] - ref[live]) / ref[live]) <= 1e-11
@@ -126,12 +161,12 @@ def test_binomial_weights_match_binom_pmf(m):
 
 
 def test_binomial_weights_edge_cases():
-    assert _kernels.binomial_weights(0, 0.3).tolist() == [1.0]
-    assert _kernels.binomial_weights(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert _kernels.binomial_weights(3, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert sc.binomial_weights(0, 0.3).tolist() == [1.0]
+    assert sc.binomial_weights(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert sc.binomial_weights(3, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
     for p in (-0.1, 1.1, np.nan):
         with pytest.raises(ValueError):
-            _kernels.binomial_weights(3, p)
+            sc.binomial_weights(3, p)
 
 
 def test_backend_label():
