@@ -18,7 +18,7 @@ from .errors import (
     SupportMismatchError,
 )
 from .expectations import DominationReport, NonlinearExpectation, domination_gap, evaluate
-from .picard import SolveDiagnostics, SolveOptions, solve_reflected
+from .picard import SolveDiagnostics, solve_reflected
 from .reflection import (
     LossFunction,
     ReflectedSolution,

@@ -4,19 +4,24 @@ One backward sweep per grid step: the martingale integrand is read off the
 next level first, then the value is rolled back with an implicit-in-y Euler
 step, :func:`implicit_step`.  Tree mode uses exact pairwise averages and
 one-step difference quotients; Monte Carlo mode uses regression projections.
+:func:`solve_bsde` is the one backward loop: a reflected solve passes it a
+lift, which it applies after each step until the lifted level settles.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import scenarios as sc
-from .errors import FixedPointError, NonContractiveStepError
+from .errors import FixedPointError, NonContractiveStepError, PicardDivergenceError
 
 _SWEEP_TOL = 1e-13
-_MAX_SWEEPS = 50
+# per-step agreement of successive lifted levels, and the passes allowed
+PICARD_TOL = 1e-8
+_MAX_PASSES = 100
 
 
 @dataclass(frozen=True)
@@ -124,10 +129,14 @@ class TerminalClaim:
 
 @dataclass(frozen=True)
 class BsdePair:
-    """Adapted solution pair: ``Y`` on indices ``0..stop``, ``Z`` on steps."""
+    """``Y`` on indices ``0..stop`` and ``Z`` on steps, with the lift ``shifts[i]``
+    of each level (zeros without a lift) and, per step, ``diff_norms[i]``:
+    ``max|y - u|`` after each lifted pass (empty without a lift)."""
 
     Y: tuple
     Z: tuple
+    shifts: np.ndarray
+    diff_norms: tuple
 
     @property
     def value(self) -> float:
@@ -152,7 +161,9 @@ def implicit_step(
     solved exactly: ``a = e + |z|*kappa*dt``, then ``a / (1 - kappa*sign(a)*dt)``
     with a y-part (``y`` keeps the sign of ``a``).  Any other y-dependent
     driver takes a fixed-point sweep from ``e``, contractive because
-    ``lipschitz * dt < 1`` is enforced.
+    ``lipschitz * dt < 1`` is enforced; it stops once a sweep moves ``y`` by
+    at most 1e-13 relative, and it is capped after the first sweep at one more
+    than the ``n`` of the bound ``q**n * gap/(1 - q) <= tol``, ``q = lipschitz*dt``.
     """
     _check_contractive(driver, dt)
     if driver.kappa_structure is not None:
@@ -162,14 +173,21 @@ def implicit_step(
         return a / np.where(a >= 0.0, 1.0 - kdt, 1.0 + kdt) if include_y else a
     if not driver.depends_on_y:
         return e + np.asarray(driver.fn(t, e, z), dtype=float) * dt
-    y = e.copy()
-    for _ in range(_MAX_SWEEPS):
+    q = driver.lipschitz * dt
+    y, sweeps, cap = e.copy(), 0, 1
+    while sweeps < cap:
         y_next = e + np.asarray(driver.fn(t, y, z), dtype=float) * dt
         gap = float(np.max(np.abs(y_next - y)))
         y = y_next
-        if gap <= _SWEEP_TOL * (1.0 + float(np.max(np.abs(y)))):
+        sweeps += 1
+        tol = _SWEEP_TOL * (1.0 + float(np.max(np.abs(y))))
+        if gap <= tol:
             return y
-    raise FixedPointError("implicit step did not converge in 50 sweeps")
+        if not np.isfinite(gap):
+            break
+        if sweeps == 1:
+            cap = 1 + math.ceil(math.log(tol * (1.0 - q) / gap) / math.log(q))
+    raise FixedPointError(f"implicit step did not converge in {sweeps} sweeps")
 
 
 def zero_noise_continuation(
@@ -177,16 +195,19 @@ def zero_noise_continuation(
 ) -> np.ndarray:
     """Roll ``values`` back through one implicit step per date in ``times``, z frozen at 0.
 
-    Each node follows ``y' = -f(t, y, 0)`` on its own.  A step of the
-    ``kappa`` family keeps each value's sign, so the steps collapse to
+    Each node follows ``y' = -f(t, y, 0)`` on its own.  A driver that
+    ignores y leaves ``values`` as they are, since ``f(t, y, 0) = f(t, 0, 0)``
+    vanishes for a g-expectation's generator.  A step of the ``kappa``
+    family keeps each value's sign, so the steps collapse to
     ``(1 - kappa*dt)**(-steps)`` on values >= 0 and ``(1 + kappa*dt)**(-steps)``
-    below (1 without a y-part).
+    below.
     """
     vals = np.asarray(values, dtype=float)
+    if not driver.depends_on_y:
+        return vals
     _check_contractive(driver, dt)
     if driver.kappa_structure is not None:
-        kappa, include_y = driver.kappa_structure
-        kdt = kappa * dt if include_y else 0.0
+        kdt = driver.kappa_structure[0] * dt
         steps = len(times)
         return np.where(vals >= 0.0, vals * (1.0 - kdt) ** (-steps),
                         vals * (1.0 + kdt) ** (-steps))
@@ -201,13 +222,18 @@ def solve_bsde(
     claim: TerminalClaim,
     driver: Driver,
     flow=None,
+    lift=None,
 ) -> BsdePair:
     """Backward solve from the claim's level down to 0.
 
     Returns Y on indices ``0..claim.index`` and Z on ``0..claim.index - 1``.
     ``flow``, when given, holds one deterministic increment per step, added
-    to the conditional mean before the implicit step; no constraint logic
-    runs.
+    to the conditional mean before the implicit step, which makes it exact.
+    ``lift(i, x) -> k``, when given, is found only after the step: it lifts
+    the claim's level and each rolled-back level ``x`` to ``x + k``; for a
+    driver that reads y, the step is rolled again from the lifted level until
+    two passes agree to ``PICARD_TOL`` (``PicardDivergenceError`` after
+    ``_MAX_PASSES``).
     """
     sc.check_rv(scen, claim.rv)
     stop = claim.index
@@ -215,19 +241,40 @@ def solve_bsde(
         raise ValueError(f"flow needs {stop} increments, got {len(flow)}")
     nodes = scen.grid.nodes
     dt = scen.grid.dt
-    ys = [sc.RandomVariable(stop, claim.values.copy())]
-    zs = []
-    vals = claim.values
+    shifts = np.zeros(stop + 1)
+    if lift is not None:
+        shifts[stop] = lift(stop, claim.values)
+    vals = claim.values + shifts[stop]
+    ys = [sc.RandomVariable(stop, vals)]
+    zs, diff_norms = [], []
     for i in range(stop - 1, -1, -1):
+        t = float(nodes[i])
         z = sc.step_z(scen, vals, i)
         e = sc.step_expect(scen, vals, i)
         if flow is not None:
             e = e + flow[i]
-        vals = implicit_step(driver, float(nodes[i]), e, z, dt)
-        if not np.all(np.isfinite(vals)):
-            raise FixedPointError(f"non-finite values produced at index {i}")
+        u = x = implicit_step(driver, t, e, z, dt)
+        norms = []
+        while True:
+            if not np.all(np.isfinite(x)):
+                raise FixedPointError(f"non-finite values produced at index {i}")
+            if lift is None:
+                vals = x
+                break
+            shifts[i] = lift(i, x)
+            vals = x + shifts[i]
+            norms.append(float(np.max(np.abs(vals - u))))
+            if not driver.depends_on_y or norms[-1] <= PICARD_TOL:
+                break
+            if len(norms) == _MAX_PASSES:
+                raise PicardDivergenceError(
+                    f"no self-consistency within {_MAX_PASSES} iterations "
+                    f"at step {i} (last difference {norms[-1]:.3g})"
+                )
+            u = vals
+            x = e + np.asarray(driver.fn(t, u, z), dtype=float) * dt
         ys.append(sc.RandomVariable(i, vals))
         zs.append(sc.RandomVariable(i, z))
-    ys.reverse()
-    zs.reverse()
-    return BsdePair(Y=tuple(ys), Z=tuple(zs))
+        diff_norms.append(tuple(norms))
+    return BsdePair(Y=tuple(ys[::-1]), Z=tuple(zs[::-1]), shifts=shifts,
+                    diff_norms=tuple(diff_norms[::-1]))

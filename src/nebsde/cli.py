@@ -16,10 +16,10 @@ byte-identical files.
 Exit codes: 0 success, 1 config problem (including a loss slope bound or
 driver Lipschitz constant that its probe lattice refutes, and a gexp driver
 that does not vanish at the origin on a grid date), 2 infeasible constraint,
-3 divergence or non-contractive step, 4 no root bracket for a shift search
-(the declared loss slope bounds do not hold, a bracket, also that of a
-mean floor, does not fit in a float, or a risk lift misses the acceptance
-set).
+3 divergence (a non-contractive step, or a step that does not settle within
+its sweep or pass cap), 4 no root bracket for a shift search (the declared
+loss slope bounds do not hold, a bracket, also that of a mean floor, does
+not fit in a float, or a risk lift misses the acceptance set).
 """
 from __future__ import annotations
 
@@ -166,7 +166,6 @@ _SCHEMA = {
         "loss_upper", "loss_shape", "expectation", "kappa", "alpha",
         "gexp_driver",
     },
-    "solver": {"picard_tol", "max_picard_iters", "operator_tol", "feasibility_tol"},
     "risk": {"kernels", "penalties", "q_constant", "q_knots"},
     "market": {"rate", "drift", "volatility"},
     "verify": {"gamma", "floor", "shift", "tilt"},
@@ -251,7 +250,6 @@ class RunConfig:
     driver: bs.Driver | None = None
     loss: rf.LossFunction | None = None
     expectation: ne.NonlinearExpectation | None = None
-    options: pc.SolveOptions = field(default_factory=pc.SolveOptions)
     rho: rk.RiskMeasure | None = None
     benchmark: rk.Benchmark | None = None
     market: rk.Market | None = None
@@ -394,19 +392,6 @@ def _build_expectation(sec: _Section, grid: sc.TimeGrid) -> ne.NonlinearExpectat
     raise ConfigError(f"unknown expectation kind {kind!r}", key="problem.expectation")
 
 
-def _build_options(cfg) -> pc.SolveOptions:
-    sec = _Section(cfg, "solver")
-    try:
-        return pc.SolveOptions(
-            picard_tol=sec.number("picard_tol", 1e-8),
-            max_picard_iters=sec.integer("max_picard_iters", 100),
-            operator_tol=sec.number("operator_tol", rf.OPERATOR_TOL),
-            feasibility_tol=sec.number("feasibility_tol", rf.FEASIBILITY_TOL),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="solver") from None
-
-
 def _build_risk(cfg, grid) -> tuple:
     if not cfg.has_section("risk"):
         raise ConfigError("required section missing", key="risk")
@@ -493,7 +478,6 @@ def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
     scen, seed = _build_scenario(cfg, seed_override)
     digest = hashlib.sha256(raw + f"|seed={seed}|cmd={command}".encode()).hexdigest()[:16]
     run = RunConfig(command=command, scen=scen, seed=seed, digest=digest)
-    run.options = _build_options(cfg)
 
     prob = _Section(cfg, "problem")
     if command in ("solve", "gexp", "price"):
@@ -579,7 +563,7 @@ def _log_solution(log: _RunLog, sol: rf.ReflectedSolution):
 def _run_solve(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
     claim = bs.TerminalClaim(run.payoff)
-    sol = pc.solve_reflected(scen, claim, run.driver, run.loss, run.expectation, run.options)
+    sol = pc.solve_reflected(scen, claim, run.driver, run.loss, run.expectation)
     floors = None
     if run.mean_floor_column:
         rep = vf.representation_gap(scen, sol, run.driver, run.expectation, run.loss)
@@ -628,7 +612,7 @@ def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
 def _run_price(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
     claim = bs.TerminalClaim(run.payoff)
-    report = rk.superhedge_price(run.market, scen, claim, run.rho, run.benchmark, run.options)
+    report = rk.superhedge_price(run.market, scen, claim, run.rho, run.benchmark)
     sol = report.solution
     columns = {
         "mean_y": sol.mean_values(scen),

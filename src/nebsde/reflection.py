@@ -251,7 +251,7 @@ def mean_constraint_problem(
     return ReflectionProblem(constraint, loss.lower, kappa_t=exp.kappa * scen.grid.horizon)
 
 
-def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float, tol: float):
+def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float):
     """Root of ``phi(x) = problem.constraint(i, values + x)``, given ``phi(0) = v0 != 0``.
 
     Returns ``(lo, hi, steps, phi(hi))`` with ``phi(hi) >= 0``.  An exact
@@ -262,7 +262,8 @@ def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float, tol
     short of the root.  Any other searches (:func:`_monotone_root`) from the
     slope-bound reach ``|v0|*exp(kappa_t)/slope``.  Raises
     ``BracketFailureError`` when the reach does not fit in a float or the
-    closed form is still short after 8 steps.
+    closed form is still short after 8 steps.  A search's final bracket is
+    ``OPERATOR_TOL`` wide.
     """
 
     def phi(x):
@@ -286,13 +287,13 @@ def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float, tol
         raise BracketFailureError(
             f"shift bracket at index {i} overflows (kappa * T = {problem.kappa_t:.3g})"
         )
-    return _monotone_root(phi, v0, reach, tol)
+    return _monotone_root(phi, v0, reach, OPERATOR_TOL)
 
 
-def lift(problem: ReflectionProblem, i: int, values: np.ndarray, tol: float = OPERATOR_TOL):
+def lift(problem: ReflectionProblem, i: int, values: np.ndarray):
     """The minimal lift of level ``i`` onto ``problem.constraint(i, .) >= 0``.
 
-    Returns ``(x, steps, value)``: the smallest ``x >= 0`` (to ``tol``) with
+    Returns ``(x, steps, value)``: the smallest ``x >= 0`` (to ``OPERATOR_TOL``) with
     ``value = problem.constraint(i, values + x) >= 0`` as evaluated, and the
     search steps it took, each one constraint evaluation (0 when the
     constraint holds at 0 or the lift has a closed form).
@@ -300,7 +301,7 @@ def lift(problem: ReflectionProblem, i: int, values: np.ndarray, tol: float = OP
     h0 = problem.constraint(i, values)
     if h0 >= 0.0:
         return 0.0, 0, h0
-    _, x, steps, value = _root(problem, i, values, h0, tol)
+    _, x, steps, value = _root(problem, i, values, h0)
     return x, steps, value
 
 
@@ -310,20 +311,19 @@ def minimal_shift(
     scen: sc.ScenarioSet,
     i: int,
     rv: sc.RandomVariable,
-    tol: float = OPERATOR_TOL,
 ) -> float:
     """Smallest ``x >= 0`` with ``E[l(t_i, x + rv)] >= 0``.
 
     Zero when the constraint already holds.  Otherwise the closed form
     when :func:`closed_form_shift` holds, checked feasible as evaluated;
     else the feasible end of a root search between 0 and the slope-based
-    upper bracket, at most ``tol`` above the root.  Raises ``ValueError``
+    upper bracket, at most ``OPERATOR_TOL`` above the root.  Raises ``ValueError``
     when ``exp`` is not a valid operator on ``scen``
     (:func:`nebsde.expectations.check_operator`).
     """
     sc.check_rv(scen, rv)
     ne.check_operator(exp, scen)
-    return lift(mean_constraint_problem(scen, loss, exp), i, rv.values, tol)[0]
+    return lift(mean_constraint_problem(scen, loss, exp), i, rv.values)[0]
 
 
 @dataclass(frozen=True)

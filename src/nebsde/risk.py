@@ -146,7 +146,6 @@ def solve_risk_reflected(
     driver: bs.Driver,
     rho: RiskMeasure,
     q: Benchmark,
-    opts: pc.SolveOptions | None = None,
 ) -> rf.ReflectedSolution:
     """Reflected solve under the constraint ``rho(t, Y_t) <= q_t``.
 
@@ -155,9 +154,7 @@ def solve_risk_reflected(
     """
     if q.values.size != scen.grid.steps + 1:
         raise ValueError("benchmark must be sampled on the full grid")
-    opts = opts or pc.SolveOptions()
-    problem = _risk_problem(rho, q, scen)
-    return pc._solve_with_problem(scen, claim, driver, problem, opts)
+    return pc._solve_with_problem(scen, claim, driver, _risk_problem(rho, q, scen))
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,6 @@ def superhedge_price(
     claim: bs.TerminalClaim,
     rho: RiskMeasure,
     q: Benchmark,
-    opts: pc.SolveOptions | None = None,
 ) -> PriceReport:
     """Minimal initial wealth whose constrained dynamics deliver the claim.
 
@@ -195,7 +191,7 @@ def superhedge_price(
             depends_on_y=r != 0.0,
             depends_on_z=theta != 0.0,
         )
-    sol = solve_risk_reflected(scen, claim, driver, rho, q, opts)
+    sol = solve_risk_reflected(scen, claim, driver, rho, q)
     ratios = []
     for y, z in zip(sol.Y, sol.Z):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -15,7 +15,7 @@ the CLI.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from . import picard as pc
 from . import reflection as rf
 from . import scenarios as sc
 
-_FLOOR_TOL = 1e-8
+_BUMP_TOTAL = 0.1  # total of the ramp that inflates the comparison's competitor flow
+_HYPOTHESIS_SEED = 0  # seed of the probes that sample the comparison's hypotheses
 
 
 def mean_floor(
@@ -34,7 +35,6 @@ def mean_floor(
     scen: sc.ScenarioSet,
     i: int,
     ybar: sc.RandomVariable,
-    tol: float = _FLOOR_TOL,
 ) -> float:
     """Signed root x of ``E[l(t_i, ybar - mean(ybar) + x)] = 0``.
 
@@ -43,7 +43,7 @@ def mean_floor(
     functional in x makes the root unique.  It is found as the minimal lift
     finds a shift (:func:`nebsde.reflection.lift`), by the same closed form
     or from the same slope-bound reach, and a search returns the midpoint of
-    its final bracket, within ``tol`` of the root.  Raises
+    its final bracket, within ``reflection.OPERATOR_TOL`` of the root.  Raises
     ``BracketFailureError`` when the reach does not fit in a float.
     """
     problem = rf.mean_constraint_problem(scen, loss, exp)
@@ -51,7 +51,7 @@ def mean_floor(
     v0 = problem.constraint(i, centered)
     if v0 == 0.0:
         return 0.0
-    lo, hi, _, _ = rf._root(problem, i, centered, v0, tol)
+    lo, hi, _, _ = rf._root(problem, i, centered, v0)
     return 0.5 * (lo + hi)
 
 
@@ -76,7 +76,6 @@ def representation_gap(
     driver: bs.Driver,
     exp: ne.NonlinearExpectation,
     loss: rf.LossFunction,
-    tol: float = _FLOOR_TOL,
 ) -> RepresentationData:
     """Gap between solution means and their running-max representation.
 
@@ -106,7 +105,7 @@ def representation_gap(
     np.cumsum(f_mean * dt, out=fsum[1:])
 
     floors = np.array(
-        [mean_floor(exp, loss, scen, i, sol.Y[i], tol) for i in range(m)]
+        [mean_floor(exp, loss, scen, i, sol.Y[i]) for i in range(m)]
     )
     c = np.empty(m + 1)
     c[:m] = fsum[:m] + floors
@@ -143,7 +142,6 @@ class ComparisonInstance:
     scen: sc.ScenarioSet
     first: ParameterBundle
     second: ParameterBundle
-    opts: pc.SolveOptions = field(default_factory=pc.SolveOptions)
 
 
 @dataclass(frozen=True)
@@ -203,25 +201,21 @@ def _sample_hypotheses(inst: ComparisonInstance, rng: np.random.Generator) -> di
     return out
 
 
-def comparison_report(
-    inst: ComparisonInstance,
-    bump_total: float = 0.1,
-    seed: int = 0,
-) -> ComparisonReport:
+def comparison_report(inst: ComparisonInstance) -> ComparisonReport:
     """Solve both bundles and measure every ordering the theory promises.
 
     The first bundle must dominate (bigger claim and generator, smaller
     loss, weaker expectation); the report also rebuilds the first solution
-    under a strictly inflated flow and measures how far the inflated value
-    stays above the reflected one.
+    under a flow inflated by a ramp up to ``_BUMP_TOTAL`` and measures how
+    far the inflated value stays above the reflected one.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_HYPOTHESIS_SEED)
     hyp = _sample_hypotheses(inst, rng)
     vacuous = not all(hyp.values())
     scen = inst.scen
     a, b = inst.first, inst.second
-    sol1 = pc.solve_reflected(scen, a.claim, a.driver, a.loss, a.expectation, inst.opts)
-    sol2 = pc.solve_reflected(scen, b.claim, b.driver, b.loss, b.expectation, inst.opts)
+    sol1 = pc.solve_reflected(scen, a.claim, a.driver, a.loss, a.expectation)
+    sol2 = pc.solve_reflected(scen, b.claim, b.driver, b.loss, b.expectation)
 
     pointwise = min(
         float(np.min(y1.values - y2.values)) for y1, y2 in zip(sol1.Y, sol2.Y)
@@ -231,7 +225,7 @@ def comparison_report(
     mean_gap = float(np.min(means1 - means2))
 
     m = scen.grid.steps
-    bumped = rf.ReflectorFlow(sol1.K.values + np.linspace(0.0, bump_total, m + 1))
+    bumped = rf.ReflectorFlow(sol1.K.values + np.linspace(0.0, _BUMP_TOTAL, m + 1))
     competitor = bs.solve_bsde(scen, a.claim, a.driver, flow=bumped.increments)
     viol = max(
         float(np.max(y.values - c.values)) for y, c in zip(sol1.Y, competitor.Y)

@@ -163,8 +163,7 @@ def test_a08_window_count_invariance(tree100):
     driver = bs.Driver(
         fn=lambda t, y, z: -a * np.asarray(y) + c, lipschitz=a, depends_on_y=True,
     )
-    sol = pc.solve_reflected(tree100, claim, driver, rf.LossFunction.linear(floor), CLS,
-                             pc.SolveOptions(picard_tol=1e-8))
+    sol = pc.solve_reflected(tree100, claim, driver, rf.LossFunction.linear(floor), CLS)
     dt = tree100.grid.dt
     worst_y = worst_k = 0.0
     for i in range(tree100.grid.steps):

@@ -194,6 +194,16 @@ def test_non_contractive_step_refused():
         bs.solve_bsde(scen, bs.TerminalClaim.constant(scen, 1.0), drv)
 
 
+@pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+def test_implicit_step_sweep_cap_follows_the_contraction(lam):
+    # one step of y = 1 + lam*|y|: the sweep contracts at lam and needs more
+    # than 50 sweeps at these rates; the fixed point is 1/(1 - lam)
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 1), "tree")
+    drv = bs.Driver(fn=lambda t, y, z: lam * np.abs(y), lipschitz=lam, depends_on_y=True)
+    pair = bs.solve_bsde(scen, bs.TerminalClaim.constant(scen, 1.0), drv)
+    assert abs(pair.value - 1.0 / (1.0 - lam)) <= 1e-10
+
+
 def test_non_finite_driver_output_raises(tree8):
     drv = bs.Driver(
         fn=lambda t, y, z: np.sqrt(np.asarray(y) - 1e6),
@@ -202,3 +212,40 @@ def test_non_finite_driver_output_raises(tree8):
     with np.errstate(invalid="ignore"):
         with pytest.raises(FixedPointError):
             bs.solve_bsde(tree8, bs.TerminalClaim.constant(tree8, 1.0), drv)
+
+
+LIFT_DRIVERS = {
+    "constant": bs.Driver.constant(-1.0),
+    "abs-z": bs.Driver(fn=lambda t, y, z: 0.3 * np.abs(z), lipschitz=0.3, depends_on_z=True),
+    "mixed": bs.Driver(fn=lambda t, y, z: -0.2 * np.asarray(y) + 0.1 * np.abs(z),
+                       lipschitz=0.3, depends_on_y=True, depends_on_z=True),
+    "linear-y": bs.Driver(fn=lambda t, y, z: -20.0 * np.asarray(y), lipschitz=20.0,
+                          depends_on_y=True),
+}
+
+
+@pytest.mark.parametrize("mode", ["tree", "montecarlo"])
+@pytest.mark.parametrize("name", list(LIFT_DRIVERS))
+def test_prescribed_lift_matches_flow(mode, name):
+    # A lift that returns prescribed increments (0 on the claim's level) is
+    # the flow added after the step instead of before it.  A driver that
+    # ignores y gives the same levels up to rounding.  One that reads y
+    # re-rolls each step until two passes agree to PICARD_TOL, which leaves
+    # that step within delta = PICARD_TOL*q/(1 - q) of its fixed point,
+    # q = lipschitz*dt; on the tree the step is nonexpansive in the sup
+    # norm, so over m steps the levels differ by at most m*delta.
+    m = 50
+    kwargs = {"n_paths": 2000, "seed": 3, "basis_degree": 3} if mode == "montecarlo" else {}
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), mode, **kwargs)
+    claim = bs.TerminalClaim.from_function(scen, lambda b: np.maximum(b, 0.0) + 0.5)
+    driver = LIFT_DRIVERS[name]
+    flow = 0.02 + 0.01 * np.sin(np.arange(m))
+    added = bs.solve_bsde(scen, claim, driver, flow=flow)
+    lifted = bs.solve_bsde(scen, claim, driver, lift=lambda i, x: 0.0 if i == m else flow[i])
+    gap = max(float(np.max(np.abs(a.values - b.values))) for a, b in zip(added.Y, lifted.Y))
+    q = driver.lipschitz * scen.grid.dt
+    bound = m * bs.PICARD_TOL * q / (1.0 - q) + 1e-12 if driver.depends_on_y else 1e-12
+    assert gap <= bound
+    assert np.array_equal(lifted.shifts, np.append(flow, 0.0))
+    assert not any(added.diff_norms) and np.array_equal(added.shifts, np.zeros(m + 1))
+    assert all(0 < len(norms) for norms in lifted.diff_norms)

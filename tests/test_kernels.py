@@ -86,6 +86,9 @@ def test_continuation_identity_cases():
     assert np.array_equal(_continuation(vals, 0.1, 0, 0.5, True), vals)
     assert np.array_equal(_continuation(vals, 0.1, 5, 0.5, False), vals)
     assert np.array_equal(_continuation(vals, 0.1, 5, 0.0, True), vals)
+    # a driver that ignores y, without kappa_structure, leaves the level as it is
+    abs_z = bs.Driver(fn=lambda t, y, z: 0.3 * np.abs(z), lipschitz=0.3, depends_on_z=True)
+    assert np.array_equal(bs.zero_noise_continuation(abs_z, vals, 0.1 * np.arange(5), 0.1), vals)
 
 
 def test_step_size_guard():

@@ -26,7 +26,7 @@ def _solve_constant(scen, claim, c, loss):
 
 
 def _lift(exp, loss, scen, i, rv):
-    return rf.lift(rf.mean_constraint_problem(scen, loss, exp), i, rv.values, rf.OPERATOR_TOL)
+    return rf.lift(rf.mean_constraint_problem(scen, loss, exp), i, rv.values)
 
 
 def test_flow_and_profile_validation():
