@@ -56,6 +56,7 @@ from .verify import (
     mean_floor,
     representation_gap,
     run_structural_checks,
+    structural_checks,
     tilted_competitor_demo,
 )
 

@@ -230,10 +230,10 @@ def solve_bsde(
     ``flow``, when given, holds one deterministic increment per step, added
     to the conditional mean before the implicit step, which makes it exact.
     ``lift(i, x) -> k``, when given, is found only after the step: it lifts
-    the claim's level and each rolled-back level ``x`` to ``x + k``; for a
-    driver that reads y, the step is rolled again from the lifted level until
-    two passes agree to ``PICARD_TOL`` (``PicardDivergenceError`` after
-    ``_MAX_PASSES``).
+    each rolled-back level ``x`` to ``x + k`` (the claim's level stays the
+    claim); for a driver that reads y, the step is rolled again from the
+    lifted level until two passes agree to ``PICARD_TOL``
+    (``PicardDivergenceError`` after ``_MAX_PASSES``).
     """
     sc.check_rv(scen, claim.rv)
     stop = claim.index
@@ -242,10 +242,8 @@ def solve_bsde(
     nodes = scen.grid.nodes
     dt = scen.grid.dt
     shifts = np.zeros(stop + 1)
-    if lift is not None:
-        shifts[stop] = lift(stop, claim.values)
-    vals = claim.values + shifts[stop]
-    ys = [sc.RandomVariable(stop, vals)]
+    vals = claim.values
+    ys = [claim.rv]
     zs, diff_norms = [], []
     for i in range(stop - 1, -1, -1):
         t = float(nodes[i])

@@ -31,7 +31,7 @@ import operator
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +253,7 @@ class RunConfig:
     rho: rk.RiskMeasure | None = None
     benchmark: rk.Benchmark | None = None
     market: rk.Market | None = None
-    verify_params: dict = field(default_factory=dict)
+    ramp: vf.RampFlowInstance | None = None
     mean_floor_column: bool = False
 
 
@@ -438,8 +438,8 @@ def _build_market(cfg) -> rk.Market:
         raise ConfigError(str(exc), key="market") from None
 
 
-def _build_verify(cfg, scen: sc.ScenarioSet) -> dict:
-    """The ramp-flow instance's options: finite, ``gamma > 0``, and binding."""
+def _build_verify(cfg, scen: sc.ScenarioSet) -> vf.RampFlowInstance:
+    """The ramp-flow instance: finite options, ``gamma > 0``, and binding."""
     sec = _Section(cfg, "verify")
     params = {
         "gamma": sec.number("gamma", 1.0),
@@ -451,15 +451,14 @@ def _build_verify(cfg, scen: sc.ScenarioSet) -> dict:
         if not np.isfinite(value):
             raise ConfigError("must be finite", key=f"verify.{key}")
     try:
-        inst = vf.RampFlowInstance(gamma=params["gamma"], floor=params["floor"],
-                                   tilt=params["tilt"])
+        inst = vf.RampFlowInstance(**params)
     except ValueError as exc:
         raise ConfigError(str(exc), key="verify.gamma") from None
     try:
-        inst.t_star(scen, bs.TerminalClaim.from_function(scen, lambda b: b + params["shift"]))
+        inst.t_star(scen)
     except ValueError as exc:
         raise ConfigError(str(exc), key="verify.shift") from None
-    return params
+    return inst
 
 
 def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
@@ -498,7 +497,7 @@ def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
         run.market = _build_market(cfg)
         run.rho, run.benchmark = _build_risk(cfg, scen.grid)
     if command == "verify":
-        run.verify_params = _build_verify(cfg, scen)
+        run.ramp = _build_verify(cfg, scen)
     run.mean_floor_column = _Section(cfg, "output").flag("mean_floor_column", False)
     return run
 
@@ -560,6 +559,17 @@ def _log_solution(log: _RunLog, sol: rf.ReflectedSolution):
             f"shift_steps={int(diag.shift_iterations.sum())}")
 
 
+def _write_reflected(out: Path, run: RunConfig, sol: rf.ReflectedSolution, floors=None):
+    """Write ``solution.csv`` for a reflected solution, with an optional mean-floor column."""
+    columns = {
+        "mean_y": sol.mean_values(run.scen),
+        "flow": sol.K.values,
+        "constraint": sol.diagnostics.constraint_values,
+        "mean_floor": floors,
+    }
+    _write_solution(out / "solution.csv", run, columns)
+
+
 def _run_solve(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
     claim = bs.TerminalClaim(run.payoff)
@@ -568,13 +578,7 @@ def _run_solve(run: RunConfig, out: Path, log: _RunLog) -> int:
     if run.mean_floor_column:
         rep = vf.representation_gap(scen, sol, run.driver, run.expectation, run.loss)
         floors = np.append(rep.floors, np.nan)
-    columns = {
-        "mean_y": sol.mean_values(scen),
-        "flow": sol.K.values,
-        "constraint": sol.diagnostics.constraint_values,
-        "mean_floor": floors,
-    }
-    _write_solution(out / "solution.csv", run, columns)
+    _write_reflected(out, run, sol, floors)
     _log_solution(log, sol)
     value = sol.value
     print(_fmt(value))
@@ -587,20 +591,19 @@ def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
     rv = run.payoff
     exp = run.expectation
     if exp.kind == "classical":
-        value = ne.evaluate(exp, scen, rv)
         means = np.full(scen.grid.steps + 1, sc.expect(scen, rv))
     else:
+        # ne.evaluate would take these same steps (the tree kernel runs
+        # solve_bsde's step per level); alpha-maxmin blends its two envelopes
         claim = bs.TerminalClaim(rv)
         upper = bs.solve_bsde(scen, claim, exp.driver)
         means = np.array([sc.expect(scen, y) for y in upper.Y])
-        # for a gexp, ne.evaluate would take these same steps (the tree kernel
-        # runs solve_bsde's step per level); alpha-maxmin's value needs both envelopes
-        value = upper.value if exp.kind == "gexp" else ne.evaluate(exp, scen, rv)
         if exp.kind == "alpha_maxmin":
             lower = bs.solve_bsde(scen, claim, bs.Driver.kappa_abs(-exp.kappa, include_y=False))
             means = exp.alpha * means + (1.0 - exp.alpha) * np.array(
                 [sc.expect(scen, y) for y in lower.Y]
             )
+    value = means[0]
     columns = {"mean_y": means, "flow": np.zeros(scen.grid.steps + 1), "constraint": None,
                "mean_floor": None}
     _write_solution(out / "solution.csv", run, columns)
@@ -613,15 +616,8 @@ def _run_price(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
     claim = bs.TerminalClaim(run.payoff)
     report = rk.superhedge_price(run.market, scen, claim, run.rho, run.benchmark)
-    sol = report.solution
-    columns = {
-        "mean_y": sol.mean_values(scen),
-        "flow": sol.K.values,
-        "constraint": sol.diagnostics.constraint_values,
-        "mean_floor": None,
-    }
-    _write_solution(out / "solution.csv", run, columns)
-    _log_solution(log, sol)
+    _write_reflected(out, run, report.solution)
+    _log_solution(log, report.solution)
     for i, ratio in enumerate(report.hedge_ratios):
         finite = ratio[np.isfinite(ratio)]
         if finite.size:
@@ -635,25 +631,12 @@ def _run_price(run: RunConfig, out: Path, log: _RunLog) -> int:
 
 
 def _run_verify(run: RunConfig, out: Path, log: _RunLog) -> int:
-    scen = run.scen
-    params = run.verify_params
-    records = vf.run_structural_checks(scen, **params)
+    sol = run.ramp.solve(run.scen)
+    records = vf.structural_checks(run.scen, run.ramp, sol)
     lines = vf.emit_report(records, csv_path=out / "report.csv", stream=sys.stdout)
     for line in lines:
         log.add(line)
-
-    inst = vf.RampFlowInstance(gamma=params["gamma"], floor=params["floor"], tilt=params["tilt"])
-    claim = bs.TerminalClaim.from_function(scen, lambda b: b + params["shift"])
-    sol = pc.solve_reflected(
-        scen, claim, inst.driver(), inst.loss(), ne.NonlinearExpectation.classical()
-    )
-    columns = {
-        "mean_y": sol.mean_values(scen),
-        "flow": sol.K.values,
-        "constraint": sol.diagnostics.constraint_values,
-        "mean_floor": None,
-    }
-    _write_solution(out / "solution.csv", run, columns)
+    _write_reflected(out, run, sol)
     n_fail = sum(1 for r in records if not r.passed)
     log.add(f"checks={len(records)} failed={n_fail}")
     print(f"checks={len(records)} failed={n_fail}")

@@ -1,15 +1,17 @@
 """The reflected backward recursion.
 
 With a deterministic flow, the mean-reflected scheme is one backward
-recursion ``Y_i = E_i[Y_{i+1}] + f(t_i, Y_i, Z_i) dt + dK_i``, where ``dK_i``
-is the minimal lift (:func:`nebsde.reflection.lift`) that makes level ``i``
-meet its constraint.  :func:`nebsde.bsde.solve_bsde` runs it, the plain
-backward loop with the lift applied after each step; a generator that reads
-``y`` makes each step a fixed point in ``(Y_i, dK_i)``, found by successive
+recursion ``Y_i = E_i[Y_{i+1}] + f(t_i, Y_i, Z_i) dt + dK_i`` from
+``Y_m = claim``, where ``dK_i`` is the minimal lift
+(:func:`nebsde.reflection.lift`) that makes level ``i < m`` meet its
+constraint.  :func:`nebsde.bsde.solve_bsde` runs it, the plain backward
+loop with the lift applied after each step; a generator that reads ``y``
+makes each step a fixed point in ``(Y_i, dK_i)``, found by successive
 approximation within the step, and every pass's difference is kept as
 evidence.  The constraint value the final lift verified is kept as
 ``constraint_values[i]``; :func:`nebsde.reflection.skorokhod_residual`
-audits it from scratch.
+audits it from scratch.  ``Y_m`` is the claim as it is; its constraint
+value ``constraint_values[m]`` need only be ``>= -FEASIBILITY_TOL``.
 """
 from __future__ import annotations
 
@@ -63,6 +65,7 @@ def _solve_with_problem(
 
     shift_iters = np.zeros(m + 1, dtype=int)
     cons = np.zeros(m + 1)
+    cons[m] = term
 
     def lift(i, x):
         k, steps, cons[i] = rf.lift(problem, i, x)

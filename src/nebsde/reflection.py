@@ -331,7 +331,8 @@ class ReflectionDiagnostics:
     """Post-solve constraint evidence attached to a reflected solution.
 
     ``constraint_values[i]`` is the value the lift verified on the final
-    level ``i``, and ``skorokhod_residual`` is built from it.
+    level ``i`` (the claim's own value at the terminal index), and
+    ``skorokhod_residual`` is built from it.
     ``shift_iterations[i]`` counts the root-search steps spent on level
     ``i``, each one constraint evaluation (0 where the shift has a closed
     form); ``shift_closed_form`` and ``shift_search`` count the binding

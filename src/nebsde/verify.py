@@ -209,13 +209,18 @@ def comparison_report(inst: ComparisonInstance) -> ComparisonReport:
     under a flow inflated by a ramp up to ``_BUMP_TOTAL`` and measures how
     far the inflated value stays above the reflected one.
     """
+    b = inst.second
+    return _compare(inst, pc.solve_reflected(inst.scen, b.claim, b.driver, b.loss, b.expectation))
+
+
+def _compare(inst: ComparisonInstance, sol2: rf.ReflectedSolution) -> ComparisonReport:
+    """:func:`comparison_report` given the second bundle's reflected solution."""
     rng = np.random.default_rng(_HYPOTHESIS_SEED)
     hyp = _sample_hypotheses(inst, rng)
     vacuous = not all(hyp.values())
     scen = inst.scen
-    a, b = inst.first, inst.second
+    a = inst.first
     sol1 = pc.solve_reflected(scen, a.claim, a.driver, a.loss, a.expectation)
-    sol2 = pc.solve_reflected(scen, b.claim, b.driver, b.loss, b.expectation)
 
     pointwise = min(
         float(np.min(y1.values - y2.values)) for y1, y2 in zip(sol1.Y, sol2.Y)
@@ -250,7 +255,7 @@ def comparison_report(inst: ComparisonInstance) -> ComparisonReport:
 
 @dataclass(frozen=True)
 class RampFlowInstance:
-    """Constant generator ``-gamma`` against the floor loss ``x - floor``.
+    """Claim ``B_T + shift``, constant generator ``-gamma``, floor loss ``x - floor``.
 
     The reflected flow is the explicit ramp ``gamma * min(t, t_star)`` with
     ``t_star = T - (mean(claim) - floor) / gamma``; the instance must bind,
@@ -260,13 +265,17 @@ class RampFlowInstance:
     gamma: float
     floor: float = 0.0
     tilt: float = 1.0
+    shift: float = 0.5
 
     def __post_init__(self):
         if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
 
-    def t_star(self, scen: sc.ScenarioSet, claim: bs.TerminalClaim) -> float:
-        margin = sc.expect(scen, claim.rv) - self.floor
+    def claim(self, scen: sc.ScenarioSet) -> bs.TerminalClaim:
+        return bs.TerminalClaim.from_function(scen, lambda b: b + self.shift)
+
+    def t_star(self, scen: sc.ScenarioSet) -> float:
+        margin = sc.expect(scen, self.claim(scen).rv) - self.floor
         horizon = scen.grid.horizon
         if not 0.0 < margin < self.gamma * horizon:
             raise ValueError(
@@ -274,15 +283,19 @@ class RampFlowInstance:
             )
         return horizon - margin / self.gamma
 
-    def flow_values(self, scen: sc.ScenarioSet, claim: bs.TerminalClaim) -> np.ndarray:
-        ts = self.t_star(scen, claim)
-        return self.gamma * np.minimum(scen.grid.nodes, ts)
+    def flow_values(self, scen: sc.ScenarioSet) -> np.ndarray:
+        return self.gamma * np.minimum(scen.grid.nodes, self.t_star(scen))
 
     def loss(self) -> rf.LossFunction:
         return rf.LossFunction.linear(self.floor)
 
     def driver(self) -> bs.Driver:
         return bs.Driver.constant(-self.gamma)
+
+    def solve(self, scen: sc.ScenarioSet) -> rf.ReflectedSolution:
+        """The reflected solve under the classical mean."""
+        return pc.solve_reflected(scen, self.claim(scen), self.driver(), self.loss(),
+                                  ne.NonlinearExpectation.classical())
 
 
 @dataclass(frozen=True)
@@ -297,9 +310,7 @@ class TiltedCompetitorReport:
     competitor_feasible: bool
 
 
-def tilted_competitor_demo(
-    inst: RampFlowInstance, scen: sc.ScenarioSet, claim: bs.TerminalClaim
-) -> TiltedCompetitorReport:
+def tilted_competitor_demo(inst: RampFlowInstance, scen: sc.ScenarioSet) -> TiltedCompetitorReport:
     """Tilt the ramp-flow solution by an exponential martingale.
 
     The competitor ``Y^a_i = X_i + M_i * (K_T - K_i)`` built from the
@@ -311,13 +322,13 @@ def tilted_competitor_demo(
     ``exp(a B_i - max(a B_i))``, which stays finite for any finite tilt.
     """
     m = scen.grid.steps
-    k_vals = inst.flow_values(scen, claim)
+    k_vals = inst.flow_values(scen)
     total = k_vals[-1]
 
-    ys, yalphas, mart_min = [], [], np.inf
+    yalphas, mart_min = [], np.inf
     witness = (0, 0, -np.inf)
     mean_gap_max = 0.0
-    xs = [x.values for x in bs.solve_bsde(scen, claim, inst.driver()).Y]
+    xs = [x.values for x in bs.solve_bsde(scen, inst.claim(scen), inst.driver()).Y]
     for i in range(m + 1):
         lift = total - k_vals[i]
         b = sc.brownian(scen, i)
@@ -329,11 +340,8 @@ def tilted_competitor_demo(
         mart_min = min(mart_min, float(np.min(mart)))
         y = xs[i] + lift
         ya = xs[i] + mart * lift
-        ys.append(sc.RandomVariable(i, y))
         yalphas.append(sc.RandomVariable(i, ya))
-        gap = float(
-            abs(sc.expect(scen, yalphas[i]) - sc.expect(scen, ys[i]))
-        )
+        gap = abs(sc.expect(scen, yalphas[i]) - sc.expect(scen, sc.RandomVariable(i, y)))
         mean_gap_max = max(mean_gap_max, gap)
         node_gaps = y - ya
         k = int(np.argmax(node_gaps))
@@ -402,24 +410,29 @@ def run_structural_checks(
     shift: float = 0.5,
     tilt: float = 1.0,
 ) -> list:
-    """Run the desk-scale structural suite on one scenario set.
+    """Run the desk-scale structural suite on the ramp-flow instance with these parameters."""
+    inst = RampFlowInstance(gamma=gamma, floor=floor, tilt=tilt, shift=shift)
+    return structural_checks(scen, inst, inst.solve(scen))
 
-    The workhorse instance is the ramp-flow problem with claim
-    ``B_T + shift``; comparison and domination checks run on derived
-    bundles; the comparison's claim and loss are offset by ``0.4`` and
+
+def structural_checks(
+    scen: sc.ScenarioSet, inst: RampFlowInstance, sol: rf.ReflectedSolution
+) -> list:
+    """The desk-scale structural suite, given the ramp-flow instance's solution ``sol``.
+
+    The ramp-flow problem is the workhorse and the comparison's second
+    bundle; the first bundle offsets its claim and loss by ``0.4`` and
     ``0.6`` times the margin ``shift - floor``, so its terminal constraint
     holds with ``0.8*(shift - floor) > 0``.  Thresholds scale with the grid
     so the suite stays meaningful at any desk-size resolution.
     """
     dt = scen.grid.dt
     records = []
-    claim = bs.TerminalClaim.from_function(scen, lambda b: b + shift)
-    inst = RampFlowInstance(gamma=gamma, floor=floor, tilt=tilt)
+    claim = inst.claim(scen)
     loss = inst.loss()
     classical = ne.NonlinearExpectation.classical()
 
-    sol = pc.solve_reflected(scen, claim, inst.driver(), loss, classical)
-    k_exact = inst.flow_values(scen, claim)
+    k_exact = inst.flow_values(scen)
     flow_err = float(np.max(np.abs(sol.K.values - k_exact)))
     records.append(
         CheckRecord(
@@ -451,7 +464,7 @@ def run_structural_checks(
         )
     )
 
-    demo = tilted_competitor_demo(inst, scen, claim)
+    demo = tilted_competitor_demo(inst, scen)
     records.append(
         CheckRecord(
             name="tilted-competitor-means",
@@ -473,18 +486,15 @@ def run_structural_checks(
         )
     )
 
-    margin = shift - floor
+    margin = inst.shift - inst.floor
     first = ParameterBundle(
-        claim=bs.TerminalClaim.from_function(scen, lambda b: b + shift + 0.4 * margin),
-        driver=bs.Driver.constant(-0.5 * gamma),
-        loss=rf.LossFunction.linear(floor + 0.6 * margin),
+        claim=bs.TerminalClaim(sc.RandomVariable(claim.index, claim.values + 0.4 * margin)),
+        driver=bs.Driver.constant(-0.5 * inst.gamma),
+        loss=rf.LossFunction.linear(inst.floor + 0.6 * margin),
         expectation=classical,
     )
-    second = ParameterBundle(
-        claim=claim, driver=bs.Driver.constant(-gamma), loss=rf.LossFunction.linear(floor),
-        expectation=classical,
-    )
-    comp = comparison_report(ComparisonInstance(scen=scen, first=first, second=second))
+    second = ParameterBundle(claim=claim, driver=inst.driver(), loss=loss, expectation=classical)
+    comp = _compare(ComparisonInstance(scen=scen, first=first, second=second), sol)
     records.append(
         CheckRecord(
             name="pointwise-comparison",

@@ -17,6 +17,28 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` counts calls through a module attribute.
+
+    Returns a one-item list holding the count; calls made through the
+    module attribute (``pc.solve_reflected``, ...) are the ones seen.
+    """
+
+    def install(module, name):
+        calls = [0]
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def tree8():
     return build_scenarios(TimeGrid(1.0, 8), "tree")

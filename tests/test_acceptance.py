@@ -212,8 +212,7 @@ def test_a10_superhedge_discount_and_monotonicity(tree200):
 
 
 def test_a11_flow_not_pathwise_minimal(tree200):
-    claim = bs.TerminalClaim.from_function(tree200, lambda b: b + 0.5)
-    demo = vf.tilted_competitor_demo(vf.RampFlowInstance(1.0, 0.0, 1.0), tree200, claim)
+    demo = vf.tilted_competitor_demo(vf.RampFlowInstance(1.0, 0.0, 1.0, 0.5), tree200)
     ok = (demo.witness_gap >= 1e-6 and demo.mean_gap_max <= 1e-6
           and demo.competitor_feasible)
     _line("a11-tilted-competitor", ok, witness_gap=demo.witness_gap,

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import nebsde
+from nebsde import _kernels as kern
 from nebsde import bsde as bs
+from nebsde import picard as pc
 from nebsde.cli import parse_expression, run
 
 
@@ -69,6 +71,18 @@ VERIFY_INI = """\
 [scenario]
 horizon = 1.0
 steps = 50
+"""
+
+MAXMIN_INI = """\
+[scenario]
+horizon = 1.0
+steps = 50
+
+[problem]
+payoff = b + 0.5
+expectation = alpha-maxmin
+alpha = 0.3
+kappa = 0.5
 """
 
 
@@ -145,12 +159,33 @@ def test_solve_command(tmp_path, capsys):
 
 
 def test_solve_reruns_byte_identical(tmp_path):
-    for mode, ini in (("tree", SOLVE_INI), ("montecarlo", MC_SOLVE_INI)):
-        cfg = _write(tmp_path / f"{mode}.ini", ini)
-        out1, out2 = tmp_path / f"{mode}-a", tmp_path / f"{mode}-b"
-        assert run(["solve", "--config", cfg, "--out", str(out1)]) == 0
-        assert run(["solve", "--config", cfg, "--out", str(out2)]) == 0
-        assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes(), mode
+    for command, name, ini in (("solve", "tree", SOLVE_INI),
+                               ("solve", "montecarlo", MC_SOLVE_INI),
+                               ("gexp", "maxmin", MAXMIN_INI),
+                               ("price", "price", PRICE_INI),
+                               ("verify", "verify", VERIFY_INI)):
+        cfg = _write(tmp_path / f"{name}.ini", ini)
+        out1, out2 = tmp_path / f"{name}-a", tmp_path / f"{name}-b"
+        assert run([command, "--config", cfg, "--out", str(out1)]) == 0
+        assert run([command, "--config", cfg, "--out", str(out2)]) == 0
+        files = ["solution.csv"] + (["report.csv"] if command == "verify" else [])
+        for f in files:
+            assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), (name, f)
+
+
+def test_verify_and_maxmin_gexp_solve_once(tmp_path, count_calls):
+    # verify: the ramp solve feeds both the checks and solution.csv, plus the
+    # comparison's first bundle
+    solves = count_calls(pc, "solve_reflected")
+    cfg = _write(tmp_path / "verify.ini", VERIFY_INI)
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    assert solves[0] == 2
+    # alpha-maxmin: its value is the blend of the two envelopes it writes
+    rollbacks = count_calls(bs, "solve_bsde")
+    kernel = count_calls(kern, "tree_backward_value")
+    cfg = _write(tmp_path / "maxmin.ini", MAXMIN_INI)
+    assert run(["gexp", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
+    assert (rollbacks[0], kernel[0]) == (2, 0)
 
 
 def test_seed_override_changes_digest(tmp_path):

@@ -174,20 +174,23 @@ def test_stored_risk_slack_matches_a_fresh_evaluation(tree50):
     assert np.array_equal(sol.diagnostics.constraint_values, fresh)
 
 
-def _counting(monkeypatch, module, name):
-    calls = [0]
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
+def test_terminal_level_is_the_claim():
+    # A claim 5e-7 below its constraint is accepted (FEASIBILITY_TOL = 1e-6)
+    # and kept as Y_T; the first rolled-back level takes the lift, so K
+    # records it and the means still balance.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), "tree")
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 1.0 - 5e-7)
+    sol = pc.solve_reflected(scen, claim, bs.Driver.constant(0.0),
+                             rf.LossFunction.linear(1.0), CLS)
+    assert np.array_equal(sol.Y[-1].values, claim.values)
+    assert sol.K.increments[-1] == pytest.approx(5e-7, rel=1e-6)
+    assert sol.K.total == pytest.approx(5e-7, rel=1e-6)
+    assert abs(sol.value - sc.expect(scen, claim.rv) - sol.K.total) <= 1e-14
+    assert sol.diagnostics.constraint_values[-1] == pytest.approx(-5e-7, rel=1e-6)
 
 
 @pytest.mark.parametrize("mode", ["tree", "montecarlo", "risk"])
-def test_slack_solve_evaluates_each_level_once(monkeypatch, mode):
+def test_slack_solve_evaluates_each_level_once(count_calls, mode):
     # Nothing binds: the terminal feasibility check, then one evaluation per
     # level, kept as that level's constraint value.
     m = 20
@@ -198,12 +201,12 @@ def test_slack_solve_evaluates_each_level_once(monkeypatch, mode):
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 5.0)
     driver = bs.Driver.constant(0.0)
     if mode == "risk":
-        calls = _counting(monkeypatch, rk, "evaluate_risk")
+        calls = count_calls(rk, "evaluate_risk")
         rho = rk.RiskMeasure.coherent_family([-0.5, 0.5])
         sol = rk.solve_risk_reflected(scen, claim, driver, rho,
                                       rk.Benchmark.constant(scen.grid, 0.0))
     else:
-        calls = _counting(monkeypatch, rf, "constraint_value")
+        calls = count_calls(rf, "constraint_value")
         sol = pc.solve_reflected(scen, claim, driver, rf.LossFunction.linear(0.0), CLS)
     assert sol.K.total == 0.0
     assert calls[0] <= m + 2

@@ -141,27 +141,26 @@ def test_solve_with_flow_adds_prescribed_increments(tree50):
 
 
 def test_ramp_instance_parameters(tree50):
-    claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.5)
-    inst = vf.RampFlowInstance(gamma=1.0, floor=0.0, tilt=1.0)
-    assert inst.t_star(tree50, claim) == pytest.approx(0.5, abs=EXACT)
-    flow = inst.flow_values(tree50, claim)
+    inst = vf.RampFlowInstance(gamma=1.0, floor=0.0, tilt=1.0, shift=0.5)
+    assert np.array_equal(inst.claim(tree50).values, sc.brownian(tree50, 50) + 0.5)
+    assert inst.t_star(tree50) == pytest.approx(0.5, abs=EXACT)
+    flow = inst.flow_values(tree50)
     assert abs(flow[-1] - 0.5) <= EXACT
     assert inst.driver().fn(0.0, 0.0, 0.0) == -1.0
     with pytest.raises(ValueError):
         vf.RampFlowInstance(gamma=-1.0)
     # Margin outside (0, gamma*T) cannot bind as a ramp.
-    rich = bs.TerminalClaim.from_function(tree50, lambda b: b + 1.5)
+    rich = vf.RampFlowInstance(gamma=1.0, floor=0.0, tilt=1.0, shift=1.5)
     with pytest.raises(ValueError):
-        inst.t_star(tree50, rich)
-    poor = bs.TerminalClaim.from_function(tree50, lambda b: b - 0.1)
+        rich.t_star(tree50)
+    poor = vf.RampFlowInstance(gamma=1.0, floor=0.0, tilt=1.0, shift=-0.1)
     with pytest.raises(ValueError):
-        inst.t_star(tree50, poor)
+        poor.t_star(tree50)
 
 
 def test_tilted_competitor_demo():
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 80), "tree")
-    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.5)
-    demo = vf.tilted_competitor_demo(vf.RampFlowInstance(1.0, 0.0, 1.0), scen, claim)
+    demo = vf.tilted_competitor_demo(vf.RampFlowInstance(1.0, 0.0, 1.0, 0.5), scen)
     assert demo.mean_gap_max <= 1e-6
     assert demo.witness_gap >= 1e-6
     assert demo.martingale_min > 0.0
@@ -174,8 +173,7 @@ def test_tilted_competitor_demo_large_tilt_stays_finite():
     # the renormalisation divided 0 by 0; exp(a*B_i - max(a*B_i)) is 1 on
     # the top node, and the competitor still keeps every mean.
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), "tree")
-    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.5)
-    demo = vf.tilted_competitor_demo(vf.RampFlowInstance(1.0, 0.0, 1e9), scen, claim)
+    demo = vf.tilted_competitor_demo(vf.RampFlowInstance(1.0, 0.0, 1e9, 0.5), scen)
     assert demo.mean_gap_max <= 1e-6
     assert demo.martingale_min >= 0.0
     assert np.isfinite(demo.witness_gap) and demo.witness_gap >= 1e-6
@@ -273,3 +271,21 @@ def test_structural_suite_all_pass(tree100):
     for r in records:
         assert r.status in ("pass", "fail")
         assert r.evidence
+
+
+def test_structural_suite_solves_the_ramp_problem_once(count_calls, tree50):
+    # one solve for the ramp problem, which is also the comparison's second
+    # bundle, and one for the comparison's first bundle
+    calls = count_calls(pc, "solve_reflected")
+    vf.run_structural_checks(tree50)
+    assert calls[0] == 2
+
+
+def test_structural_checks_on_the_instance_solution(tree50):
+    inst = vf.RampFlowInstance(gamma=1.2, floor=0.1, tilt=0.5, shift=0.6)
+    given = vf.structural_checks(tree50, inst, inst.solve(tree50))
+    ran = vf.run_structural_checks(tree50, gamma=1.2, floor=0.1, shift=0.6, tilt=0.5)
+    assert len(given) == 10
+    assert [(r.name, r.description, r.passed, r.evidence) for r in given] == [
+        (r.name, r.description, r.passed, r.evidence) for r in ran
+    ]
