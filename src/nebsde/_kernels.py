@@ -9,12 +9,83 @@ where it falls, which keeps a monotone level monotone, so a monotone claim
 sees one constant up-probability at every node (the constant-drift
 worst-case prior of kappa-ignorance; Chen and Epstein, 2002) and its value
 is one binomial dot product.
+
+:func:`tree_backward_values` rolls a stack of claims back together, one row
+per claim, so claims on every level of the tree cost one pass of numpy calls
+per level instead of one pass each; :func:`tree_backward_value` is its
+one-row call.  :func:`tree_continuations` is the matching stacked form of
+:func:`nebsde.bsde.zero_noise_continuation` for claims on tree levels.
 """
 import numpy as np
 
 from . import bsde as bs
 from . import scenarios as sc
 from .errors import FixedPointError
+
+
+def _comonotone_value(w, dt, driver):
+    """The binomial dot product of a monotone claim under ``kappa*|z|``; None otherwise."""
+    structure = driver.kappa_structure
+    if structure is not None and (not structure[1] or structure[0] == 0.0):
+        step = structure[0] * np.sqrt(dt)
+        if abs(step) <= 1.0:
+            d = np.diff(w)
+            sign = 1.0 if np.all(d >= 0.0) else -1.0 if np.all(d <= 0.0) else 0.0
+            if sign != 0.0:
+                return float(sc.binomial_weights(w.size - 1, 0.5 * (1.0 + sign * step)) @ w)
+    return None
+
+
+def tree_backward_values(terminals, dt, driver, nodes) -> np.ndarray:
+    """Root values of the BSDE with generator ``driver`` for a stack of tree claims.
+
+    Each entry of ``terminals`` holds a claim on some level with ``n + 1``
+    nodes (its depth ``n``), in any order; the recursion runs ``n`` steps
+    down to the root, the step from level ``j + 1`` to level ``j`` dated
+    ``nodes[j]``.  A claim that takes the comonotone closed form (see
+    :func:`tree_backward_value`) gets it on its own.  The others are rows of
+    one pass from the deepest level down: a row joins the pass when the pass
+    reaches its depth, and each level is one ``bs.implicit_step`` on all
+    rows present.  Every value equals :func:`tree_backward_value` of its
+    claim alone, bit for bit.  Raises ``FixedPointError`` when a rolled-back
+    root value is not finite.
+    """
+    rows = [np.asarray(w, dtype=float) for w in terminals]
+    if any(w.ndim != 1 or w.size == 0 for w in rows):
+        raise ValueError("terminal must be a non-empty 1-d array")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    values = np.empty(len(rows))
+    joins = {}
+    for r, w in enumerate(rows):
+        value = _comonotone_value(w, dt, driver)
+        if value is None:
+            joins.setdefault(w.size - 1, []).append(r)
+        else:
+            values[r] = value
+    if not joins:
+        return values
+    half_inv_sq = 0.5 / np.sqrt(dt)
+    order, w = [], None
+    for level in range(max(joins), -1, -1):
+        # rows of this depth join below the rows already in the pass; one
+        # row alone stays 1-d
+        new = joins.get(level)
+        if new is not None:
+            order += new
+            w = rows[new[0]] if w is None and len(new) == 1 else np.vstack(
+                ([] if w is None else [w]) + [rows[r] for r in new])
+        if level == 0:
+            break
+        lo, hi = w[..., :-1], w[..., 1:]
+        w = bs.implicit_step(driver, float(nodes[level - 1]), 0.5 * (lo + hi),
+                             (hi - lo) * half_inv_sq, dt)
+    roots = w.reshape(-1)
+    if not np.isfinite(roots).all():
+        bad = roots[~np.isfinite(roots)][0]
+        raise FixedPointError(f"non-finite root value {bad} from the tree roll-back")
+    values[order] = roots
+    return values
 
 
 def tree_backward_value(terminal, dt, driver, nodes):
@@ -30,26 +101,43 @@ def tree_backward_value(terminal, dt, driver, nodes):
     ``binomial_weights(n, p) @ terminal`` with
     ``p = (1 + s*kappa*sqrt(dt))/2``, ``s = +1`` for a nondecreasing claim
     and ``-1`` for a nonincreasing one.  Raises ``FixedPointError`` when the
-    root value is not finite.
+    root value is not finite.  The one-row call of :func:`tree_backward_values`.
     """
-    w = np.asarray(terminal, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("terminal must be a non-empty 1-d array")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    structure = driver.kappa_structure
-    if structure is not None and (not structure[1] or structure[0] == 0.0):
-        step = structure[0] * np.sqrt(dt)
-        if abs(step) <= 1.0:
-            d = np.diff(w)
-            sign = 1.0 if np.all(d >= 0.0) else -1.0 if np.all(d <= 0.0) else 0.0
-            if sign != 0.0:
-                return float(sc.binomial_weights(w.size - 1, 0.5 * (1.0 + sign * step)) @ w)
-    half_inv_sq = 0.5 / np.sqrt(dt)
-    for level in range(w.size - 2, -1, -1):
-        w = bs.implicit_step(driver, float(nodes[level]), 0.5 * (w[:-1] + w[1:]),
-                             (w[1:] - w[:-1]) * half_inv_sq, dt)
-    value = float(w[0])
-    if not np.isfinite(value):
-        raise FixedPointError(f"non-finite root value {value} from the tree roll-back")
-    return value
+    return float(tree_backward_values([terminal], dt, driver, nodes)[0])
+
+
+def tree_continuations(levels, dt, driver, nodes) -> list:
+    """Each tree level continued from the horizon back to its own date, z frozen at 0.
+
+    ``levels[r]`` holds ``i + 1`` values on tree level ``i``; it comes out
+    as ``bs.zero_noise_continuation(driver, levels[r], nodes[i:m], dt)``
+    with ``m = len(nodes) - 1``, bit for bit.  The closed forms take one
+    level at a time.  A driver that needs the fixed-point sweep steps the
+    whole stack at once from date ``m - 1`` down, each level leaving it
+    after its own date.  Levels are padded to a common width with copies of
+    their last value; a copy moves exactly as that value does, so each
+    row's sweep sees the same largest change as its level alone.
+    """
+    m = len(nodes) - 1
+    if not driver.depends_on_y or driver.kappa_structure is not None:
+        return [bs.zero_noise_continuation(driver, w, nodes[np.size(w) - 1:m], dt)
+                for w in levels]
+    rows = [np.asarray(w, dtype=float) for w in levels]
+    order = sorted(range(len(rows)), key=lambda r: rows[r].size)
+    sizes = [rows[r].size for r in order]
+    width = max(sizes, default=0)
+    stack = np.array([np.pad(rows[r], (0, width - rows[r].size), mode="edge")
+                      for r in order]).reshape(len(order), width)
+    zeros = np.zeros_like(stack)
+    active = len(order)
+    for date in range(m - 1, -1, -1):
+        while active and sizes[active - 1] > date + 1:
+            active -= 1
+        if not active:
+            break
+        block = (slice(active), slice(sizes[active - 1]))
+        stack[block] = bs.implicit_step(driver, float(nodes[date]), stack[block], zeros[block], dt)
+    out = [None] * len(rows)
+    for k, r in enumerate(order):
+        out[r] = stack[k, :sizes[k]]
+    return out

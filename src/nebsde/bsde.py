@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -164,6 +165,10 @@ def implicit_step(
     ``lipschitz * dt < 1`` is enforced; it stops once a sweep moves ``y`` by
     at most 1e-13 relative, and it is capped after the first sweep at one more
     than the ``n`` of the bound ``q**n * gap/(1 - q) <= tol``, ``q = lipschitz*dt``.
+
+    A 2-d ``e`` (with ``z`` of its shape) is a stack of levels, one per row:
+    the sweep measures, stops and caps each row on its own and freezes it
+    once it has converged, so every row comes out as it would alone.
     """
     _check_contractive(driver, dt)
     if driver.kappa_structure is not None:
@@ -174,19 +179,40 @@ def implicit_step(
     if not driver.depends_on_y:
         return e + np.asarray(driver.fn(t, e, z), dtype=float) * dt
     q = driver.lipschitz * dt
-    y, sweeps, cap = e.copy(), 0, 1
-    while sweeps < cap:
-        y_next = e + np.asarray(driver.fn(t, y, z), dtype=float) * dt
-        gap = float(np.max(np.abs(y_next - y)))
+    stacked = e.ndim == 2
+    e_rows, z_rows = (e, z) if stacked else (e[np.newaxis], z[np.newaxis])
+    y = e_rows.copy()
+    out, rows, caps, sweeps = None, None, None, 0
+    while True:
+        f = driver.fn(t, y, z_rows) if stacked else driver.fn(t, y[0], z_rows[0])
+        y_next = e_rows + np.asarray(f, dtype=float) * dt
+        gaps = np.abs(y_next - y).max(axis=1).tolist()
         y = y_next
         sweeps += 1
-        tol = _SWEEP_TOL * (1.0 + float(np.max(np.abs(y))))
-        if gap <= tol:
-            return y
-        if not np.isfinite(gap):
+        tols = [_SWEEP_TOL * (1.0 + a) for a in np.abs(y).max(axis=1).tolist()]
+        done = [g <= tl for g, tl in zip(gaps, tols)]
+        if all(done) and out is None:
+            return y if stacked else y[0]
+        if any(done):
+            # freeze the converged rows of a stack; the others sweep on alone
+            if out is None:
+                out, rows = np.empty_like(e_rows), np.arange(len(e_rows))
+            mask = np.array(done)
+            out[rows[mask]] = y[mask]
+            if mask.all():
+                return out
+            rows, e_rows, z_rows, y = rows[~mask], e_rows[~mask], z_rows[~mask], y[~mask]
+            live = [not d for d in done]
+            gaps, tols = list(compress(gaps, live)), list(compress(tols, live))
+            if caps is not None:
+                caps = list(compress(caps, live))
+        if not all(map(math.isfinite, gaps)):
             break
-        if sweeps == 1:
-            cap = 1 + math.ceil(math.log(tol * (1.0 - q) / gap) / math.log(q))
+        if caps is None:
+            caps = [1 + math.ceil(math.log(tl * (1.0 - q) / g) / math.log(q))
+                    for g, tl in zip(gaps, tols)]
+        if sweeps >= min(caps):
+            break
     raise FixedPointError(f"implicit step did not converge in {sweeps} sweeps")
 
 

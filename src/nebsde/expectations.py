@@ -11,7 +11,9 @@ Three families share one evaluation entry point:
 A claim living on an interior level is continued to the terminal solve by
 freezing z at 0 node by node (the conditional system degenerates to scalar
 ODEs there), then rolled back by the one tree kernel for every driver or,
-on Monte Carlo paths, by :func:`nebsde.bsde.solve_bsde`.
+on Monte Carlo paths, by :func:`nebsde.bsde.solve_bsde`.  On the tree,
+claims on many levels share one stacked continuation and roll-back
+(:func:`evaluate_levels`).
 """
 from __future__ import annotations
 
@@ -153,6 +155,42 @@ def evaluate(exp: NonlinearExpectation, scen: sc.ScenarioSet, rv: sc.RandomVaria
     if exp.kind == "gexp":
         return hi
     lo = _gexp_value(scen, rv, bs.Driver.kappa_abs(-exp.kappa, include_y=False))
+    return exp.alpha * hi + (1.0 - exp.alpha) * lo
+
+
+def rolls_back_on_tree(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> bool:
+    """Whether one evaluation of ``exp`` on ``scen`` is a tree roll-back.
+
+    True for a g-expectation or ``alpha_maxmin`` on the tree; claims on many
+    levels then share one stacked roll-back (:func:`evaluate_levels`).  The
+    classical mean is one dot product and a Monte Carlo g-expectation one
+    regression solve per claim, which a stack cannot share.
+    """
+    return scen.mode == "tree" and exp.kind != "classical"
+
+
+def evaluate_levels(exp: NonlinearExpectation, scen: sc.ScenarioSet, rvs) -> np.ndarray:
+    """``evaluate(exp, scen, rv)`` for every claim in ``rvs``, bit for bit.
+
+    Where :func:`rolls_back_on_tree` holds, all claims take one stacked
+    zero-noise continuation (:func:`nebsde._kernels.tree_continuations`) and
+    one stacked roll-back (:func:`nebsde._kernels.tree_backward_values`) per
+    envelope; otherwise each claim is evaluated on its own.
+    """
+    if not rolls_back_on_tree(exp, scen):
+        return np.array([evaluate(exp, scen, rv) for rv in rvs], dtype=float)
+    for rv in rvs:
+        sc.check_rv(scen, rv)
+    grid = scen.grid
+
+    def values(driver):
+        levels = kern.tree_continuations([rv.values for rv in rvs], grid.dt, driver, grid.nodes)
+        return kern.tree_backward_values(levels, grid.dt, driver, grid.nodes)
+
+    hi = values(exp.driver)
+    if exp.kind == "gexp":
+        return hi
+    lo = values(bs.Driver.kappa_abs(-exp.kappa, include_y=False))
     return exp.alpha * hi + (1.0 - exp.alpha) * lo
 
 

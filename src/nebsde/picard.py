@@ -12,6 +12,22 @@ evidence.  The constraint value the final lift verified is kept as
 ``constraint_values[i]``; :func:`nebsde.reflection.skorokhod_residual`
 audits it from scratch.  ``Y_m`` is the claim as it is; its constraint
 value ``constraint_values[m]`` need only be ``>= -FEASIBILITY_TOL``.
+
+Flat-off rule: ``K`` moves only where the constraint binds, so above the
+last level ``j*`` at which the unreflected solution ``X`` (the plain
+recursion from the claim) violates its constraint, ``K`` is flat and
+``Y = X`` (Briand, Elie and Hu, "BSDEs with mean reflection", 2018).  Where
+the problem can evaluate a stack of levels at once
+(``ReflectionProblem.constraint_stack``: a mean constraint under a
+g-expectation or alpha-maxmin on the tree, where one evaluation is a tree
+roll-back), the solve runs the plain recursion, evaluates every level's
+constraint on ``X`` in one stacked roll-back, finds ``j*`` and runs the
+lifted recursion only from ``X_{j*+1}`` down.  The levels above ``j*``
+keep ``X``, their stacked constraint values, shift 0 and one pass of
+difference 0.0, which is what the level-by-level recursion records there.
+Every other problem (the classical mean, the risk constraint, Monte Carlo
+paths), where one evaluation is a dot product or a regression, lifts level
+by level from the claim.
 """
 from __future__ import annotations
 
@@ -72,7 +88,10 @@ def _solve_with_problem(
         shift_iters[i] += steps
         return k
 
-    pair = bs.solve_bsde(scen, claim, driver, lift=lift)
+    if problem.constraint_stack is None:
+        pair = bs.solve_bsde(scen, claim, driver, lift=lift)
+    else:
+        pair = _flat_off_pair(scen, claim, driver, problem, cons, lift)
     flow = rf.ReflectorFlow(np.concatenate(([0.0], np.cumsum(pair.shifts[:-1]))))
     binding = pair.shifts > 0.0
     diag = rf.ReflectionDiagnostics(
@@ -92,6 +111,37 @@ def _solve_with_problem(
     )
 
 
+def _flat_off_pair(
+    scen: sc.ScenarioSet,
+    claim: bs.TerminalClaim,
+    driver: bs.Driver,
+    problem: rf.ReflectionProblem,
+    cons: np.ndarray,
+    lift,
+) -> bs.BsdePair:
+    """The lifted recursion run from the last level the plain one violates.
+
+    Fills ``cons[:m]`` with the constraint of every plain level; the lifted
+    solve overwrites it from the restart level down.  When level ``m - 1``
+    already violates, the lifted solve starts from the claim and no level
+    is stacked.
+    """
+    m = claim.index
+    plain = bs.solve_bsde(scen, claim, driver)
+    top = m
+    if problem.constraint(m - 1, plain.Y[m - 1].values) >= 0.0:
+        cons[:m] = problem.constraint_stack(plain.Y[:m])
+        violated = np.flatnonzero(cons[:m] < 0.0)
+        top = int(violated[-1]) + 1 if violated.size else 0
+    # a level that holds is x + 0.0, as a lift of 0 leaves it
+    held = [sc.RandomVariable(y.index, y.values + 0.0) for y in plain.Y[top:m]] + [claim.rv]
+    low = bs.solve_bsde(scen, bs.TerminalClaim(held[0]), driver, lift=lift)
+    shifts = np.zeros(m + 1)
+    shifts[:top] = low.shifts[:top]
+    return bs.BsdePair(Y=low.Y + tuple(held[1:]), Z=low.Z + plain.Z[top:], shifts=shifts,
+                       diff_norms=low.diff_norms + ((0.0,),) * (m - top))
+
+
 def solve_reflected(
     scen: sc.ScenarioSet,
     claim: bs.TerminalClaim,
@@ -103,7 +153,9 @@ def solve_reflected(
 
     One backward pass: at each step the level is rolled back, lifted by its
     minimal shift, and, for a generator that reads ``y``, re-rolled with the
-    lifted level until the two agree to ``bsde.PICARD_TOL``.
+    lifted level until the two agree to ``bsde.PICARD_TOL``.  Under a
+    g-expectation or alpha-maxmin on the tree the pass starts at the last
+    level the unreflected solution violates (the flat-off rule above).
     """
     ne.check_operator(exp, scen)
     problem = rf.mean_constraint_problem(scen, loss, exp)

@@ -131,10 +131,28 @@ def constraint_value(
     values: np.ndarray,
 ) -> float:
     """The constraint functional ``E[l(t_i, values)]`` at grid index ``i``."""
+    return ne.evaluate(exp, scen, _loss_level(loss, scen, i, values))
+
+
+def _loss_level(loss: LossFunction, scen: sc.ScenarioSet, i: int, values) -> sc.RandomVariable:
+    """``l(t_i, values)`` as a random variable on level ``i``."""
     t = float(scen.grid.nodes[i])
-    b = sc.brownian(scen, i)
-    lv = loss(t, b, np.asarray(values, dtype=float))
-    return ne.evaluate(exp, scen, sc.RandomVariable(i, lv))
+    return sc.RandomVariable(i, loss(t, sc.brownian(scen, i), np.asarray(values, dtype=float)))
+
+
+def constraint_values(
+    exp: ne.NonlinearExpectation,
+    loss: LossFunction,
+    scen: sc.ScenarioSet,
+    levels,
+) -> np.ndarray:
+    """:func:`constraint_value` of every random variable in ``levels``, bit for bit.
+
+    On the tree a g-expectation or alpha-maxmin evaluates them all in one
+    stacked roll-back (:func:`nebsde.expectations.evaluate_levels`).
+    """
+    return ne.evaluate_levels(exp, scen, [_loss_level(loss, scen, y.index, y.values)
+                                          for y in levels])
 
 
 def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
@@ -223,13 +241,17 @@ class ReflectionProblem:
     The constraint is nondecreasing in a constant ``x`` added to ``values``.
     With ``exact`` it grows by exactly ``slope*x``, so the lift has a closed
     form; otherwise it grows by at least ``slope*x*exp(-kappa_t)``, which
-    bounds the bracket of a search.
+    bounds the bracket of a search.  ``constraint_stack(levels)``, when
+    given, returns the constraint of every random variable in ``levels`` at
+    once, bit for bit those of ``constraint``; it is given where one
+    evaluation is a tree roll-back, which the levels then share.
     """
 
     constraint: Callable
     slope: float
     exact: bool = False
     kappa_t: float = 0.0
+    constraint_stack: Callable | None = None
 
 
 def mean_constraint_problem(
@@ -241,14 +263,22 @@ def mean_constraint_problem(
     cash-additive operator grows at least at the lower loss slope (up to
     sampling error on Monte Carlo paths, which the bracket doubling
     absorbs); any other operator at least at ``lower*exp(-kappa*T)``.
+    A g-expectation or alpha-maxmin on the tree also evaluates a stack of
+    levels at once (:func:`constraint_values`).
     """
 
     def constraint(i, values):
         return constraint_value(exp, loss, scen, i, values)
 
+    def constraint_stack(levels):
+        return constraint_values(exp, loss, scen, levels)
+
+    stack = constraint_stack if ne.rolls_back_on_tree(exp, scen) else None
     if exp.cash_additive:
-        return ReflectionProblem(constraint, loss.lower, closed_form_shift(exp, loss, scen))
-    return ReflectionProblem(constraint, loss.lower, kappa_t=exp.kappa * scen.grid.horizon)
+        return ReflectionProblem(constraint, loss.lower, closed_form_shift(exp, loss, scen),
+                                 constraint_stack=stack)
+    return ReflectionProblem(constraint, loss.lower, kappa_t=exp.kappa * scen.grid.horizon,
+                             constraint_stack=stack)
 
 
 def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float):
@@ -375,9 +405,8 @@ def skorokhod_residual(
     """Discrete flat-off condition: ``sum E[l(t_i, Y_i)] * dK_i``.
 
     Recomputed from scratch so it can audit any candidate solution, not just
-    ones produced by this module.
+    ones produced by this module; every level's constraint comes from
+    :func:`constraint_values`, one stacked roll-back on the tree.
     """
-    cons = np.array(
-        [constraint_value(exp, loss, scen, y.index, y.values) for y in sol.Y]
-    )
+    cons = constraint_values(exp, loss, scen, sol.Y)
     return float(np.sum(cons[:-1] * sol.K.increments))

@@ -310,12 +310,15 @@ class TiltedCompetitorReport:
     competitor_feasible: bool
 
 
-def tilted_competitor_demo(inst: RampFlowInstance, scen: sc.ScenarioSet) -> TiltedCompetitorReport:
-    """Tilt the ramp-flow solution by an exponential martingale.
+def tilted_competitor_demo(
+    inst: RampFlowInstance, scen: sc.ScenarioSet, sol: rf.ReflectedSolution
+) -> TiltedCompetitorReport:
+    """Tilt the ramp-flow solution ``sol`` (``inst.solve(scen)``) by an exponential martingale.
 
-    The competitor ``Y^a_i = X_i + M_i * (K_T - K_i)`` built from the
-    (per-level renormalised) martingale ``M_i = exp(a B_i - a^2 t_i / 2)``
-    keeps every mean equal to the reflected solution's but drops below it on
+    The unreflected level is read off ``sol``: under the constant generator
+    ``X_i = Y_i - (K_T - K_i)``.  The competitor
+    ``Y^a_i = X_i + M_i * (K_T - K_i)`` built from the (per-level
+    renormalised) martingale ``M_i = exp(a B_i - a^2 t_i / 2)`` keeps every mean equal to the reflected solution's but drops below it on
     the low nodes wherever flow remains, so the reflected solution is not
     pathwise minimal among mean-matching supersolutions.  The renormalisation
     cancels every constant factor, so ``M_i`` is formed from
@@ -328,7 +331,7 @@ def tilted_competitor_demo(inst: RampFlowInstance, scen: sc.ScenarioSet) -> Tilt
     yalphas, mart_min = [], np.inf
     witness = (0, 0, -np.inf)
     mean_gap_max = 0.0
-    xs = [x.values for x in bs.solve_bsde(scen, inst.claim(scen), inst.driver()).Y]
+    xs = [y.values - (sol.K.total - k) for y, k in zip(sol.Y, sol.K.values)]
     for i in range(m + 1):
         lift = total - k_vals[i]
         b = sc.brownian(scen, i)
@@ -464,7 +467,7 @@ def structural_checks(
         )
     )
 
-    demo = tilted_competitor_demo(inst, scen)
+    demo = tilted_competitor_demo(inst, scen, sol)
     records.append(
         CheckRecord(
             name="tilted-competitor-means",

@@ -212,7 +212,8 @@ def test_a10_superhedge_discount_and_monotonicity(tree200):
 
 
 def test_a11_flow_not_pathwise_minimal(tree200):
-    demo = vf.tilted_competitor_demo(vf.RampFlowInstance(1.0, 0.0, 1.0, 0.5), tree200)
+    inst = vf.RampFlowInstance(1.0, 0.0, 1.0, 0.5)
+    demo = vf.tilted_competitor_demo(inst, tree200, inst.solve(tree200))
     ok = (demo.witness_gap >= 1e-6 and demo.mean_gap_max <= 1e-6
           and demo.competitor_feasible)
     _line("a11-tilted-competitor", ok, witness_gap=demo.witness_gap,

@@ -9,7 +9,7 @@ import nebsde
 from nebsde import _kernels
 from nebsde import bsde as bs
 from nebsde import scenarios as sc
-from nebsde.errors import NonContractiveStepError
+from nebsde.errors import FixedPointError, NonContractiveStepError
 
 EXACT = 1e-12
 
@@ -151,6 +151,75 @@ def test_kernel_leaves_its_input_unchanged():
     for kappa, include_y in ((0.4, True), (0.4, False)):
         _kernel(level, 0.5, kappa, include_y)
         assert level.tolist() == [3.0, -1.0, 2.0]
+
+
+Y_PART = bs.Driver(fn=lambda t, y, z: -0.4 * np.sin(y) + 0.3 * np.abs(z) * (1.0 + t),
+                   lipschitz=1.0, depends_on_y=True, depends_on_z=True)
+
+
+def _mixed_stack(m):
+    """Claims on levels of mixed depth, monotone and not, in no particular order."""
+    b = [(2.0 * np.arange(n + 1) - n) / np.sqrt(m) for n in range(m + 1)]
+    return [b[m] + 0.5, np.sin(3.0 * b[7]), -np.exp(b[30]), b[0] + 2.0, b[12] * b[12] - 1.0,
+            b[30] - 0.2, np.cos(b[1]), b[m - 1] ** 3, np.full(5, 2.0), np.abs(b[21]) - 0.5]
+
+
+@pytest.mark.parametrize("driver", [
+    bs.Driver.kappa_abs(0.3), bs.Driver.kappa_abs(-0.7), bs.Driver.kappa_abs(0.5, False),
+    bs.Driver.kappa_abs(-0.5, False), bs.Driver.kappa_abs(0.0), Y_PART,
+], ids=["kappa-y", "neg-kappa-y", "kappa-z", "neg-kappa-z", "kappa-0", "callable-y"])
+def test_stacked_roll_back_matches_each_row_alone(driver):
+    # Rows join the pass at their own depth; every root equals the one-row
+    # roll-back bit for bit, comonotone rows and recursion rows alike.
+    m = 40
+    dt, nodes = 1.0 / m, np.linspace(0.0, 1.0, m + 1)
+    stack = _mixed_stack(m)
+    before = [w.copy() for w in stack]
+    got = _kernels.tree_backward_values(stack, dt, driver, nodes)
+    alone = [_kernels.tree_backward_value(w, dt, driver, nodes) for w in stack]
+    assert got.shape == (len(stack),)
+    assert np.array_equal(got, alone)
+    # the stack is left as it was
+    assert all(np.array_equal(w, v) for w, v in zip(stack, before))
+
+
+@pytest.mark.parametrize("driver", [bs.Driver.kappa_abs(0.3), bs.Driver.kappa_abs(0.5, False),
+                                    Y_PART], ids=["kappa-y", "kappa-z", "callable-y"])
+def test_stacked_continuation_matches_each_level_alone(driver):
+    # Each tree level continued from the horizon back to its own date, the
+    # stack stepping the levels still ahead of each date together.
+    m = 40
+    dt, nodes = 1.0 / m, np.linspace(0.0, 1.0, m + 1)
+    levels = _mixed_stack(m)
+    got = _kernels.tree_continuations(levels, dt, driver, nodes)
+    for w, out in zip(levels, got):
+        alone = bs.zero_noise_continuation(driver, w, nodes[w.size - 1:m], dt)
+        assert np.array_equal(out, alone)
+    assert not np.array_equal(got[1], levels[1]) or not driver.depends_on_y
+
+
+def test_stacked_sweep_freezes_each_row():
+    # A 2-d implicit step is one step per row: rows that converge in fewer
+    # sweeps keep the value they would have alone.
+    e = np.array([[1e-3, 2.0, -1.0], [50.0, -80.0, 3.0], [0.0, 0.0, 0.0]])
+    z = np.array([[0.1, -0.2, 0.0], [4.0, 1.0, -2.0], [0.0, 0.0, 0.0]])
+    got = bs.implicit_step(Y_PART, 0.3, e, z, 0.05)
+    for row in range(3):
+        assert np.array_equal(got[row], bs.implicit_step(Y_PART, 0.3, e[row], z[row], 0.05))
+
+
+def test_stacked_roll_back_input_validation():
+    driver = bs.Driver.kappa_abs(0.3)
+    nodes = np.linspace(0.0, 1.0, 5)
+    assert _kernels.tree_backward_values([], 0.25, driver, nodes).shape == (0,)
+    with pytest.raises(ValueError):
+        _kernels.tree_backward_values([np.ones(3), np.array([])], 0.25, driver, nodes)
+    with pytest.raises(ValueError):
+        _kernels.tree_backward_values([np.ones(3), np.ones((2, 2))], 0.25, driver, nodes)
+    blow_up = bs.Driver(fn=lambda t, y, z: np.where(np.asarray(y) > 1.5, np.inf, 0.0),
+                        lipschitz=1.0, depends_on_y=True)
+    with pytest.raises(FixedPointError):
+        _kernels.tree_backward_values([np.ones(2), np.full(2, 2.0)], 0.25, blow_up, nodes)
 
 
 @pytest.mark.parametrize("m", [8, 200, 1000])

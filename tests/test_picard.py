@@ -1,9 +1,12 @@
 """The reflected backward recursion: per-step iteration, oracles, failure handling."""
 
+import configparser
+
 import numpy as np
 import pytest
 
 from nebsde import bsde as bs
+from nebsde import cli
 from nebsde import expectations as ne
 from nebsde import picard as pc
 from nebsde import reflection as rf
@@ -210,3 +213,97 @@ def test_slack_solve_evaluates_each_level_once(count_calls, mode):
         sol = pc.solve_reflected(scen, claim, driver, rf.LossFunction.linear(0.0), CLS)
     assert sol.K.total == 0.0
     assert calls[0] <= m + 2
+
+
+def _per_level_solve(scen, claim, driver, loss, exp):
+    """Oracle: the reflected recursion lifting every level from the claim down.
+
+    Returns the lifted ``BsdePair``, the constraint values the lifts verified
+    and the search steps per level.
+    """
+    problem = rf.mean_constraint_problem(scen, loss, exp)
+    m = scen.grid.steps
+    shift_iters = np.zeros(m + 1, dtype=int)
+    cons = np.zeros(m + 1)
+    cons[m] = problem.constraint(m, claim.values)
+
+    def lift(i, x):
+        k, steps, cons[i] = rf.lift(problem, i, x)
+        shift_iters[i] += steps
+        return k
+
+    return bs.solve_bsde(scen, claim, driver, lift=lift), cons, shift_iters
+
+
+def _cli_gexp(expr, kappa, grid):
+    cfg = configparser.ConfigParser()
+    cfg.read_string(f"[problem]\ngexp_driver = {expr}\nkappa = {kappa}\n")
+    driver = cli._build_driver(cli._Section(cfg, "problem"), "gexp_driver", "kappa", grid,
+                               required=True)
+    return ne.NonlinearExpectation.gexp(driver)
+
+
+GEXP_Y = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.3, include_y=True))
+MAXMIN = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=0.5)
+
+
+def _flat_off_case(case, scen):
+    """(payoff offset, driver, loss, operator) of each case; the operators all roll back."""
+    last = float(scen.grid.nodes[-2])
+    const = bs.Driver.constant(-1.0)
+    return {
+        "slack": (5.0, const, rf.LossFunction.linear(0.0), GEXP_Y),
+        # a drop in the last step only, then a rise: level m - 1 alone binds
+        "last-level": (0.21, bs.Driver.time_dependent(lambda t: -1.0 if t >= last else 1.0),
+                       rf.LossFunction.linear(0.0), MAXMIN),
+        "early-block": (0.5, const, CONCAVE, GEXP_Y),
+        "y-driver": (0.5, Y_DRIVER, rf.LossFunction.linear(0.6), GEXP_Y),
+        "alpha-maxmin": (0.5, const, rf.LossFunction.linear(0.0), MAXMIN),
+        "cli-driver": (0.5, const, CONCAVE, _cli_gexp("0.3 * (abs(y) + abs(z))", 0.3, scen.grid)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["slack", "last-level", "early-block", "y-driver",
+                                  "alpha-maxmin", "cli-driver"])
+def test_flat_off_solve_matches_the_per_level_recursion(case, count_calls):
+    # The solve restarts the lifted recursion from the last level the plain
+    # solution violates; every output equals the level-by-level recursion's
+    # exactly, and the levels above the restart take no lift.
+    m = 24
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
+    offset, driver, loss, exp = _flat_off_case(case, scen)
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + offset)
+    pair, cons, shift_iters = _per_level_solve(scen, claim, driver, loss, exp)
+    lifts = count_calls(rf, "lift")
+    sol = pc.solve_reflected(scen, claim, driver, loss, exp)
+    binding = np.flatnonzero(pair.shifts > 0.0)
+    top = int(binding[-1]) + 1 if binding.size else 0
+    # one lift per pass of each level below the restart, none above
+    assert lifts[0] == sum(len(norms) for norms in pair.diff_norms[:top])
+    assert {"slack": top == 0, "last-level": binding.tolist() == [m - 1],
+            "early-block": 0 < top < m // 2, "y-driver": max(sol.picard.iterations) > 1,
+            "alpha-maxmin": 0 < top < m, "cli-driver": 0 < top < m}[case]
+    assert len(sol.Y) == len(pair.Y) and len(sol.Z) == len(pair.Z)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(sol.Y, pair.Y))
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(sol.Z, pair.Z))
+    assert np.array_equal(sol.K.values, np.concatenate(([0.0], np.cumsum(pair.shifts[:-1]))))
+    diag = sol.diagnostics
+    assert np.array_equal(diag.constraint_values, cons)
+    assert np.array_equal(diag.shift_iterations, shift_iters)
+    lifted = pair.shifts > 0.0
+    assert diag.shift_closed_form == np.count_nonzero(lifted & (shift_iters == 0))
+    assert diag.shift_search == np.count_nonzero(lifted & (shift_iters > 0))
+    assert sol.picard.iterations == [len(norms) for norms in pair.diff_norms]
+    assert sol.picard.diff_norms == list(pair.diff_norms)
+    assert rf.skorokhod_residual(scen, sol, loss, exp) == diag.skorokhod_residual
+
+
+def test_flat_off_rule_is_read_from_the_problem(tree8):
+    # A tree g-expectation or alpha-maxmin stacks its levels; the classical
+    # mean, the risk constraint and Monte Carlo paths lift level by level.
+    loss = rf.LossFunction.linear(0.0)
+    mc = sc.build_scenarios(sc.TimeGrid(1.0, 8), "montecarlo", n_paths=50, seed=1)
+    assert rf.mean_constraint_problem(tree8, loss, GEXP_Y).constraint_stack is not None
+    assert rf.mean_constraint_problem(tree8, loss, MAXMIN).constraint_stack is not None
+    assert rf.mean_constraint_problem(tree8, loss, CLS).constraint_stack is None
+    assert rf.mean_constraint_problem(mc, loss, GEXP_Y).constraint_stack is None

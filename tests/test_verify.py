@@ -160,7 +160,8 @@ def test_ramp_instance_parameters(tree50):
 
 def test_tilted_competitor_demo():
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 80), "tree")
-    demo = vf.tilted_competitor_demo(vf.RampFlowInstance(1.0, 0.0, 1.0, 0.5), scen)
+    inst = vf.RampFlowInstance(1.0, 0.0, 1.0, 0.5)
+    demo = vf.tilted_competitor_demo(inst, scen, inst.solve(scen))
     assert demo.mean_gap_max <= 1e-6
     assert demo.witness_gap >= 1e-6
     assert demo.martingale_min > 0.0
@@ -173,7 +174,8 @@ def test_tilted_competitor_demo_large_tilt_stays_finite():
     # the renormalisation divided 0 by 0; exp(a*B_i - max(a*B_i)) is 1 on
     # the top node, and the competitor still keeps every mean.
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), "tree")
-    demo = vf.tilted_competitor_demo(vf.RampFlowInstance(1.0, 0.0, 1e9, 0.5), scen)
+    inst = vf.RampFlowInstance(1.0, 0.0, 1e9, 0.5)
+    demo = vf.tilted_competitor_demo(inst, scen, inst.solve(scen))
     assert demo.mean_gap_max <= 1e-6
     assert demo.martingale_min >= 0.0
     assert np.isfinite(demo.witness_gap) and demo.witness_gap >= 1e-6
