@@ -16,11 +16,26 @@ per level instead of one pass each; :func:`tree_backward_value` is its
 one-row call.  :func:`tree_continuations` is the matching stacked form of
 :func:`nebsde.bsde.zero_noise_continuation` for claims on tree levels.
 """
+from functools import lru_cache
+
 import numpy as np
 
 from . import bsde as bs
 from . import scenarios as sc
 from .errors import FixedPointError
+
+
+@lru_cache(maxsize=1024)
+def _binomial_weights(n, p):
+    """``sc.binomial_weights(n, p)``, computed once per ``(n, p)`` and read-only.
+
+    A comonotone value takes one of two up-probabilities per driver and
+    step, so the same few pairs recur in every solve; the shared array
+    cannot be written to.
+    """
+    w = sc.binomial_weights(n, p)
+    w.flags.writeable = False
+    return w
 
 
 def _comonotone_value(w, dt, driver):
@@ -32,7 +47,7 @@ def _comonotone_value(w, dt, driver):
             d = np.diff(w)
             sign = 1.0 if np.all(d >= 0.0) else -1.0 if np.all(d <= 0.0) else 0.0
             if sign != 0.0:
-                return float(sc.binomial_weights(w.size - 1, 0.5 * (1.0 + sign * step)) @ w)
+                return float(_binomial_weights(w.size - 1, 0.5 * (1.0 + sign * step)) @ w)
     return None
 
 

@@ -1,9 +1,10 @@
 """Backward SDE solver on a scenario set.
 
-One backward sweep per grid step: the martingale integrand is read off the
-next level first, then the value is rolled back with an implicit-in-y Euler
-step, :func:`implicit_step`.  Tree mode uses exact pairwise averages and
-one-step difference quotients; Monte Carlo mode uses regression projections.
+One backward sweep per grid step: the conditional mean and the martingale
+integrand are read off the next level together (:func:`scenarios.step_fit`),
+then the value is rolled back with an implicit-in-y Euler step,
+:func:`implicit_step`.  Tree mode uses exact pairwise averages and one-step
+difference quotients; Monte Carlo mode uses one regression fit for both.
 :func:`solve_bsde` is the one backward loop: a reflected solve passes it a
 lift, which it applies after each step until the lifted level settles.
 """
@@ -153,6 +154,14 @@ def _check_contractive(driver: Driver, dt: float) -> None:
         )
 
 
+def _sweep_count(gap: float, tol: float, ratio: float) -> int:
+    """Sweeps after which a first sweep's move ``gap``, contracting at ``ratio``, is within ``tol``.
+
+    One more than the least ``n`` with ``ratio**n * gap/(1 - ratio) <= tol``.
+    """
+    return 1 + math.ceil(math.log(tol * (1.0 - ratio) / gap) / math.log(ratio))
+
+
 def implicit_step(
     driver: Driver, t: float, e: np.ndarray, z: np.ndarray, dt: float
 ) -> np.ndarray:
@@ -162,13 +171,21 @@ def implicit_step(
     solved exactly: ``a = e + |z|*kappa*dt``, then ``a / (1 - kappa*sign(a)*dt)``
     with a y-part (``y`` keeps the sign of ``a``).  Any other y-dependent
     driver takes a fixed-point sweep from ``e``, contractive because
-    ``lipschitz * dt < 1`` is enforced; it stops once a sweep moves ``y`` by
-    at most 1e-13 relative, and it is capped after the first sweep at one more
-    than the ``n`` of the bound ``q**n * gap/(1 - q) <= tol``, ``q = lipschitz*dt``.
+    ``q = lipschitz * dt < 1`` is enforced.  It has converged once a sweep
+    moves ``y`` by at most 1e-13 relative (``tol``).  The first sweep's move
+    ``gap`` fixes the a-priori count, one more than the ``n`` of the bound
+    ``q**n * gap/(1 - q) <= tol``, and the second sweep's move gives the
+    observed ratio ``r``.  Schedule: ``y`` is measured after the first two
+    sweeps; then, when the a-priori count is at most one more than the count
+    the same bound gives with ``r`` for ``q``, it sweeps to the a-priori
+    count unmeasured and is measured once at the end.  A looser declared
+    constant keeps the test after every sweep, capped at the a-priori count.
+    ``FixedPointError`` when ``y`` has not converged by the a-priori count
+    or a move is not finite.
 
     A 2-d ``e`` (with ``z`` of its shape) is a stack of levels, one per row:
-    the sweep measures, stops and caps each row on its own and freezes it
-    once it has converged, so every row comes out as it would alone.
+    each row follows its own schedule and is frozen once it has converged,
+    so every row comes out as it would alone.
     """
     _check_contractive(driver, dt)
     if driver.kappa_structure is not None:
@@ -182,37 +199,58 @@ def implicit_step(
     stacked = e.ndim == 2
     e_rows, z_rows = (e, z) if stacked else (e[np.newaxis], z[np.newaxis])
     y = e_rows.copy()
-    out, rows, caps, sweeps = None, None, None, 0
+    out = rows = None
+    # per live row: the first sweep's move and tolerance, the a-priori count,
+    # the per-sweep test, and the sweep at which it is measured next
+    gap1, tol1, caps, loose, at = [], [], [], [], []
+    sweeps, due_at = 0, 1
     while True:
         f = driver.fn(t, y, z_rows) if stacked else driver.fn(t, y[0], z_rows[0])
         y_next = e_rows + np.asarray(f, dtype=float) * dt
-        gaps = np.abs(y_next - y).max(axis=1).tolist()
-        y = y_next
         sweeps += 1
-        tols = [_SWEEP_TOL * (1.0 + a) for a in np.abs(y).max(axis=1).tolist()]
-        done = [g <= tl for g, tl in zip(gaps, tols)]
-        if all(done) and out is None:
+        if sweeps < due_at:
+            y = y_next
+            continue
+        live = len(y)
+        due = range(live) if sweeps <= 2 else [r for r, a in enumerate(at) if a == sweeps]
+        whole = len(due) == live
+        moved = y_next - y if whole else y_next[due] - y[due]
+        y = y_next
+        gaps = np.abs(moved).max(axis=1).tolist()
+        tols = [_SWEEP_TOL * (1.0 + a)
+                for a in np.abs(y if whole else y[due]).max(axis=1).tolist()]
+        done = [r for r, g, tl in zip(due, gaps, tols) if g <= tl]
+        if len(done) == live and out is None:
             return y if stacked else y[0]
-        if any(done):
-            # freeze the converged rows of a stack; the others sweep on alone
-            if out is None:
-                out, rows = np.empty_like(e_rows), np.arange(len(e_rows))
-            mask = np.array(done)
-            out[rows[mask]] = y[mask]
-            if mask.all():
-                return out
-            rows, e_rows, z_rows, y = rows[~mask], e_rows[~mask], z_rows[~mask], y[~mask]
-            live = [not d for d in done]
-            gaps, tols = list(compress(gaps, live)), list(compress(tols, live))
-            if caps is not None:
-                caps = list(compress(caps, live))
         if not all(map(math.isfinite, gaps)):
             break
-        if caps is None:
-            caps = [1 + math.ceil(math.log(tl * (1.0 - q) / g) / math.log(q))
-                    for g, tl in zip(gaps, tols)]
+        if sweeps == 1:
+            gap1, tol1 = gaps, tols
+            caps = [1 if g <= tl else _sweep_count(g, tl, q) for g, tl in zip(gaps, tols)]
+        elif sweeps == 2:
+            loose = [0.0 < g < g0 and c > _sweep_count(g0, tl, g / g0) + 1
+                     for g, g0, tl, c in zip(gaps, gap1, tol1, caps)]
+        if done:
+            # freeze the converged rows; the others sweep on alone
+            if out is None:
+                out, rows = np.empty_like(e_rows), np.arange(live)
+            out[rows[done]] = y[done]
+            if len(done) == live:
+                return out
+            keep = np.ones(live, dtype=bool)
+            keep[done] = False
+            rows, e_rows, z_rows, y = rows[keep], e_rows[keep], z_rows[keep], y[keep]
+            kept = keep.tolist()
+            gap1, tol1 = list(compress(gap1, kept)), list(compress(tol1, kept))
+            caps, loose = list(compress(caps, kept)), list(compress(loose, kept))
+        # a row still live at its a-priori count has not converged by it
         if sweeps >= min(caps):
             break
+        if sweeps == 1:
+            due_at = 2
+        else:
+            at = [sweeps + 1 if lo else c for c, lo in zip(caps, loose)]
+            due_at = min(at)
     raise FixedPointError(f"implicit step did not converge in {sweeps} sweeps")
 
 
@@ -273,8 +311,7 @@ def solve_bsde(
     zs, diff_norms = [], []
     for i in range(stop - 1, -1, -1):
         t = float(nodes[i])
-        z = sc.step_z(scen, vals, i)
-        e = sc.step_expect(scen, vals, i)
+        e, z = sc.step_fit(scen, vals, i)
         if flow is not None:
             e = e + flow[i]
         u = x = implicit_step(driver, t, e, z, dt)

@@ -11,7 +11,10 @@ Two interchangeable backends over a uniform time grid:
   ``1, x, ..., x**basis_degree`` of the standardised coordinate
   ``x = B_i / sqrt(t_i)``, and the fit is plain least squares with no ridge,
   so ``n_paths`` must exceed ``basis_degree``.  At ``i = 0`` every path sits
-  at 0 and the projection is the sample mean.
+  at 0 and the projection is the sample mean.  A backward step needs
+  ``E_i[Y_{i+1}]`` and ``Z_i``, two projections onto the same basis
+  (Gobet, Lemor and Warin, 2005), so :func:`step_fit` makes them one fit:
+  one basis, one Gram matrix, solved once for both targets.
 
 Random variables are stored as value arrays over the support of a single
 grid index.
@@ -206,30 +209,36 @@ def expect(scen: ScenarioSet, rv: RandomVariable) -> float:
 
 
 def _basis(scen: ScenarioSet, i: int) -> np.ndarray:
-    """Powers ``1, x, ..., x**basis_degree`` of ``x = B_i / sqrt(t_i)``.
+    """Powers ``1, x, ..., x**basis_degree`` of ``x = B_i / sqrt(t_i)``, one per column.
 
     ``B_i`` has variance ``t_i``, so the columns keep the scale of the
     standard normal moments at every index; they are built by repeated
     multiplication (a float raised to an integer array goes through ``pow``
-    element by element).
+    element by element).  The array is column-major, so each power is one
+    contiguous run of memory.
     """
     x = scen.paths[:, i] / np.sqrt(scen.grid.nodes[i])
-    a = np.empty((x.size, scen.basis_degree + 1))
-    a[:, 0] = 1.0
+    a = np.empty((scen.basis_degree + 1, x.size))
+    a[0] = 1.0
     for k in range(1, scen.basis_degree + 1):
-        np.multiply(a[:, k - 1], x, out=a[:, k])
-    return a
+        np.multiply(a[k - 1], x, out=a[k])
+    return a.T
 
 
-def _project(scen: ScenarioSet, i: int, target: np.ndarray) -> np.ndarray:
-    """Least-squares projection of ``target`` onto the basis at index ``i``.
+def _project(scen: ScenarioSet, i: int, targets: np.ndarray) -> np.ndarray:
+    """Least-squares projection of ``targets`` onto the basis at index ``i``.
 
-    Every path starts at 0, so at ``i = 0`` the projection is the mean.
+    ``targets`` is one target of shape ``(n_paths,)`` or a stack of shape
+    ``(n_paths, k)``, one target per column, all fitted with one Gram
+    matrix.  Every path starts at 0, so at ``i = 0`` the projection is the
+    mean.
     """
     if i == 0:
-        return np.full(target.shape, target.mean())
+        return np.full(targets.shape, targets.mean(axis=0))
     a = _basis(scen, i)
-    return a @ np.linalg.solve(a.T @ a, a.T @ target)
+    coef = np.linalg.solve(a.T @ a, a.T @ targets)
+    # fitted values column-major, one contiguous column per target
+    return (coef.T @ a.T).T
 
 
 def step_expect(scen: ScenarioSet, next_values: np.ndarray, i: int) -> np.ndarray:
@@ -246,6 +255,25 @@ def step_z(scen: ScenarioSet, next_values: np.ndarray, i: int) -> np.ndarray:
         return (next_values[1:] - next_values[:-1]) * (0.5 / np.sqrt(dt))
     db = scen.paths[:, i + 1] - scen.paths[:, i]
     return _project(scen, i, next_values * db / dt)
+
+
+def step_fit(scen: ScenarioSet, next_values: np.ndarray, i: int) -> tuple:
+    """``(step_expect, step_z)`` of level ``i + 1`` values onto ``i``, as one fit.
+
+    On the tree these are the two calls.  On Monte Carlo paths both are
+    projections onto the basis at ``i``, so one projection takes the two
+    targets ``Y_{i+1}`` and ``Y_{i+1}*dB_i/dt`` as a stack.
+    """
+    if scen.mode == "tree":
+        return step_expect(scen, next_values, i), step_z(scen, next_values, i)
+    targets = np.empty((2, next_values.size))
+    targets[0] = next_values
+    np.multiply(next_values, scen.paths[:, i + 1] - scen.paths[:, i], out=targets[1])
+    targets[1] /= scen.grid.dt
+    fit = _project(scen, i, targets.T)
+    # two arrays of their own: a column view would keep the pair alive as
+    # long as the solution keeps Z
+    return fit[:, 0].copy(), fit[:, 1].copy()
 
 
 def cond_expect(scen: ScenarioSet, rv: RandomVariable, i: int) -> RandomVariable:

@@ -1,5 +1,6 @@
 """Backward solver: independent node-recursion oracle, closed forms, guards."""
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -202,6 +203,84 @@ def test_implicit_step_sweep_cap_follows_the_contraction(lam):
     drv = bs.Driver(fn=lambda t, y, z: lam * np.abs(y), lipschitz=lam, depends_on_y=True)
     pair = bs.solve_bsde(scen, bs.TerminalClaim.constant(scen, 1.0), drv)
     assert abs(pair.value - 1.0 / (1.0 - lam)) <= 1e-10
+
+
+def _counted(driver):
+    """``driver`` with a count of its evaluations, one per sweep."""
+    calls = [0]
+
+    def fn(t, y, z):
+        calls[0] += 1
+        return driver.fn(t, y, z)
+
+    return dataclasses.replace(driver, fn=fn), calls
+
+
+def _per_sweep_count(driver, t, e, z, dt):
+    """Sweeps to the first move within tolerance: the per-sweep test's count."""
+    y, sweeps = e, 0
+    while True:
+        y_next = e + driver.fn(t, y, z) * dt
+        sweeps += 1
+        if np.max(np.abs(y_next - y)) <= bs._SWEEP_TOL * (1.0 + np.max(np.abs(y_next))):
+            return sweeps
+        y = y_next
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.9])
+def test_tight_sweep_returns_the_fixed_point(lam):
+    # A declared constant equal to the slope sweeps to its a-priori count,
+    # which puts y within tol of the fixed point (the per-sweep test only
+    # bounds the last move, up to q/(1 - q) tolerances away at q = 0.9).
+    drv = bs.Driver(fn=lambda t, y, z: lam * np.abs(y), lipschitz=lam, depends_on_y=True)
+    e = np.array([1.0, -0.5, 2.0, 1e-3])
+    fixed = np.where(e >= 0.0, e / (1.0 - lam), e / (1.0 + lam))
+    y = bs.implicit_step(drv, 0.0, e, np.zeros_like(e), 1.0)
+    assert np.max(np.abs(y - fixed)) <= bs._SWEEP_TOL * (1.0 + np.max(np.abs(fixed)))
+    stacked = bs.implicit_step(drv, 0.0, np.vstack([e, e[::-1]]), np.zeros((2, 4)), 1.0)
+    assert np.array_equal(stacked[0], y)
+    assert np.array_equal(stacked[1], bs.implicit_step(drv, 0.0, e[::-1], np.zeros(4), 1.0))
+
+
+def test_loose_sweep_takes_no_more_sweeps_than_the_per_sweep_test():
+    # Declared at 100x its slope, the constant's a-priori count is far above
+    # what the sweep needs; the per-sweep test still stops it.
+    slope = 0.5
+    drv, calls = _counted(bs.Driver(fn=lambda t, y, z: -slope * np.asarray(y),
+                                    lipschitz=100.0 * slope, depends_on_y=True))
+    dt = 0.01
+    for e in (np.linspace(-2.0, 3.0, 7), np.array([1e6, -1e-6])):
+        z = np.zeros_like(e)
+        calls[0] = 0
+        y = bs.implicit_step(drv, 0.0, e, z, dt)
+        assert calls[0] <= _per_sweep_count(drv, 0.0, e, z, dt)
+        assert np.max(np.abs(y - e / (1.0 + slope * dt))) <= 1e-12 * np.max(np.abs(e))
+
+
+def test_stacked_rows_keep_their_own_schedule():
+    # z holds each row's slope: at 50 the declared constant is tight and the
+    # row sweeps to its a-priori count, at 0.5 it is loose and tested after
+    # every sweep; each row of the stack is its 1-d step bit for bit.
+    drv, calls = _counted(bs.Driver(fn=lambda t, y, z: -z * np.asarray(y), lipschitz=50.0,
+                                    depends_on_y=True))
+    e = np.array([[1.0, -2.0, 0.5], [3.0, 1e-3, -1.0], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0]])
+    z = np.array([[50.0] * 3, [0.5] * 3, [50.0, 0.5, 50.0], [0.5] * 3])
+    got = bs.implicit_step(drv, 0.0, e, z, 0.01)
+    alone = []
+    for row in range(len(e)):
+        calls[0] = 0
+        assert np.array_equal(got[row], bs.implicit_step(drv, 0.0, e[row], z[row], 0.01))
+        alone.append(calls[0])
+    assert alone[1] < alone[0]
+
+
+def test_constant_below_the_slope_raises():
+    # Declared at a tenth of its slope, the sweep's a-priori count ends long
+    # before it converges; it raises rather than return that level.
+    drv = bs.Driver(fn=lambda t, y, z: -5.0 * np.asarray(y), lipschitz=0.5, depends_on_y=True)
+    for e in (np.array([1.0, 2.0, -0.3]), np.array([[1.0, 2.0, -0.3], [0.0, 0.0, 0.0]])):
+        with pytest.raises(FixedPointError):
+            bs.implicit_step(drv, 0.0, e, np.zeros_like(e), 0.1)
 
 
 def test_non_finite_driver_output_raises(tree8):

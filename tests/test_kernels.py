@@ -241,5 +241,24 @@ def test_binomial_weights_edge_cases():
             sc.binomial_weights(3, p)
 
 
+def test_comonotone_weights_are_cached_read_only():
+    # The cached weights equal a fresh computation, cannot be written to, and
+    # leave the comonotone value's floats as they were.
+    for n, p in ((8, 0.5), (200, 0.5 * (1.0 + 0.3 / np.sqrt(200))), (40, 0.2)):
+        cached = _kernels._binomial_weights(n, p)
+        assert np.array_equal(cached, sc.binomial_weights(n, p))
+        assert _kernels._binomial_weights(n, p) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+    dt = 1.0 / 40
+    for kappa in (0.5, -0.5):
+        driver = bs.Driver.kappa_abs(kappa, False)
+        for w in (np.linspace(-1.0, 2.0, 41), np.exp(-np.arange(31) / 7.0)):
+            sign = 1.0 if w[-1] > w[0] else -1.0
+            fresh = sc.binomial_weights(w.size - 1, 0.5 * (1.0 + sign * kappa * np.sqrt(dt)))
+            assert _kernels._comonotone_value(w, dt, driver) == float(fresh @ w)
+
+
 def test_backend_label():
     assert nebsde.KERNEL_BACKEND == "python"

@@ -63,10 +63,15 @@ def test_minimal_shift_against_scalar_bisection(tree50):
 # A level on the floor up to rounding: h0 = -5.2e-22, whose slope-bound reach
 # stays below the spacing of the level's values for more than 8 doublings.
 @example(index=45, level=0.0, floor=0.0, slopes=(0.1, 0.1))
+# A root where the mean loss is 0 up to rounding: the constraint as evaluated
+# is negative both at the search's lower end and at brentq's root
+# (0.10000000000000002), and the search returns 0.10000001000000003.
+@example(index=34, level=0.0, floor=0.1, slopes=(0.71875, 0.71875))
 def test_minimal_shift_feasible_and_near_root(tree50, index, level, floor, slopes):
     # Kinked linear loss a*min(u, 0) + c*max(u, 0) with u = x - floor: the
-    # returned shift satisfies the constraint exactly and sits within tol of
-    # an independent root.
+    # returned shift satisfies the constraint as evaluated, one tolerance
+    # less does not, and it sits within tol of an independent root, whose
+    # own xtol widens the bound.
     a, c = slopes
     loss = rf.LossFunction(
         fn=lambda t, x: a * np.minimum(np.asarray(x) - floor, 0.0)
@@ -80,11 +85,16 @@ def test_minimal_shift_feasible_and_near_root(tree50, index, level, floor, slope
         u = rv.values + s - floor
         return float(w @ (a * np.minimum(u, 0.0) + c * np.maximum(u, 0.0)))
 
+    def phi(s):
+        return rf.constraint_value(CLS, loss, tree50, index, rv.values + s)
+
     got = rf.minimal_shift(CLS, loss, tree50, index, rv)
     assert got >= 0.0
-    assert rf.constraint_value(CLS, loss, tree50, index, rv.values + got) >= 0.0
+    assert phi(got) >= 0.0
+    if got > rf.OPERATOR_TOL:
+        assert phi(got - rf.OPERATOR_TOL) < 0.0
     root = 0.0 if mean_loss(0.0) >= 0.0 else brentq(mean_loss, 0.0, 50.0, xtol=1e-13)
-    assert abs(got - root) <= rf.OPERATOR_TOL
+    assert abs(got - root) <= rf.OPERATOR_TOL + 1e-13
 
 
 def _bisect_root(phi, v0, reach, tol):

@@ -292,6 +292,56 @@ def test_mc_reflected_solve_matches_normal_equations(mc50, monkeypatch, offset, 
     assert (got.K.total > 0.0) == (floor > 0.0)
 
 
+def _single_target_projection(scen, i, target):
+    """The one-target fit the joint fit replaced: its own row-major basis, one
+    Gram matrix per target, and the mean at ``i = 0``."""
+    if i == 0:
+        return np.full(target.shape, target.mean())
+    x = scen.paths[:, i] / np.sqrt(scen.grid.nodes[i])
+    a = np.empty((x.size, scen.basis_degree + 1))
+    a[:, 0] = 1.0
+    for k in range(1, scen.basis_degree + 1):
+        np.multiply(a[:, k - 1], x, out=a[:, k])
+    return a @ np.linalg.solve(a.T @ a, a.T @ target)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_joint_fit_matches_one_fit_per_target(degree):
+    # Both targets of a step, E_i[Y_{i+1}] and Z_i, from one basis and one
+    # Gram matrix, against one fit each; at i = 0 and where t_i is small.
+    m = 1000
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "montecarlo", n_paths=3000, seed=5,
+                              basis_degree=degree)
+    for i in (0, 1, 2, 10, m // 2, m - 1):
+        b_next = sc.brownian(scen, i + 1)
+        v = np.sin(3.0 * b_next) + b_next**2 + 0.5
+        target_z = v * (b_next - sc.brownian(scen, i)) / scen.grid.dt
+        e, z = sc.step_fit(scen, v, i)
+        for got, target in ((e, v), (z, target_z)):
+            size = float(np.max(np.abs(target)))
+            want = _single_target_projection(scen, i, target)
+            assert np.max(np.abs(got - want)) <= 1e-12 * size, (i, np.max(np.abs(got - want)) / size)
+
+
+def test_mc_solve_builds_one_basis_per_step(count_calls):
+    # m steps project at indices m-1..1 (index 0 takes the mean): one basis
+    # each, where one fit per target built two.
+    m = 12
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "montecarlo", n_paths=500, seed=2)
+    calls = count_calls(sc, "_basis")
+    driver = bs.Driver(fn=lambda t, y, z: -0.2 * np.asarray(y) + 0.1 * np.abs(z),
+                       lipschitz=0.3, depends_on_y=True, depends_on_z=True)
+    bs.solve_bsde(scen, bs.TerminalClaim.from_function(scen, lambda b: b + 0.5), driver)
+    assert calls[0] == m - 1
+
+
+def test_tree_step_fit_is_the_two_steps(tree50):
+    v = np.cos(sc.brownian(tree50, 31))
+    e, z = sc.step_fit(tree50, v, 30)
+    assert np.array_equal(e, sc.step_expect(tree50, v, 30))
+    assert np.array_equal(z, sc.step_z(tree50, v, 30))
+
+
 def test_mc_determinism():
     grid = sc.TimeGrid(1.0, 10)
     a = sc.build_scenarios(grid, "montecarlo", n_paths=200, seed=11)
