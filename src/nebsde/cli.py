@@ -13,9 +13,13 @@ and ``run.log`` always, ``report.csv`` for ``verify``.  CSV numbers carry
 config digest and effective seed, so identical inputs produce
 byte-identical files.
 
+``_SCHEMA`` lists every option, ``section.option``, with the parser of its text.
+
 Exit codes: 0 success, 1 config problem (including a loss slope bound or
-driver Lipschitz constant that its probe lattice refutes, and a gexp driver
-that does not vanish at the origin on a grid date), 2 infeasible constraint,
+driver Lipschitz constant that its probe lattice refutes, a gexp driver that
+does not vanish at the origin on a grid date, a non-finite risk kernel or
+penalty, and market parameters whose price of risk ``(drift - rate) /
+volatility`` or ``|rate| + |price of risk|`` is not finite), 2 infeasible constraint,
 3 divergence (a non-contractive step, or a step that does not settle within
 its sweep or pass cap), 4 no root bracket for a shift search (the declared
 loss slope bounds do not hold, a bracket, also that of a mean floor, does
@@ -31,6 +35,7 @@ import operator
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,85 +162,72 @@ def parse_expression(source: str, allowed) -> Expression:
 
 # ------------------------------------------------------------------- schema
 
+def _expression(*names):
+    """The parser of an expression over the variables ``names``."""
+    return lambda raw: parse_expression(raw, names)
+
+
+def _numbers(raw: str) -> list:
+    """A comma-separated list of finite numbers; empty entries are skipped."""
+    values = [float(part) for part in raw.split(",") if part.strip()]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"values must be finite: {raw!r}")
+    return values
+
+
+def _knots(raw: str) -> list:
+    """A comma-separated list of ``t:q`` knots."""
+    pairs = [part.split(":") for part in raw.split(",")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"bad knot list {raw!r}")
+    return [(float(t), float(q)) for t, q in pairs]
+
+
+def _boolean(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[low]
+
+
+# every option, ``section.option``, and the parser of its text
 _SCHEMA = {
-    "scenario": {
-        "horizon", "steps", "mode", "n_paths", "seed", "basis_degree",
-    },
-    "problem": {
-        "payoff", "driver", "driver_lipschitz", "loss", "loss_lower",
-        "loss_upper", "loss_shape", "expectation", "kappa", "alpha",
-        "gexp_driver",
-    },
-    "risk": {"kernels", "penalties", "q_constant", "q_knots"},
-    "market": {"rate", "drift", "volatility"},
-    "verify": {"gamma", "floor", "shift", "tilt"},
-    "output": {"mean_floor_column"},
+    "scenario.horizon": float, "scenario.steps": int, "scenario.mode": str,
+    "scenario.n_paths": int, "scenario.seed": int, "scenario.basis_degree": int,
+    "problem.payoff": _expression("b"),
+    "problem.driver": _expression("t", "y", "z"), "problem.driver_lipschitz": float,
+    "problem.loss": _expression("t", "x", "b"),
+    "problem.loss_lower": float, "problem.loss_upper": float, "problem.loss_shape": str,
+    "problem.expectation": str, "problem.kappa": float, "problem.alpha": float,
+    "problem.gexp_driver": _expression("t", "y", "z"),
+    "risk.kernels": _numbers, "risk.penalties": _numbers,
+    "risk.q_constant": float, "risk.q_knots": _knots,
+    "market.rate": float, "market.drift": float, "market.volatility": float,
+    "verify.gamma": float, "verify.floor": float, "verify.shift": float, "verify.tilt": float,
+    "output.mean_floor_column": _boolean,
 }
 
 
-class _Section:
-    """Typed access to one config section with error context."""
+@contextmanager
+def _keyed(name: str):
+    """Key a ``ValueError`` raised in the block ``name``; a ``ConfigError`` keeps its key."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=name) from None
 
-    def __init__(self, cfg: configparser.ConfigParser, name: str):
-        self.name = name
-        self.cfg = cfg
 
-    def _raw(self, key, default=None, required=False):
-        if self.cfg.has_option(self.name, key):
-            return self.cfg.get(self.name, key)
+def _option(cfg: configparser.ConfigParser, name: str, default=None, required=False):
+    """Option ``section.key`` read by its ``_SCHEMA`` parser, or ``default`` if it is unset."""
+    section, _, key = name.partition(".")
+    if not cfg.has_option(section, key):
         if required:
-            raise ConfigError("required option missing", key=f"{self.name}.{key}")
+            raise ConfigError("required option missing", key=name)
         return default
-
-    def text(self, key, default=None, required=False):
-        return self._raw(key, default, required)
-
-    def number(self, key, default=None, required=False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"not a number: {raw!r}", key=f"{self.name}.{key}") from None
-
-    def integer(self, key, default=None, required=False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"not an integer: {raw!r}", key=f"{self.name}.{key}") from None
-
-    def flag(self, key, default=False):
-        raw = self._raw(key, None, False)
-        if raw is None:
-            return default
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"not a boolean: {raw!r}", key=f"{self.name}.{key}")
-
-    def expression(self, key, allowed, default=None, required=False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return parse_expression(raw, allowed)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=f"{self.name}.{key}") from None
-
-    def numbers(self, key, default=None, required=False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return [float(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise ConfigError(f"not a number list: {raw!r}", key=f"{self.name}.{key}") from None
+    with _keyed(name):
+        return _SCHEMA[name](cfg.get(section, key))
 
 
 @dataclass
@@ -258,37 +250,39 @@ class RunConfig:
 
 
 def _check_unknown(cfg: configparser.ConfigParser):
+    sections = {name.partition(".")[0] for name in _SCHEMA}
     for section in cfg.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError("unknown section", key=section)
         for key in cfg.options(section):
-            if key not in _SCHEMA[section]:
+            if f"{section}.{key}" not in _SCHEMA:
                 raise ConfigError("unknown option", key=f"{section}.{key}")
 
 
+def _require_section(cfg: configparser.ConfigParser, section: str):
+    if not cfg.has_section(section):
+        raise ConfigError("required section missing", key=section)
+
+
 def _build_scenario(cfg, seed_override):
-    scen_sec = _Section(cfg, "scenario")
-    if not cfg.has_section("scenario"):
-        raise ConfigError("required section missing", key="scenario")
-    horizon = scen_sec.number("horizon", required=True)
-    steps = scen_sec.integer("steps", required=True)
-    mode = scen_sec.text("mode", "tree")
-    seed = scen_sec.integer("seed", 0)
+    _require_section(cfg, "scenario")
+    horizon = _option(cfg, "scenario.horizon", required=True)
+    steps = _option(cfg, "scenario.steps", required=True)
+    mode = _option(cfg, "scenario.mode", "tree")
+    seed = _option(cfg, "scenario.seed", 0)
     if seed_override is not None:
         seed = seed_override
-    try:
+    with _keyed("scenario"):
         grid = sc.TimeGrid(horizon, steps)
         if mode == "tree":
             scen = sc.build_scenarios(grid, "tree")
         elif mode == "montecarlo":
-            n_paths = scen_sec.integer("n_paths", required=True)
-            degree = scen_sec.integer("basis_degree", 3)
+            n_paths = _option(cfg, "scenario.n_paths", required=True)
+            degree = _option(cfg, "scenario.basis_degree", 3)
             scen = sc.build_scenarios(grid, "montecarlo", n_paths=n_paths,
                                       seed=seed, basis_degree=degree)
         else:
             raise ConfigError(f"unknown mode {mode!r}", key="scenario.mode")
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="scenario") from None
     return scen, seed
 
 
@@ -296,34 +290,31 @@ def _build_scenario(cfg, seed_override):
 _DRIVER_PROBE = np.linspace(-10.0, 10.0, 41)
 
 
-def _build_driver(sec: _Section, key: str, lipschitz_key: str, grid: sc.TimeGrid,
+def _build_driver(cfg, key: str, lipschitz_key: str, grid: sc.TimeGrid,
                   required: bool = False) -> bs.Driver:
-    """The generator in ``key``, an expression in ``t, y, z``.
+    """The generator in option ``key``, an expression in ``t, y, z``.
 
     One that reads ``y`` or ``z`` needs a positive ``lipschitz_key``, probed
     on a ``(y, z)`` lattice at every grid date (not beyond it).
     """
-    expr = sec.expression(key, {"t", "y", "z"}, required=required)
+    expr = _option(cfg, key, required=required)
     if expr is None:
         return bs.Driver.constant(0.0)
     dep_y = "y" in expr.names
     dep_z = "z" in expr.names
     lam = 0.0
     if dep_y or dep_z:
-        lam = sec.number(lipschitz_key, required=True)
+        lam = _option(cfg, lipschitz_key, required=True)
         if lam <= 0:
-            raise ConfigError("must be > 0 for a y/z-dependent driver",
-                              key=f"problem.{lipschitz_key}")
+            raise ConfigError("must be > 0 for a y/z-dependent driver", key=lipschitz_key)
 
     def fn(t, y, z):
         return expr(t=t, y=np.asarray(y, dtype=float), z=np.asarray(z, dtype=float))
 
-    try:
+    with _keyed(lipschitz_key):
         driver = bs.Driver(fn=fn, lipschitz=lam, depends_on_y=dep_y, depends_on_z=dep_z)
         if dep_y or dep_z:
             bs.check_lipschitz_lattice(driver, grid.nodes, _DRIVER_PROBE)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key=f"problem.{lipschitz_key}") from None
     return driver
 
 
@@ -333,35 +324,33 @@ _LOSS_PROBE_X = np.linspace(-10.0, 10.0, 81)
 _LOSS_PROBE_B = np.array([-3.0, 0.0, 3.0])
 
 
-def _build_loss(sec: _Section, grid: sc.TimeGrid) -> rf.LossFunction:
+def _build_loss(cfg, grid: sc.TimeGrid) -> rf.LossFunction:
     """The loss, its declared slope bounds probed on a lattice at every grid date.
 
     A loss that breaks the bounds only outside the lattice still reaches the
     shift search, which then finds no root bracket (exit 4).
     """
-    expr = sec.expression("loss", {"t", "x", "b"}, required=True)
+    expr = _option(cfg, "problem.loss", required=True)
     if "x" not in expr.names:
         raise ConfigError("loss must depend on x", key="problem.loss")
-    lower = sec.number("loss_lower", 1.0)
-    upper = sec.number("loss_upper", 1.0)
-    shape = sec.text("loss_shape", "general")
+    lower = _option(cfg, "problem.loss_lower", 1.0)
+    upper = _option(cfg, "problem.loss_upper", 1.0)
+    shape = _option(cfg, "problem.loss_shape", "general")
     random = "b" in expr.names
     if random:
         fn = lambda t, b, x: expr(t=t, b=b, x=np.asarray(x, dtype=float))
     else:
         fn = lambda t, x: expr(t=t, x=np.asarray(x, dtype=float))
     b_values = _LOSS_PROBE_B * np.sqrt(grid.horizon) if random else (0.0,)
-    try:
+    with _keyed("problem.loss"):
         loss = rf.LossFunction(fn=fn, lower=lower, upper=upper, shape=shape, random=random)
         rf.check_loss_lattice(loss, grid.nodes, _LOSS_PROBE_X, b_values)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="problem.loss") from None
     return loss
 
 
-def _build_payoff(sec: _Section, scen: sc.ScenarioSet) -> sc.RandomVariable:
+def _build_payoff(cfg, scen: sc.ScenarioSet) -> sc.RandomVariable:
     """The payoff evaluated on the terminal support, which must come out finite."""
-    expr = sec.expression("payoff", {"b"}, required=True)
+    expr = _option(cfg, "problem.payoff", required=True)
     try:
         with np.errstate(all="ignore"):
             return sc.from_terminal_function(scen, lambda b: expr(b=b))
@@ -370,94 +359,60 @@ def _build_payoff(sec: _Section, scen: sc.ScenarioSet) -> sc.RandomVariable:
                           key="problem.payoff") from None
 
 
-def _build_expectation(sec: _Section, grid: sc.TimeGrid) -> ne.NonlinearExpectation:
+def _build_expectation(cfg, grid: sc.TimeGrid) -> ne.NonlinearExpectation:
     """The expectation; ``kappa`` is the gexp driver's constant or the alpha-maxmin radius."""
-    kind = sec.text("expectation", "classical")
+    kind = _option(cfg, "problem.expectation", "classical")
     if kind == "classical":
         return ne.NonlinearExpectation.classical()
     if kind == "gexp":
-        driver = _build_driver(sec, "gexp_driver", "kappa", grid, required=True)
-        try:
+        driver = _build_driver(cfg, "problem.gexp_driver", "problem.kappa", grid, required=True)
+        with _keyed("problem.gexp_driver"):
             ne.check_vanishing(driver, grid.nodes)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key="problem.gexp_driver") from None
         return ne.NonlinearExpectation.gexp(driver)
     if kind == "alpha-maxmin":
-        try:
-            return ne.NonlinearExpectation.alpha_maxmin(
-                alpha=sec.number("alpha", 1.0), kappa=sec.number("kappa", 0.0)
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), key="problem.expectation") from None
+        alpha = _option(cfg, "problem.alpha", 1.0)
+        kappa = _option(cfg, "problem.kappa", 0.0)
+        with _keyed("problem.expectation"):
+            return ne.NonlinearExpectation.alpha_maxmin(alpha=alpha, kappa=kappa)
     raise ConfigError(f"unknown expectation kind {kind!r}", key="problem.expectation")
 
 
 def _build_risk(cfg, grid) -> tuple:
-    if not cfg.has_section("risk"):
-        raise ConfigError("required section missing", key="risk")
-    sec = _Section(cfg, "risk")
-    kernels = sec.numbers("kernels", required=True)
-    penalties = sec.numbers("penalties", [0.0] * len(kernels))
-    try:
+    _require_section(cfg, "risk")
+    kernels = _option(cfg, "risk.kernels", required=True)
+    penalties = _option(cfg, "risk.penalties", [0.0] * len(kernels))
+    with _keyed("risk.kernels"):
         rho = rk.RiskMeasure.convex_family(kernels, penalties)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="risk.kernels") from None
-    qc = sec.number("q_constant", None)
-    qk = sec.text("q_knots", None)
-    if (qc is None) == (qk is None):
+    qc = _option(cfg, "risk.q_constant")
+    if (qc is None) != cfg.has_option("risk", "q_knots"):
         raise ConfigError("set exactly one of q_constant / q_knots", key="risk")
     if qc is not None:
-        try:
+        with _keyed("risk.q_constant"):
             return rho, rk.Benchmark.constant(grid, qc)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key="risk.q_constant") from None
-    knots = []
-    try:
-        for part in qk.split(","):
-            t_str, v_str = part.split(":")
-            knots.append((float(t_str), float(v_str)))
-    except ValueError:
-        raise ConfigError(f"bad knot list {qk!r}", key="risk.q_knots") from None
-    try:
+    knots = _option(cfg, "risk.q_knots")
+    with _keyed("risk.q_knots"):
         return rho, rk.Benchmark.from_knots(grid, knots)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="risk.q_knots") from None
 
 
 def _build_market(cfg) -> rk.Market:
-    if not cfg.has_section("market"):
-        raise ConfigError("required section missing", key="market")
-    sec = _Section(cfg, "market")
-    try:
-        return rk.Market(
-            rate=sec.number("rate", required=True),
-            drift=sec.number("drift", required=True),
-            volatility=sec.number("volatility", required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="market") from None
+    _require_section(cfg, "market")
+    params = {key: _option(cfg, f"market.{key}", required=True)
+              for key in ("rate", "drift", "volatility")}
+    with _keyed("market"):
+        return rk.Market(**params)
 
 
 def _build_verify(cfg, scen: sc.ScenarioSet) -> vf.RampFlowInstance:
     """The ramp-flow instance: finite options, ``gamma > 0``, and binding."""
-    sec = _Section(cfg, "verify")
-    params = {
-        "gamma": sec.number("gamma", 1.0),
-        "floor": sec.number("floor", 0.0),
-        "shift": sec.number("shift", 0.5),
-        "tilt": sec.number("tilt", 1.0),
-    }
+    params = {key: _option(cfg, f"verify.{key}", default)
+              for key, default in (("gamma", 1.0), ("floor", 0.0), ("shift", 0.5), ("tilt", 1.0))}
     for key, value in params.items():
         if not np.isfinite(value):
             raise ConfigError("must be finite", key=f"verify.{key}")
-    try:
+    with _keyed("verify.gamma"):
         inst = vf.RampFlowInstance(**params)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="verify.gamma") from None
-    try:
+    with _keyed("verify.shift"):
         inst.t_star(scen)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="verify.shift") from None
     return inst
 
 
@@ -478,27 +433,23 @@ def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
     digest = hashlib.sha256(raw + f"|seed={seed}|cmd={command}".encode()).hexdigest()[:16]
     run = RunConfig(command=command, scen=scen, seed=seed, digest=digest)
 
-    prob = _Section(cfg, "problem")
     if command in ("solve", "gexp", "price"):
-        if not cfg.has_section("problem"):
-            raise ConfigError("required section missing", key="problem")
-        run.payoff = _build_payoff(prob, scen)
+        _require_section(cfg, "problem")
+        run.payoff = _build_payoff(cfg, scen)
     if command == "solve":
-        run.driver = _build_driver(prob, "driver", "driver_lipschitz", scen.grid)
-        run.loss = _build_loss(prob, scen.grid)
-        run.expectation = _build_expectation(prob, scen.grid)
-        try:
+        run.driver = _build_driver(cfg, "problem.driver", "problem.driver_lipschitz", scen.grid)
+        run.loss = _build_loss(cfg, scen.grid)
+        run.expectation = _build_expectation(cfg, scen.grid)
+        with _keyed("problem.kappa"):
             ne.check_operator(run.expectation, scen)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key="problem.kappa") from None
     if command == "gexp":
-        run.expectation = _build_expectation(prob, scen.grid)
+        run.expectation = _build_expectation(cfg, scen.grid)
     if command == "price":
         run.market = _build_market(cfg)
         run.rho, run.benchmark = _build_risk(cfg, scen.grid)
     if command == "verify":
         run.ramp = _build_verify(cfg, scen)
-    run.mean_floor_column = _Section(cfg, "output").flag("mean_floor_column", False)
+    run.mean_floor_column = _option(cfg, "output.mean_floor_column", False)
     return run
 
 

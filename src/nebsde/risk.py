@@ -39,8 +39,12 @@ class RiskMeasure:
         object.__setattr__(self, "penalties", pen)
         if ker.size == 0:
             raise ValueError("kernel list must be nonempty")
+        if not np.all(np.isfinite(ker)):
+            raise ValueError("kernels must be finite")
         if pen.size != ker.size:
             raise ValueError("penalties must match kernels in length")
+        if not np.all(np.isfinite(pen)):
+            raise ValueError("penalties must be finite")
         if np.any(pen < 0.0):
             raise ValueError("penalties must be >= 0")
 
@@ -98,6 +102,12 @@ class Market:
         for name in ("rate", "drift", "volatility"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # the wealth generator's Lipschitz constant
+        with np.errstate(over="ignore"):
+            lipschitz = abs(self.rate) + abs(self.price_of_risk)
+        if not np.isfinite(lipschitz):
+            raise ValueError("the price of risk (drift - rate) / volatility and "
+                             "|rate| + |price of risk| must be finite")
 
     @property
     def price_of_risk(self) -> float:
@@ -177,7 +187,8 @@ def superhedge_price(
 
     The wealth generator is ``f(t, y, z) = -(r y + theta z)`` with
     ``theta = (mu - r) / sigma``.  Hedge ratios ``pi_i = Z_i / (sigma Y_i)``
-    are reported nodewise, NaN where ``|Y_i|`` is below 1e-12.
+    are reported nodewise, NaN where ``|Y_i|`` is below 1e-12 and infinite
+    where the quotient overflows (a subnormal ``sigma``).
     """
     r = market.rate
     theta = market.price_of_risk
@@ -194,7 +205,7 @@ def superhedge_price(
     sol = solve_risk_reflected(scen, claim, driver, rho, q)
     ratios = []
     for y, z in zip(sol.Y, sol.Z):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             pi = z.values / (market.volatility * y.values)
         # NaN marks nodes where the wealth is too close to 0 to divide
         ratios.append(np.where(np.abs(y.values) <= _YTOL, np.nan, pi))

@@ -1,16 +1,21 @@
 """Command line front end: expression grammar, config contract, exit codes."""
 
+import configparser
 import math
 import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nebsde
+from nebsde import cli
 from nebsde import _kernels as kern
 from nebsde import bsde as bs
 from nebsde import picard as pc
@@ -344,12 +349,91 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ("q_constant = 10.0", "q_constant = nan", "risk.q_constant: benchmark values must be finite"),
         ("q_constant = 10.0", "q_knots = 0:0.4,1:inf", "risk.q_knots: benchmark values must be finite"),
         ("kernels = -0.5, 0, 0.5", "kernels =", "risk.kernels: kernel list must be nonempty"),
+        ("kernels = -0.5, 0, 0.5", "kernels = nan", "risk.kernels: values must be finite"),
+        ("kernels = -0.5, 0, 0.5", "kernels = -inf, 0", "risk.kernels: values must be finite"),
+        ("kernels = -0.5, 0, 0.5", "kernels = 0, 1e400", "risk.kernels: values must be finite"),
+        ("q_constant = 10.0", "q_constant = 10.0\npenalties = nan, 0, 0",
+         "risk.penalties: values must be finite"),
+        ("q_constant = 10.0", "q_constant = 10.0\npenalties = 0, inf, 0",
+         "risk.penalties: values must be finite"),
+        ("rate = 0.05", "rate = 1e308", "market: the price of risk"),
+        ("drift = 0.05\nvolatility = 0.2", "drift = 0.1\nvolatility = 1e-310",
+         "market: the price of risk"),
     ],
 )
 def test_risk_config_errors_exit_1(tmp_path, capsys, old, new, message):
     cfg = _write(tmp_path / "run.ini", PRICE_INI.replace(old, new))
     assert run(["price", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+FUZZ_INI = """\
+[scenario]
+horizon = 1.0
+steps = 12
+n_paths = 200
+seed = 3
+
+[problem]
+payoff = b + 1.05
+driver = -0.2 * y + 0.1 * abs(z)
+driver_lipschitz = 0.3
+loss = x - 1.0
+loss_shape = linear
+expectation = gexp
+gexp_driver = -0.5 * (abs(y) + abs(z))
+kappa = 0.5
+
+[risk]
+kernels = -0.5, 0, 0.5
+penalties = 0, 0.1, 0
+q_constant = 10.0
+
+[market]
+rate = 0.05
+drift = 0.1
+volatility = 0.2
+
+[verify]
+gamma = 1.0
+
+[output]
+mean_floor_column = no
+"""
+
+# valid values; malformed text and the empty string; non-finite values;
+# zero, negative, large and subnormal numbers.  No integer above 12, so a
+# run keeps steps <= 12 and n_paths <= 200.
+FUZZ_VALUES = [
+    "1", "0.5", "3", "12", "yes", "tree", "montecarlo", "classical", "gexp", "alpha-maxmin",
+    "linear", "concave", "b + 1", "x - 1", "-0.3 * abs(z)", "-0.5, 0, 0.5", "0:1,1:2",
+    "abc", "", "1,,x", "0:1:2", "nan", "inf", "-inf", "0", "-1", "-0.5", "1e6", "1e-310",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "gexp", "price", "verify"]),
+    options=st.dictionaries(st.sampled_from(sorted(cli._SCHEMA)), st.sampled_from(FUZZ_VALUES),
+                            min_size=1, max_size=3),
+)
+def test_fuzzed_configs_exit_with_a_documented_code(command, options):
+    # Any 1-3 options of the table set to any listed value: run returns a
+    # documented exit code (a RuntimeWarning fails the test), and a solver
+    # failure leaves run.log.
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.read_string(FUZZ_INI)
+    for name, value in options.items():
+        section, _, key = name.partition(".")
+        cfg[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        with open(path, "w") as fh:
+            cfg.write(fh)
+        code = run([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2, 3, 4)
+        if code >= 2:
+            assert (Path(tmp) / "out" / "run.log").is_file()
 
 
 def test_infeasible_exits_2(tmp_path, capsys):

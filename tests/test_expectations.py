@@ -218,6 +218,49 @@ def test_tree_evaluate_matches_solve_bsde_on_continued_claim(m, data, kappa, cas
     assert abs(got - ref) <= 1e-12 * (1.0 + np.max(np.abs(continued))), (case, got, ref)
 
 
+def _operator(kind, alpha, kappa):
+    return {
+        "classical": ne.NonlinearExpectation.classical(),
+        "alpha-maxmin": ne.NonlinearExpectation.alpha_maxmin(alpha=alpha, kappa=kappa),
+        "gexp +kappa|z|": ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(kappa, include_y=False)),
+        "gexp -kappa|z|": ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(-kappa, include_y=False)),
+    }[kind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 30),
+    data=st.data(),
+    kind=st.sampled_from(["classical", "alpha-maxmin", "gexp +kappa|z|", "gexp -kappa|z|"]),
+    alpha=st.floats(0.0, 1.0),
+    kappa=st.floats(0.0, 1.0),
+    c=st.floats(-10.0, 10.0),
+)
+def test_operator_axioms_on_random_levels(m, data, kind, alpha, kappa, c):
+    # Cash additivity, monotonicity and constant preservation of every
+    # cash-additive operator, for a claim on a random level; a driver that
+    # reads y moves constants by its implicit steps instead.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
+    index = data.draw(st.integers(0, m))
+    floats = st.lists(st.floats(-5.0, 5.0), min_size=index + 1, max_size=index + 1)
+    x = np.array(data.draw(floats))
+    d = np.abs(np.array(data.draw(floats)))
+    exp = _operator(kind, alpha, kappa)
+    assert exp.cash_additive
+    value = ne.evaluate(exp, scen, sc.RandomVariable(index, x))
+    scale = 1.0 + abs(c) + np.max(np.abs(x)) + np.max(d)
+    shifted = ne.evaluate(exp, scen, sc.RandomVariable(index, x + c))
+    assert abs(shifted - value - c) <= 1e-12 * (1.0 + abs(c) + np.max(np.abs(x)))
+    assert ne.evaluate(exp, scen, sc.RandomVariable(index, x + d)) >= value - 1e-12 * scale
+    const = sc.RandomVariable(index, np.full(index + 1, c))
+    assert abs(ne.evaluate(exp, scen, const) - c) <= 1e-12 * (1.0 + abs(c))
+    # kappa*(|y| + |z|): each of the m implicit steps divides c by 1 - sign(c)*kappa*dt
+    with_y = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(kappa))
+    assert with_y.cash_additive == (kappa == 0.0)
+    expected = c * (1.0 - np.sign(c) * kappa * scen.grid.dt) ** (-m)
+    assert abs(ne.evaluate(with_y, scen, const) - expected) <= 1e-12 * (1.0 + abs(expected))
+
+
 def test_tree_evaluate_runs_no_bsde_solve(tree8, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the tree evaluation ran bs.solve_bsde")

@@ -238,8 +238,7 @@ def _per_level_solve(scen, claim, driver, loss, exp):
 def _cli_gexp(expr, kappa, grid):
     cfg = configparser.ConfigParser()
     cfg.read_string(f"[problem]\ngexp_driver = {expr}\nkappa = {kappa}\n")
-    driver = cli._build_driver(cli._Section(cfg, "problem"), "gexp_driver", "kappa", grid,
-                               required=True)
+    driver = cli._build_driver(cfg, "problem.gexp_driver", "problem.kappa", grid, required=True)
     return ne.NonlinearExpectation.gexp(driver)
 
 

@@ -116,6 +116,12 @@ def test_family_flags_and_validation():
         rk.RiskMeasure.convex_family([0.0], [-0.1])
     with pytest.raises(ValueError):
         rk.RiskMeasure.convex_family([], [])
+    # non-finite kernels would fail inside the tilt, non-finite penalties in the solve
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="kernels must be finite"):
+            rk.RiskMeasure.coherent_family([0.0, bad])
+        with pytest.raises(ValueError, match="penalties must be finite"):
+            rk.RiskMeasure.convex_family([0.0, 0.5], [0.0, bad])
 
 
 def test_risk_solve_equals_mean_solve_on_trivial_family(tree100):
@@ -177,6 +183,24 @@ def test_market_validation():
         rk.Market(rate=0.0, drift=0.0, volatility=0.0)
     with pytest.raises(ValueError):
         rk.Market(rate=np.inf, drift=0.0, volatility=0.2)
+    # finite inputs whose price of risk, or the wealth generator's Lipschitz
+    # constant |rate| + |price of risk|, overflows
+    for rate, drift, volatility in ((1e308, 0.05, 0.2), (0.05, 0.1, 1e-310),
+                                    (np.float64(-1e308), np.float64(1e308), np.float64(1.0)),
+                                    (1.5e308, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="price of risk"):
+            rk.Market(rate=rate, drift=drift, volatility=volatility)
+
+
+def test_subnormal_volatility_hedge_ratios_overflow_to_inf(tree8):
+    # With no excess drift the price of risk is 0 and the price is finite;
+    # Z / (sigma * Y) overflows, and reads inf without a RuntimeWarning.
+    mkt = rk.Market(rate=0.05, drift=0.05, volatility=1e-310)
+    claim = bs.TerminalClaim.from_function(tree8, lambda b: b + 2.0)
+    report = rk.superhedge_price(mkt, tree8, claim, rk.RiskMeasure.coherent_family([0.0]),
+                                 rk.Benchmark.constant(tree8.grid, 10.0))
+    assert np.isfinite(report.price)
+    assert np.isinf(report.hedge_ratios[0]).all()
 
 
 def test_price_discounts_deterministic_claim(tree50):
