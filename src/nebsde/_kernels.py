@@ -13,8 +13,9 @@ is one binomial dot product.
 :func:`tree_backward_values` rolls a stack of claims back together, one row
 per claim, so claims on every level of the tree cost one pass of numpy calls
 per level instead of one pass each; :func:`tree_backward_value` is its
-one-row call.  :func:`tree_continuations` is the matching stacked form of
-:func:`nebsde.bsde.zero_noise_continuation` for claims on tree levels.
+one-row call.  A claim on an interior level first takes the dates after its
+own with z frozen at 0 (:func:`nebsde.bsde.zero_noise_continuation`); this
+module is only the roll-back.
 """
 from functools import lru_cache
 
@@ -119,40 +120,3 @@ def tree_backward_value(terminal, dt, driver, nodes):
     root value is not finite.  The one-row call of :func:`tree_backward_values`.
     """
     return float(tree_backward_values([terminal], dt, driver, nodes)[0])
-
-
-def tree_continuations(levels, dt, driver, nodes) -> list:
-    """Each tree level continued from the horizon back to its own date, z frozen at 0.
-
-    ``levels[r]`` holds ``i + 1`` values on tree level ``i``; it comes out
-    as ``bs.zero_noise_continuation(driver, levels[r], nodes[i:m], dt)``
-    with ``m = len(nodes) - 1``, bit for bit.  The closed forms take one
-    level at a time.  A driver that needs the fixed-point sweep steps the
-    whole stack at once from date ``m - 1`` down, each level leaving it
-    after its own date.  Levels are padded to a common width with copies of
-    their last value; a copy moves exactly as that value does, so each
-    row's sweep sees the same largest change as its level alone.
-    """
-    m = len(nodes) - 1
-    if not driver.depends_on_y or driver.kappa_structure is not None:
-        return [bs.zero_noise_continuation(driver, w, nodes[np.size(w) - 1:m], dt)
-                for w in levels]
-    rows = [np.asarray(w, dtype=float) for w in levels]
-    order = sorted(range(len(rows)), key=lambda r: rows[r].size)
-    sizes = [rows[r].size for r in order]
-    width = max(sizes, default=0)
-    stack = np.array([np.pad(rows[r], (0, width - rows[r].size), mode="edge")
-                      for r in order]).reshape(len(order), width)
-    zeros = np.zeros_like(stack)
-    active = len(order)
-    for date in range(m - 1, -1, -1):
-        while active and sizes[active - 1] > date + 1:
-            active -= 1
-        if not active:
-            break
-        block = (slice(active), slice(sizes[active - 1]))
-        stack[block] = bs.implicit_step(driver, float(nodes[date]), stack[block], zeros[block], dt)
-    out = [None] * len(rows)
-    for k, r in enumerate(order):
-        out[r] = stack[k, :sizes[k]]
-    return out

@@ -254,31 +254,52 @@ def implicit_step(
     raise FixedPointError(f"implicit step did not converge in {sweeps} sweeps")
 
 
-def zero_noise_continuation(
-    driver: Driver, values: np.ndarray, times: np.ndarray, dt: float
-) -> np.ndarray:
-    """Roll ``values`` back through one implicit step per date in ``times``, z frozen at 0.
+def zero_noise_continuation(driver: Driver, levels, grid: sc.TimeGrid) -> list:
+    """Each level rolled back from the horizon to its own date, z frozen at 0.
 
-    Each node follows ``y' = -f(t, y, 0)`` on its own.  A driver that
-    ignores y leaves ``values`` as they are, since ``f(t, y, 0) = f(t, 0, 0)``
-    vanishes for a g-expectation's generator.  A step of the ``kappa``
-    family keeps each value's sign, so the steps collapse to
-    ``(1 - kappa*dt)**(-steps)`` on values >= 0 and ``(1 + kappa*dt)**(-steps)``
-    below.
+    ``levels`` are random variables on any indices of ``grid``, on tree
+    levels or Monte Carlo paths; their values come out in their order.  A
+    level on index ``i`` takes one implicit step per date ``t_{m-1}, ...,
+    t_i``, each node following ``y' = -f(t, y, 0)`` on its own.  A driver
+    that ignores y leaves every level as it is, since ``f(t, y, 0) =
+    f(t, 0, 0)`` vanishes for a g-expectation's generator.  A step of the
+    ``kappa`` family keeps each value's sign, so its steps collapse to
+    ``(1 - kappa*dt)**(i - m)`` on values >= 0 and ``(1 + kappa*dt)**(i - m)``
+    below.  Any other driver steps all levels in one stack from date
+    ``m - 1`` down, ordered by index, each leaving after its own date.
+    Shorter levels are padded with copies of their last value, which move
+    exactly as it does, so every level equals its one-level call bit for bit.
     """
-    vals = np.asarray(values, dtype=float)
-    if not driver.depends_on_y:
+    vals = [rv.values for rv in levels]
+    if not driver.depends_on_y or not vals:
         return vals
+    dt, m = grid.dt, grid.steps
     _check_contractive(driver, dt)
     if driver.kappa_structure is not None:
         kdt = driver.kappa_structure[0] * dt
-        steps = len(times)
-        return np.where(vals >= 0.0, vals * (1.0 - kdt) ** (-steps),
-                        vals * (1.0 + kdt) ** (-steps))
-    zeros = np.zeros_like(vals)
-    for t in reversed(times):
-        vals = implicit_step(driver, float(t), vals, zeros, dt)
-    return vals
+        return [np.where(v >= 0.0, v * (1.0 - kdt) ** (rv.index - m),
+                         v * (1.0 + kdt) ** (rv.index - m)) for v, rv in zip(vals, levels)]
+    order = sorted(range(len(vals)), key=lambda r: levels[r].index)
+    index = [levels[r].index for r in order]
+    # a level is never wider than one on a later index (i + 1 tree nodes, or
+    # every path), so the widest active level is the last
+    sizes = [vals[r].size for r in order]
+    stack = np.array([np.pad(vals[r], (0, sizes[-1] - vals[r].size), mode="edge")
+                      for r in order])
+    zeros = np.zeros_like(stack)
+    active = len(order)
+    for date in range(m - 1, -1, -1):
+        while active and index[active - 1] > date:
+            active -= 1
+        if not active:
+            break
+        block = (slice(active), slice(sizes[active - 1]))
+        t = float(grid.nodes[date])
+        stack[block] = implicit_step(driver, t, stack[block], zeros[block], dt)
+    out = [None] * len(vals)
+    for k, r in enumerate(order):
+        out[r] = stack[k, :sizes[k]]
+    return out
 
 
 def solve_bsde(

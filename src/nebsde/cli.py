@@ -16,8 +16,9 @@ byte-identical files.
 ``_SCHEMA`` lists every option, ``section.option``, with the parser of its text.
 
 Exit codes: 0 success, 1 config problem (including a loss slope bound or
-driver Lipschitz constant that its probe lattice refutes, a gexp driver that
-does not vanish at the origin on a grid date, a non-finite risk kernel or
+driver Lipschitz constant that its probe lattice refutes, a driver that reads
+neither y nor z and is not finite on a grid date, a gexp driver that does
+not vanish at the origin on a grid date, a non-finite risk kernel or
 penalty, and market parameters whose price of risk ``(drift - rate) /
 volatility`` or ``|rate| + |price of risk|`` is not finite), 2 infeasible constraint,
 3 divergence (a non-contractive step, or a step that does not settle within
@@ -73,7 +74,9 @@ _BINARY = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
     ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
+    # numpy's division, also of two plain floats: a zero divisor gives inf
+    # or nan (with numpy's warning), not an exception
+    ast.Div: np.true_divide,
 }
 
 
@@ -82,7 +85,9 @@ class Expression:
 
     Supports ``+ - * /``, unary minus, parentheses, and the calls
     ``min(a, b)``, ``max(a, b)``, ``abs(a)``, ``exp(a)``.  Evaluation
-    broadcasts over numpy arrays.
+    broadcasts over numpy arrays.  Division is numpy's for every operand,
+    constants and scalar variables included, so a division by zero gives
+    inf or nan (with numpy's warning) rather than an exception.
     """
 
     def __init__(self, source: str, fn, names: frozenset):
@@ -295,7 +300,9 @@ def _build_driver(cfg, key: str, lipschitz_key: str, grid: sc.TimeGrid,
     """The generator in option ``key``, an expression in ``t, y, z``.
 
     One that reads ``y`` or ``z`` needs a positive ``lipschitz_key``, probed
-    on a ``(y, z)`` lattice at every grid date (not beyond it).
+    on a ``(y, z)`` lattice at every grid date (not beyond it), where a value
+    that is not finite fails the probe.  One that reads neither must be
+    finite at every grid date.
     """
     expr = _option(cfg, key, required=required)
     if expr is None:
@@ -315,6 +322,12 @@ def _build_driver(cfg, key: str, lipschitz_key: str, grid: sc.TimeGrid,
         driver = bs.Driver(fn=fn, lipschitz=lam, depends_on_y=dep_y, depends_on_z=dep_z)
         if dep_y or dep_z:
             bs.check_lipschitz_lattice(driver, grid.nodes, _DRIVER_PROBE)
+            return driver
+    zero = np.zeros(1)
+    with np.errstate(all="ignore"):
+        bad = [t for t in grid.nodes if not np.all(np.isfinite(fn(float(t), zero, zero)))]
+    if bad:
+        raise ConfigError(f"driver value not finite at t={bad[0]:g}", key=key)
     return driver
 
 
@@ -380,8 +393,10 @@ def _build_expectation(cfg, grid: sc.TimeGrid) -> ne.NonlinearExpectation:
 def _build_risk(cfg, grid) -> tuple:
     _require_section(cfg, "risk")
     kernels = _option(cfg, "risk.kernels", required=True)
-    penalties = _option(cfg, "risk.penalties", [0.0] * len(kernels))
     with _keyed("risk.kernels"):
+        rk.RiskMeasure.coherent_family(kernels)
+    penalties = _option(cfg, "risk.penalties", [0.0] * len(kernels))
+    with _keyed("risk.penalties"):
         rho = rk.RiskMeasure.convex_family(kernels, penalties)
     qc = _option(cfg, "risk.q_constant")
     if (qc is None) != cfg.has_option("risk", "q_knots"):

@@ -8,12 +8,12 @@ Three families share one evaluation entry point:
 * ``alpha_maxmin``: the convex mix ``alpha * sup + (1 - alpha) * inf`` of the
   ``+-kappa*|z|`` g-expectations, which is constant-preserving.
 
-A claim living on an interior level is continued to the terminal solve by
-freezing z at 0 node by node (the conditional system degenerates to scalar
-ODEs there), then rolled back by the one tree kernel for every driver or,
-on Monte Carlo paths, by :func:`nebsde.bsde.solve_bsde`.  On the tree,
-claims on many levels share one stacked continuation and roll-back
-(:func:`evaluate_levels`).
+A claim living on an interior level is first taken through the dates after
+its own with z frozen at 0 (the conditional system degenerates to scalar ODEs
+there) by the one continuation, :func:`nebsde.bsde.zero_noise_continuation`,
+then rolled back by the one tree kernel for every driver or, on Monte Carlo
+paths, by :func:`nebsde.bsde.solve_bsde`.  On the tree, claims on many
+levels share one stacked continuation and roll-back (:func:`evaluate_levels`).
 """
 from __future__ import annotations
 
@@ -145,7 +145,7 @@ def check_operator(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> None:
 def _gexp_value(scen: sc.ScenarioSet, rv: sc.RandomVariable, driver: bs.Driver) -> float:
     sc.check_rv(scen, rv)
     grid = scen.grid
-    vals = bs.zero_noise_continuation(driver, rv.values, grid.nodes[rv.index:grid.steps], grid.dt)
+    (vals,) = bs.zero_noise_continuation(driver, [rv], grid)
     if scen.mode == "tree":
         return kern.tree_backward_value(vals, grid.dt, driver, grid.nodes)
     return bs.solve_bsde(scen, bs.TerminalClaim(sc.RandomVariable(rv.index, vals)), driver).value
@@ -178,7 +178,7 @@ def evaluate_levels(exp: NonlinearExpectation, scen: sc.ScenarioSet, rvs) -> np.
     """``evaluate(exp, scen, rv)`` for every claim in ``rvs``, bit for bit.
 
     Where :func:`rolls_back_on_tree` holds, all claims take one stacked
-    zero-noise continuation (:func:`nebsde._kernels.tree_continuations`) and
+    zero-noise continuation (:func:`nebsde.bsde.zero_noise_continuation`) and
     one stacked roll-back (:func:`nebsde._kernels.tree_backward_values`) per
     envelope; otherwise each claim is evaluated on its own.
     """
@@ -189,7 +189,7 @@ def evaluate_levels(exp: NonlinearExpectation, scen: sc.ScenarioSet, rvs) -> np.
     grid = scen.grid
 
     def values(driver):
-        levels = kern.tree_continuations([rv.values for rv in rvs], grid.dt, driver, grid.nodes)
+        levels = bs.zero_noise_continuation(driver, rvs, grid)
         return kern.tree_backward_values(levels, grid.dt, driver, grid.nodes)
 
     hi = values(exp.driver)

@@ -96,7 +96,8 @@ def check_loss_lattice(
                 quot = np.diff(loss(float(t), barr, xs)) / np.diff(xs)
             if not np.all((quot >= loss.lower - 1e-9) & (quot <= loss.upper + 1e-9)):
                 raise ValueError(
-                    f"loss slope outside [{loss.lower}, {loss.upper}] near t={t}"
+                    f"loss slope outside [{loss.lower}, {loss.upper}], or not finite, "
+                    f"near t={t}"
                 )
 
 

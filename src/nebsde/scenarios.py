@@ -297,14 +297,17 @@ def girsanov_weights(scen: ScenarioSet, theta: float) -> RandomVariable:
     The raw exponential has mean 1 only in the Gaussian limit; the weights
     are divided by their scenario mean so the tilt is an exact probability
     reweighting on the discrete support.  The renormalisation cancels any
-    constant factor, so the exponent is taken relative to ``max(theta*B_T)``
-    and cannot overflow.
+    constant factor, so the exponent is taken relative to the extreme
+    coordinate ``B*`` (the largest for ``theta > 0``, the smallest below) as
+    ``theta*(B_T - B*) <= 0``, which overflows only to ``-inf``: a huge
+    kernel puts all its mass on the extreme paths, its limit.
     """
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
     m = scen.grid.steps
-    expo = theta * brownian(scen, m)
-    raw = np.exp(expo - np.max(expo))
+    b = brownian(scen, m)
+    with np.errstate(over="ignore"):
+        raw = np.exp(theta * (b - (np.max(b) if theta > 0.0 else np.min(b))))
     w = RandomVariable(m, raw)
     return RandomVariable(m, raw / expect(scen, w))
 
@@ -320,11 +323,13 @@ def tilted_expect(
     On the tree the tilt is closed-form: ``E[exp(theta*(B_T - B_i)) | F_i]``
     is the constant ``cosh(theta*sqrt(dt))**(m - i)``, so the tilt seen at
     level ``i`` is the level's own binomial weights times ``exp(theta*B_i)``,
-    renormalised.  The weights are formed in log space, so no tilt
-    overflows.  Above about 1,000 levels the tail nodes whose binomial
-    weight underflows to 0 carry no tilted mass, the same limit
-    :func:`expect` has.  Monte Carlo weights each path by its terminal
-    Girsanov density.
+    renormalised.  The weights are formed in log space, with each kernel's
+    exponent taken relative to its extreme node ``B*`` as
+    ``theta*(B_i - B*) <= 0``, so a tilt overflows only to ``-inf`` and a
+    huge kernel puts all its mass on the extreme node, its limit.  Above
+    about 1,000 levels the tail nodes whose binomial weight underflows to 0
+    carry no tilted mass, the same limit :func:`expect` has.  Monte Carlo
+    weights each path by its terminal Girsanov density.
     """
     check_rv(scen, rv)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -339,8 +344,11 @@ def tilted_expect(
         )
     else:
         i = rv.index
-        with np.errstate(divide="ignore"):
-            logw = np.log(scen.tree_weights[i]) + thetas[:, None] * scen.tree_values[i]
+        b = scen.tree_values[i]
+        # the level is symmetric, so the extreme node is sign(theta)*max(B_i)
+        extreme = np.copysign(b[-1], thetas)[:, None]
+        with np.errstate(divide="ignore", over="ignore"):
+            logw = np.log(scen.tree_weights[i]) + thetas[:, None] * (b - extreme)
         w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
         means = np.sum(w * rv.values, axis=1) / np.sum(w, axis=1)
     return float(means[0]) if np.ndim(theta) == 0 else means

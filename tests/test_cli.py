@@ -111,6 +111,16 @@ def test_expression_functions_and_names():
     assert e.names == frozenset({"t"})
 
 
+def test_expression_division_by_zero_is_not_an_exception():
+    # every operand is a numpy float, constants and scalar variables included
+    with np.errstate(all="ignore"):
+        assert parse_expression("1 / 0", set())() == np.inf
+        assert np.isnan(parse_expression("t / 0", {"t"})(t=0.0))
+        assert parse_expression("-1 / (t - 0.5)", {"t"})(t=0.5) == -np.inf
+        assert parse_expression("b / 0", {"b"})(b=np.array([1.0, -1.0])).tolist() == [
+            np.inf, -np.inf]
+
+
 def test_expression_rejects_garbage():
     with pytest.raises(ValueError):
         parse_expression("b +", {"b"})
@@ -322,6 +332,19 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1, text
         assert f"config error: problem.{key}:" in capsys.readouterr().err
 
+    # a division by zero gives inf or nan, which the probes refuse; a driver
+    # that reads neither y nor z is probed at every grid date (t = 0.5 is one)
+    for text, key in (
+        (SOLVE_INI.replace("loss = x", "loss = x + 1 / 0"), "loss"),
+        (SOLVE_INI.replace("loss = x", "loss = x + t / 0"), "loss"),
+        (SOLVE_INI.replace("-1.0", "1 / 0 + z\ndriver_lipschitz = 1.0"), "driver_lipschitz"),
+        (SOLVE_INI + "expectation = gexp\ngexp_driver = z + 1/0\nkappa = 0.5\n", "kappa"),
+        (SOLVE_INI.replace("-1.0", "1 / (t - 0.5)"), "driver"),
+    ):
+        cfg = _write(tmp_path / "div.ini", text)
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1, text
+        assert f"config error: problem.{key}:" in capsys.readouterr().err
+
     # a payoff that is not finite on the terminal support, for every command
     # that reads one
     for command, ini in (("solve", SOLVE_INI), ("gexp", GEXP_INI), ("price", PRICE_INI)):
@@ -356,6 +379,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "risk.penalties: values must be finite"),
         ("q_constant = 10.0", "q_constant = 10.0\npenalties = 0, inf, 0",
          "risk.penalties: values must be finite"),
+        ("kernels = -0.5, 0, 0.5", "kernels = 0, 0.5\npenalties = 1",
+         "risk.penalties: penalties must match kernels in length"),
+        ("kernels = -0.5, 0, 0.5", "kernels = 0, 0.5\npenalties = 0, -1",
+         "risk.penalties: penalties must be >= 0"),
         ("rate = 0.05", "rate = 1e308", "market: the price of risk"),
         ("drift = 0.05\nvolatility = 0.2", "drift = 0.1\nvolatility = 1e-310",
          "market: the price of risk"),
@@ -619,6 +646,18 @@ def test_readme_example_runs(tmp_path, capsys):
         code = run([command, "--config", cfg, "--out", str(tmp_path / command)])
         assert code == 0, (command, capsys.readouterr().err)
     assert "checks=10 failed=0" in capsys.readouterr().out
+
+
+def test_readme_price_with_a_huge_kernel_runs(tmp_path, capsys):
+    # A finite kernel near the float limit tilts all its mass onto the top
+    # node instead of overflowing.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"Example `run.ini`.*?```ini\n(.*?)```", readme, re.S)
+    block = re.sub(r"steps = .*", "steps = 50", block)
+    block = re.sub(r"kernels = .*", "kernels = -0.5, 0, 1e308", block)
+    cfg = _write(tmp_path / "run.ini", block)
+    assert run(["price", "--config", cfg, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    assert math.isfinite(float(capsys.readouterr().out))
 
 
 def test_readme_python_examples_run(capsys):

@@ -37,8 +37,18 @@ def _kernel(terminal, dt, kappa, include_y):
 
 
 def _continuation(values, dt, steps, kappa, include_y):
-    return bs.zero_noise_continuation(bs.Driver.kappa_abs(kappa, include_y), values,
-                                      dt * np.arange(steps), dt)
+    """``values`` on the level ``steps`` dates before the horizon, continued to its date."""
+    grid = sc.TimeGrid(dt * (steps + 1), steps + 1)
+    driver = bs.Driver.kappa_abs(kappa, include_y)
+    return bs.zero_noise_continuation(driver, [sc.RandomVariable(1, values)], grid)[0]
+
+
+def _stepped_continuation(driver, rv, grid):
+    """Oracle: one ``implicit_step`` per date from the horizon back to the level's own."""
+    w = rv.values
+    for t in reversed(grid.nodes[rv.index:grid.steps]):
+        w = bs.implicit_step(driver, float(t), w, np.zeros_like(w), grid.dt)
+    return w
 
 
 def test_single_step_z_only_by_hand():
@@ -88,7 +98,9 @@ def test_continuation_identity_cases():
     assert np.array_equal(_continuation(vals, 0.1, 5, 0.0, True), vals)
     # a driver that ignores y, without kappa_structure, leaves the level as it is
     abs_z = bs.Driver(fn=lambda t, y, z: 0.3 * np.abs(z), lipschitz=0.3, depends_on_z=True)
-    assert np.array_equal(bs.zero_noise_continuation(abs_z, vals, 0.1 * np.arange(5), 0.1), vals)
+    got = bs.zero_noise_continuation(abs_z, [sc.RandomVariable(0, vals)], sc.TimeGrid(0.5, 5))
+    assert len(got) == 1 and np.array_equal(got[0], vals)
+    assert bs.zero_noise_continuation(bs.Driver.kappa_abs(0.5), [], sc.TimeGrid(0.5, 5)) == []
 
 
 def test_step_size_guard():
@@ -183,19 +195,53 @@ def test_stacked_roll_back_matches_each_row_alone(driver):
     assert all(np.array_equal(w, v) for w, v in zip(stack, before))
 
 
-@pytest.mark.parametrize("driver", [bs.Driver.kappa_abs(0.3), bs.Driver.kappa_abs(0.5, False),
-                                    Y_PART], ids=["kappa-y", "kappa-z", "callable-y"])
+# a driver that does not vanish at the origin moves a padded zero, so the
+# padding must copy each level's own last value
+OFF_ORIGIN = bs.Driver(fn=lambda t, y, z: 0.9 * np.cos(y + t) + 0.3 * np.abs(z), lipschitz=0.9,
+                       depends_on_y=True, depends_on_z=True)
+CONTINUED = [bs.Driver.kappa_abs(0.3), bs.Driver.kappa_abs(0.5, False), Y_PART, OFF_ORIGIN]
+CONTINUED_IDS = ["kappa-y", "kappa-z", "callable-y", "off-origin"]
+
+
+def _check_continuation(driver, levels, grid):
+    """One stacked call equals each level's one-level call bit for bit, and the oracle.
+
+    The stack runs the oracle's own steps, bit for bit; the ``kappa`` closed
+    form collapses them into one power, which agrees to rounding.
+    """
+    before = [rv.values.copy() for rv in levels]
+    got = bs.zero_noise_continuation(driver, levels, grid)
+    assert len(got) == len(levels)
+    for rv, out in zip(levels, got):
+        assert np.array_equal(out, bs.zero_noise_continuation(driver, [rv], grid)[0])
+        ref = _stepped_continuation(driver, rv, grid)
+        if driver.kappa_structure is None:
+            assert np.array_equal(out, ref)
+        else:
+            assert np.max(np.abs(out - ref)) <= EXACT * max(1.0, np.max(np.abs(ref)))
+    assert all(np.array_equal(rv.values, v) for rv, v in zip(levels, before))
+    return got
+
+
+@pytest.mark.parametrize("driver", CONTINUED, ids=CONTINUED_IDS)
 def test_stacked_continuation_matches_each_level_alone(driver):
     # Each tree level continued from the horizon back to its own date, the
     # stack stepping the levels still ahead of each date together.
     m = 40
-    dt, nodes = 1.0 / m, np.linspace(0.0, 1.0, m + 1)
-    levels = _mixed_stack(m)
-    got = _kernels.tree_continuations(levels, dt, driver, nodes)
-    for w, out in zip(levels, got):
-        alone = bs.zero_noise_continuation(driver, w, nodes[w.size - 1:m], dt)
-        assert np.array_equal(out, alone)
-    assert not np.array_equal(got[1], levels[1]) or not driver.depends_on_y
+    grid = sc.TimeGrid(1.0, m)
+    levels = [sc.RandomVariable(w.size - 1, w) for w in _mixed_stack(m)]
+    got = _check_continuation(driver, levels, grid)
+    assert not np.array_equal(got[1], levels[1].values) or not driver.depends_on_y
+
+
+@pytest.mark.parametrize("driver", CONTINUED, ids=CONTINUED_IDS)
+def test_stacked_continuation_on_paths_matches_each_level_alone(driver):
+    # Monte Carlo levels of mixed index, one row per level, all paths wide.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 12), "montecarlo", n_paths=64, seed=3)
+    levels = [sc.RandomVariable(i, np.sin(3.0 * scen.paths[:, i]) + 0.1 * i + 0.5)
+              for i in (12, 5, 0, 9, 5, 11, 1)]
+    got = _check_continuation(driver, levels, scen.grid)
+    assert not np.array_equal(got[2], levels[2].values) or not driver.depends_on_y
 
 
 def test_stacked_sweep_freezes_each_row():

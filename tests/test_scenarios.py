@@ -175,13 +175,31 @@ def test_mc_tilted_expectation(mc50):
 
 def test_mc_large_tilt_stays_finite():
     # exp(theta*B_T - theta^2*T/2) overflows at theta = 400; the weights are
-    # formed relative to max(theta*B_T) instead.
+    # formed from theta*(B_T - max(B_T)) <= 0 instead.
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 50), "montecarlo", n_paths=2000, seed=5)
     bt = sc.RandomVariable(50, scen.paths[:, 50].copy())
     got = sc.tilted_expect(scen, 400.0, bt)
     assert sc.expect(scen, bt) < got <= float(np.max(bt.values))
     lifted = sc.tilted_expect(scen, 400.0, sc.RandomVariable(50, bt.values + 1.5))
     assert abs(lifted - (got + 1.5)) <= 1e-12 * (abs(got) + 1.5)
+
+
+def test_huge_kernel_tilts_onto_the_extreme_node(tree50, mc50):
+    # theta*(B - B*) overflows only to -inf, so a huge kernel's tilted mean is
+    # its limit: the value at the top node (theta > 0) or the bottom one.
+    for i in (1, 7, 50):
+        x = np.cos(np.arange(i + 1.0))
+        rv = sc.RandomVariable(i, x)
+        assert sc.tilted_expect(tree50, 1e308, rv) == x[-1]
+        assert sc.tilted_expect(tree50, -1e308, rv) == x[0]
+        got = sc.tilted_expect(tree50, np.array([-1e308, 0.0, 1e308]), rv)
+        assert got.tolist() == [x[0], sc.tilted_expect(tree50, 0.0, rv), x[-1]]
+    bt = sc.RandomVariable(50, mc50.paths[:, 50].copy())
+    for theta, path in ((1e308, np.argmax(bt.values)), (-1e308, np.argmin(bt.values))):
+        w = sc.girsanov_weights(mc50, theta).values
+        assert np.count_nonzero(w) == 1 and w[path] > 0.0
+        got = sc.tilted_expect(mc50, theta, bt)
+        assert abs(got - bt.values[path]) <= 1e-14 * abs(bt.values[path])
 
 
 def test_mc_girsanov_weights_match_gaussian_density(mc50):
