@@ -171,17 +171,21 @@ def implicit_step(
     solved exactly: ``a = e + |z|*kappa*dt``, then ``a / (1 - kappa*sign(a)*dt)``
     with a y-part (``y`` keeps the sign of ``a``).  Any other y-dependent
     driver takes a fixed-point sweep from ``e``, contractive because
-    ``q = lipschitz * dt < 1`` is enforced.  It has converged once a sweep
-    moves ``y`` by at most 1e-13 relative (``tol``).  The first sweep's move
-    ``gap`` fixes the a-priori count, one more than the ``n`` of the bound
-    ``q**n * gap/(1 - q) <= tol``, and the second sweep's move gives the
-    observed ratio ``r``.  Schedule: ``y`` is measured after the first two
-    sweeps; then, when the a-priori count is at most one more than the count
-    the same bound gives with ``r`` for ``q``, it sweeps to the a-priori
-    count unmeasured and is measured once at the end.  A looser declared
-    constant keeps the test after every sweep, capped at the a-priori count.
-    ``FixedPointError`` when ``y`` has not converged by the a-priori count
-    or a move is not finite.
+    ``q = lipschitz * dt < 1`` is enforced.  A row has converged once a
+    sweep's move satisfies ``max(1, q/(1 - q)) * move <= tol``, with ``tol``
+    1e-13 relative: the contraction's a-posteriori bound ``|y - y*| <=
+    q/(1 - q) * move`` then puts it within ``tol`` of the fixed point.  The
+    first move ``gap`` fixes the a-priori count, one more than the ``n`` of
+    the bound ``q**n * gap/(1 - q) <= tol``, which puts a row within ``tol``
+    by then; at that count ``move <= tol`` suffices, as it only confirms the
+    declared constant (near ``q = 1`` the sweep's rounding noise keeps
+    ``q/(1 - q) * move`` above ``tol``).  So every returned row is within
+    ``tol``.  Schedule: each row is measured after sweeps 1 and 2; the
+    second move gives the observed ratio ``r``, and the first bound with
+    ``r`` for ``q`` (and ``tol`` divided by the factor above) the count at
+    which the row is measured next, capped at the a-priori count.  From
+    there it is measured after every sweep.  ``FixedPointError`` when a row
+    has not converged by its a-priori count or a move is not finite.
 
     A 2-d ``e`` (with ``z`` of its shape) is a stack of levels, one per row:
     each row follows its own schedule and is frozen once it has converged,
@@ -196,13 +200,14 @@ def implicit_step(
     if not driver.depends_on_y:
         return e + np.asarray(driver.fn(t, e, z), dtype=float) * dt
     q = driver.lipschitz * dt
+    fac = max(1.0, q / (1.0 - q))
     stacked = e.ndim == 2
     e_rows, z_rows = (e, z) if stacked else (e[np.newaxis], z[np.newaxis])
     y = e_rows.copy()
     out = rows = None
     # per live row: the first sweep's move and tolerance, the a-priori count,
-    # the per-sweep test, and the sweep at which it is measured next
-    gap1, tol1, caps, loose, at = [], [], [], [], []
+    # and the sweep at which it is measured next
+    gap1, tol1, caps, at = [], [], [], [1] * len(y)
     sweeps, due_at = 0, 1
     while True:
         f = driver.fn(t, y, z_rows) if stacked else driver.fn(t, y[0], z_rows[0])
@@ -212,24 +217,29 @@ def implicit_step(
             y = y_next
             continue
         live = len(y)
-        due = range(live) if sweeps <= 2 else [r for r, a in enumerate(at) if a == sweeps]
+        due = [r for r, a in enumerate(at) if a == sweeps]
         whole = len(due) == live
         moved = y_next - y if whole else y_next[due] - y[due]
         y = y_next
         gaps = np.abs(moved).max(axis=1).tolist()
         tols = [_SWEEP_TOL * (1.0 + a)
                 for a in np.abs(y if whole else y[due]).max(axis=1).tolist()]
-        done = [r for r, g, tl in zip(due, gaps, tols) if g <= tl]
-        if len(done) == live and out is None:
-            return y if stacked else y[0]
         if not all(map(math.isfinite, gaps)):
             break
         if sweeps == 1:
             gap1, tol1 = gaps, tols
-            caps = [1 if g <= tl else _sweep_count(g, tl, q) for g, tl in zip(gaps, tols)]
-        elif sweeps == 2:
-            loose = [0.0 < g < g0 and c > _sweep_count(g0, tl, g / g0) + 1
-                     for g, g0, tl, c in zip(gaps, gap1, tol1, caps)]
+            caps = [1 if fac * g <= tl else _sweep_count(g, tl, q) for g, tl in zip(gaps, tols)]
+        # at its a-priori count a row is within tol by the a-priori bound, and
+        # the move, whose rounding noise may exceed tol/fac, confirms q
+        done = [r for r, g, tl in zip(due, gaps, tols)
+                if g * (1.0 if caps[r] == sweeps else fac) <= tl]
+        if len(done) == live and out is None:
+            return y if stacked else y[0]
+        for r in due:
+            at[r] = sweeps + 1
+        if sweeps == 2:
+            at = [max(3, min(c, _sweep_count(g0, tl / fac, g / g0))) if 0.0 < g < g0 else c
+                  for g, g0, tl, c in zip(gaps, gap1, tol1, caps)]
         if done:
             # freeze the converged rows; the others sweep on alone
             if out is None:
@@ -242,15 +252,11 @@ def implicit_step(
             rows, e_rows, z_rows, y = rows[keep], e_rows[keep], z_rows[keep], y[keep]
             kept = keep.tolist()
             gap1, tol1 = list(compress(gap1, kept)), list(compress(tol1, kept))
-            caps, loose = list(compress(caps, kept)), list(compress(loose, kept))
+            caps, at = list(compress(caps, kept)), list(compress(at, kept))
         # a row still live at its a-priori count has not converged by it
         if sweeps >= min(caps):
             break
-        if sweeps == 1:
-            due_at = 2
-        else:
-            at = [sweeps + 1 if lo else c for c, lo in zip(caps, loose)]
-            due_at = min(at)
+        due_at = min(at)
     raise FixedPointError(f"implicit step did not converge in {sweeps} sweeps")
 
 

@@ -410,4 +410,5 @@ def skorokhod_residual(
     :func:`constraint_values`, one stacked roll-back on the tree.
     """
     cons = constraint_values(exp, loss, scen, sol.Y)
-    return float(np.sum(cons[:-1] * sol.K.increments))
+    with np.errstate(over="ignore"):  # huge values and increments read inf
+        return float(np.sum(cons[:-1] * sol.K.increments))

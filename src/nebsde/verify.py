@@ -323,6 +323,8 @@ def tilted_competitor_demo(
     pathwise minimal among mean-matching supersolutions.  The renormalisation
     cancels every constant factor, so ``M_i`` is formed from
     ``exp(a B_i - max(a B_i))``, which stays finite for any finite tilt.
+    A flow so large that the competitor overflows gives an infinite mean
+    gap, no witness and an infeasible competitor, so its checks fail.
     """
     m = scen.grid.steps
     k_vals = inst.flow_values(scen)
@@ -335,14 +337,20 @@ def tilted_competitor_demo(
     for i in range(m + 1):
         lift = total - k_vals[i]
         b = sc.brownian(scen, i)
-        # a*(B_i - top) = a*B_i - max(a*B_i) <= 0; it may round to -inf
+        # a*(B_i - top) = a*B_i - max(a*B_i) <= 0; it may round to -inf,
+        # and a huge flow may make the competitor overflow
         top = b.max() if inst.tilt >= 0.0 else b.min()
         with np.errstate(over="ignore"):
             raw = np.exp(inst.tilt * (b - top))
-        mart = raw / sc.expect(scen, sc.RandomVariable(i, raw))
+            mart = raw / sc.expect(scen, sc.RandomVariable(i, raw))
+            ya = xs[i] + mart * lift
         mart_min = min(mart_min, float(np.min(mart)))
         y = xs[i] + lift
-        ya = xs[i] + mart * lift
+        if not np.all(np.isfinite(ya)):
+            # an overflowing competitor keeps no mean and witnesses nothing
+            return TiltedCompetitorReport(mean_gap_max=np.inf, witness_index=i, witness_node=0,
+                                          witness_gap=-np.inf, martingale_min=mart_min,
+                                          competitor_feasible=False)
         yalphas.append(sc.RandomVariable(i, ya))
         gap = abs(sc.expect(scen, yalphas[i]) - sc.expect(scen, sc.RandomVariable(i, y)))
         mean_gap_max = max(mean_gap_max, gap)

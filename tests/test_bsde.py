@@ -229,9 +229,9 @@ def _per_sweep_count(driver, t, e, z, dt):
 
 @pytest.mark.parametrize("lam", [0.3, 0.9])
 def test_tight_sweep_returns_the_fixed_point(lam):
-    # A declared constant equal to the slope sweeps to its a-priori count,
-    # which puts y within tol of the fixed point (the per-sweep test only
-    # bounds the last move, up to q/(1 - q) tolerances away at q = 0.9).
+    # A declared constant equal to the slope stops once q/(1 - q) times the
+    # last move is within tol, which puts y within tol of the fixed point
+    # (a bare per-sweep test would leave it up to q/(1 - q) tolerances away).
     drv = bs.Driver(fn=lambda t, y, z: lam * np.abs(y), lipschitz=lam, depends_on_y=True)
     e = np.array([1.0, -0.5, 2.0, 1e-3])
     fixed = np.where(e >= 0.0, e / (1.0 - lam), e / (1.0 + lam))
@@ -240,6 +240,44 @@ def test_tight_sweep_returns_the_fixed_point(lam):
     stacked = bs.implicit_step(drv, 0.0, np.vstack([e, e[::-1]]), np.zeros((2, 4)), 1.0)
     assert np.array_equal(stacked[0], y)
     assert np.array_equal(stacked[1], bs.implicit_step(drv, 0.0, e[::-1], np.zeros(4), 1.0))
+
+
+@pytest.mark.parametrize("q", [0.9, 0.95, 0.99])
+def test_loose_constant_returns_the_fixed_point(q):
+    # Declared above its slope 0.8 with q > 1/2, the constant's a-posteriori
+    # factor q/(1 - q) still bounds the distance to the fixed point by the
+    # last move; a per-sweep test alone stopped up to 3.8 tolerances away.
+    drv = bs.Driver(fn=lambda t, y, z: 0.8 * np.abs(y), lipschitz=q, depends_on_y=True)
+    e = np.array([1.0, -0.5, 2.0, 1e-3])
+    fixed = np.where(e >= 0.0, e / 0.2, e / 1.8)
+    y = bs.implicit_step(drv, 0.0, e, np.zeros_like(e), 1.0)
+    assert np.max(np.abs(y - fixed)) <= bs._SWEEP_TOL * (1.0 + np.max(np.abs(fixed)))
+
+
+def test_tight_sweep_near_one_converges_through_rounding():
+    # At q = 0.99 an oscillating sweep's rounding noise keeps its move above
+    # tol/(q/(1 - q)); at the a-priori count the a-priori bound already puts
+    # y within tol, and the move only has to confirm the declared constant.
+    drv = bs.Driver(fn=lambda t, y, z: -0.99 * np.asarray(y), lipschitz=0.99, depends_on_y=True)
+    e = np.linspace(-3.0, 2.0, 51)
+    fixed = e / 1.99
+    y = bs.implicit_step(drv, 0.0, e, np.zeros_like(e), 1.0)
+    assert np.max(np.abs(y - fixed)) <= bs._SWEEP_TOL * (1.0 + np.max(np.abs(fixed)))
+
+
+def test_superhedge_step_is_measured_at_its_observed_count():
+    # The market driver -(r*y + theta*z) at r = 0.05, theta = 1, declared
+    # 1.05 on 400 steps: y contracts at r*dt, far below the declared q, and
+    # the count that ratio predicts (4) is one below the a-priori count.
+    drv, calls = _counted(bs.Driver(fn=lambda t, y, z: -(0.05 * np.asarray(y) + z),
+                                    lipschitz=1.05, depends_on_y=True, depends_on_z=True))
+    e = np.linspace(-1.5, 2.5, 201)
+    z = np.linspace(-0.8, 0.8, 201)
+    dt = 1.0 / 400.0
+    y = bs.implicit_step(drv, 0.0, e, z, dt)
+    assert calls[0] == 4
+    fixed = (e - z * dt) / (1.0 + 0.05 * dt)
+    assert np.max(np.abs(y - fixed)) <= bs._SWEEP_TOL * (1.0 + np.max(np.abs(fixed)))
 
 
 def test_loose_sweep_takes_no_more_sweeps_than_the_per_sweep_test():
@@ -259,8 +297,9 @@ def test_loose_sweep_takes_no_more_sweeps_than_the_per_sweep_test():
 
 def test_stacked_rows_keep_their_own_schedule():
     # z holds each row's slope: at 50 the declared constant is tight and the
-    # row sweeps to its a-priori count, at 0.5 it is loose and tested after
-    # every sweep; each row of the stack is its 1-d step bit for bit.
+    # row sweeps to its a-priori count, at 0.5 it is loose and is measured at
+    # the count its observed ratio predicts; each row of the stack is its 1-d
+    # step bit for bit.
     drv, calls = _counted(bs.Driver(fn=lambda t, y, z: -z * np.asarray(y), lipschitz=50.0,
                                     depends_on_y=True))
     e = np.array([[1.0, -2.0, 0.5], [3.0, 1e-3, -1.0], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0]])

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -658,6 +659,25 @@ def test_readme_price_with_a_huge_kernel_runs(tmp_path, capsys):
     cfg = _write(tmp_path / "run.ini", block)
     assert run(["price", "--config", cfg, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
     assert math.isfinite(float(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("gamma", ["1e308", "1e300"])
+def test_readme_verify_with_a_huge_gamma_runs(tmp_path, capsys, gamma):
+    # A finite gamma near the float limit overflows the ramp's residual and
+    # its tilted competitor: the checks fail, with no traceback and no
+    # RuntimeWarning, and the run ends with exit 0.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"Example `run.ini`.*?```ini\n(.*?)```", readme, re.S)
+    block = re.sub(r"steps = .*", "steps = 50", block) + f"gamma = {gamma}\n"
+    cfg = _write(tmp_path / "run.ini", block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["verify", "--config", cfg, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "Traceback" not in err
+    (summary,) = re.findall(r"^checks=10 failed=(\d+)$", out, re.M)
+    assert int(summary) > 0
 
 
 def test_readme_python_examples_run(capsys):

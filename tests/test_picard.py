@@ -265,9 +265,9 @@ def _flat_off_case(case, scen):
 @pytest.mark.parametrize("case", ["slack", "last-level", "early-block", "y-driver",
                                   "alpha-maxmin", "cli-driver"])
 def test_flat_off_solve_matches_the_per_level_recursion(case, count_calls):
-    # The solve restarts the lifted recursion from the last level the plain
+    # The one lifted recursion lifts nothing above the last level the plain
     # solution violates; every output equals the level-by-level recursion's
-    # exactly, and the levels above the restart take no lift.
+    # exactly, and the levels above that level take no lift.
     m = 24
     scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
     offset, driver, loss, exp = _flat_off_case(case, scen)
@@ -277,7 +277,7 @@ def test_flat_off_solve_matches_the_per_level_recursion(case, count_calls):
     sol = pc.solve_reflected(scen, claim, driver, loss, exp)
     binding = np.flatnonzero(pair.shifts > 0.0)
     top = int(binding[-1]) + 1 if binding.size else 0
-    # one lift per pass of each level below the restart, none above
+    # one lift per pass of each level below that level, none above
     assert lifts[0] == sum(len(norms) for norms in pair.diff_norms[:top])
     assert {"slack": top == 0, "last-level": binding.tolist() == [m - 1],
             "early-block": 0 < top < m // 2, "y-driver": max(sol.picard.iterations) > 1,

@@ -185,6 +185,23 @@ def test_tilted_competitor_demo_large_tilt_stays_finite():
                if isinstance(v, float))
 
 
+def test_huge_gamma_overflows_into_failed_checks():
+    # At gamma = 1e308 the flow is near the float limit: the residual reads
+    # inf in the diagnostics and in the audit alike, and the competitor
+    # overflows; it keeps no mean and witnesses nothing instead of raising.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 50), "tree")
+    inst = vf.RampFlowInstance(1e308, 0.0, 1.0, 0.5)
+    sol = inst.solve(scen)
+    assert sol.diagnostics.skorokhod_residual == np.inf
+    assert rf.skorokhod_residual(scen, sol, inst.loss(), CLS) == np.inf
+    demo = vf.tilted_competitor_demo(inst, scen, sol)
+    assert demo.mean_gap_max == np.inf and demo.witness_gap == -np.inf
+    assert not demo.competitor_feasible
+    records = {r.name: r.passed for r in vf.structural_checks(scen, inst, sol)}
+    assert not records["tilted-competitor-means"]
+    assert not records["tilted-competitor-witness"]
+
+
 def test_comparison_report_driver_and_expectation_ordering(tree100):
     claim = bs.TerminalClaim.from_function(tree100, lambda b: b + 0.5)
     loss = rf.LossFunction.linear(0.0)
