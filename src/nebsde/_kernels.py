@@ -13,9 +13,12 @@ is one binomial dot product.
 :func:`tree_backward_values` rolls a stack of claims back together, one row
 per claim, so claims on every level of the tree cost one pass of numpy calls
 per level instead of one pass each; :func:`tree_backward_value` is its
-one-row call.  A claim on an interior level first takes the dates after its
-own with z frozen at 0 (:func:`nebsde.bsde.zero_noise_continuation`); this
-module is only the roll-back.
+one-row call.  A stacked root equals its one-row call bit for bit under a
+closed-form or explicit step, and within the sweep tolerance of
+:func:`nebsde.bsde.implicit_step` under other drivers that read y.  A
+claim on an interior level first takes the dates after its own with z
+frozen at 0 (:func:`nebsde.bsde.zero_noise_continuation`); this module is
+only the roll-back.
 """
 from functools import lru_cache
 
@@ -63,8 +66,9 @@ def tree_backward_values(terminals, dt, driver, nodes) -> np.ndarray:
     one pass from the deepest level down: a row joins the pass when the pass
     reaches its depth, and each level is one ``bs.implicit_step`` on all
     rows present.  Every value equals :func:`tree_backward_value` of its
-    claim alone, bit for bit.  Raises ``FixedPointError`` when a rolled-back
-    root value is not finite.
+    claim alone, bit for bit under a closed-form or explicit step and within
+    the sweep tolerance under other drivers that read y.  Raises
+    ``FixedPointError`` when a rolled-back root value is not finite.
     """
     rows = [np.asarray(w, dtype=float) for w in terminals]
     if any(w.ndim != 1 or w.size == 0 for w in rows):
@@ -84,16 +88,14 @@ def tree_backward_values(terminals, dt, driver, nodes) -> np.ndarray:
     half_inv_sq = 0.5 / np.sqrt(dt)
     order, w = [], None
     for level in range(max(joins), -1, -1):
-        # rows of this depth join below the rows already in the pass; one
-        # row alone stays 1-d
+        # rows of this depth join below the rows already in the pass
         new = joins.get(level)
         if new is not None:
             order += new
-            w = rows[new[0]] if w is None and len(new) == 1 else np.vstack(
-                ([] if w is None else [w]) + [rows[r] for r in new])
+            w = np.vstack(([] if w is None else [w]) + [rows[r] for r in new])
         if level == 0:
             break
-        lo, hi = w[..., :-1], w[..., 1:]
+        lo, hi = w[:, :-1], w[:, 1:]
         w = bs.implicit_step(driver, float(nodes[level - 1]), 0.5 * (lo + hi),
                              (hi - lo) * half_inv_sq, dt)
     roots = w.reshape(-1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -21,6 +20,7 @@ from . import scenarios as sc
 from .errors import FixedPointError, NonContractiveStepError, PicardDivergenceError
 
 _SWEEP_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)
 # per-step agreement of successive lifted levels, and the passes allowed
 PICARD_TOL = 1e-8
 _MAX_PASSES = 100
@@ -165,31 +165,33 @@ def _sweep_count(gap: float, tol: float, ratio: float) -> int:
 def implicit_step(
     driver: Driver, t: float, e: np.ndarray, z: np.ndarray, dt: float
 ) -> np.ndarray:
-    """Solve ``y = e + f(t, y, z) * dt`` for y.
+    """Solve ``y = e + f(t, y, z) * dt`` for y, node by node, for ``e`` and ``z`` of one shape.
 
     Explicit when the driver ignores y.  The ``kappa*(|y| + |z|)`` family is
     solved exactly: ``a = e + |z|*kappa*dt``, then ``a / (1 - kappa*sign(a)*dt)``
     with a y-part (``y`` keeps the sign of ``a``).  Any other y-dependent
-    driver takes a fixed-point sweep from ``e``, contractive because
-    ``q = lipschitz * dt < 1`` is enforced.  A row has converged once a
-    sweep's move satisfies ``max(1, q/(1 - q)) * move <= tol``, with ``tol``
-    1e-13 relative: the contraction's a-posteriori bound ``|y - y*| <=
-    q/(1 - q) * move`` then puts it within ``tol`` of the fixed point.  The
-    first move ``gap`` fixes the a-priori count, one more than the ``n`` of
-    the bound ``q**n * gap/(1 - q) <= tol``, which puts a row within ``tol``
-    by then; at that count ``move <= tol`` suffices, as it only confirms the
-    declared constant (near ``q = 1`` the sweep's rounding noise keeps
-    ``q/(1 - q) * move`` above ``tol``).  So every returned row is within
-    ``tol``.  Schedule: each row is measured after sweeps 1 and 2; the
-    second move gives the observed ratio ``r``, and the first bound with
-    ``r`` for ``q`` (and ``tol`` divided by the factor above) the count at
-    which the row is measured next, capped at the a-priori count.  From
-    there it is measured after every sweep.  ``FixedPointError`` when a row
-    has not converged by its a-priori count or a move is not finite.
+    driver takes a fixed-point sweep of the whole array from ``e``,
+    contractive because ``q = lipschitz * dt < 1`` is enforced.  ``move`` is
+    a sweep's largest change over the array and ``tol = rtol*(1 + max|y|)``,
+    with ``rtol`` 1e-13, or the float64 rounding floor ``eps/(1 - q)`` where
+    that is larger (``q`` above about 0.9978), since the sweep's rounding
+    noise keeps its move near that floor.  The sweep has converged once
+    ``max(1, q/(1 - q)) * move <= tol``: the contraction's a-posteriori
+    bound ``|y - y*| <= q/(1 - q) * move`` then puts every node within
+    ``tol`` of its fixed point.  The first move ``gap`` fixes the a-priori
+    count, one more than the ``n`` of the bound ``q**n * gap/(1 - q) <=
+    tol``, which puts every node within ``tol`` by then; at that count
+    ``move <= tol`` suffices, as it only confirms the declared constant.
+    Schedule: the move is measured after sweeps 1 and 2; the second move
+    gives the observed ratio ``r``, and the first bound with ``r`` for ``q``
+    (and ``tol`` divided by the factor above) the count at which it is
+    measured next, capped at the a-priori count.  From there it is measured
+    after every sweep.  ``FixedPointError`` when the sweep has not converged
+    by its a-priori count or a move is not finite.
 
-    A 2-d ``e`` (with ``z`` of its shape) is a stack of levels, one per row:
-    each row follows its own schedule and is frozen once it has converged,
-    so every row comes out as it would alone.
+    A stack of levels is one array with one schedule: a level in it comes
+    out as its one-level call bit for bit under a closed-form or explicit
+    step, and within the sweep tolerance of it under a sweep.
     """
     _check_contractive(driver, dt)
     if driver.kappa_structure is not None:
@@ -201,62 +203,33 @@ def implicit_step(
         return e + np.asarray(driver.fn(t, e, z), dtype=float) * dt
     q = driver.lipschitz * dt
     fac = max(1.0, q / (1.0 - q))
-    stacked = e.ndim == 2
-    e_rows, z_rows = (e, z) if stacked else (e[np.newaxis], z[np.newaxis])
-    y = e_rows.copy()
-    out = rows = None
-    # per live row: the first sweep's move and tolerance, the a-priori count,
-    # and the sweep at which it is measured next
-    gap1, tol1, caps, at = [], [], [], [1] * len(y)
+    rtol = max(_SWEEP_TOL, _EPS / (1.0 - q))
+    y = e
     sweeps, due_at = 0, 1
     while True:
-        f = driver.fn(t, y, z_rows) if stacked else driver.fn(t, y[0], z_rows[0])
-        y_next = e_rows + np.asarray(f, dtype=float) * dt
+        y_next = e + np.asarray(driver.fn(t, y, z), dtype=float) * dt
         sweeps += 1
         if sweeps < due_at:
             y = y_next
             continue
-        live = len(y)
-        due = [r for r, a in enumerate(at) if a == sweeps]
-        whole = len(due) == live
-        moved = y_next - y if whole else y_next[due] - y[due]
+        move = float(np.max(np.abs(y_next - y)))
         y = y_next
-        gaps = np.abs(moved).max(axis=1).tolist()
-        tols = [_SWEEP_TOL * (1.0 + a)
-                for a in np.abs(y if whole else y[due]).max(axis=1).tolist()]
-        if not all(map(math.isfinite, gaps)):
+        tol = rtol * (1.0 + float(np.max(np.abs(y))))
+        if not math.isfinite(move):
             break
         if sweeps == 1:
-            gap1, tol1 = gaps, tols
-            caps = [1 if fac * g <= tl else _sweep_count(g, tl, q) for g, tl in zip(gaps, tols)]
-        # at its a-priori count a row is within tol by the a-priori bound, and
-        # the move, whose rounding noise may exceed tol/fac, confirms q
-        done = [r for r, g, tl in zip(due, gaps, tols)
-                if g * (1.0 if caps[r] == sweeps else fac) <= tl]
-        if len(done) == live and out is None:
-            return y if stacked else y[0]
-        for r in due:
-            at[r] = sweeps + 1
-        if sweeps == 2:
-            at = [max(3, min(c, _sweep_count(g0, tl / fac, g / g0))) if 0.0 < g < g0 else c
-                  for g, g0, tl, c in zip(gaps, gap1, tol1, caps)]
-        if done:
-            # freeze the converged rows; the others sweep on alone
-            if out is None:
-                out, rows = np.empty_like(e_rows), np.arange(live)
-            out[rows[done]] = y[done]
-            if len(done) == live:
-                return out
-            keep = np.ones(live, dtype=bool)
-            keep[done] = False
-            rows, e_rows, z_rows, y = rows[keep], e_rows[keep], z_rows[keep], y[keep]
-            kept = keep.tolist()
-            gap1, tol1 = list(compress(gap1, kept)), list(compress(tol1, kept))
-            caps, at = list(compress(caps, kept)), list(compress(at, kept))
-        # a row still live at its a-priori count has not converged by it
-        if sweeps >= min(caps):
+            gap1, tol1 = move, tol
+            cap = 1 if fac * move <= tol else _sweep_count(move, tol, q)
+        # at the a-priori count y is within tol by the a-priori bound, and the
+        # move, whose rounding noise may exceed tol/fac, confirms q
+        if move * (1.0 if sweeps == cap else fac) <= tol:
+            return y
+        if sweeps >= cap:
             break
-        due_at = min(at)
+        due_at = sweeps + 1
+        if sweeps == 2:
+            due_at = (max(3, min(cap, _sweep_count(gap1, tol1 / fac, move / gap1)))
+                      if 0.0 < move < gap1 else cap)
     raise FixedPointError(f"implicit step did not converge in {sweeps} sweeps")
 
 
@@ -271,10 +244,12 @@ def zero_noise_continuation(driver: Driver, levels, grid: sc.TimeGrid) -> list:
     f(t, 0, 0)`` vanishes for a g-expectation's generator.  A step of the
     ``kappa`` family keeps each value's sign, so its steps collapse to
     ``(1 - kappa*dt)**(i - m)`` on values >= 0 and ``(1 + kappa*dt)**(i - m)``
-    below.  Any other driver steps all levels in one stack from date
-    ``m - 1`` down, ordered by index, each leaving after its own date.
-    Shorter levels are padded with copies of their last value, which move
-    exactly as it does, so every level equals its one-level call bit for bit.
+    below.  Any other driver steps the levels, ordered by index and joined
+    into one array, from date ``m - 1`` down: the levels still stepping at
+    a date are a prefix of that array, and each date is one
+    :func:`implicit_step` on that prefix, with nothing padded.  Each level equals
+    its one-level call bit for bit under the ``kappa`` family or a driver
+    that ignores y, and within the sweep tolerance under any other driver.
     """
     vals = [rv.values for rv in levels]
     if not driver.depends_on_y or not vals:
@@ -286,25 +261,20 @@ def zero_noise_continuation(driver: Driver, levels, grid: sc.TimeGrid) -> list:
         return [np.where(v >= 0.0, v * (1.0 - kdt) ** (rv.index - m),
                          v * (1.0 + kdt) ** (rv.index - m)) for v, rv in zip(vals, levels)]
     order = sorted(range(len(vals)), key=lambda r: levels[r].index)
-    index = [levels[r].index for r in order]
-    # a level is never wider than one on a later index (i + 1 tree nodes, or
-    # every path), so the widest active level is the last
-    sizes = [vals[r].size for r in order]
-    stack = np.array([np.pad(vals[r], (0, sizes[-1] - vals[r].size), mode="edge")
-                      for r in order])
-    zeros = np.zeros_like(stack)
+    ends = np.cumsum([vals[r].size for r in order]).tolist()
+    flat = np.concatenate([vals[r] for r in order])
+    zeros = np.zeros_like(flat)
     active = len(order)
     for date in range(m - 1, -1, -1):
-        while active and index[active - 1] > date:
+        while active and levels[order[active - 1]].index > date:
             active -= 1
         if not active:
             break
-        block = (slice(active), slice(sizes[active - 1]))
-        t = float(grid.nodes[date])
-        stack[block] = implicit_step(driver, t, stack[block], zeros[block], dt)
+        n = ends[active - 1]
+        flat[:n] = implicit_step(driver, float(grid.nodes[date]), flat[:n], zeros[:n], dt)
     out = [None] * len(vals)
-    for k, r in enumerate(order):
-        out[r] = stack[k, :sizes[k]]
+    for r, piece in zip(order, np.split(flat, ends[:-1])):
+        out[r] = piece
     return out
 
 

@@ -560,15 +560,10 @@ def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
         means = np.full(scen.grid.steps + 1, sc.expect(scen, rv))
     else:
         # ne.evaluate would take these same steps (the tree kernel runs
-        # solve_bsde's step per level); alpha-maxmin blends its two envelopes
+        # solve_bsde's step per level), blended over the same envelopes
         claim = bs.TerminalClaim(rv)
-        upper = bs.solve_bsde(scen, claim, exp.driver)
-        means = np.array([sc.expect(scen, y) for y in upper.Y])
-        if exp.kind == "alpha_maxmin":
-            lower = bs.solve_bsde(scen, claim, bs.Driver.kappa_abs(-exp.kappa, include_y=False))
-            means = exp.alpha * means + (1.0 - exp.alpha) * np.array(
-                [sc.expect(scen, y) for y in lower.Y]
-            )
+        means = exp.blend(lambda driver: np.array(
+            [sc.expect(scen, y) for y in bs.solve_bsde(scen, claim, driver).Y]))
     value = means[0]
     columns = {"mean_y": means, "flow": np.zeros(scen.grid.steps + 1), "constraint": None,
                "mean_floor": None}

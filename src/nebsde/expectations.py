@@ -59,6 +59,30 @@ class NonlinearExpectation:
         return 0.0 if self.kind == "classical" else self.driver.lipschitz
 
     @property
+    def envelopes(self) -> tuple:
+        """``(weight, driver)`` of each g-expectation the operator blends.
+
+        ``gexp`` is its own driver at weight 1; ``alpha_maxmin`` is
+        ``alpha`` on the upper ``kappa*|z|`` and ``1 - alpha`` on the lower
+        ``-kappa*|z|``.  The classical mean blends none.
+        """
+        if self.kind == "classical":
+            return ()
+        if self.kind == "gexp":
+            return ((1.0, self.driver),)
+        return ((self.alpha, self.driver),
+                (1.0 - self.alpha, bs.Driver.kappa_abs(-self.kappa, include_y=False)))
+
+    def blend(self, value):
+        """``sum(weight * value(driver))`` over :attr:`envelopes`, in their order.
+
+        ``value`` maps a driver to a float or an array; a weight of 1 leaves
+        it as it is, the sign of a zero included.
+        """
+        terms = [weight * value(driver) for weight, driver in self.envelopes]
+        return sum(terms[1:], terms[0])
+
+    @property
     def cash_additive(self) -> bool:
         """Whether ``E[X + c] = E[X] + c`` for every constant ``c``.
 
@@ -156,11 +180,7 @@ def evaluate(exp: NonlinearExpectation, scen: sc.ScenarioSet, rv: sc.RandomVaria
     sc.check_rv(scen, rv)
     if exp.kind == "classical":
         return sc.expect(scen, rv)
-    hi = _gexp_value(scen, rv, exp.driver)
-    if exp.kind == "gexp":
-        return hi
-    lo = _gexp_value(scen, rv, bs.Driver.kappa_abs(-exp.kappa, include_y=False))
-    return exp.alpha * hi + (1.0 - exp.alpha) * lo
+    return exp.blend(lambda driver: _gexp_value(scen, rv, driver))
 
 
 def rolls_back_on_tree(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> bool:
@@ -175,12 +195,14 @@ def rolls_back_on_tree(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> bool:
 
 
 def evaluate_levels(exp: NonlinearExpectation, scen: sc.ScenarioSet, rvs) -> np.ndarray:
-    """``evaluate(exp, scen, rv)`` for every claim in ``rvs``, bit for bit.
+    """``evaluate(exp, scen, rv)`` for every claim in ``rvs``.
 
     Where :func:`rolls_back_on_tree` holds, all claims take one stacked
     zero-noise continuation (:func:`nebsde.bsde.zero_noise_continuation`) and
     one stacked roll-back (:func:`nebsde._kernels.tree_backward_values`) per
-    envelope; otherwise each claim is evaluated on its own.
+    envelope; otherwise each claim is evaluated on its own.  The values are
+    ``evaluate``'s bit for bit under closed-form and explicit drivers, and
+    within the sweep tolerance under other drivers that read y.
     """
     if not rolls_back_on_tree(exp, scen):
         return np.array([evaluate(exp, scen, rv) for rv in rvs], dtype=float)
@@ -192,11 +214,7 @@ def evaluate_levels(exp: NonlinearExpectation, scen: sc.ScenarioSet, rvs) -> np.
         levels = bs.zero_noise_continuation(driver, rvs, grid)
         return kern.tree_backward_values(levels, grid.dt, driver, grid.nodes)
 
-    hi = values(exp.driver)
-    if exp.kind == "gexp":
-        return hi
-    lo = values(bs.Driver.kappa_abs(-exp.kappa, include_y=False))
-    return exp.alpha * hi + (1.0 - exp.alpha) * lo
+    return exp.blend(values)
 
 
 def domination_gap(

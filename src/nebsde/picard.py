@@ -24,8 +24,10 @@ roll-back), the solve first runs the plain recursion and evaluates every
 level's constraint on ``X`` in one stacked roll-back to find ``j*``.  The
 one lifted recursion then lifts nothing above ``j*``: those levels come
 out as ``X``, with their stacked constraint values, shift 0 and one pass
-of difference 0.0, exactly as the level-by-level recursion records them,
-and no constraint is evaluated there.  Every other problem (the classical
+of difference 0.0, as the level-by-level recursion records them (its
+constraint values bit for bit under closed-form and explicit drivers,
+within the sweep tolerance under other drivers that read ``y``), and no
+constraint is evaluated there.  Every other problem (the classical
 mean, the risk constraint, Monte Carlo paths), where one evaluation is a
 dot product or a regression, lifts every level from the claim.
 """

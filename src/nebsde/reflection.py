@@ -147,10 +147,12 @@ def constraint_values(
     scen: sc.ScenarioSet,
     levels,
 ) -> np.ndarray:
-    """:func:`constraint_value` of every random variable in ``levels``, bit for bit.
+    """:func:`constraint_value` of every random variable in ``levels``.
 
     On the tree a g-expectation or alpha-maxmin evaluates them all in one
-    stacked roll-back (:func:`nebsde.expectations.evaluate_levels`).
+    stacked roll-back (:func:`nebsde.expectations.evaluate_levels`): bit for
+    bit under closed-form and explicit drivers, within the sweep tolerance
+    under other drivers that read y.
     """
     return ne.evaluate_levels(exp, scen, [_loss_level(loss, scen, y.index, y.values)
                                           for y in levels])
@@ -244,8 +246,10 @@ class ReflectionProblem:
     form; otherwise it grows by at least ``slope*x*exp(-kappa_t)``, which
     bounds the bracket of a search.  ``constraint_stack(levels)``, when
     given, returns the constraint of every random variable in ``levels`` at
-    once, bit for bit those of ``constraint``; it is given where one
-    evaluation is a tree roll-back, which the levels then share.
+    once, those of ``constraint`` bit for bit under closed-form and explicit
+    drivers and within the sweep tolerance under other drivers that read y;
+    it is given where one evaluation is a tree roll-back, which the levels
+    then share.
     """
 
     constraint: Callable

@@ -265,6 +265,20 @@ def test_tight_sweep_near_one_converges_through_rounding():
     assert np.max(np.abs(y - fixed)) <= bs._SWEEP_TOL * (1.0 + np.max(np.abs(fixed)))
 
 
+def test_sweep_near_one_returns_at_the_rounding_floor():
+    # At q = 0.9995 the sweep's rounding noise, about eps/(1 - q) relative,
+    # stalls its move at 4.3e-13 against 1e-13*(1 + max|y|) = 2.5e-13; the
+    # tolerance floored at eps/(1 - q) returns y within it of the fixed point.
+    q = 0.9995
+    drv = bs.Driver(fn=lambda t, y, z: -q * np.asarray(y), lipschitz=q, depends_on_y=True)
+    e = np.linspace(-3.0, 2.0, 51)
+    fixed = e / (1.0 + q)
+    y = bs.implicit_step(drv, 0.0, e, np.zeros_like(e), 1.0)
+    floor = np.finfo(float).eps / (1.0 - q)
+    assert floor > bs._SWEEP_TOL
+    assert np.max(np.abs(y - fixed)) <= floor * (1.0 + np.max(np.abs(fixed)))
+
+
 def test_superhedge_step_is_measured_at_its_observed_count():
     # The market driver -(r*y + theta*z) at r = 0.05, theta = 1, declared
     # 1.05 on 400 steps: y contracts at r*dt, far below the declared q, and
@@ -295,20 +309,25 @@ def test_loose_sweep_takes_no_more_sweeps_than_the_per_sweep_test():
         assert np.max(np.abs(y - e / (1.0 + slope * dt))) <= 1e-12 * np.max(np.abs(e))
 
 
-def test_stacked_rows_keep_their_own_schedule():
-    # z holds each row's slope: at 50 the declared constant is tight and the
-    # row sweeps to its a-priori count, at 0.5 it is loose and is measured at
-    # the count its observed ratio predicts; each row of the stack is its 1-d
-    # step bit for bit.
+def test_stacked_rows_share_one_schedule():
+    # z holds each node's slope: at 50 the declared constant is tight and a
+    # row alone sweeps to its a-priori count, at 0.5 it is loose and a row
+    # alone is measured at the count its observed ratio predicts.  The stack
+    # sweeps as one array: every node ends within tol of its exact fixed
+    # point, and each row within 1e-12 relative of its 1-d step.
     drv, calls = _counted(bs.Driver(fn=lambda t, y, z: -z * np.asarray(y), lipschitz=50.0,
                                     depends_on_y=True))
     e = np.array([[1.0, -2.0, 0.5], [3.0, 1e-3, -1.0], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0]])
     z = np.array([[50.0] * 3, [0.5] * 3, [50.0, 0.5, 50.0], [0.5] * 3])
-    got = bs.implicit_step(drv, 0.0, e, z, 0.01)
+    dt = 0.01
+    got = bs.implicit_step(drv, 0.0, e, z, dt)
+    fixed = e / (1.0 + z * dt)
+    assert np.max(np.abs(got - fixed)) <= bs._SWEEP_TOL * (1.0 + np.max(np.abs(fixed)))
     alone = []
     for row in range(len(e)):
         calls[0] = 0
-        assert np.array_equal(got[row], bs.implicit_step(drv, 0.0, e[row], z[row], 0.01))
+        one = bs.implicit_step(drv, 0.0, e[row], z[row], dt)
+        assert np.all(np.abs(got[row] - one) <= 1e-12 * np.maximum(1.0, np.abs(one)))
         alone.append(calls[0])
     assert alone[1] < alone[0]
 

@@ -344,3 +344,20 @@ def test_driver_vanishing_checked_on_every_grid_date():
         ne.check_operator(late, scen)
     early = ne.NonlinearExpectation.gexp(bs.Driver.time_dependent(lambda t: max(t - 2.0, 0.0)))
     ne.check_operator(early, scen)
+
+
+def test_envelopes_and_their_blend(tree50):
+    # alpha-maxmin weighs its upper kappa*|z| driver by alpha and the lower
+    # -kappa*|z| one by 1 - alpha; a g-expectation is its own driver at
+    # weight 1, whose blend leaves a value (a negative zero too) as it is.
+    amm = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=KAPPA)
+    (w_hi, hi), (w_lo, lo) = amm.envelopes
+    assert (w_hi, w_lo) == (0.3, 1.0 - 0.3)
+    assert hi is amm.driver and lo.kappa_structure == (-KAPPA, False)
+    gexp = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.4))
+    assert gexp.envelopes == ((1.0, gexp.driver),)
+    assert ne.NonlinearExpectation.classical().envelopes == ()
+    assert math.copysign(1.0, gexp.blend(lambda driver: -0.0)) == -1.0
+    rv = sc.from_terminal_function(tree50, lambda b: np.sin(2.0 * b))
+    upper, lower = (ne._gexp_value(tree50, rv, d) for d in (hi, lo))
+    assert ne.evaluate(amm, tree50, rv) == 0.3 * upper + (1.0 - 0.3) * lower

@@ -267,7 +267,8 @@ def _flat_off_case(case, scen):
 def test_flat_off_solve_matches_the_per_level_recursion(case, count_calls):
     # The one lifted recursion lifts nothing above the last level the plain
     # solution violates; every output equals the level-by-level recursion's
-    # exactly, and the levels above that level take no lift.
+    # exactly (the CLI driver's audit residual within the sweep tolerance),
+    # and the levels above that level take no lift.
     m = 24
     scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
     offset, driver, loss, exp = _flat_off_case(case, scen)
@@ -294,7 +295,13 @@ def test_flat_off_solve_matches_the_per_level_recursion(case, count_calls):
     assert diag.shift_search == np.count_nonzero(lifted & (shift_iters > 0))
     assert sol.picard.iterations == [len(norms) for norms in pair.diff_norms]
     assert sol.picard.diff_norms == list(pair.diff_norms)
-    assert rf.skorokhod_residual(scen, sol, loss, exp) == diag.skorokhod_residual
+    audit = rf.skorokhod_residual(scen, sol, loss, exp)
+    if case == "cli-driver":
+        # the audit's stacked roll-back sweeps all levels as one array; each
+        # constraint value is within 1e-12 of its own level's roll-back
+        assert abs(audit - diag.skorokhod_residual) <= 1e-12 * np.sum(np.abs(sol.K.increments))
+    else:
+        assert audit == diag.skorokhod_residual
 
 
 def test_flat_off_rule_is_read_from_the_problem(tree8):
