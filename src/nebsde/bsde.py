@@ -6,7 +6,8 @@ then the value is rolled back with an implicit-in-y Euler step,
 :func:`implicit_step`.  Tree mode uses exact pairwise averages and one-step
 difference quotients; Monte Carlo mode uses one regression fit for both.
 :func:`solve_bsde` is the one backward loop: a reflected solve passes it a
-lift, which it applies after each step until the lifted level settles.
+lift, which it applies after each step until the lifted level settles, or
+once per level for a driver declared affine in y.
 """
 from __future__ import annotations
 
@@ -36,7 +37,12 @@ class Driver:
     ``kappa_structure = (kappa, include_y)`` tags the scaled-absolute-value
     family ``kappa*(|y| + |z|)`` / ``kappa*|z|``, whose implicit step and
     zero-noise continuation have closed forms and whose tree value may be
-    the comonotone dot product in ``_kernels``.
+    the comonotone dot product in ``_kernels``.  ``y_coefficient = a``
+    declares a driver affine in y, ``f(t, y, z) = a*y + f(t, 0, z)`` with a
+    constant ``a``, ``|a| <= lipschitz``: its implicit step is exact in one
+    driver call, and a lifted solve lifts each level once
+    (:func:`solve_bsde`).  It needs ``depends_on_y`` and no
+    ``kappa_structure``.
     """
 
     fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -44,12 +50,21 @@ class Driver:
     depends_on_y: bool = False
     depends_on_z: bool = False
     kappa_structure: tuple | None = None
+    y_coefficient: float | None = None
 
     def __post_init__(self):
         if (self.depends_on_y or self.depends_on_z) and self.lipschitz <= 0.0:
             raise ValueError("a y- or z-dependent driver needs lipschitz > 0")
         if self.lipschitz < 0.0 or not np.isfinite(self.lipschitz):
             raise ValueError("lipschitz must be finite and >= 0")
+        a = self.y_coefficient
+        if a is not None:
+            if not (np.isfinite(a) and abs(a) <= self.lipschitz):
+                raise ValueError("y_coefficient must be finite with |y_coefficient| <= lipschitz")
+            if not self.depends_on_y:
+                raise ValueError("a driver with a y_coefficient must declare depends_on_y")
+            if self.kappa_structure is not None:
+                raise ValueError("a driver declares kappa_structure or y_coefficient, not both")
 
     @staticmethod
     def constant(value: float) -> "Driver":
@@ -169,9 +184,11 @@ def implicit_step(
 
     Explicit when the driver ignores y.  The ``kappa*(|y| + |z|)`` family is
     solved exactly: ``a = e + |z|*kappa*dt``, then ``a / (1 - kappa*sign(a)*dt)``
-    with a y-part (``y`` keeps the sign of ``a``).  Any other y-dependent
-    driver takes a fixed-point sweep of the whole array from ``e``,
-    contractive because ``q = lipschitz * dt < 1`` is enforced.  ``move`` is
+    with a y-part (``y`` keeps the sign of ``a``).  So is a driver declaring
+    ``y_coefficient = a``: ``y = (e + f(t, 0, z)*dt) / (1 - a*dt)``, one
+    driver call, with ``1 - a*dt > 0`` since ``|a|*dt <= lipschitz*dt < 1``.
+    Any other y-dependent driver takes a fixed-point sweep of the whole
+    array from ``e``, contractive because ``q = lipschitz * dt < 1`` is enforced.  ``move`` is
     a sweep's largest change over the array and ``tol = rtol*(1 + max|y|)``,
     with ``rtol`` 1e-13, or the float64 rounding floor ``eps/(1 - q)`` where
     that is larger (``q`` above about 0.9978), since the sweep's rounding
@@ -201,6 +218,9 @@ def implicit_step(
         return a / np.where(a >= 0.0, 1.0 - kdt, 1.0 + kdt) if include_y else a
     if not driver.depends_on_y:
         return e + np.asarray(driver.fn(t, e, z), dtype=float) * dt
+    if driver.y_coefficient is not None:
+        h = np.asarray(driver.fn(t, np.zeros_like(e), z), dtype=float)
+        return (e + h * dt) / (1.0 - driver.y_coefficient * dt)
     q = driver.lipschitz * dt
     fac = max(1.0, q / (1.0 - q))
     rtol = max(_SWEEP_TOL, _EPS / (1.0 - q))
@@ -247,9 +267,11 @@ def zero_noise_continuation(driver: Driver, levels, grid: sc.TimeGrid) -> list:
     below.  Any other driver steps the levels, ordered by index and joined
     into one array, from date ``m - 1`` down: the levels still stepping at
     a date are a prefix of that array, and each date is one
-    :func:`implicit_step` on that prefix, with nothing padded.  Each level equals
-    its one-level call bit for bit under the ``kappa`` family or a driver
-    that ignores y, and within the sweep tolerance under any other driver.
+    :func:`implicit_step` on that prefix, with nothing padded; for a
+    driver declared affine in y that step is exact.  Each level equals its
+    one-level call bit for bit under the ``kappa`` family, a driver that
+    ignores y or one declared affine in y, and within the sweep tolerance
+    under any other driver.
     """
     vals = [rv.values for rv in levels]
     if not driver.depends_on_y or not vals:
@@ -294,7 +316,12 @@ def solve_bsde(
     each rolled-back level ``x`` to ``x + k`` (the claim's level stays the
     claim); for a driver that reads y, the step is rolled again from the
     lifted level until two passes agree to ``PICARD_TOL``
-    (``PicardDivergenceError`` after ``_MAX_PASSES``).
+    (``PicardDivergenceError`` after ``_MAX_PASSES``).  A driver declaring
+    ``y_coefficient = a`` is lifted once per level instead: with ``u`` the
+    exact step, ``c = lift(i, u)`` gives ``Y_i = u + c`` and
+    ``shifts[i] = c*(1 - a*dt)``.  That is the fixed point the re-roll
+    approaches, the least feasible solution of ``Y = e + (a*Y + h)*dt + dK``,
+    ``Y = u + dK/(1 - a*dt)``, and ``diff_norms[i]`` holds its one pass.
     """
     sc.check_rv(scen, claim.rv)
     stop = claim.index
@@ -302,6 +329,7 @@ def solve_bsde(
         raise ValueError(f"flow needs {stop} increments, got {len(flow)}")
     nodes = scen.grid.nodes
     dt = scen.grid.dt
+    a = driver.y_coefficient
     shifts = np.zeros(stop + 1)
     vals = claim.values
     ys = [claim.rv]
@@ -319,9 +347,13 @@ def solve_bsde(
             if lift is None:
                 vals = x
                 break
-            shifts[i] = lift(i, x)
-            vals = x + shifts[i]
+            k = lift(i, x)
+            vals = x + k
             norms.append(float(np.max(np.abs(vals - u))))
+            if a is not None:
+                shifts[i] = k * (1.0 - a * dt)
+                break
+            shifts[i] = k
             if not driver.depends_on_y or norms[-1] <= PICARD_TOL:
                 break
             if len(norms) == _MAX_PASSES:

@@ -8,8 +8,11 @@ constraint.  :func:`nebsde.bsde.solve_bsde` runs it, the plain backward
 loop with the lift applied after each step; a generator that reads ``y``
 makes each step a fixed point in ``(Y_i, dK_i)``, found by successive
 approximation within the step, and every pass's difference is kept as
-evidence.  The constraint value the final lift verified is kept as
-``constraint_values[i]``; :func:`nebsde.reflection.skorokhod_residual`
+evidence.  A generator declared affine in ``y`` (``Driver.y_coefficient =
+a``) has that fixed point in closed form, ``Y_i = u + c`` and ``dK_i =
+c*(1 - a*dt)`` with ``u`` the exact step and ``c`` its one lift, so each
+of its steps records one pass.  The constraint value the final lift
+verified is kept as ``constraint_values[i]``; :func:`nebsde.reflection.skorokhod_residual`
 audits it from scratch.  ``Y_m`` is the claim as it is; its constraint
 value ``constraint_values[m]`` need only be ``>= -FEASIBILITY_TOL``.
 
@@ -151,11 +154,11 @@ def solve_reflected(
     """Reflected solve under the mean constraint ``E[l(t, Y_t)] >= 0``.
 
     One backward pass: at each step the level is rolled back, lifted by its
-    minimal shift, and, for a generator that reads ``y``, re-rolled with the
-    lifted level until the two agree to ``bsde.PICARD_TOL``.  Under a
-    g-expectation or alpha-maxmin on the tree the pass lifts nothing above
-    the last level the unreflected solution violates (the flat-off rule
-    above).
+    minimal shift, and, for a generator that reads ``y`` and is not declared
+    affine in it, re-rolled with the lifted level until the two agree to
+    ``bsde.PICARD_TOL``.  Under a g-expectation or alpha-maxmin on the tree
+    the pass lifts nothing above the last level the unreflected solution
+    violates (the flat-off rule above).
     """
     ne.check_operator(exp, scen)
     problem = rf.mean_constraint_problem(scen, loss, exp)

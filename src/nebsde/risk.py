@@ -186,9 +186,11 @@ def superhedge_price(
     """Minimal initial wealth whose constrained dynamics deliver the claim.
 
     The wealth generator is ``f(t, y, z) = -(r y + theta z)`` with
-    ``theta = (mu - r) / sigma``.  Hedge ratios ``pi_i = Z_i / (sigma Y_i)``
-    are reported nodewise, NaN where ``|Y_i|`` is below 1e-12 and infinite
-    where the quotient overflows (a subnormal ``sigma``).
+    ``theta = (mu - r) / sigma``, declared affine in y (``y_coefficient =
+    -r``) when ``r != 0``, so each step is exact and each level takes one
+    lift.  Hedge ratios ``pi_i = Z_i / (sigma Y_i)`` are reported nodewise,
+    NaN where ``|Y_i|`` is below 1e-12 and infinite where the quotient
+    overflows (a subnormal ``sigma``).
     """
     r = market.rate
     theta = market.price_of_risk
@@ -201,12 +203,13 @@ def superhedge_price(
             lipschitz=lam,
             depends_on_y=r != 0.0,
             depends_on_z=theta != 0.0,
+            y_coefficient=-r if r != 0.0 else None,
         )
     sol = solve_risk_reflected(scen, claim, driver, rho, q)
     ratios = []
-    for y, z in zip(sol.Y, sol.Z):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for y, z in zip(sol.Y, sol.Z):
             pi = z.values / (market.volatility * y.values)
-        # NaN marks nodes where the wealth is too close to 0 to divide
-        ratios.append(np.where(np.abs(y.values) <= _YTOL, np.nan, pi))
+            # NaN marks nodes where the wealth is too close to 0 to divide
+            ratios.append(np.where(np.abs(y.values) <= _YTOL, np.nan, pi))
     return PriceReport(price=sol.value, solution=sol, hedge_ratios=tuple(ratios))

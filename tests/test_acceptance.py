@@ -153,32 +153,54 @@ def test_a07_comparison_suites(tree100):
           competitor_gain=rep_b.competitor_min_gain)
 
 
-def test_a08_window_count_invariance(tree100):
-    # Each step of the reflected recursion against its closed form: with
-    # f = -a y + c, loss x - floor and the classical mean, level i solves
-    # Y = e + (c - a Y) dt + k with the least k >= 0 putting E[Y] on the
-    # floor, where e = E_i[Y_{i+1}] is read off the solver's own next level.
+def _per_step_closed_form(scen, y_coefficient=None):
+    """A reflected solve and its worst per-step gap to the step's closed form.
+
+    With ``f = -a y + c``, loss ``x - floor`` and the classical mean, level
+    i solves ``Y = e + (c - a Y) dt + k`` with the least ``k >= 0`` putting
+    ``E[Y]`` on the floor, where ``e = E_i[Y_{i+1}]`` is read off the
+    solver's own next level.  Returns ``(sol, worst |dY|, worst |dK|)``.
+    """
     a, c, floor = 0.2, 0.05, 1.0
-    claim = bs.TerminalClaim.from_function(tree100, lambda b: b + 1.05)
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 1.05)
     driver = bs.Driver(
         fn=lambda t, y, z: -a * np.asarray(y) + c, lipschitz=a, depends_on_y=True,
+        y_coefficient=y_coefficient,
     )
-    sol = pc.solve_reflected(tree100, claim, driver, rf.LossFunction.linear(floor), CLS)
-    dt = tree100.grid.dt
+    sol = pc.solve_reflected(scen, claim, driver, rf.LossFunction.linear(floor), CLS)
+    dt = scen.grid.dt
     worst_y = worst_k = 0.0
-    for i in range(tree100.grid.steps):
-        e = sc.step_expect(tree100, sol.Y[i + 1].values, i)
-        mean_e = sc.expect(tree100, sc.RandomVariable(i, e))
+    for i in range(scen.grid.steps):
+        e = sc.step_expect(scen, sol.Y[i + 1].values, i)
+        mean_e = sc.expect(scen, sc.RandomVariable(i, e))
         k = max(0.0, floor * (1.0 + a * dt) - mean_e - c * dt)
         y = (e + c * dt + k) / (1.0 + a * dt)
         worst_y = max(worst_y, float(np.max(np.abs(sol.Y[i].values - y))))
         worst_k = max(worst_k, abs(sol.K.increments[i] - k))
+    return sol, worst_y, worst_k
+
+
+def test_a08_window_count_invariance(tree100):
+    # Each step of the reflected recursion against its closed form, the
+    # generator left to the sweep and the re-roll.
+    sol, worst_y, worst_k = _per_step_closed_form(tree100)
     binding = [n for n in sol.picard.diff_norms if len(n) >= 2]
     norms = binding[0] if binding else []
     contracting = len(norms) >= 2 and norms[1] / norms[0] < 1.0
     ok = worst_y <= 5e-8 and worst_k <= 5e-8 and contracting and sol.K.total > 0.01
     _line("a08-per-step-closed-form", ok, max_y_diff=worst_y, max_dk_diff=worst_k,
           tol=5e-8, first_ratio=norms[1] / norms[0] if len(norms) >= 2 else float("nan"))
+
+
+def test_a08_affine_step_is_the_closed_form(tree100):
+    # The same recursion with the generator declared affine in y: one exact
+    # step and one lift per level, so each level is its closed form to
+    # rounding.
+    sol, worst_y, worst_k = _per_step_closed_form(tree100, y_coefficient=-0.2)
+    one_pass = sol.picard.iterations == [1] * tree100.grid.steps
+    ok = worst_y <= 1e-12 and worst_k <= 1e-12 and one_pass and sol.K.total > 0.01
+    _line("a08-affine-per-step-closed-form", ok, max_y_diff=worst_y, max_dk_diff=worst_k,
+          tol=1e-12, one_pass=one_pass)
 
 
 def test_a09_risk_and_mean_reflection_agree(tree100):

@@ -186,6 +186,40 @@ def test_driver_validation():
     assert neg.kappa_structure == (-0.5, False)
 
 
+AFFINE = dict(fn=lambda t, y, z: -0.2 * np.asarray(y) + 0.1 * np.abs(z), lipschitz=0.3,
+              depends_on_y=True, depends_on_z=True)
+
+
+@pytest.mark.parametrize("bad", [
+    {"y_coefficient": float("nan")},
+    {"y_coefficient": float("inf")},
+    {"y_coefficient": -0.31},
+    {"y_coefficient": -0.2, "depends_on_y": False},
+    {"y_coefficient": -0.2, "kappa_structure": (0.3, True)},
+], ids=["nan", "inf", "above-lipschitz", "ignores-y", "kappa-tagged"])
+def test_y_coefficient_validation(bad):
+    assert bs.Driver(**AFFINE, y_coefficient=-0.3).y_coefficient == -0.3
+    with pytest.raises(ValueError):
+        bs.Driver(**{**AFFINE, **bad})
+
+
+@pytest.mark.parametrize("shape", [(201,), (4, 51)])
+def test_affine_step_matches_the_sweep(shape):
+    # The declared coefficient solves the step in one driver call, exactly;
+    # the same fn untagged, the oracle, sweeps to within its tolerance
+    # rtol*(1 + max|y|) of that fixed point (rtol = 1e-13 at q = 0.015).
+    rng = np.random.default_rng(5)
+    e, z = rng.normal(size=shape), rng.normal(size=shape)
+    dt = 0.05
+    tagged, calls = _counted(bs.Driver(**AFFINE, y_coefficient=-0.2))
+    got = bs.implicit_step(tagged, 0.3, e, z, dt)
+    assert calls[0] == 1
+    exact = (e + 0.1 * np.abs(z) * dt) / (1.0 + 0.2 * dt)
+    assert np.max(np.abs(got - exact)) <= EXACT
+    swept = bs.implicit_step(bs.Driver(**AFFINE), 0.3, e, z, dt)
+    assert np.max(np.abs(got - swept)) <= bs._SWEEP_TOL * (1.0 + np.max(np.abs(got)))
+
+
 def test_non_contractive_step_refused():
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 100), "tree")
     drv = bs.Driver(

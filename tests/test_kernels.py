@@ -172,8 +172,17 @@ def test_kernel_leaves_its_input_unchanged():
         assert level.tolist() == [3.0, -1.0, 2.0]
 
 
+# -0.5*y + 0.3*|z|, declared affine in y or left to the sweep
+AFFINE_FN = dict(fn=lambda t, y, z: -0.5 * np.asarray(y) + 0.3 * np.abs(z), lipschitz=0.8,
+                 depends_on_y=True, depends_on_z=True)
+AFFINE_Y = bs.Driver(**AFFINE_FN, y_coefficient=-0.5)
 Y_PART = bs.Driver(fn=lambda t, y, z: -0.4 * np.sin(y) + 0.3 * np.abs(z) * (1.0 + t),
                    lipschitz=1.0, depends_on_y=True, depends_on_z=True)
+
+
+def _closed_form(driver):
+    """Whether ``driver``'s implicit step is closed form (``kappa`` or affine in y)."""
+    return driver.kappa_structure is not None or driver.y_coefficient is not None
 
 
 def _mixed_stack(m):
@@ -185,13 +194,15 @@ def _mixed_stack(m):
 
 @pytest.mark.parametrize("driver", [
     bs.Driver.kappa_abs(0.3), bs.Driver.kappa_abs(-0.7), bs.Driver.kappa_abs(0.5, False),
-    bs.Driver.kappa_abs(-0.5, False), bs.Driver.kappa_abs(0.0), Y_PART,
-], ids=["kappa-y", "neg-kappa-y", "kappa-z", "neg-kappa-z", "kappa-0", "callable-y"])
+    bs.Driver.kappa_abs(-0.5, False), bs.Driver.kappa_abs(0.0), AFFINE_Y, Y_PART,
+], ids=["kappa-y", "neg-kappa-y", "kappa-z", "neg-kappa-z", "kappa-0", "affine-y",
+        "callable-y"])
 def test_stacked_roll_back_matches_each_row_alone(driver):
-    # Rows join the pass at their own depth; under the kappa family every
-    # root equals the one-row roll-back bit for bit, comonotone rows and
-    # recursion rows alike.  A callable driver that reads y sweeps each level
-    # of the stack as one array, within the sweep tolerance of each row alone.
+    # Rows join the pass at their own depth; under the kappa family and a
+    # driver declared affine in y every root equals the one-row roll-back
+    # bit for bit, comonotone rows and recursion rows alike.  Any other
+    # driver that reads y sweeps each level of the stack as one array,
+    # within the sweep tolerance of each row alone.
     m = 40
     dt, nodes = 1.0 / m, np.linspace(0.0, 1.0, m + 1)
     stack = _mixed_stack(m)
@@ -199,10 +210,10 @@ def test_stacked_roll_back_matches_each_row_alone(driver):
     got = _kernels.tree_backward_values(stack, dt, driver, nodes)
     alone = [_kernels.tree_backward_value(w, dt, driver, nodes) for w in stack]
     assert got.shape == (len(stack),)
-    if driver.kappa_structure is None:
-        assert _swept_close(got, np.array(alone))
-    else:
+    if _closed_form(driver):
         assert np.array_equal(got, alone)
+    else:
+        assert _swept_close(got, np.array(alone))
     # the stack is left as it was
     assert all(np.array_equal(w, v) for w, v in zip(stack, before))
 
@@ -210,16 +221,18 @@ def test_stacked_roll_back_matches_each_row_alone(driver):
 # a driver that does not vanish at the origin
 OFF_ORIGIN = bs.Driver(fn=lambda t, y, z: 0.9 * np.cos(y + t) + 0.3 * np.abs(z), lipschitz=0.9,
                        depends_on_y=True, depends_on_z=True)
-CONTINUED = [bs.Driver.kappa_abs(0.3), bs.Driver.kappa_abs(0.5, False), Y_PART, OFF_ORIGIN]
-CONTINUED_IDS = ["kappa-y", "kappa-z", "callable-y", "off-origin"]
+CONTINUED = [bs.Driver.kappa_abs(0.3), bs.Driver.kappa_abs(0.5, False), AFFINE_Y, Y_PART,
+             OFF_ORIGIN]
+CONTINUED_IDS = ["kappa-y", "kappa-z", "affine-y", "callable-y", "off-origin"]
 
 
 def _check_continuation(driver, levels, grid):
     """One stacked call against each level's one-level call and the oracle.
 
-    Under the ``kappa`` closed form the stack equals each one-level call bit
-    for bit, and the closed form, which collapses the oracle's steps into
-    one power, agrees with them to rounding.  A callable driver sweeps the
+    Under the ``kappa`` closed form or a driver declared affine in y the
+    stack equals each one-level call bit for bit, and agrees with the
+    oracle's steps to rounding (the ``kappa`` form collapses them into one
+    power).  Any other callable driver sweeps the
     stack as one array: each level agrees with its one-level call, which
     runs the oracle's own steps bit for bit, within the sweep tolerance.
     """
@@ -229,12 +242,12 @@ def _check_continuation(driver, levels, grid):
     for rv, out in zip(levels, got):
         alone = bs.zero_noise_continuation(driver, [rv], grid)[0]
         ref = _stepped_continuation(driver, rv, grid)
-        if driver.kappa_structure is None:
-            assert np.array_equal(alone, ref)
-            assert _swept_close(out, alone) and _swept_close(out, ref)
-        else:
+        if _closed_form(driver):
             assert np.array_equal(out, alone)
             assert np.max(np.abs(out - ref)) <= EXACT * max(1.0, np.max(np.abs(ref)))
+        else:
+            assert np.array_equal(alone, ref)
+            assert _swept_close(out, alone) and _swept_close(out, ref)
     assert all(np.array_equal(rv.values, v) for rv, v in zip(levels, before))
     return got
 
@@ -258,6 +271,30 @@ def test_stacked_continuation_on_paths_matches_each_level_alone(driver):
               for i in (12, 5, 0, 9, 5, 11, 1)]
     got = _check_continuation(driver, levels, scen.grid)
     assert not np.array_equal(got[2], levels[2].values) or not driver.depends_on_y
+
+
+def test_affine_roll_back_and_continuation_match_the_sweep():
+    # The oracle is the same fn untagged: its sweep leaves each level within
+    # the sweep tolerance 1e-13*(1 + max|y|) of the exact step, and no level
+    # exceeds the stack's max|w|.  A tree step (positive weights, since
+    # 0.3*sqrt(dt) <= 1, over 1 + 0.5*dt) and a zero-noise step (over
+    # 1 + 0.5*dt) pass an error on no larger, so after m levels the two
+    # agree within m sweep tolerances.  The tagged continuation is the
+    # discount (1 + 0.5*dt)**(i - m) to rounding.
+    m = 40
+    dt, nodes = 1.0 / m, np.linspace(0.0, 1.0, m + 1)
+    plain = bs.Driver(**AFFINE_FN)
+    stack = _mixed_stack(m)
+    bound = m * bs._SWEEP_TOL * (1.0 + max(float(np.max(np.abs(w))) for w in stack))
+    got = _kernels.tree_backward_values(stack, dt, AFFINE_Y, nodes)
+    assert np.max(np.abs(got - _kernels.tree_backward_values(stack, dt, plain, nodes))) <= bound
+    grid = sc.TimeGrid(1.0, m)
+    levels = [sc.RandomVariable(w.size - 1, w) for w in stack]
+    got = bs.zero_noise_continuation(AFFINE_Y, levels, grid)
+    for rv, out, ref in zip(levels, got, bs.zero_noise_continuation(plain, levels, grid)):
+        assert np.max(np.abs(out - ref)) <= bound
+        exact = rv.values * (1.0 + 0.5 * dt) ** (rv.index - m)
+        assert np.max(np.abs(out - exact)) <= EXACT * max(1.0, np.max(np.abs(exact)))
 
 
 def test_stacked_sweep_matches_each_row_alone():

@@ -1,6 +1,7 @@
 """The reflected backward recursion: per-step iteration, oracles, failure handling."""
 
 import configparser
+import dataclasses
 
 import numpy as np
 import pytest
@@ -165,16 +166,69 @@ def test_stored_constraint_values_match_a_fresh_evaluation(case):
 
 
 def test_stored_risk_slack_matches_a_fresh_evaluation(tree50):
-    # A rate != 0 makes the generator read y, so binding steps take several
-    # passes; the stored slack is the one of the final pass.
+    # A rate != 0 makes the wealth generator read y; declared affine in y,
+    # each binding step takes one lift, and the stored slack is the one that
+    # lift verified on the final level.
     mkt = rk.Market(rate=0.05, drift=0.25, volatility=0.2)
     rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
     q = rk.Benchmark.constant(tree50.grid, 0.45)
     claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.45)
     sol = rk.superhedge_price(mkt, tree50, claim, rho, q).solution
-    assert sol.K.total > 0.0 and max(sol.picard.iterations) > 1
+    assert sol.K.total > 0.0 and sol.picard.iterations == [1] * tree50.grid.steps
     fresh = [0.45 - rk.evaluate_risk(rho, tree50, y.index, y) for y in sol.Y]
     assert np.array_equal(sol.diagnostics.constraint_values, fresh)
+
+
+def _affine_case(case, scen, driver):
+    """A binding reflected solve of ``driver`` under ``case``'s constraint."""
+    if case == "risk":
+        claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.45)
+        rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
+        return rk.solve_risk_reflected(scen, claim, driver, rho,
+                                       rk.Benchmark.constant(scen.grid, 0.45))
+    exp = {"classical": CLS,
+           "gexp-z": ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.3, include_y=False)),
+           "gexp-y": ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.3))}[case]
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 1.05)
+    return pc.solve_reflected(scen, claim, driver, rf.LossFunction.linear(1.0), exp)
+
+
+@pytest.mark.parametrize("rate", [0.05, -0.05, 0.0])
+@pytest.mark.parametrize("case", ["classical", "gexp-z", "gexp-y", "risk"])
+def test_affine_lift_matches_the_re_roll(tree50, case, rate):
+    # The wealth generator -(r*y + z) declared affine in y (a = -r, also at
+    # r = 0) against the same fn untagged, the oracle, which sweeps each
+    # step and re-rolls each lifted one.  Under a closed-form lift of a
+    # cash-additive constraint (classical, gexp-z, risk) the re-roll's second
+    # pass moves its level by a constant that the lift takes back, so it
+    # lands on u + lift(u) with the swept u: each step is within the sweep
+    # tolerance 1e-13*(1 + max|Y|) of the exact one, and a tree step
+    # (positive weights, since sqrt(dt) <= 1, over 1 + r*dt) passes an
+    # error on at most 1/(1 - |r|*dt) times, so Y agrees within m sweep
+    # tolerances times (1 - |r|*dt)**-m, and Z, a difference quotient over
+    # 2*sqrt(dt), within that over sqrt(dt).  K and the constraint values
+    # agree within PICARD_TOL.  A searched lift (gexp-y) lands anywhere in
+    # its final bracket, OPERATOR_TOL wide, on either side, and moves the
+    # constraint by at most (1 - 0.3*dt)**-m < 2 per unit shift, so there
+    # Y, K and the constraint values agree within 2*OPERATOR_TOL; a
+    # constant shift leaves Z as it is, so Z keeps the sweep bound.
+    m, dt = tree50.grid.steps, tree50.grid.dt
+    fn = lambda t, y, z: -(rate * np.asarray(y) + np.asarray(z))
+    plain = bs.Driver(fn=fn, lipschitz=abs(rate) + 1.0, depends_on_y=True, depends_on_z=True)
+    tagged = _affine_case(case, tree50, dataclasses.replace(plain, y_coefficient=-rate))
+    oracle = _affine_case(case, tree50, plain)
+    assert tagged.K.total > 0.05
+    assert tagged.picard.iterations == [1] * m and max(oracle.picard.iterations) > 1
+    y_max = max(float(np.max(np.abs(y.values))) for y in tagged.Y)
+    swept = m * bs._SWEEP_TOL * (1.0 + y_max) * (1.0 - abs(rate) * dt) ** -m
+    y_tol, k_tol = (2.0 * rf.OPERATOR_TOL,) * 2 if case == "gexp-y" else (swept, bs.PICARD_TOL)
+    assert max(float(np.max(np.abs(a.values - b.values)))
+               for a, b in zip(tagged.Y, oracle.Y)) <= y_tol
+    assert max(float(np.max(np.abs(a.values - b.values)))
+               for a, b in zip(tagged.Z, oracle.Z)) <= swept / np.sqrt(dt)
+    assert np.max(np.abs(tagged.K.values - oracle.K.values)) <= k_tol
+    assert np.max(np.abs(tagged.diagnostics.constraint_values
+                         - oracle.diagnostics.constraint_values)) <= k_tol
 
 
 def test_terminal_level_is_the_claim():
