@@ -18,6 +18,7 @@ levels share one stacked continuation and roll-back (:func:`evaluate_levels`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,13 +59,14 @@ class NonlinearExpectation:
         """Domination constant: the driver's Lipschitz constant, 0 for the mean."""
         return 0.0 if self.kind == "classical" else self.driver.lipschitz
 
-    @property
+    @cached_property
     def envelopes(self) -> tuple:
         """``(weight, driver)`` of each g-expectation the operator blends.
 
         ``gexp`` is its own driver at weight 1; ``alpha_maxmin`` is
         ``alpha`` on the upper ``kappa*|z|`` and ``1 - alpha`` on the lower
-        ``-kappa*|z|``.  The classical mean blends none.
+        ``-kappa*|z|``.  The classical mean blends none.  Built on first
+        access and kept, so every evaluation reads the same lower driver.
         """
         if self.kind == "classical":
             return ()

@@ -4,11 +4,16 @@ The risk side replaces the mean constraint with ``rho(t, Y_t) <= q_t`` for a
 convex risk measure built from finitely many Girsanov tilt kernels with
 penalties.  Translation invariance, ``rho(X + x) = rho(X) - x``, makes
 the minimal lift explicit: ``(rho(t, X) - q_t)^+``, no root search
-needed.  Superhedging prices a claim by reflecting the discounted
-wealth dynamics through that constraint.
+needed.  What a level costs is then evaluating ``rho``: the tilted weights
+of every kernel at that level form one table
+(:func:`nebsde.scenarios.tilt_table`), built once per level of a reflected
+solve, and each evaluation is that table times the level's values.
+Superhedging prices a claim by reflecting the discounted wealth dynamics
+through that constraint.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +22,7 @@ from . import bsde as bs
 from . import picard as pc
 from . import reflection as rf
 from . import scenarios as sc
+from .errors import SupportMismatchError
 
 _YTOL = 1e-12
 
@@ -114,24 +120,51 @@ class Market:
         return (self.drift - self.rate) / self.volatility
 
 
+def _risk(table: np.ndarray, penalties: np.ndarray, values: np.ndarray) -> float:
+    """The worst penalised mean of the loss ``-values`` over the rows of a tilt table.
+
+    ``E_theta[-X] = -E_theta[X]``, so it is ``max(-(table @ values) - penalties)``.
+    """
+    return float((-sc.tilted_means(table, values) - penalties).max())
+
+
 def evaluate_risk(rho: RiskMeasure, scen: sc.ScenarioSet, i: int, rv: sc.RandomVariable) -> float:
     """``rho(t_i, rv)``: the worst penalised tilted mean of the loss ``-rv``.
 
-    Every kernel's mean comes from one call, and ``E_theta[-X] = -E_theta[X]``.
+    Every kernel's mean comes from one :func:`nebsde.scenarios.tilt_table`
+    of index ``i``.
     """
     sc.check_rv(scen, rv)
     if rv.index != i:
         raise ValueError("rv must live on index i")
-    means = sc.tilted_expect(scen, rho.kernels, rv)
-    return float(np.max(-means - rho.penalties))
+    return _risk(sc.tilt_table(scen, rho.kernels, i), rho.penalties, rv.values)
 
 
 def _risk_problem(rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet) -> rf.ReflectionProblem:
-    """The slack ``q_i - rho(t_i, .) >= 0``, which grows at exactly rate 1."""
+    """The slack ``q_i - rho(t_i, .) >= 0``, which grows at exactly rate 1.
+
+    The constraint keeps one tilt table: on the tree that of the level it
+    last evaluated, built again when the level changes, so a backward solve
+    builds one per level and the lift's evaluations of a level share it; on
+    Monte Carlo paths the one table serves every index.
+    """
+
+    @functools.lru_cache(maxsize=1)
+    def table(key):
+        return sc.tilt_table(scen, rho.kernels, key)
 
     def constraint(i, values):
-        rv = sc.RandomVariable(i, np.asarray(values, dtype=float))
-        return float(q.values[i]) - evaluate_risk(rho, scen, i, rv)
+        values = np.asarray(values, dtype=float)
+        expected = sc.support_size(scen, i)
+        if values.shape != (expected,):
+            raise SupportMismatchError(
+                f"support shape {values.shape} at index {i}, expected ({expected},)"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        # on paths every index has the table of index 0
+        key = i if scen.mode == "tree" else 0
+        return float(q.values[i]) - _risk(table(key), rho.penalties, values)
 
     return rf.ReflectionProblem(constraint, 1.0, exact=True)
 

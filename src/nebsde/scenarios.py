@@ -16,6 +16,12 @@ Two interchangeable backends over a uniform time grid:
   (Gobet, Lemor and Warin, 2005), so :func:`step_fit` makes them one fit:
   one basis, one Gram matrix, solved once for both targets.
 
+Exponential tilts, the Girsanov kernels of :mod:`nebsde.risk`, come as one
+table per index (:func:`tilt_table`): a row per kernel holding its tilted
+weights over the support, normalised, so the tilted means of a level are
+the table times its values (:func:`tilted_means`).  On the tree a tilt of
+the symmetric walk is again a binomial walk, and its row is closed-form.
+
 Random variables are stored as value arrays over the support of a single
 grid index.
 """
@@ -312,6 +318,74 @@ def girsanov_weights(scen: ScenarioSet, theta: float) -> RandomVariable:
     return RandomVariable(m, raw / expect(scen, w))
 
 
+def tilt_table(scen: ScenarioSet, kernels, i: int) -> np.ndarray:
+    """The ``(kernels, support)`` table of tilted weights at index ``i``, each row summing to 1.
+
+    ``kernels`` is a scalar or a 1-d array of finite tilt slopes ``theta``;
+    a kernel's tilted mean of values ``x`` at index ``i`` is its row times
+    ``x`` (:func:`tilted_means`).  Each exponent is taken relative to the
+    kernel's extreme coordinate ``B*`` (the largest for ``theta > 0``, the
+    smallest otherwise) as ``theta*(B - B*) <= 0``, which overflows only to
+    ``-inf``, so a huge kernel puts all its mass on the extreme node or
+    path, its limit.
+
+    On the tree the tilt is closed-form: ``E[exp(theta*(B_T - B_i)) | F_i]``
+    is the constant ``cosh(theta*sqrt(dt))**(m - i)``, so the tilt seen at
+    level ``i`` is the level's own binomial weights times
+    ``exp(theta*(B_i - B*))``, normalised.  That product is formed directly.
+    A row whose sum falls below ``n * 2**-970`` (``n`` nodes) may hold
+    subnormal weights that matter, and a huge kernel's can underflow to 0
+    everywhere (kernel 800 at 1,100 levels); such rows are formed in log
+    space instead, ``exp(log w + theta*(B_i - B*) - max)``, where only the
+    nodes whose binomial weight underflows to 0 (above about 1,075 levels)
+    carry no mass, the same limit :func:`expect` has.  On Monte Carlo paths
+    each row is the kernel's terminal Girsanov density over the paths,
+    normalised to sum 1, whatever ``i``.
+    """
+    thetas = np.atleast_1d(np.asarray(kernels, dtype=float))
+    if thetas.ndim != 1:
+        raise ValueError("theta must be a scalar or a 1-d array")
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta must be finite")
+    support_size(scen, i)
+    if scen.mode == "montecarlo":
+        # every path weighs the same, and the density is the terminal one
+        b, w = scen.paths[:, -1], 1.0
+        extreme = np.where(thetas > 0.0, b.max(), b.min())
+    else:
+        b, w = scen.tree_values[i], scen.tree_weights[i]
+        # the level is symmetric, so the extreme node is sign(theta)*max(B_i)
+        extreme = np.copysign(b[-1], thetas)
+    tilt = b - extreme[:, None]
+    with np.errstate(over="ignore"):
+        tilt *= thetas[:, None]
+    table = np.exp(tilt)
+    table *= w
+    sums = table.sum(axis=1)
+    # below this sum a row's largest weight is below 2**-970, and weights
+    # within rounding of it (2**-52 below) can be subnormal
+    floor = b.size * 2.0**-970
+    if sums.min() < floor:
+        low = sums < floor
+        with np.errstate(divide="ignore"):
+            logw = np.log(w) + tilt[low]
+        table[low] = np.exp(logw - logw.max(axis=1, keepdims=True))
+        sums[low] = table[low].sum(axis=1)
+    table /= sums[:, None]
+    return table
+
+
+def tilted_means(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``table @ values``: one tilted mean per row of a :func:`tilt_table`.
+
+    Taken as one dot product per row: a BLAS matrix-vector product blocks
+    rows, so a row's sum would change in its last bits with the number of
+    rows, while row by row a kernel's mean does not depend on which other
+    kernels share the table.
+    """
+    return np.matmul(table[:, None, :], values)[:, 0]
+
+
 def tilted_expect(
     scen: ScenarioSet, theta: float | np.ndarray, rv: RandomVariable
 ) -> float | np.ndarray:
@@ -319,38 +393,10 @@ def tilted_expect(
 
     ``theta`` is a scalar, giving a float, or a 1-d array of kernels, giving
     one mean per kernel; each kernel's mean is the one a scalar call gives.
-
-    On the tree the tilt is closed-form: ``E[exp(theta*(B_T - B_i)) | F_i]``
-    is the constant ``cosh(theta*sqrt(dt))**(m - i)``, so the tilt seen at
-    level ``i`` is the level's own binomial weights times ``exp(theta*B_i)``,
-    renormalised.  The weights are formed in log space, with each kernel's
-    exponent taken relative to its extreme node ``B*`` as
-    ``theta*(B_i - B*) <= 0``, so a tilt overflows only to ``-inf`` and a
-    huge kernel puts all its mass on the extreme node, its limit.  Above
-    about 1,000 levels the tail nodes whose binomial weight underflows to 0
-    carry no tilted mass, the same limit :func:`expect` has.  Monte Carlo
-    weights each path by its terminal Girsanov density.
+    The means are the :func:`tilt_table` of ``rv``'s index times its values.
     """
     check_rv(scen, rv)
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    if thetas.ndim != 1:
-        raise ValueError("theta must be a scalar or a 1-d array")
-    if not np.all(np.isfinite(thetas)):
-        raise ValueError("theta must be finite")
-    if scen.mode == "montecarlo":
-        # E[w X] per path, no projection needed
-        means = np.array(
-            [np.mean(girsanov_weights(scen, th).values * rv.values) for th in thetas]
-        )
-    else:
-        i = rv.index
-        b = scen.tree_values[i]
-        # the level is symmetric, so the extreme node is sign(theta)*max(B_i)
-        extreme = np.copysign(b[-1], thetas)[:, None]
-        with np.errstate(divide="ignore", over="ignore"):
-            logw = np.log(scen.tree_weights[i]) + thetas[:, None] * (b - extreme)
-        w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
-        means = np.sum(w * rv.values, axis=1) / np.sum(w, axis=1)
+    means = tilted_means(tilt_table(scen, theta, rv.index), rv.values)
     return float(means[0]) if np.ndim(theta) == 0 else means
 
 

@@ -3,10 +3,12 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nebsde
 from nebsde import TimeGrid, build_scenarios
+from nebsde import scenarios as sc
 
 
 @pytest.fixture
@@ -64,3 +66,29 @@ def mc50():
     return build_scenarios(
         TimeGrid(1.0, 50), "montecarlo", n_paths=4000, seed=7, basis_degree=3
     )
+
+
+def _log_space_tilted_means(scen, kernels, i, values):
+    """Each kernel's tilted mean of ``values`` at index ``i``, built afresh per call.
+
+    The per-call formula that :func:`nebsde.scenarios.tilt_table` replaced,
+    kept as its oracle: on the tree the level's binomial weights times
+    ``exp(theta*(B_i - B*))`` in log space, ``exp(logw - max logw)``,
+    divided by their sum; on Monte Carlo paths one renormalised terminal
+    Girsanov density per kernel.
+    """
+    thetas = np.atleast_1d(np.asarray(kernels, dtype=float))
+    if scen.mode == "montecarlo":
+        return np.array([np.mean(sc.girsanov_weights(scen, th).values * values) for th in thetas])
+    b = scen.tree_values[i]
+    extreme = np.copysign(b[-1], thetas)[:, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        logw = np.log(scen.tree_weights[i]) + thetas[:, None] * (b - extreme)
+    w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
+    return np.sum(w * values, axis=1) / np.sum(w, axis=1)
+
+
+@pytest.fixture
+def tilt_oracle():
+    """``tilt_oracle(scen, kernels, i, values)``: the log-space tilted means, one per kernel."""
+    return _log_space_tilted_means

@@ -361,3 +361,17 @@ def test_envelopes_and_their_blend(tree50):
     rv = sc.from_terminal_function(tree50, lambda b: np.sin(2.0 * b))
     upper, lower = (ne._gexp_value(tree50, rv, d) for d in (hi, lo))
     assert ne.evaluate(amm, tree50, rv) == 0.3 * upper + (1.0 - 0.3) * lower
+
+
+def test_lower_envelope_is_built_once(tree50, count_calls):
+    # alpha-maxmin builds its lower -kappa*|z| driver on first access and
+    # keeps it: every evaluation reads the same object.
+    built = count_calls(bs.Driver, "kappa_abs")
+    amm = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=KAPPA)
+    lower = amm.envelopes[1][1]
+    assert amm.envelopes[1][1] is lower
+    rv = sc.from_terminal_function(tree50, lambda b: np.sin(2.0 * b))
+    for _ in range(3):
+        ne.evaluate(amm, tree50, rv)
+    assert amm.envelopes[1][1] is lower
+    assert built[0] == 2  # the upper driver at construction, the lower one once

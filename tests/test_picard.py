@@ -258,7 +258,7 @@ def test_slack_solve_evaluates_each_level_once(count_calls, mode):
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 5.0)
     driver = bs.Driver.constant(0.0)
     if mode == "risk":
-        calls = count_calls(rk, "evaluate_risk")
+        calls = count_calls(rk, "_risk")
         rho = rk.RiskMeasure.coherent_family([-0.5, 0.5])
         sol = rk.solve_risk_reflected(scen, claim, driver, rho,
                                       rk.Benchmark.constant(scen.grid, 0.0))

@@ -85,7 +85,7 @@ def test_risk_shift_raises_when_lift_never_lands(tree50, monkeypatch):
     # the correction steps stop and report instead of looping.
     rho = rk.RiskMeasure.coherent_family([0.0])
     q = rk.Benchmark.constant(tree50.grid, 0.0)
-    monkeypatch.setattr(rk, "evaluate_risk", lambda *args: 1.0)
+    monkeypatch.setattr(rk, "_risk", lambda *args: 1.0)
     with pytest.raises(BracketFailureError):
         rk.risk_shift(rho, q, tree50, 20, sc.brownian_rv(tree50, 20))
 
@@ -262,6 +262,54 @@ def test_superhedge_with_large_kernels_raises_no_warning():
     assert rep.solution.K.total == 0.0
     assert abs(rep.price - plain.value) <= EXACT
     assert float(np.min(rep.solution.diagnostics.constraint_values)) >= 0.0
+
+
+def _superhedge_case(scen):
+    """A binding superhedge: the constraint pins the price at -q."""
+    mkt = rk.Market(rate=0.05, drift=0.25, volatility=0.2)
+    rho = rk.RiskMeasure.convex_family([-0.5, 0.0, 0.5], [0.0, 0.01, 0.02])
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.45)
+    return mkt, claim, rho, rk.Benchmark.constant(scen.grid, 0.45)
+
+
+@pytest.mark.parametrize("mode", ["tree", "montecarlo"])
+def test_superhedge_matches_the_log_space_formula(tree50, mode, monkeypatch, tilt_oracle):
+    # The tilt table against a risk problem that builds each kernel's
+    # weights afresh on every evaluation, in log space.
+    scen = tree50 if mode == "tree" else sc.build_scenarios(
+        sc.TimeGrid(1.0, 50), "montecarlo", n_paths=2000, seed=11)
+    mkt, claim, rho, q = _superhedge_case(scen)
+    report = rk.superhedge_price(mkt, scen, claim, rho, q)
+
+    def oracle_problem(rho, q, scen):
+        def constraint(i, values):
+            means = tilt_oracle(scen, rho.kernels, i, values)
+            return float(q.values[i]) - float(np.max(-means - rho.penalties))
+        return rf.ReflectionProblem(constraint, 1.0, exact=True)
+
+    monkeypatch.setattr(rk, "_risk_problem", oracle_problem)
+    want = rk.superhedge_price(mkt, scen, claim, rho, q)
+    assert report.solution.K.total > 0.05
+    assert abs(report.price - want.price) <= 1e-12
+    assert max(float(np.max(np.abs(a.values - b.values)))
+               for a, b in zip(report.solution.Y, want.solution.Y)) <= 1e-12
+    assert np.max(np.abs(report.solution.K.values - want.solution.K.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["tree", "montecarlo"])
+def test_superhedge_builds_one_tilt_table_per_level(tree50, mode, count_calls):
+    # The lift's evaluations of a level (the slack at 0, then the closed
+    # form's check on binding levels) share the level's table; on paths the
+    # one table serves every index.
+    scen = tree50 if mode == "tree" else sc.build_scenarios(
+        sc.TimeGrid(1.0, 50), "montecarlo", n_paths=2000, seed=11)
+    tables = count_calls(sc, "tilt_table")
+    evaluations = count_calls(rk, "_risk")
+    mkt, claim, rho, q = _superhedge_case(scen)
+    report = rk.superhedge_price(mkt, scen, claim, rho, q)
+    assert report.solution.diagnostics.shift_closed_form > 0
+    assert tables[0] == (scen.grid.steps + 1 if mode == "tree" else 1)
+    assert evaluations[0] > scen.grid.steps + 1
 
 
 def test_hedge_ratio_mask(tree50):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,58 @@ def test_tilted_expect_kernel_array_matches_scalar_calls(tree50, mc50):
                 assert isinstance(one, float)
                 size = sc.tilted_expect(scen, float(theta), sc.RandomVariable(i, np.abs(x)))
                 assert abs(mean - one) <= 1e-14 * size, (scen, i, theta)
+
+
+TABLE_KERNELS = np.array([-800.0, -3.0, -0.5, 0.0, 0.3, 5.0, 800.0])
+
+
+def _check_table_against_oracle(scen, i, oracle, rng):
+    x = rng.normal(0.3, 1.0, sc.support_size(scen, i)) + np.sin(sc.brownian(scen, i))
+    table = sc.tilt_table(scen, TABLE_KERNELS, i)
+    assert table.shape == (TABLE_KERNELS.size, x.size)
+    assert np.all(table >= 0.0)
+    assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-13
+    got = sc.tilted_means(table, x)
+    want = oracle(scen, TABLE_KERNELS, i, x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x)), i
+    return x, got
+
+
+@pytest.mark.parametrize("m", [8, 50, 400, 1100])
+def test_tilt_table_matches_log_space_formula_on_the_tree(m, tilt_oracle):
+    # The direct product w*exp(theta*(B - B*)), normalised, against the
+    # per-call log-space formula.  At 1,100 levels the binomial weights of
+    # the tail nodes underflow to 0 and kernel +-800 underflows the direct
+    # product everywhere; the table keeps the limit: all mass on the
+    # highest (lowest) node whose binomial weight is nonzero.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
+    rng = np.random.default_rng(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in sorted({0, 1, m // 3, m - 1, m}):
+            x, got = _check_table_against_oracle(scen, i, tilt_oracle, rng)
+            # kernels -800 and 800 come first and last
+            carried = np.flatnonzero(scen.tree_weights[i])
+            for mean, node in ((got[0], carried[0]), (got[-1], carried[-1])):
+                assert abs(mean - x[node]) <= 1e-12 * np.max(np.abs(x)), (i, node)
+    if m == 1100:
+        # the limit is exercised: the tail weights underflow, and so does
+        # kernel 800's direct product at every node
+        w, b = scen.tree_weights[m], scen.tree_values[m]
+        assert w[0] == w[-1] == 0.0
+        assert np.sum(w * np.exp(800.0 * (b - b[-1]))) == 0.0
+
+
+def test_tilt_table_matches_log_space_formula_on_paths(tilt_oracle):
+    # On paths every row is one terminal Girsanov density, whatever the index.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 50), "montecarlo", n_paths=2000, seed=3)
+    rng = np.random.default_rng(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in (0, 1, 16, 49, 50):
+            _check_table_against_oracle(scen, i, tilt_oracle, rng)
+    assert np.array_equal(sc.tilt_table(scen, TABLE_KERNELS, 0),
+                          sc.tilt_table(scen, TABLE_KERNELS, 50))
 
 
 def test_girsanov_weights_renormalised(tree50, mc50):
