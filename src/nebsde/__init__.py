@@ -43,7 +43,6 @@ from .scenarios import (
     build_scenarios,
     cond_expect,
     expect,
-    girsanov_weights,
     tilted_expect,
 )
 from .verify import (

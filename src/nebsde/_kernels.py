@@ -20,8 +20,6 @@ claim on an interior level first takes the dates after its own with z
 frozen at 0 (:func:`nebsde.bsde.zero_noise_continuation`); this module is
 only the roll-back.
 """
-from functools import lru_cache
-
 import numpy as np
 
 from . import bsde as bs
@@ -29,29 +27,16 @@ from . import scenarios as sc
 from .errors import FixedPointError
 
 
-@lru_cache(maxsize=1024)
-def _binomial_weights(n, p):
-    """``sc.binomial_weights(n, p)``, computed once per ``(n, p)`` and read-only.
-
-    A comonotone value takes one of two up-probabilities per driver and
-    step, so the same few pairs recur in every solve; the shared array
-    cannot be written to.
-    """
-    w = sc.binomial_weights(n, p)
-    w.flags.writeable = False
-    return w
-
-
 def _comonotone_value(w, dt, driver):
     """The binomial dot product of a monotone claim under ``kappa*|z|``; None otherwise."""
-    structure = driver.kappa_structure
-    if structure is not None and (not structure[1] or structure[0] == 0.0):
-        step = structure[0] * np.sqrt(dt)
+    kappa = driver.kappa_structure
+    if kappa is not None and not driver.depends_on_y:
+        step = kappa * np.sqrt(dt)
         if abs(step) <= 1.0:
             d = np.diff(w)
             sign = 1.0 if np.all(d >= 0.0) else -1.0 if np.all(d <= 0.0) else 0.0
             if sign != 0.0:
-                return float(_binomial_weights(w.size - 1, 0.5 * (1.0 + sign * step)) @ w)
+                return float(sc.binomial_weights(w.size - 1, 0.5 * (1.0 + sign * step)) @ w)
     return None
 
 
@@ -106,6 +91,7 @@ def tree_backward_values(terminals, dt, driver, nodes) -> np.ndarray:
     return values
 
 
+# a function of its own while perfbench/tracing.py wraps it and counts its calls
 def tree_backward_value(terminal, dt, driver, nodes):
     """Value at the root of the BSDE with generator ``driver`` on a binomial tree.
 
@@ -113,9 +99,9 @@ def tree_backward_value(terminal, dt, driver, nodes):
     recursion runs ``n`` steps down to the root, the step from level
     ``j + 1`` to level ``j`` dated ``nodes[j]``.
 
-    A driver tagged ``kappa_structure = (kappa, include_y)`` without a
-    y-part (or with ``kappa = 0``), a claim that is monotone in the node
-    index and a step ``|kappa|*sqrt(dt) <= 1`` give the closed form
+    A driver tagged ``kappa_structure = kappa`` that ignores y (``kappa*|z|``,
+    or ``kappa = 0``), a claim that is monotone in the node index and a step
+    ``|kappa|*sqrt(dt) <= 1`` give the closed form
     ``binomial_weights(n, p) @ terminal`` with
     ``p = (1 + s*kappa*sqrt(dt))/2``, ``s = +1`` for a nondecreasing claim
     and ``-1`` for a nonincreasing one.  Raises ``FixedPointError`` when the

@@ -34,10 +34,12 @@ class Driver:
     ``fn`` must accept scalar ``t`` and equal-shaped arrays ``y, z`` and
     broadcast.  ``lipschitz`` bounds the (y, z) slope and gates the implicit
     step; drivers that depend on neither y nor z may declare 0.
-    ``kappa_structure = (kappa, include_y)`` tags the scaled-absolute-value
-    family ``kappa*(|y| + |z|)`` / ``kappa*|z|``, whose implicit step and
-    zero-noise continuation have closed forms and whose tree value may be
-    the comonotone dot product in ``_kernels``.  ``y_coefficient = a``
+    ``kappa_structure = kappa`` tags the scaled-absolute-value family,
+    ``kappa*(|y| + |z|)`` with ``depends_on_y`` and ``kappa*|z|`` without,
+    whose implicit step and zero-noise continuation have closed forms and
+    whose tree value may be the comonotone dot product in ``_kernels``; the
+    tag needs ``lipschitz == |kappa|`` and ``depends_on_z == (kappa != 0)``.
+    ``y_coefficient = a``
     declares a driver affine in y, ``f(t, y, z) = a*y + f(t, 0, z)`` with a
     constant ``a``, ``|a| <= lipschitz``: its implicit step is exact in one
     driver call, and a lifted solve lifts each level once
@@ -49,7 +51,7 @@ class Driver:
     lipschitz: float = 0.0
     depends_on_y: bool = False
     depends_on_z: bool = False
-    kappa_structure: tuple | None = None
+    kappa_structure: float | None = None
     y_coefficient: float | None = None
 
     def __post_init__(self):
@@ -57,6 +59,12 @@ class Driver:
             raise ValueError("a y- or z-dependent driver needs lipschitz > 0")
         if self.lipschitz < 0.0 or not np.isfinite(self.lipschitz):
             raise ValueError("lipschitz must be finite and >= 0")
+        kappa = self.kappa_structure
+        if kappa is not None:
+            if self.lipschitz != abs(kappa):
+                raise ValueError("a kappa-tagged driver needs lipschitz == |kappa|")
+            if self.depends_on_z != (kappa != 0.0):
+                raise ValueError("a kappa-tagged driver depends on z exactly when kappa != 0")
         a = self.y_coefficient
         if a is not None:
             if not (np.isfinite(a) and abs(a) <= self.lipschitz):
@@ -84,18 +92,13 @@ class Driver:
         k = float(kappa)
         if k == 0.0:
             return Driver(fn=lambda t, y, z: np.zeros_like(np.asarray(y, dtype=float)),
-                          kappa_structure=(0.0, include_y))
+                          kappa_structure=0.0)
         if include_y:
             fn = lambda t, y, z: k * (np.abs(y) + np.abs(z))
         else:
             fn = lambda t, y, z: k * np.abs(z)
-        return Driver(
-            fn=fn,
-            lipschitz=abs(k),
-            depends_on_y=include_y,
-            depends_on_z=True,
-            kappa_structure=(k, include_y),
-        )
+        return Driver(fn=fn, lipschitz=abs(k), depends_on_y=include_y, depends_on_z=True,
+                      kappa_structure=k)
 
 
 def check_lipschitz_lattice(driver: Driver, t_values, values) -> None:
@@ -212,10 +215,9 @@ def implicit_step(
     """
     _check_contractive(driver, dt)
     if driver.kappa_structure is not None:
-        kappa, include_y = driver.kappa_structure
-        kdt = kappa * dt
+        kdt = driver.kappa_structure * dt
         a = e + np.abs(z) * kdt
-        return a / np.where(a >= 0.0, 1.0 - kdt, 1.0 + kdt) if include_y else a
+        return a / np.where(a >= 0.0, 1.0 - kdt, 1.0 + kdt) if driver.depends_on_y else a
     if not driver.depends_on_y:
         return e + np.asarray(driver.fn(t, e, z), dtype=float) * dt
     if driver.y_coefficient is not None:
@@ -279,7 +281,7 @@ def zero_noise_continuation(driver: Driver, levels, grid: sc.TimeGrid) -> list:
     dt, m = grid.dt, grid.steps
     _check_contractive(driver, dt)
     if driver.kappa_structure is not None:
-        kdt = driver.kappa_structure[0] * dt
+        kdt = driver.kappa_structure * dt
         return [np.where(v >= 0.0, v * (1.0 - kdt) ** (rv.index - m),
                          v * (1.0 + kdt) ** (rv.index - m)) for v, rv in zip(vals, levels)]
     order = sorted(range(len(vals)), key=lambda r: levels[r].index)

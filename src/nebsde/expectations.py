@@ -51,7 +51,8 @@ class NonlinearExpectation:
             raise ValueError(f"{self.kind} expectation needs a driver")
         if self.kind == "alpha_maxmin" and not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.kind == "alpha_maxmin" and self.driver.kappa_structure != (self.kappa, False):
+        if self.kind == "alpha_maxmin" and (self.driver.kappa_structure != self.kappa
+                                            or self.driver.depends_on_y):
             raise ValueError("alpha_maxmin needs the upper driver kappa*|z| with kappa >= 0")
 
     @property

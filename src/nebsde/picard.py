@@ -56,9 +56,11 @@ class SolveDiagnostics:
     pass.  ``attempts`` is always 1.
     """
 
+    # always (i, i + 1); kept while perfbench/tracing.py reads it
     window_bounds: list
     iterations: list
     diff_norms: list
+    # always 1; kept while perfbench/tracing.py reads it
     attempts: int = 1
 
     @property

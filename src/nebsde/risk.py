@@ -85,12 +85,20 @@ class Benchmark:
 
     @staticmethod
     def from_knots(grid: sc.TimeGrid, knots) -> "Benchmark":
-        """Piecewise-linear interpolation of ``(t, q)`` knots onto the grid."""
+        """Piecewise-linear interpolation of ``(t, q)`` knots onto the grid.
+
+        Two knots at one time are refused: the curve would jump there, and
+        which of the two values it takes would be the interpolation's
+        accident (``np.interp`` needs increasing times and does not check).
+        """
         pts = sorted((float(t), float(q)) for t, q in knots)
         if not pts:
             raise ValueError("need at least one knot")
         ts = np.array([p[0] for p in pts])
         qs = np.array([p[1] for p in pts])
+        repeated = ts[1:][ts[1:] == ts[:-1]]
+        if repeated.size:
+            raise ValueError(f"two knots at t = {repeated[0]:g}")
         return Benchmark(np.interp(grid.nodes, ts, qs))
 
 

@@ -28,7 +28,7 @@ grid index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -36,26 +36,32 @@ import numpy as np
 from .errors import SupportMismatchError
 
 
+@lru_cache(maxsize=1024)
 def binomial_weights(n, p):
-    """Binomial(``n``, ``p``) probabilities of ``0..n`` up-moves.
+    """Binomial(``n``, ``p``) probabilities of ``0..n`` up-moves, cached and read-only.
 
     Formed in log space (``log C(n, k)`` is a cumulative sum of
     ``log((n - k + 1) / k)``) and normalised by their sum, so no factor
     overflows and the weights sum to 1 up to rounding.  Above about 1,000
-    steps the tail weights underflow to 0.
+    steps the tail weights underflow to 0.  Each ``(n, p)`` is computed
+    once and shared: tree builds and the comonotone values of ``_kernels``
+    ask for the same pairs again and again, so the array cannot be written
+    to.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if p == 0.0 or p == 1.0:
         w = np.zeros(n + 1)
         w[n if p == 1.0 else 0] = 1.0
-        return w
-    k = np.arange(n + 1)
-    log_choose = np.zeros(n + 1)
-    np.cumsum(np.log((n - k[1:] + 1) / k[1:]), out=log_choose[1:])
-    logw = log_choose + k * np.log(p) + (n - k) * np.log1p(-p)
-    w = np.exp(logw - np.max(logw))
-    return w / np.sum(w)
+    else:
+        k = np.arange(n + 1)
+        log_choose = np.zeros(n + 1)
+        np.cumsum(np.log((n - k[1:] + 1) / k[1:]), out=log_choose[1:])
+        logw = log_choose + k * np.log(p) + (n - k) * np.log1p(-p)
+        w = np.exp(logw - np.max(logw))
+        w /= np.sum(w)
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -202,10 +208,6 @@ def brownian(scen: ScenarioSet, i: int) -> np.ndarray:
     return scen.paths[:, i]
 
 
-def brownian_rv(scen: ScenarioSet, i: int) -> RandomVariable:
-    return RandomVariable(i, brownian(scen, i).copy())
-
-
 def expect(scen: ScenarioSet, rv: RandomVariable) -> float:
     """Expectation of ``rv`` under the scenario measure."""
     check_rv(scen, rv)
@@ -247,6 +249,7 @@ def _project(scen: ScenarioSet, i: int, targets: np.ndarray) -> np.ndarray:
     return (coef.T @ a.T).T
 
 
+# apart from step_fit while perfbench/tracing.py counts its calls
 def step_expect(scen: ScenarioSet, next_values: np.ndarray, i: int) -> np.ndarray:
     """One-step conditional expectation of level ``i + 1`` values onto ``i``."""
     if scen.mode == "tree":
@@ -254,6 +257,7 @@ def step_expect(scen: ScenarioSet, next_values: np.ndarray, i: int) -> np.ndarra
     return _project(scen, i, next_values)
 
 
+# apart from step_fit while perfbench/tracing.py counts its calls
 def step_z(scen: ScenarioSet, next_values: np.ndarray, i: int) -> np.ndarray:
     """One-step estimate of the martingale integrand over ``[t_i, t_{i+1})``."""
     dt = scen.grid.dt
@@ -282,6 +286,7 @@ def step_fit(scen: ScenarioSet, next_values: np.ndarray, i: int) -> tuple:
     return fit[:, 0].copy(), fit[:, 1].copy()
 
 
+# no library caller; kept while perfbench/tracing.py traces it
 def cond_expect(scen: ScenarioSet, rv: RandomVariable, i: int) -> RandomVariable:
     """Conditional expectation of ``rv`` at the earlier index ``i``.
 
@@ -295,27 +300,6 @@ def cond_expect(scen: ScenarioSet, rv: RandomVariable, i: int) -> RandomVariable
     for j in range(rv.index - 1, i - 1, -1):
         vals = step_expect(scen, vals, j)
     return RandomVariable(i, vals)
-
-
-def girsanov_weights(scen: ScenarioSet, theta: float) -> RandomVariable:
-    """Exponential-tilt density ``exp(theta*B_T - theta^2*T/2)``, renormalised.
-
-    The raw exponential has mean 1 only in the Gaussian limit; the weights
-    are divided by their scenario mean so the tilt is an exact probability
-    reweighting on the discrete support.  The renormalisation cancels any
-    constant factor, so the exponent is taken relative to the extreme
-    coordinate ``B*`` (the largest for ``theta > 0``, the smallest below) as
-    ``theta*(B_T - B*) <= 0``, which overflows only to ``-inf``: a huge
-    kernel puts all its mass on the extreme paths, its limit.
-    """
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    m = scen.grid.steps
-    b = brownian(scen, m)
-    with np.errstate(over="ignore"):
-        raw = np.exp(theta * (b - (np.max(b) if theta > 0.0 else np.min(b))))
-    w = RandomVariable(m, raw)
-    return RandomVariable(m, raw / expect(scen, w))
 
 
 def tilt_table(scen: ScenarioSet, kernels, i: int) -> np.ndarray:
@@ -386,6 +370,7 @@ def tilted_means(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.matmul(table[:, None, :], values)[:, 0]
 
 
+# no library caller; kept while perfbench/tracing.py traces it
 def tilted_expect(
     scen: ScenarioSet, theta: float | np.ndarray, rv: RandomVariable
 ) -> float | np.ndarray:

@@ -27,6 +27,7 @@ from . import scenarios as sc
 
 _BUMP_TOTAL = 0.1  # total of the ramp that inflates the comparison's competitor flow
 _HYPOTHESIS_SEED = 0  # seed of the probes that sample the comparison's hypotheses
+_EPS = float(np.finfo(float).eps)
 
 
 def mean_floor(
@@ -436,6 +437,17 @@ def structural_checks(
     ``0.6`` times the margin ``shift - floor``, so its terminal constraint
     holds with ``0.8*(shift - floor) > 0``.  Thresholds scale with the grid
     so the suite stays meaningful at any desk-size resolution.
+
+    ``shrinking-envelope-constant`` compares the lower envelope
+    ``-kappa*(|y| + |z|)`` of a constant ``c0 > 0`` with its exact discrete
+    value ``c0*(1 + kappa*dt)**(-m)`` on ``m`` tree steps.  Every level of
+    the roll-back is constant, so ``z = 0`` and each step divides by the
+    float ``d = 1 + kappa*dt``, the one the target raises to ``-m``.  Each
+    of the ``m`` divisions rounds by at most ``eps/2`` relatively, and the
+    power and the product with ``c0`` by at most ``eps`` and ``eps/2``, on
+    values at most ``c0``; while ``m*eps`` is small the gap is therefore
+    below ``(m + 2)*eps*c0``, the threshold.  The continuous limit
+    ``c0*exp(-kappa*T)`` stays in the evidence as a measure of convergence.
     """
     dt = scen.grid.dt
     records = []
@@ -541,15 +553,17 @@ def structural_checks(
         scen,
         bs.TerminalClaim.constant(scen, c0).rv,
     )
-    target = c0 * np.exp(-kappa * scen.grid.horizon)
-    # first-order scheme: error scales like c0 * kappa^2 * T * dt
-    env_cap = 2.0 * c0 * kappa**2 * scen.grid.horizon * dt
+    m = scen.grid.steps
+    target = c0 * (1.0 + kappa * dt) ** -m
+    # rounding of m divisions, one power and one product (docstring)
+    env_cap = (m + 2) * _EPS * c0
     records.append(
         CheckRecord(
             name="shrinking-envelope-constant",
             description="lower envelope of a positive constant decays exponentially",
             passed=abs(lo_val - target) <= env_cap,
-            evidence={"value": lo_val, "target": target, "threshold": env_cap},
+            evidence={"value": lo_val, "target": target, "threshold": env_cap,
+                      "continuous_target": c0 * np.exp(-kappa * scen.grid.horizon)},
         )
     )
 

@@ -10,6 +10,8 @@ import nebsde
 from nebsde import TimeGrid, build_scenarios
 from nebsde import scenarios as sc
 
+from oracles import girsanov_weights
+
 
 @pytest.fixture
 def child_env():
@@ -79,7 +81,7 @@ def _log_space_tilted_means(scen, kernels, i, values):
     """
     thetas = np.atleast_1d(np.asarray(kernels, dtype=float))
     if scen.mode == "montecarlo":
-        return np.array([np.mean(sc.girsanov_weights(scen, th).values * values) for th in thetas])
+        return np.array([np.mean(girsanov_weights(scen, th).values * values) for th in thetas])
     b = scen.tree_values[i]
     extreme = np.copysign(b[-1], thetas)[:, None]
     with np.errstate(divide="ignore", over="ignore"):

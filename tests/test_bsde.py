@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from nebsde import bsde as bs
+from nebsde import expectations as ne
 from nebsde import scenarios as sc
 from nebsde.errors import FixedPointError, NonContractiveStepError
+
+from oracles import brownian_rv
 
 EXACT = 1e-12
 
@@ -151,7 +154,7 @@ def test_lipschitz_lattice_probe():
 
 
 def test_interior_claim(tree8):
-    claim = bs.TerminalClaim(sc.brownian_rv(tree8, 5))
+    claim = bs.TerminalClaim(brownian_rv(tree8, 5))
     pair = bs.solve_bsde(tree8, claim, bs.Driver.constant(0.0))
     assert len(pair.Y) == 6
     assert abs(pair.value) <= EXACT
@@ -180,10 +183,10 @@ def test_driver_validation():
         bs.Driver(fn=lambda t, y, z: z, lipschitz=-1.0, depends_on_z=True)
     zero = bs.Driver.kappa_abs(0.0)
     assert zero.lipschitz == 0.0
-    assert zero.kappa_structure == (0.0, True)
+    assert zero.kappa_structure == 0.0 and not zero.depends_on_y
     neg = bs.Driver.kappa_abs(-0.5, include_y=False)
     assert neg.lipschitz == 0.5
-    assert neg.kappa_structure == (-0.5, False)
+    assert neg.kappa_structure == -0.5 and not neg.depends_on_y
 
 
 AFFINE = dict(fn=lambda t, y, z: -0.2 * np.asarray(y) + 0.1 * np.abs(z), lipschitz=0.3,
@@ -195,12 +198,56 @@ AFFINE = dict(fn=lambda t, y, z: -0.2 * np.asarray(y) + 0.1 * np.abs(z), lipschi
     {"y_coefficient": float("inf")},
     {"y_coefficient": -0.31},
     {"y_coefficient": -0.2, "depends_on_y": False},
-    {"y_coefficient": -0.2, "kappa_structure": (0.3, True)},
+    {"y_coefficient": -0.2, "kappa_structure": 0.3},
 ], ids=["nan", "inf", "above-lipschitz", "ignores-y", "kappa-tagged"])
 def test_y_coefficient_validation(bad):
     assert bs.Driver(**AFFINE, y_coefficient=-0.3).y_coefficient == -0.3
     with pytest.raises(ValueError):
         bs.Driver(**{**AFFINE, **bad})
+
+
+KAPPA_Z = dict(fn=lambda t, y, z: 0.3 * np.abs(z), lipschitz=0.3, depends_on_z=True)
+
+
+@pytest.mark.parametrize("bad", [
+    {"lipschitz": 0.4},
+    {"kappa_structure": -0.5},
+    {"depends_on_z": False},
+], ids=["lipschitz-above-kappa", "lipschitz-below-kappa", "ignores-z"])
+def test_kappa_tag_must_match_the_declared_slopes(bad):
+    # The tag is the signed kappa alone and the y-part is depends_on_y; the
+    # closed forms step the driver the tag names, so lipschitz must be
+    # |kappa| and the driver must read z exactly when kappa != 0.
+    assert bs.Driver(**KAPPA_Z, kappa_structure=0.3).kappa_structure == 0.3
+    assert bs.Driver(**KAPPA_Z, kappa_structure=-0.3).lipschitz == 0.3
+    with pytest.raises(ValueError, match="kappa"):
+        bs.Driver(**{**KAPPA_Z, "kappa_structure": 0.3, **bad})
+
+
+@pytest.mark.parametrize("include_y", [False, True])
+@pytest.mark.parametrize("kappa", [-0.7, 0.0, 0.3])
+def test_kappa_abs_tag_is_consistent_and_exact(tree50, kappa, include_y):
+    # kappa_abs passes the tag's check, steps in closed form, and evaluates
+    # level-20 claims, monotone and not, as the same fn untagged does: that
+    # oracle sweeps each step to rtol 1e-13, about 1e-11 over 50 steps.
+    driver = bs.Driver.kappa_abs(kappa, include_y)
+    assert driver.kappa_structure == kappa and driver.lipschitz == abs(kappa)
+    assert driver.depends_on_z == (kappa != 0.0)
+    assert driver.depends_on_y == (include_y and kappa != 0.0)
+    rng = np.random.default_rng(3)
+    e, z = rng.normal(size=201), rng.normal(size=201)
+    dt = tree50.grid.dt
+    kdt = kappa * dt
+    a = e + np.abs(z) * kdt
+    step = a / np.where(a >= 0.0, 1.0 - kdt, 1.0 + kdt) if include_y else a
+    assert np.array_equal(bs.implicit_step(driver, 0.3, e, z, dt), step)
+    untagged = dataclasses.replace(driver, kappa_structure=None)
+    b = tree50.tree_values[20]
+    for values in (b + 2.0, np.sin(5.0 * b) + 2.0):
+        rv = sc.RandomVariable(20, values)
+        got = ne.evaluate(ne.NonlinearExpectation.gexp(driver), tree50, rv)
+        oracle = ne.evaluate(ne.NonlinearExpectation.gexp(untagged), tree50, rv)
+        assert abs(got - oracle) <= 1e-11
 
 
 @pytest.mark.parametrize("shape", [(201,), (4, 51)])

@@ -372,6 +372,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
     [
         ("q_constant = 10.0", "q_constant = nan", "risk.q_constant: benchmark values must be finite"),
         ("q_constant = 10.0", "q_knots = 0:0.4,1:inf", "risk.q_knots: benchmark values must be finite"),
+        ("q_constant = 10.0", "q_knots = 0.5:-1.2,0.5:3,1:0", "risk.q_knots: two knots at t = 0.5"),
+        ("q_constant = 10.0", "q_knots = 0.5:3,0.5:-1.2,1:0", "risk.q_knots: two knots at t = 0.5"),
         ("kernels = -0.5, 0, 0.5", "kernels =", "risk.kernels: kernel list must be nonempty"),
         ("kernels = -0.5, 0, 0.5", "kernels = nan", "risk.kernels: values must be finite"),
         ("kernels = -0.5, 0, 0.5", "kernels = -inf, 0", "risk.kernels: values must be finite"),

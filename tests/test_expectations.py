@@ -15,6 +15,8 @@ from nebsde import reflection as rf
 from nebsde import scenarios as sc
 from nebsde.errors import FixedPointError
 
+from oracles import brownian_rv
+
 EXACT = 1e-12
 KAPPA = 0.5
 
@@ -149,7 +151,7 @@ def test_maxmin_dominates_constant_tilt_grid(tree100):
 def test_maxmin_matches_grid_on_linear_claim(tree100):
     # For B_T the optimal tilt is the constant +/-kappa kernel, so the two
     # computations agree up to discretisation.
-    rv = sc.brownian_rv(tree100, 100)
+    rv = brownian_rv(tree100, 100)
     for alpha in (0.0, 1.0):
         exp = ne.NonlinearExpectation.alpha_maxmin(alpha=alpha, kappa=KAPPA)
         gap = abs(ne.evaluate(exp, tree100, rv) - _constant_tilt_maxmin(exp, tree100, rv))
@@ -323,7 +325,7 @@ def test_parameter_validation():
     amm = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=0.5)
     assert ne.NonlinearExpectation.gexp(generic).kappa == 0.7
     assert amm.kappa == amm.driver.lipschitz == 0.5
-    assert amm.driver.kappa_structure == (0.5, False)
+    assert amm.driver.kappa_structure == 0.5 and not amm.driver.depends_on_y
     assert ne.NonlinearExpectation.classical().kappa == 0.0
     assert [f.name for f in dataclasses.fields(ne.NonlinearExpectation)] == [
         "kind", "driver", "alpha"]
@@ -353,7 +355,7 @@ def test_envelopes_and_their_blend(tree50):
     amm = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=KAPPA)
     (w_hi, hi), (w_lo, lo) = amm.envelopes
     assert (w_hi, w_lo) == (0.3, 1.0 - 0.3)
-    assert hi is amm.driver and lo.kappa_structure == (-KAPPA, False)
+    assert hi is amm.driver and lo.kappa_structure == -KAPPA and not lo.depends_on_y
     gexp = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.4))
     assert gexp.envelopes == ((1.0, gexp.driver),)
     assert ne.NonlinearExpectation.classical().envelopes == ()

@@ -16,6 +16,8 @@ from nebsde import reflection as rf
 from nebsde import scenarios as sc
 from nebsde.errors import BracketFailureError, InfeasibleProblemError
 
+from oracles import brownian_rv
+
 EXACT = 1e-12
 SHIFT_TOL = 2e-8
 CLS = ne.NonlinearExpectation.classical()
@@ -401,7 +403,7 @@ def test_infeasible_terminal_raises(tree50):
 
 
 def test_claim_must_be_terminal(tree50):
-    claim = bs.TerminalClaim(sc.brownian_rv(tree50, 30))
+    claim = bs.TerminalClaim(brownian_rv(tree50, 30))
     with pytest.raises(ValueError):
         _solve_constant(tree50, claim, 0.0, rf.LossFunction.linear(0.0))
 

@@ -15,6 +15,8 @@ from nebsde import risk as rk
 from nebsde import scenarios as sc
 from nebsde.errors import BracketFailureError
 
+from oracles import brownian_rv
+
 EXACT = 1e-12
 CLS = ne.NonlinearExpectation.classical()
 
@@ -38,7 +40,7 @@ def test_evaluate_risk_interior_closed_form(tree50):
     # Single kernel theta on B_i: tilted mean factorises into per-step tanh.
     sq = math.sqrt(tree50.grid.dt)
     rho = rk.RiskMeasure(kernels=np.array([0.6]), penalties=np.array([0.0]))
-    got = rho_val = rk.evaluate_risk(rho, tree50, 13, sc.brownian_rv(tree50, 13))
+    got = rho_val = rk.evaluate_risk(rho, tree50, 13, brownian_rv(tree50, 13))
     exact = -13 * sq * math.tanh(0.6 * sq)
     assert abs(got - exact) <= EXACT
     assert rho_val < 0.0  # tilting cannot beat the deterministic bound here
@@ -46,7 +48,7 @@ def test_evaluate_risk_interior_closed_form(tree50):
 
 def test_translation_invariance(tree50):
     rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
-    rv = sc.brownian_rv(tree50, 20)
+    rv = brownian_rv(tree50, 20)
     base = rk.evaluate_risk(rho, tree50, 20, rv)
     shifted = rk.evaluate_risk(
         rho, tree50, 20, sc.RandomVariable(20, rv.values + 0.7)
@@ -57,7 +59,7 @@ def test_translation_invariance(tree50):
 def test_risk_shift_is_positive_part(tree50):
     rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
     q = rk.Benchmark.constant(tree50.grid, 0.1)
-    rv = sc.brownian_rv(tree50, 20)
+    rv = brownian_rv(tree50, 20)
     rho_val = rk.evaluate_risk(rho, tree50, 20, rv)
     assert rk.risk_shift(rho, q, tree50, 20, rv) == pytest.approx(
         max(rho_val - 0.1, 0.0), abs=EXACT
@@ -69,7 +71,7 @@ def test_risk_shift_is_positive_part(tree50):
 def test_risk_shift_divides_by_scale_and_is_feasible(tree50):
     # rho(X + x) = rho(X) - x (the scale is 1), so the lift is the excess
     # over q, and the lifted level meets q as evaluated.
-    rv = sc.brownian_rv(tree50, 20)
+    rv = brownian_rv(tree50, 20)
     q = rk.Benchmark.constant(tree50.grid, 0.0)
     rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
     unit = rk.evaluate_risk(rho, tree50, 20, rv)
@@ -87,7 +89,7 @@ def test_risk_shift_raises_when_lift_never_lands(tree50, monkeypatch):
     q = rk.Benchmark.constant(tree50.grid, 0.0)
     monkeypatch.setattr(rk, "_risk", lambda *args: 1.0)
     with pytest.raises(BracketFailureError):
-        rk.risk_shift(rho, q, tree50, 20, sc.brownian_rv(tree50, 20))
+        rk.risk_shift(rho, q, tree50, 20, brownian_rv(tree50, 20))
 
 
 def test_risk_scale_reflection_is_feasible_and_scale_free(tree50):
@@ -174,6 +176,17 @@ def test_benchmark_constructors():
         rk.Benchmark.from_knots(grid, [])
     with pytest.raises(ValueError):
         rk.Benchmark(np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("knots", [
+    [(0.5, -1.2), (0.5, 3.0), (1.0, 0.0)],
+    [(0.5, 3.0), (0.5, -1.2), (1.0, 0.0)],
+], ids=["low-first", "high-first"])
+def test_benchmark_refuses_two_knots_at_one_time(knots):
+    # A curve that jumps at a knot time has no one value there; np.interp
+    # needs increasing times and would pick one without saying so.
+    with pytest.raises(ValueError, match="two knots at t = 0.5"):
+        rk.Benchmark.from_knots(sc.TimeGrid(1.0, 4), knots)
 
 
 def test_market_validation():

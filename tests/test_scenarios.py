@@ -18,6 +18,8 @@ from nebsde import reflection as rf
 from nebsde import scenarios as sc
 from nebsde.errors import SupportMismatchError
 
+from oracles import brownian_rv, girsanov_weights
+
 EXACT = 1e-12
 
 
@@ -53,7 +55,7 @@ def test_tree_expectation_matches_path_enumeration():
 
 
 def test_tree_terminal_moments(tree50):
-    bt = sc.brownian_rv(tree50, 50)
+    bt = brownian_rv(tree50, 50)
     b2 = sc.RandomVariable(50, bt.values**2)
     assert abs(sc.expect(tree50, bt)) <= EXACT
     assert abs(sc.expect(tree50, b2) - 1.0) <= EXACT
@@ -77,7 +79,7 @@ def test_tree_tilted_expectation_closed_form(tree100):
     # sqrt(dt) * tanh(theta * sqrt(dt)); at |theta| = 800, exp(theta * B_T)
     # alone would overflow.
     sq = math.sqrt(tree100.grid.dt)
-    bt = sc.brownian_rv(tree100, 100)
+    bt = brownian_rv(tree100, 100)
     for theta in (-0.7, 0.3, 1.1, -800.0, 800.0):
         exact = 100 * sq * math.tanh(theta * sq)
         assert abs(sc.tilted_expect(tree100, theta, bt) - exact) <= EXACT
@@ -85,14 +87,14 @@ def test_tree_tilted_expectation_closed_form(tree100):
 
 def test_tree_tilted_expectation_interior_level(tree50):
     sq = math.sqrt(tree50.grid.dt)
-    bi = sc.brownian_rv(tree50, 13)
+    bi = brownian_rv(tree50, 13)
     exact = 13 * sq * math.tanh(0.4 * sq)
     assert abs(sc.tilted_expect(tree50, 0.4, bi) - exact) <= EXACT
 
 
 def _chained_tilted_expect(scen, theta, rv):
     """The conditioning chain the tree closed form replaced: E[E_i[w] X]."""
-    w = sc.cond_expect(scen, sc.girsanov_weights(scen, theta), rv.index)
+    w = sc.cond_expect(scen, girsanov_weights(scen, theta), rv.index)
     return sc.expect(scen, sc.RandomVariable(rv.index, w.values * rv.values))
 
 
@@ -200,8 +202,13 @@ def test_tilt_table_matches_log_space_formula_on_paths(tilt_oracle):
 
 
 def test_girsanov_weights_renormalised(tree50, mc50):
+    # The terminal tilt, as a tilt table row and as its oracle density, is a
+    # probability reweighting of the support: positive, of total mass 1.
     for scen in (tree50, mc50):
-        w = sc.girsanov_weights(scen, 0.4)
+        row = sc.tilt_table(scen, 0.4, 50)[0]
+        assert np.all(row > 0.0)
+        assert abs(row.sum() - 1.0) <= 1e-10
+        w = girsanov_weights(scen, 0.4)
         assert w.index == 50
         assert np.all(w.values > 0.0)
         assert abs(sc.expect(scen, w) - 1.0) <= 1e-10
@@ -249,16 +256,21 @@ def test_huge_kernel_tilts_onto_the_extreme_node(tree50, mc50):
         assert got.tolist() == [x[0], sc.tilted_expect(tree50, 0.0, rv), x[-1]]
     bt = sc.RandomVariable(50, mc50.paths[:, 50].copy())
     for theta, path in ((1e308, np.argmax(bt.values)), (-1e308, np.argmin(bt.values))):
-        w = sc.girsanov_weights(mc50, theta).values
+        w = sc.tilt_table(mc50, theta, 50)[0]
         assert np.count_nonzero(w) == 1 and w[path] > 0.0
         got = sc.tilted_expect(mc50, theta, bt)
         assert abs(got - bt.values[path]) <= 1e-14 * abs(bt.values[path])
 
 
 def test_mc_girsanov_weights_match_gaussian_density(mc50):
+    # On paths every index's tilt table row is the terminal density,
+    # normalised to sum 1; its oracle is normalised to mean 1.
     b = mc50.paths[:, 50]
     raw = np.exp(0.4 * b - 0.5 * 0.4**2)
-    w = sc.girsanov_weights(mc50, 0.4)
+    for i in (0, 25, 50):
+        row = sc.tilt_table(mc50, 0.4, i)[0]
+        assert np.max(np.abs(row / (raw / raw.sum()) - 1.0)) <= 1e-13
+    w = girsanov_weights(mc50, 0.4)
     assert np.max(np.abs(w.values / (raw / raw.mean()) - 1.0)) <= 1e-13
 
 
@@ -423,7 +435,8 @@ def test_mc_determinism():
 
 
 def test_brownian_rv_matches_stored_support(tree8):
-    rv = sc.brownian_rv(tree8, 5)
+    assert sc.brownian(tree8, 5) is tree8.tree_values[5]
+    rv = brownian_rv(tree8, 5)
     assert rv.index == 5
     assert np.array_equal(rv.values, tree8.tree_values[5])
 
@@ -466,10 +479,12 @@ def test_grid_and_builder_validation():
 
 def test_girsanov_weights_rejects_nonfinite_theta(tree8):
     with pytest.raises(ValueError):
-        sc.girsanov_weights(tree8, float("inf"))
+        sc.tilt_table(tree8, float("inf"), 3)
     with pytest.raises(ValueError):
-        sc.tilted_expect(tree8, float("nan"), sc.brownian_rv(tree8, 3))
+        girsanov_weights(tree8, float("inf"))
     with pytest.raises(ValueError):
-        sc.tilted_expect(tree8, np.array([0.5, np.inf]), sc.brownian_rv(tree8, 3))
+        sc.tilted_expect(tree8, float("nan"), brownian_rv(tree8, 3))
     with pytest.raises(ValueError):
-        sc.tilted_expect(tree8, np.zeros((2, 2)), sc.brownian_rv(tree8, 3))
+        sc.tilted_expect(tree8, np.array([0.5, np.inf]), brownian_rv(tree8, 3))
+    with pytest.raises(ValueError):
+        sc.tilted_expect(tree8, np.zeros((2, 2)), brownian_rv(tree8, 3))

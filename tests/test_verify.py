@@ -15,6 +15,8 @@ from nebsde import scenarios as sc
 from nebsde import verify as vf
 from nebsde.errors import BracketFailureError
 
+from oracles import brownian_rv
+
 EXACT = 1e-12
 CLS = ne.NonlinearExpectation.classical()
 
@@ -34,7 +36,7 @@ def test_mean_floor_kinked_loss_matches_bisection(tree50):
         lower=0.5, upper=1.0, shape="concave",
     )
     i = 25
-    ybar = sc.brownian_rv(tree50, i)
+    ybar = brownian_rv(tree50, i)
     w = tree50.tree_weights[i]
 
     def mean_loss(x):
@@ -65,7 +67,7 @@ def test_mean_floor_overflowing_bracket_raises_bracket_failure(mode):
     driver = bs.Driver(fn=lambda t, y, z: -0.5 * np.asarray(y), lipschitz=800.0,
                        depends_on_y=True)
     exp = ne.NonlinearExpectation.gexp(driver)
-    ybar = sc.brownian_rv(scen, 10)
+    ybar = brownian_rv(scen, 10)
     with pytest.raises(BracketFailureError, match="overflows"):
         vf.mean_floor(exp, rf.LossFunction.linear(0.2), scen, 10, ybar)
     with pytest.raises(BracketFailureError, match="overflows"):
@@ -290,6 +292,26 @@ def test_structural_suite_all_pass(tree100):
     for r in records:
         assert r.status in ("pass", "fail")
         assert r.evidence
+
+
+@pytest.mark.parametrize("m", [8, 50, 200, 1000])
+def test_shrinking_envelope_is_exact_on_the_discrete_grid(m):
+    # On a constant c0 every level of the lower envelope -kappa*(|y| + |z|)
+    # is constant, so each of the m steps divides by 1 + kappa*dt: the value
+    # is c0*(1 + kappa*dt)**(-m) within the rounding bound (m + 2)*eps*c0
+    # derived in verify.structural_checks, which the suite's check uses.
+    kappa, c0 = 0.5, 2.0
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
+    lower = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(-kappa))
+    got = ne.evaluate(lower, scen, bs.TerminalClaim.constant(scen, c0).rv)
+    exact = c0 * (1.0 + kappa * scen.grid.dt) ** -m
+    assert abs(got - exact) <= (m + 2) * np.finfo(float).eps * c0
+    if m <= 50:
+        (record,) = [r for r in vf.run_structural_checks(scen)
+                     if r.name == "shrinking-envelope-constant"]
+        assert record.passed and record.evidence["value"] == got
+        assert record.evidence["target"] == exact
+        assert record.evidence["continuous_target"] == c0 * np.exp(-kappa)
 
 
 def test_structural_suite_solves_the_ramp_problem_once(count_calls, tree50):
