@@ -34,7 +34,7 @@ def _comonotone_value(w, dt, driver):
         step = kappa * np.sqrt(dt)
         if abs(step) <= 1.0:
             d = np.diff(w)
-            sign = 1.0 if np.all(d >= 0.0) else -1.0 if np.all(d <= 0.0) else 0.0
+            sign = 1.0 if (d >= 0.0).all() else -1.0 if (d <= 0.0).all() else 0.0
             if sign != 0.0:
                 return float(sc.binomial_weights(w.size - 1, 0.5 * (1.0 + sign * step)) @ w)
     return None
@@ -50,9 +50,10 @@ def tree_backward_values(terminals, dt, driver, nodes) -> np.ndarray:
     :func:`tree_backward_value`) gets it on its own.  The others are rows of
     one pass from the deepest level down: a row joins the pass when the pass
     reaches its depth, and each level is one ``bs.implicit_step`` on all
-    rows present.  Every value equals :func:`tree_backward_value` of its
-    claim alone, bit for bit under a closed-form or explicit step and within
-    the sweep tolerance under other drivers that read y.  Raises
+    rows present; while the pass holds one row, that row is stepped as a
+    1-d level.  Every value equals :func:`tree_backward_value` of its claim
+    alone, bit for bit under a closed-form or explicit step and within the
+    sweep tolerance under other drivers that read y.  Raises
     ``FixedPointError`` when a rolled-back root value is not finite.
     """
     rows = [np.asarray(w, dtype=float) for w in terminals]
@@ -77,10 +78,15 @@ def tree_backward_values(terminals, dt, driver, nodes) -> np.ndarray:
         new = joins.get(level)
         if new is not None:
             order += new
-            w = np.vstack(([] if w is None else [w]) + [rows[r] for r in new])
+            # a lone row is stepped 1-d, which slices faster than a (1, n)
+            # stack; no list may keep the previous pass alive during a step
+            if w is None and len(new) == 1:
+                w = rows[new[0]]
+            else:
+                w = np.vstack(([] if w is None else [w]) + [rows[r] for r in new])
         if level == 0:
             break
-        lo, hi = w[:, :-1], w[:, 1:]
+        lo, hi = w[..., :-1], w[..., 1:]
         w = bs.implicit_step(driver, float(nodes[level - 1]), 0.5 * (lo + hi),
                              (hi - lo) * half_inv_sq, dt)
     roots = w.reshape(-1)

@@ -344,7 +344,7 @@ def solve_bsde(
         u = x = implicit_step(driver, t, e, z, dt)
         norms = []
         while True:
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise FixedPointError(f"non-finite values produced at index {i}")
             if lift is None:
                 vals = x

@@ -418,7 +418,9 @@ def _build_market(cfg) -> rk.Market:
 
 
 def _build_verify(cfg, scen: sc.ScenarioSet) -> vf.RampFlowInstance:
-    """The ramp-flow instance: finite options, ``gamma > 0``, and binding."""
+    """The ramp-flow instance on a tree: finite options, ``gamma > 0``, and binding."""
+    with _keyed("scenario.mode"):
+        vf.check_scenario(scen)
     params = {key: _option(cfg, f"verify.{key}", default)
               for key, default in (("gamma", 1.0), ("floor", 0.0), ("shift", 0.5), ("tilt", 1.0))}
     for key, value in params.items():

@@ -179,10 +179,14 @@ def _gexp_value(scen: sc.ScenarioSet, rv: sc.RandomVariable, driver: bs.Driver) 
 
 
 def evaluate(exp: NonlinearExpectation, scen: sc.ScenarioSet, rv: sc.RandomVariable) -> float:
-    """Value assigned to the claim ``rv`` by the operator ``exp``."""
+    """Value assigned to the claim ``rv`` by the operator ``exp``.
+
+    ``rv`` is checked against the support here, once; the classical mean
+    is then :func:`nebsde.scenarios.level_mean`.
+    """
     sc.check_rv(scen, rv)
     if exp.kind == "classical":
-        return sc.expect(scen, rv)
+        return sc.level_mean(scen, rv.index, rv.values)
     return exp.blend(lambda driver: _gexp_value(scen, rv, driver))
 
 

@@ -131,14 +131,29 @@ def constraint_value(
     i: int,
     values: np.ndarray,
 ) -> float:
-    """The constraint functional ``E[l(t_i, values)]`` at grid index ``i``."""
+    """The constraint functional ``E[l(t_i, values)]`` at grid index ``i``.
+
+    Under the classical mean the loss level is checked here, once, as
+    ``RandomVariable(i, .)`` and :func:`nebsde.scenarios.check_rv` would
+    check it (:func:`nebsde.scenarios.checked_level`: the same exceptions),
+    and its mean is :func:`nebsde.scenarios.level_mean`, one dot product on
+    the tree; no random variable is built.  Any other operator evaluates the
+    level as a random variable (:func:`nebsde.expectations.evaluate`).
+    """
+    if exp.kind == "classical":
+        return sc.level_mean(scen, i, sc.checked_level(scen, i, _loss_values(loss, scen, i, values)))
     return ne.evaluate(exp, scen, _loss_level(loss, scen, i, values))
+
+
+def _loss_values(loss: LossFunction, scen: sc.ScenarioSet, i: int, values) -> np.ndarray:
+    """``l(t_i, values)`` over the support at level ``i``, unchecked."""
+    t = float(scen.grid.nodes[i])
+    return loss(t, sc.brownian(scen, i), np.asarray(values, dtype=float))
 
 
 def _loss_level(loss: LossFunction, scen: sc.ScenarioSet, i: int, values) -> sc.RandomVariable:
     """``l(t_i, values)`` as a random variable on level ``i``."""
-    t = float(scen.grid.nodes[i])
-    return sc.RandomVariable(i, loss(t, sc.brownian(scen, i), np.asarray(values, dtype=float)))
+    return sc.RandomVariable(i, _loss_values(loss, scen, i, values))
 
 
 def constraint_values(

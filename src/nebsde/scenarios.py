@@ -36,7 +36,7 @@ import numpy as np
 from .errors import SupportMismatchError
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=3 * 2048)
 def binomial_weights(n, p):
     """Binomial(``n``, ``p``) probabilities of ``0..n`` up-moves, cached and read-only.
 
@@ -46,7 +46,11 @@ def binomial_weights(n, p):
     steps the tail weights underflow to 0.  Each ``(n, p)`` is computed
     once and shared: tree builds and the comonotone values of ``_kernels``
     ask for the same pairs again and again, so the array cannot be written
-    to.
+    to.  The cache keeps the 6,144 pairs last used: a tree of up to 2,047
+    steps asks for ``2,048`` levels and at most two comonotone rows per
+    level (up and down), so a rebuild of it finds them all.  Least recently
+    used pairs leave first, so a larger tree, which asks for its levels in
+    order, evicts each before it is asked for again.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -98,14 +102,23 @@ class RandomVariable:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
         if self.index < 0:
             raise ValueError("index must be >= 0")
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
+        object.__setattr__(self, "values", _checked_values(self.values))
+
+
+def _checked_values(values) -> np.ndarray:
+    """``values`` as a float array, checked as a :class:`RandomVariable` checks its values.
+
+    Raises ``ValueError`` unless they form a non-empty 1-d array of finite
+    numbers.  A float array comes back as it is, not copied.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size == 0:
+        raise ValueError("values must be a non-empty 1-d array")
+    if not np.isfinite(vals).all():
+        raise ValueError("values must be finite")
+    return vals
 
 
 @dataclass(frozen=True, repr=False)
@@ -192,11 +205,24 @@ def support_size(scen: ScenarioSet, i: int) -> int:
 
 def check_rv(scen: ScenarioSet, rv: RandomVariable) -> None:
     """Raise unless ``rv`` matches the scenario support at its index."""
-    expected = support_size(scen, rv.index)
-    if rv.values.size != expected:
-        raise SupportMismatchError(
-            f"support size {rv.values.size} at index {rv.index}, expected {expected}"
-        )
+    _check_support(scen, rv.index, rv.values.size)
+
+
+def _check_support(scen: ScenarioSet, i: int, size: int) -> None:
+    expected = support_size(scen, i)
+    if size != expected:
+        raise SupportMismatchError(f"support size {size} at index {i}, expected {expected}")
+
+
+def checked_level(scen: ScenarioSet, i: int, values) -> np.ndarray:
+    """``values`` checked as ``RandomVariable(i, values)`` and :func:`check_rv` check them.
+
+    Non-empty, 1-d and finite, then of the support size at ``i``: the same
+    exceptions in the same order, without building the random variable.
+    """
+    vals = _checked_values(values)
+    _check_support(scen, i, vals.size)
+    return vals
 
 
 def brownian(scen: ScenarioSet, i: int) -> np.ndarray:
@@ -209,11 +235,27 @@ def brownian(scen: ScenarioSet, i: int) -> np.ndarray:
 
 
 def expect(scen: ScenarioSet, rv: RandomVariable) -> float:
-    """Expectation of ``rv`` under the scenario measure."""
+    """Expectation of ``rv`` under the scenario measure.
+
+    ``rv`` was checked finite when it was built; its support is checked
+    here (:func:`check_rv`), and the mean is :func:`level_mean`.
+    """
     check_rv(scen, rv)
+    return level_mean(scen, rv.index, rv.values)
+
+
+def level_mean(scen: ScenarioSet, i: int, values: np.ndarray) -> float:
+    """Scenario mean of the level-``i`` values ``values``: the one classical mean.
+
+    One dot product with the level's binomial weights on the tree, the path
+    mean on Monte Carlo paths.  Nothing is checked here: the caller has
+    checked ``values`` finite and of the support size at ``i`` where it
+    built or received them, with :func:`checked_level` or as a
+    :class:`RandomVariable` passed to :func:`check_rv`.
+    """
     if scen.mode == "tree":
-        return float(scen.tree_weights[rv.index] @ rv.values)
-    return float(rv.values.mean())
+        return float(scen.tree_weights[i] @ values)
+    return float(values.mean())
 
 
 def _basis(scen: ScenarioSet, i: int) -> np.ndarray:

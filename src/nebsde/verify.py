@@ -47,8 +47,13 @@ def mean_floor(
     its final bracket, within ``reflection.OPERATOR_TOL`` of the root.  Raises
     ``BracketFailureError`` when the reach does not fit in a float.
     """
-    problem = rf.mean_constraint_problem(scen, loss, exp)
-    centered = ybar.values - sc.expect(scen, ybar)
+    return _floor(rf.mean_constraint_problem(scen, loss, exp), i, ybar.values,
+                  sc.expect(scen, ybar))
+
+
+def _floor(problem: rf.ReflectionProblem, i: int, values: np.ndarray, mean: float) -> float:
+    """:func:`mean_floor` of the level ``values`` with scenario mean ``mean``, given its problem."""
+    centered = values - mean
     v0 = problem.constraint(i, centered)
     if v0 == 0.0:
         return 0.0
@@ -87,6 +92,14 @@ def representation_gap(
     the fluctuation of ``Y_s``: the mean forecast of the claim plus the
     remaining generator differs from ``Y_s`` only by the deterministic
     ``K_T - K_s``, which :func:`mean_floor` centres away.
+
+    Each ``Y_i`` is checked against the support once, when its mean is
+    taken (:meth:`nebsde.reflection.ReflectedSolution.mean_values`); each
+    generator level is checked finite and of the support size once, where
+    it is built (:func:`nebsde.scenarios.checked_level`), and its mean is
+    :func:`nebsde.scenarios.level_mean`.  One mean-constraint problem serves
+    every floor, each the one :func:`mean_floor` finds bit for bit; each
+    constraint evaluation checks its own loss level.
     """
     m = scen.grid.steps
     if len(sol.Y) != m + 1:
@@ -101,13 +114,12 @@ def representation_gap(
             driver.fn(float(nodes[i]), sol.Y[i].values, sol.Z[i].values), dtype=float
         )
         fv = np.broadcast_to(fv, sol.Y[i].values.shape)
-        f_mean[i] = sc.expect(scen, sc.RandomVariable(i, fv.copy()))
+        f_mean[i] = sc.level_mean(scen, i, sc.checked_level(scen, i, fv.copy()))
     fsum = np.zeros(m + 1)
     np.cumsum(f_mean * dt, out=fsum[1:])
 
-    floors = np.array(
-        [mean_floor(exp, loss, scen, i, sol.Y[i]) for i in range(m)]
-    )
+    problem = rf.mean_constraint_problem(scen, loss, exp)
+    floors = np.array([_floor(problem, i, sol.Y[i].values, means[i]) for i in range(m)])
     c = np.empty(m + 1)
     c[:m] = fsum[:m] + floors
     c[m] = fsum[m] + means[m]
@@ -326,6 +338,13 @@ def tilted_competitor_demo(
     ``exp(a B_i - max(a B_i))``, which stays finite for any finite tilt.
     A flow so large that the competitor overflows gives an infinite mean
     gap, no witness and an infeasible competitor, so its checks fail.
+
+    Levels stay arrays.  Each martingale level, reflected level ``X_i +
+    K_T - K_i`` and feasibility level ``Y^a_i - floor`` is checked finite
+    once, where it is built (:func:`nebsde.scenarios.checked_level`), and
+    each competitor level by the overflow test; their means are
+    :func:`nebsde.scenarios.level_mean`.  Overflow is ignored, in one
+    ``np.errstate``, only while the levels are built.
     """
     m = scen.grid.steps
     k_vals = inst.flow_values(scen)
@@ -335,32 +354,33 @@ def tilted_competitor_demo(
     witness = (0, 0, -np.inf)
     mean_gap_max = 0.0
     xs = [y.values - (sol.K.total - k) for y, k in zip(sol.Y, sol.K.values)]
-    for i in range(m + 1):
-        lift = total - k_vals[i]
-        b = sc.brownian(scen, i)
-        # a*(B_i - top) = a*B_i - max(a*B_i) <= 0; it may round to -inf,
-        # and a huge flow may make the competitor overflow
-        top = b.max() if inst.tilt >= 0.0 else b.min()
-        with np.errstate(over="ignore"):
-            raw = np.exp(inst.tilt * (b - top))
-            mart = raw / sc.expect(scen, sc.RandomVariable(i, raw))
+    with np.errstate(over="ignore"):
+        for i in range(m + 1):
+            lift = total - k_vals[i]
+            b = sc.brownian(scen, i)
+            # a*(B_i - top) = a*B_i - max(a*B_i) <= 0; it may round to -inf,
+            # and a huge flow may make the competitor overflow
+            top = b.max() if inst.tilt >= 0.0 else b.min()
+            raw = sc.checked_level(scen, i, np.exp(inst.tilt * (b - top)))
+            mart = raw / sc.level_mean(scen, i, raw)
             ya = xs[i] + mart * lift
-        mart_min = min(mart_min, float(np.min(mart)))
-        y = xs[i] + lift
-        if not np.all(np.isfinite(ya)):
-            # an overflowing competitor keeps no mean and witnesses nothing
-            return TiltedCompetitorReport(mean_gap_max=np.inf, witness_index=i, witness_node=0,
-                                          witness_gap=-np.inf, martingale_min=mart_min,
-                                          competitor_feasible=False)
-        yalphas.append(sc.RandomVariable(i, ya))
-        gap = abs(sc.expect(scen, yalphas[i]) - sc.expect(scen, sc.RandomVariable(i, y)))
-        mean_gap_max = max(mean_gap_max, gap)
-        node_gaps = y - ya
-        k = int(np.argmax(node_gaps))
-        if node_gaps[k] > witness[2]:
-            witness = (i, k, float(node_gaps[k]))
+            mart_min = min(mart_min, float(np.min(mart)))
+            if not np.isfinite(ya).all():
+                # an overflowing competitor keeps no mean and witnesses nothing
+                return TiltedCompetitorReport(mean_gap_max=np.inf, witness_index=i,
+                                              witness_node=0, witness_gap=-np.inf,
+                                              martingale_min=mart_min,
+                                              competitor_feasible=False)
+            y = sc.checked_level(scen, i, xs[i] + lift)
+            yalphas.append(ya)
+            gap = abs(sc.level_mean(scen, i, ya) - sc.level_mean(scen, i, y))
+            mean_gap_max = max(mean_gap_max, gap)
+            node_gaps = y - ya
+            k = int(np.argmax(node_gaps))
+            if node_gaps[k] > witness[2]:
+                witness = (i, k, float(node_gaps[k]))
     feasible = all(
-        sc.expect(scen, sc.RandomVariable(i, ya.values - inst.floor)) >= -1e-9
+        sc.level_mean(scen, i, sc.checked_level(scen, i, ya - inst.floor)) >= -1e-9
         for i, ya in enumerate(yalphas)
     )
     return TiltedCompetitorReport(
@@ -422,9 +442,28 @@ def run_structural_checks(
     shift: float = 0.5,
     tilt: float = 1.0,
 ) -> list:
-    """Run the desk-scale structural suite on the ramp-flow instance with these parameters."""
+    """Run the desk-scale structural suite on the ramp-flow instance with these parameters.
+
+    Raises ``ValueError`` on a Monte Carlo scenario set, before any solve
+    (:func:`check_scenario`).
+    """
+    check_scenario(scen)
     inst = RampFlowInstance(gamma=gamma, floor=floor, tilt=tilt, shift=shift)
     return structural_checks(scen, inst, inst.solve(scen))
+
+
+def check_scenario(scen: sc.ScenarioSet) -> None:
+    """Raise ``ValueError`` unless the structural suite can run on ``scen``: a tree.
+
+    The suite's constant-claim checks (``shrinking-envelope-constant`` and
+    ``maxmin-constant-preserving``) are tree identities: a constant has
+    ``Z = 0`` on every tree level, while on Monte Carlo paths the
+    regression estimate of ``Z`` for a constant is sampling noise, so both
+    fail there for a reason that is not a fault of the solver.
+    """
+    if scen.mode != "tree":
+        raise ValueError(f"the structural suite runs on the tree, not in {scen.mode} mode: "
+                         "its constant-claim checks are tree identities")
 
 
 def structural_checks(
@@ -448,7 +487,10 @@ def structural_checks(
     values at most ``c0``; while ``m*eps`` is small the gap is therefore
     below ``(m + 2)*eps*c0``, the threshold.  The continuous limit
     ``c0*exp(-kappa*T)`` stays in the evidence as a measure of convergence.
+
+    Raises ``ValueError`` on a Monte Carlo scenario set (:func:`check_scenario`).
     """
+    check_scenario(scen)
     dt = scen.grid.dt
     records = []
     claim = inst.claim(scen)

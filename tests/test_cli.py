@@ -366,6 +366,15 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert run(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 1, option
         assert f"config error: verify.{key}:" in capsys.readouterr().err
 
+    # the structural suite runs on the tree: its constant-claim checks are
+    # tree identities, which Monte Carlo paths do not keep
+    mc_verify = VERIFY_INI + "mode = montecarlo\nn_paths = 2000\n"
+    cfg = _write(tmp_path / "vmc.ini", mc_verify)
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "vmc")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: scenario.mode:" in err and "Traceback" not in err
+    assert not (tmp_path / "vmc").exists()
+
 
 @pytest.mark.parametrize(
     "old, new, message",

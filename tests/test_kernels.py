@@ -364,5 +364,23 @@ def test_comonotone_weights_are_cached_read_only():
             assert _kernels._comonotone_value(w, dt, driver) == float(fresh @ w)
 
 
+def test_binomial_cache_keeps_a_rebuilt_tree_of_1100_steps():
+    # A tree of 1,100 steps asks for its 1,101 levels in order, and a
+    # comonotone roll-back for an up and a down row per level; a rebuild
+    # finds them all in the cache instead of evicting each before its turn.
+    m = 1100
+    dt = 1.0 / m
+    driver = bs.Driver.kappa_abs(0.5, False)
+    sc.binomial_weights.cache_clear()
+    for build in range(3):
+        tree = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
+        for w in tree.tree_values[1:]:
+            for row in (w, -w):
+                assert _kernels._comonotone_value(row, dt, driver) is not None
+        info = sc.binomial_weights.cache_info()
+        assert (info.hits, info.misses) == (build * 3 * m + build, 3 * m + 1)
+    assert info.currsize <= info.maxsize
+
+
 def test_backend_label():
     assert nebsde.KERNEL_BACKEND == "python"

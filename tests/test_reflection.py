@@ -348,6 +348,49 @@ def test_constraint_value_with_noise_dependent_loss(tree50):
     assert abs(got - manual) <= EXACT
 
 
+def _loss_levels(scen, rng):
+    """Random levels with a plain and a Brownian-dependent loss at random indices."""
+    plain = rf.LossFunction(fn=lambda t, x: np.minimum(x, 0.4 * np.asarray(x)) - t,
+                            lower=0.4, upper=1.0, shape="concave")
+    noisy = rf.LossFunction(fn=lambda t, b, x: np.asarray(x) - 0.1 * np.abs(b),
+                            shape="linear", random=True)
+    for i in rng.integers(0, scen.grid.steps + 1, size=12):
+        values = rng.normal(0.0, 2.0, sc.support_size(scen, int(i)))
+        for loss in (plain, noisy):
+            yield loss, int(i), values
+
+
+@pytest.mark.parametrize("scen_name", ["tree50", "mc50"])
+def test_classical_constraint_value_is_the_random_variable_path(request, scen_name):
+    # The classical constraint takes the level's mean without building a
+    # random variable; it is the mean of ne.evaluate on that random variable,
+    # bit for bit.
+    scen = request.getfixturevalue(scen_name)
+    for loss, i, values in _loss_levels(scen, np.random.default_rng(11)):
+        t = float(scen.grid.nodes[i])
+        level = sc.RandomVariable(i, loss(t, sc.brownian(scen, i), values))
+        assert rf.constraint_value(CLS, loss, scen, i, values) == ne.evaluate(CLS, scen, level)
+
+
+@pytest.mark.parametrize("scen_name", ["tree50", "mc50"])
+def test_classical_constraint_value_raises_as_the_random_variable_path(request, scen_name):
+    # A non-finite loss value and a level of the wrong size raise what
+    # building the random variable and evaluating it raise: type and message.
+    scen = request.getfixturevalue(scen_name)
+    i = 20
+    n = sc.support_size(scen, i)
+    blows_up = rf.LossFunction(fn=lambda t, x: np.where(x > 0.0, np.inf, x))
+    values = np.linspace(-1.0, 1.0, n)
+    for loss, vals in ((blows_up, values), (rf.LossFunction.linear(0.0), np.zeros(n + 1)),
+                       (rf.LossFunction.linear(0.0), np.zeros(0))):
+        t = float(scen.grid.nodes[i])
+        with pytest.raises(ValueError) as old:
+            ne.evaluate(CLS, scen, sc.RandomVariable(i, loss(t, sc.brownian(scen, i), vals)))
+        with pytest.raises(ValueError) as new:
+            rf.constraint_value(CLS, loss, scen, i, vals)
+        assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
+
+
 def test_loss_lattice_check(tree50):
     ok = rf.LossFunction.linear(0.0)
     rf.check_loss_lattice(ok, [0.0, 0.5, 1.0], np.linspace(-2.0, 2.0, 9))

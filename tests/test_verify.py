@@ -108,6 +108,24 @@ def test_representation_on_ramp_instance():
     assert np.max(np.abs(rep.means - sol.mean_values(scen))) <= EXACT
 
 
+@pytest.mark.parametrize("exp, loss", [
+    (CLS, rf.LossFunction.linear(0.1)),
+    (CLS, rf.LossFunction(fn=lambda t, x: np.minimum(x, 0.5 * np.asarray(x)) - 0.1,
+                          lower=0.5, upper=1.0, shape="concave")),
+    (ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=0.5), rf.LossFunction.linear(0.1)),
+])
+def test_representation_floors_are_mean_floor(exp, loss):
+    # One problem serves every floor; each is the one mean_floor finds on
+    # its own, bit for bit, whether closed form or search.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 30), "tree")
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.5)
+    driver = bs.Driver.constant(-1.0)
+    sol = pc.solve_reflected(scen, claim, driver, loss, exp)
+    rep = vf.representation_gap(scen, sol, driver, exp, loss)
+    floors = [vf.mean_floor(exp, loss, scen, i, sol.Y[i]) for i in range(30)]
+    assert rep.floors.tolist() == floors
+
+
 def test_representation_gap_vanishes_when_slack():
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 80), "tree")
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 5.0)
@@ -169,6 +187,51 @@ def test_tilted_competitor_demo():
     assert demo.martingale_min > 0.0
     assert demo.competitor_feasible
     assert 0 < demo.witness_index < 80
+
+
+@pytest.mark.parametrize("tilt, floor", [(1.0, 0.0), (-0.7, 0.1)])
+def test_tilted_competitor_demo_matches_per_level_means(tilt, floor):
+    # The demo keeps its levels as arrays; a recomputation that builds each
+    # level as a random variable and takes sc.expect agrees bit for bit.
+    m = 60
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
+    inst = vf.RampFlowInstance(1.0, floor, tilt, 0.5)
+    sol = inst.solve(scen)
+    demo = vf.tilted_competitor_demo(inst, scen, sol)
+    k = inst.flow_values(scen)
+    gap_max, witness, feasible = 0.0, (0, 0, -np.inf), True
+    for i in range(m + 1):
+        x = sol.Y[i].values - (sol.K.total - sol.K.values[i])
+        b = sc.brownian(scen, i)
+        raw = np.exp(tilt * (b - (b.max() if tilt >= 0.0 else b.min())))
+        mart = raw / sc.expect(scen, sc.RandomVariable(i, raw))
+        ya = sc.RandomVariable(i, x + mart * (k[-1] - k[i]))
+        y = sc.RandomVariable(i, x + (k[-1] - k[i]))
+        gap_max = max(gap_max, abs(sc.expect(scen, ya) - sc.expect(scen, y)))
+        node_gaps = y.values - ya.values
+        j = int(np.argmax(node_gaps))
+        if node_gaps[j] > witness[2]:
+            witness = (i, j, float(node_gaps[j]))
+        feasible &= sc.expect(scen, sc.RandomVariable(i, ya.values - floor)) >= -1e-9
+    assert demo.mean_gap_max == gap_max
+    assert (demo.witness_index, demo.witness_node, demo.witness_gap) == witness
+    assert demo.competitor_feasible == feasible
+    assert demo.witness_gap > 0.0
+
+
+def test_structural_suite_refuses_monte_carlo(count_calls):
+    # The constant-claim checks are tree identities; on paths the regression
+    # Z of a constant is sampling noise, so the suite refuses paths before
+    # it solves anything.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), "montecarlo", n_paths=200, seed=1)
+    inst = vf.RampFlowInstance(1.0)
+    sol = inst.solve(scen)
+    solves = count_calls(pc, "solve_reflected")
+    with pytest.raises(ValueError, match="runs on the tree"):
+        vf.run_structural_checks(scen)
+    with pytest.raises(ValueError, match="runs on the tree"):
+        vf.structural_checks(scen, inst, sol)
+    assert solves[0] == 0
 
 
 def test_tilted_competitor_demo_large_tilt_stays_finite():
