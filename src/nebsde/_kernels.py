@@ -2,23 +2,16 @@
 
 Each level is one :func:`nebsde.bsde.implicit_step` on the pairwise mean and
 the one-step difference quotient, the step :func:`nebsde.bsde.solve_bsde`
-takes, without a random variable per level.  The one shortcut is
-``kappa*|z|``: a step of it is the mean under the up-probability
-``(1 + kappa*sqrt(dt))/2`` where the level rises and ``(1 - kappa*sqrt(dt))/2``
-where it falls, which keeps a monotone level monotone, so a monotone claim
-sees one constant up-probability at every node (the constant-drift
-worst-case prior of kappa-ignorance; Chen and Epstein, 2002) and its value
-is one binomial dot product.
+takes, without a random variable per level.  The one shortcut, the
+comonotone closed form under ``kappa*|z|``, is stated in
+:func:`tree_backward_values`.
 
 :func:`tree_backward_values` rolls a stack of claims back together, one row
 per claim, so claims on every level of the tree cost one pass of numpy calls
 per level instead of one pass each; :func:`tree_backward_value` is its
-one-row call.  A stacked root equals its one-row call bit for bit under a
-closed-form or explicit step, and within the sweep tolerance of
-:func:`nebsde.bsde.implicit_step` under other drivers that read y.  A
-claim on an interior level first takes the dates after its own with z
-frozen at 0 (:func:`nebsde.bsde.zero_noise_continuation`); this module is
-only the roll-back.
+one-row call.  A claim on an interior level first takes the dates after its
+own with z frozen at 0 (:func:`nebsde.bsde.zero_noise_continuation`); this
+module is only the roll-back.
 """
 import numpy as np
 
@@ -46,15 +39,27 @@ def tree_backward_values(terminals, dt, driver, nodes) -> np.ndarray:
     Each entry of ``terminals`` holds a claim on some level with ``n + 1``
     nodes (its depth ``n``), in any order; the recursion runs ``n`` steps
     down to the root, the step from level ``j + 1`` to level ``j`` dated
-    ``nodes[j]``.  A claim that takes the comonotone closed form (see
-    :func:`tree_backward_value`) gets it on its own.  The others are rows of
-    one pass from the deepest level down: a row joins the pass when the pass
-    reaches its depth, and each level is one ``bs.implicit_step`` on all
-    rows present; while the pass holds one row, that row is stepped as a
-    1-d level.  Every value equals :func:`tree_backward_value` of its claim
-    alone, bit for bit under a closed-form or explicit step and within the
-    sweep tolerance under other drivers that read y.  Raises
-    ``FixedPointError`` when a rolled-back root value is not finite.
+    ``nodes[j]``.
+
+    A driver tagged ``kappa_structure = kappa`` that ignores y
+    (``kappa*|z|``, or ``kappa = 0``), a claim that is monotone in the node
+    index and a step ``|kappa|*sqrt(dt) <= 1`` give the closed form
+    ``binomial_weights(n, p) @ terminal`` with
+    ``p = (1 + s*kappa*sqrt(dt))/2``, ``s = +1`` for a nondecreasing claim
+    and ``-1`` for a nonincreasing one.  A step of ``kappa*|z|`` is the mean
+    under the up-probability ``(1 + kappa*sqrt(dt))/2`` where the level
+    rises and ``(1 - kappa*sqrt(dt))/2`` where it falls, which keeps a
+    monotone level monotone, so a monotone claim sees one constant
+    up-probability at every node (the constant-drift worst-case prior of
+    kappa-ignorance; Chen and Epstein, 2002).  Such a claim gets the closed
+    form on its own.  The others are rows of one pass from the deepest
+    level down: a row joins the pass when the pass reaches its depth, and
+    each level is one ``bs.implicit_step`` on all rows present; while the
+    pass holds one row, that row is stepped as a 1-d level.  Every value
+    equals that of its claim alone, bit for bit under a closed-form or
+    explicit step and within the sweep tolerance under other drivers that
+    read y.  Raises ``FixedPointError`` when a rolled-back root value is not
+    finite.
     """
     rows = [np.asarray(w, dtype=float) for w in terminals]
     if any(w.ndim != 1 or w.size == 0 for w in rows):
@@ -97,20 +102,10 @@ def tree_backward_values(terminals, dt, driver, nodes) -> np.ndarray:
     return values
 
 
-# a function of its own while perfbench/tracing.py wraps it and counts its calls
 def tree_backward_value(terminal, dt, driver, nodes):
-    """Value at the root of the BSDE with generator ``driver`` on a binomial tree.
+    """:func:`tree_backward_values` of the one claim ``terminal``, as a float.
 
-    ``terminal`` holds the claim on some level with ``n + 1`` nodes; the
-    recursion runs ``n`` steps down to the root, the step from level
-    ``j + 1`` to level ``j`` dated ``nodes[j]``.
-
-    A driver tagged ``kappa_structure = kappa`` that ignores y (``kappa*|z|``,
-    or ``kappa = 0``), a claim that is monotone in the node index and a step
-    ``|kappa|*sqrt(dt) <= 1`` give the closed form
-    ``binomial_weights(n, p) @ terminal`` with
-    ``p = (1 + s*kappa*sqrt(dt))/2``, ``s = +1`` for a nondecreasing claim
-    and ``-1`` for a nonincreasing one.  Raises ``FixedPointError`` when the
-    root value is not finite.  The one-row call of :func:`tree_backward_values`.
+    Its one-row call, kept as a function of its own while perfbench/tracing.py
+    wraps it and counts its calls: a lone claim on the tree takes it.
     """
     return float(tree_backward_values([terminal], dt, driver, nodes)[0])

@@ -324,6 +324,7 @@ def solve_bsde(
     ``shifts[i] = c*(1 - a*dt)``.  That is the fixed point the re-roll
     approaches, the least feasible solution of ``Y = e + (a*Y + h)*dt + dK``,
     ``Y = u + dK/(1 - a*dt)``, and ``diff_norms[i]`` holds its one pass.
+    A level of ``Y`` or ``Z`` that is not finite raises ``FixedPointError``.
     """
     sc.check_rv(scen, claim.rv)
     stop = claim.index
@@ -366,7 +367,10 @@ def solve_bsde(
             u = vals
             x = e + np.asarray(driver.fn(t, u, z), dtype=float) * dt
         ys.append(sc.RandomVariable(i, vals))
-        zs.append(sc.RandomVariable(i, z))
+        try:
+            zs.append(sc.RandomVariable(i, z))
+        except ValueError as exc:  # z is a non-empty 1-d level: only finiteness fails
+            raise FixedPointError(f"non-finite integrand produced at index {i}") from exc
         diff_norms.append(tuple(norms))
     return BsdePair(Y=tuple(ys[::-1]), Z=tuple(zs[::-1]), shifts=shifts,
                     diff_norms=tuple(diff_norms[::-1]))

@@ -21,10 +21,11 @@ neither y nor z and is not finite on a grid date, a gexp driver that does
 not vanish at the origin on a grid date, a non-finite risk kernel or
 penalty, and market parameters whose price of risk ``(drift - rate) /
 volatility`` or ``|rate| + |price of risk|`` is not finite), 2 infeasible constraint,
-3 divergence (a non-contractive step, or a step that does not settle within
-its sweep or pass cap), 4 no root bracket for a shift search (the declared
-loss slope bounds do not hold, a bracket, also that of a mean floor, does
-not fit in a float, or a risk lift misses the acceptance set).
+3 divergence (a non-contractive step, a step that does not settle within
+its sweep or pass cap, or a non-finite value or integrand level), 4 no root
+bracket for a shift search (the declared loss slope bounds do not hold, a
+bracket, also that of a mean floor, does not fit in a float, or a risk lift
+misses the acceptance set).
 """
 from __future__ import annotations
 
@@ -561,8 +562,9 @@ def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
     if exp.kind == "classical":
         means = np.full(scen.grid.steps + 1, sc.expect(scen, rv))
     else:
-        # ne.evaluate would take these same steps (the tree kernel runs
-        # solve_bsde's step per level), blended over the same envelopes
+        # every level's mean takes the whole solve, blended over the same
+        # envelopes; ne.evaluate rolls back the root alone, by these steps or,
+        # for a monotone claim under kappa*|z|, by one binomial dot product
         claim = bs.TerminalClaim(rv)
         means = exp.blend(lambda driver: np.array(
             [sc.expect(scen, y) for y in bs.solve_bsde(scen, claim, driver).Y]))

@@ -8,12 +8,13 @@ Three families share one evaluation entry point:
 * ``alpha_maxmin``: the convex mix ``alpha * sup + (1 - alpha) * inf`` of the
   ``+-kappa*|z|`` g-expectations, which is constant-preserving.
 
-A claim living on an interior level is first taken through the dates after
-its own with z frozen at 0 (the conditional system degenerates to scalar ODEs
-there) by the one continuation, :func:`nebsde.bsde.zero_noise_continuation`,
-then rolled back by the one tree kernel for every driver or, on Monte Carlo
-paths, by :func:`nebsde.bsde.solve_bsde`.  On the tree, claims on many
-levels share one stacked continuation and roll-back (:func:`evaluate_levels`).
+The one evaluator is :func:`evaluate_levels`; :func:`evaluate` is its call
+on one claim.  A claim living on an interior level is first taken through
+the dates after its own with z frozen at 0 (the conditional system
+degenerates to scalar ODEs there) by the one continuation,
+:func:`nebsde.bsde.zero_noise_continuation`, which claims on many levels
+share, then rolled back by the one tree kernel for every driver or, on
+Monte Carlo paths, by :func:`nebsde.bsde.solve_bsde`.
 """
 from __future__ import annotations
 
@@ -169,56 +170,37 @@ def check_operator(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> None:
         )
 
 
-def _gexp_value(scen: sc.ScenarioSet, rv: sc.RandomVariable, driver: bs.Driver) -> float:
-    sc.check_rv(scen, rv)
-    grid = scen.grid
-    (vals,) = bs.zero_noise_continuation(driver, [rv], grid)
-    if scen.mode == "tree":
-        return kern.tree_backward_value(vals, grid.dt, driver, grid.nodes)
-    return bs.solve_bsde(scen, bs.TerminalClaim(sc.RandomVariable(rv.index, vals)), driver).value
-
-
 def evaluate(exp: NonlinearExpectation, scen: sc.ScenarioSet, rv: sc.RandomVariable) -> float:
-    """Value assigned to the claim ``rv`` by the operator ``exp``.
-
-    ``rv`` is checked against the support here, once; the classical mean
-    is then :func:`nebsde.scenarios.level_mean`.
-    """
-    sc.check_rv(scen, rv)
-    if exp.kind == "classical":
-        return sc.level_mean(scen, rv.index, rv.values)
-    return exp.blend(lambda driver: _gexp_value(scen, rv, driver))
-
-
-def rolls_back_on_tree(exp: NonlinearExpectation, scen: sc.ScenarioSet) -> bool:
-    """Whether one evaluation of ``exp`` on ``scen`` is a tree roll-back.
-
-    True for a g-expectation or ``alpha_maxmin`` on the tree; claims on many
-    levels then share one stacked roll-back (:func:`evaluate_levels`).  The
-    classical mean is one dot product and a Monte Carlo g-expectation one
-    regression solve per claim, which a stack cannot share.
-    """
-    return scen.mode == "tree" and exp.kind != "classical"
+    """Value assigned to the claim ``rv`` by ``exp``: :func:`evaluate_levels` of one claim."""
+    return float(evaluate_levels(exp, scen, [rv])[0])
 
 
 def evaluate_levels(exp: NonlinearExpectation, scen: sc.ScenarioSet, rvs) -> np.ndarray:
-    """``evaluate(exp, scen, rv)`` for every claim in ``rvs``.
+    """The value ``exp`` assigns to each claim in ``rvs``, in their order.
 
-    Where :func:`rolls_back_on_tree` holds, all claims take one stacked
-    zero-noise continuation (:func:`nebsde.bsde.zero_noise_continuation`) and
-    one stacked roll-back (:func:`nebsde._kernels.tree_backward_values`) per
-    envelope; otherwise each claim is evaluated on its own.  The values are
-    ``evaluate``'s bit for bit under closed-form and explicit drivers, and
+    Each claim is checked against the support here, once.  The classical
+    mean of each is :func:`nebsde.scenarios.level_mean`.  Any other operator
+    takes, per envelope, one stacked zero-noise continuation of all claims
+    (:func:`nebsde.bsde.zero_noise_continuation`); on the tree one stacked
+    roll-back (:func:`nebsde._kernels.tree_backward_values`, a lone claim
+    its one-row call) follows, and on Monte Carlo paths one
+    :func:`nebsde.bsde.solve_bsde` per claim.  Each value equals that of its
+    claim alone bit for bit under closed-form and explicit drivers, and
     within the sweep tolerance under other drivers that read y.
     """
-    if not rolls_back_on_tree(exp, scen):
-        return np.array([evaluate(exp, scen, rv) for rv in rvs], dtype=float)
     for rv in rvs:
         sc.check_rv(scen, rv)
+    if exp.kind == "classical":
+        return np.array([sc.level_mean(scen, rv.index, rv.values) for rv in rvs], dtype=float)
     grid = scen.grid
 
     def values(driver):
         levels = bs.zero_noise_continuation(driver, rvs, grid)
+        if scen.mode != "tree":
+            return np.array([bs.solve_bsde(scen, bs.TerminalClaim(sc.RandomVariable(rv.index, v)),
+                                           driver).value for rv, v in zip(rvs, levels)])
+        if len(levels) == 1:
+            return np.array([kern.tree_backward_value(levels[0], grid.dt, driver, grid.nodes)])
         return kern.tree_backward_values(levels, grid.dt, driver, grid.nodes)
 
     return exp.blend(values)
@@ -239,7 +221,7 @@ def domination_gap(
         raise ValueError("claims must live on the same grid index")
     diff = sc.RandomVariable(rv1.index, rv1.values - rv2.values)
     d = evaluate(exp, scen, rv1) - evaluate(exp, scen, rv2)
-    lo = _gexp_value(scen, diff, bs.Driver.kappa_abs(-exp.kappa))
-    hi = _gexp_value(scen, diff, bs.Driver.kappa_abs(exp.kappa))
+    lo = evaluate(NonlinearExpectation.gexp(bs.Driver.kappa_abs(-exp.kappa)), scen, diff)
+    hi = evaluate(NonlinearExpectation.gexp(bs.Driver.kappa_abs(exp.kappa)), scen, diff)
     return DominationReport(difference=d, lower_bound=lo, upper_bound=hi)
 

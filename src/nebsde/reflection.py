@@ -164,10 +164,11 @@ def constraint_values(
 ) -> np.ndarray:
     """:func:`constraint_value` of every random variable in ``levels``.
 
-    On the tree a g-expectation or alpha-maxmin evaluates them all in one
-    stacked roll-back (:func:`nebsde.expectations.evaluate_levels`): bit for
-    bit under closed-form and explicit drivers, within the sweep tolerance
-    under other drivers that read y.
+    All of them are one call of :func:`nebsde.expectations.evaluate_levels`:
+    under a g-expectation or alpha-maxmin they share one continuation, and on
+    the tree one stacked roll-back, bit for bit under closed-form and
+    explicit drivers and within the sweep tolerance under other drivers that
+    read y.
     """
     return ne.evaluate_levels(exp, scen, [_loss_level(loss, scen, y.index, y.values)
                                           for y in levels])
@@ -293,7 +294,7 @@ def mean_constraint_problem(
     def constraint_stack(levels):
         return constraint_values(exp, loss, scen, levels)
 
-    stack = constraint_stack if ne.rolls_back_on_tree(exp, scen) else None
+    stack = constraint_stack if scen.mode == "tree" and exp.kind != "classical" else None
     if exp.cash_additive:
         return ReflectionProblem(constraint, loss.lower, closed_form_shift(exp, loss, scen),
                                  constraint_stack=stack)

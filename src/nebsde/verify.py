@@ -223,11 +223,13 @@ def comparison_report(inst: ComparisonInstance) -> ComparisonReport:
     far the inflated value stays above the reflected one.
     """
     b = inst.second
-    return _compare(inst, pc.solve_reflected(inst.scen, b.claim, b.driver, b.loss, b.expectation))
+    sol2 = pc.solve_reflected(inst.scen, b.claim, b.driver, b.loss, b.expectation)
+    return _compare(inst, sol2, sol2.mean_values(inst.scen))
 
 
-def _compare(inst: ComparisonInstance, sol2: rf.ReflectedSolution) -> ComparisonReport:
-    """:func:`comparison_report` given the second bundle's reflected solution."""
+def _compare(inst: ComparisonInstance, sol2: rf.ReflectedSolution,
+             means2: np.ndarray) -> ComparisonReport:
+    """:func:`comparison_report` given the second bundle's reflected solution and its means."""
     rng = np.random.default_rng(_HYPOTHESIS_SEED)
     hyp = _sample_hypotheses(inst, rng)
     vacuous = not all(hyp.values())
@@ -239,7 +241,6 @@ def _compare(inst: ComparisonInstance, sol2: rf.ReflectedSolution) -> Comparison
         float(np.min(y1.values - y2.values)) for y1, y2 in zip(sol1.Y, sol2.Y)
     )
     means1 = sol1.mean_values(scen)
-    means2 = sol2.mean_values(scen)
     mean_gap = float(np.min(means1 - means2))
 
     m = scen.grid.steps
@@ -559,7 +560,7 @@ def structural_checks(
         expectation=classical,
     )
     second = ParameterBundle(claim=claim, driver=inst.driver(), loss=loss, expectation=classical)
-    comp = _compare(ComparisonInstance(scen=scen, first=first, second=second), sol)
+    comp = _compare(ComparisonInstance(scen=scen, first=first, second=second), sol, rep.means)
     records.append(
         CheckRecord(
             name="pointwise-comparison",

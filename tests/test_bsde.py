@@ -432,6 +432,17 @@ def test_non_finite_driver_output_raises(tree8):
             bs.solve_bsde(tree8, bs.TerminalClaim.constant(tree8, 1.0), drv)
 
 
+def test_overflowing_integrand_raises_fixed_point_error():
+    # One tree step of 1.7e308 * b: the difference quotient overflows to inf
+    # while the z-free driver keeps the mean level at 0.  The Z level is
+    # checked finite where it is built, and that failure is a divergence.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 1), "tree")
+    claim = bs.TerminalClaim.from_function(scen, lambda b: 1.7e308 * b)
+    with np.errstate(over="ignore"):  # numpy warns when the quotient overflows
+        with pytest.raises(FixedPointError, match="non-finite integrand produced at index 0"):
+            bs.solve_bsde(scen, claim, bs.Driver.constant(0.0))
+
+
 LIFT_DRIVERS = {
     "constant": bs.Driver.constant(-1.0),
     "abs-z": bs.Driver(fn=lambda t, y, z: 0.3 * np.abs(z), lipschitz=0.3, depends_on_z=True),

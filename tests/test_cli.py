@@ -503,6 +503,28 @@ def test_non_contractive_exits_3(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+def test_overflowing_integrand_exits_3(tmp_path, capsys):
+    # A Z level that overflows is a divergence (exit 3), not a traceback.
+    ini = """\
+[scenario]
+horizon = 1.0
+steps = 1
+
+[problem]
+payoff = 1.7e308 * b
+loss = x
+loss_shape = linear
+"""
+    cfg = _write(tmp_path / "run.ini", ini)
+    with np.errstate(over="ignore"):  # numpy warns when the quotient overflows
+        code = run(["solve", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert re.search(r"^divergence: non-finite integrand", err, re.M)
+    assert "Traceback" not in err
+    assert (tmp_path / "run.log").is_file()
+
+
 BUDGET_INI = """\
 [scenario]
 horizon = 1.0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nebsde import _kernels as kern
 from nebsde import bsde as bs
 from nebsde import expectations as ne
 from nebsde import picard as pc
@@ -15,7 +16,7 @@ from nebsde import reflection as rf
 from nebsde import scenarios as sc
 from nebsde.errors import FixedPointError
 
-from oracles import brownian_rv
+from oracles import brownian_rv, evaluate_alone, gexp_value
 
 EXACT = 1e-12
 KAPPA = 0.5
@@ -26,7 +27,7 @@ def _const_rv(scen, c):
 
 
 def _gexp(scen, rv, kappa):
-    return ne._gexp_value(scen, rv, bs.Driver.kappa_abs(kappa))
+    return gexp_value(scen, rv, bs.Driver.kappa_abs(kappa))
 
 
 def test_lower_envelope_exponential_decay():
@@ -361,7 +362,7 @@ def test_envelopes_and_their_blend(tree50):
     assert ne.NonlinearExpectation.classical().envelopes == ()
     assert math.copysign(1.0, gexp.blend(lambda driver: -0.0)) == -1.0
     rv = sc.from_terminal_function(tree50, lambda b: np.sin(2.0 * b))
-    upper, lower = (ne._gexp_value(tree50, rv, d) for d in (hi, lo))
+    upper, lower = (gexp_value(tree50, rv, d) for d in (hi, lo))
     assert ne.evaluate(amm, tree50, rv) == 0.3 * upper + (1.0 - 0.3) * lower
 
 
@@ -377,3 +378,95 @@ def test_lower_envelope_is_built_once(tree50, count_calls):
         ne.evaluate(amm, tree50, rv)
     assert amm.envelopes[1][1] is lower
     assert built[0] == 2  # the upper driver at construction, the lower one once
+
+
+def _evaluation_paths():
+    """One operator per evaluation path: the classical mean, ``kappa*(|y| +
+    |z|)`` and ``kappa*|z|``, a driver declared affine in y, a plain callable
+    that reads y (a sweep per step) and alpha-maxmin."""
+    drivers = _drivers(0.4)
+    affine = bs.Driver(fn=lambda t, y, z: -0.5 * np.asarray(y) + 0.3 * np.abs(z), lipschitz=0.8,
+                       depends_on_y=True, depends_on_z=True, y_coefficient=-0.5)
+    return {
+        "classical": ne.NonlinearExpectation.classical(),
+        "kappa_abs": ne.NonlinearExpectation.gexp(drivers["kappa_abs"]),
+        "kappa_abs z": ne.NonlinearExpectation.gexp(drivers["kappa_abs z"]),
+        "y_coefficient": ne.NonlinearExpectation.gexp(affine),
+        "reads y": ne.NonlinearExpectation.gexp(drivers["non-kappa"]),
+        "alpha-maxmin": ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=KAPPA),
+    }
+
+
+def _claims(scen):
+    # a monotone claim on an interior level (the comonotone dot product on
+    # the tree), a kinked one on a later level and a noisy one at the horizon
+    rng = np.random.default_rng(11)
+    b = [sc.brownian(scen, i) for i in (20, 35, 50)]
+    return [sc.RandomVariable(20, b[0] + 0.5),
+            sc.RandomVariable(35, np.abs(b[1]) - 0.4),
+            sc.RandomVariable(50, np.sin(2.0 * b[2]) + 0.3 * rng.normal(size=b[2].size))]
+
+
+@pytest.mark.parametrize("grid", ["tree50", "mc50"])
+@pytest.mark.parametrize("case", sorted(_evaluation_paths()))
+def test_evaluate_is_the_per_claim_evaluation_bit_for_bit(grid, case, request):
+    # evaluate is evaluate_levels of one claim, and both give the value of
+    # the claim evaluated on its own; a stack of claims does too, bit for
+    # bit, except where a sweep continues several claims at once
+    scen = request.getfixturevalue(grid)
+    exp = _evaluation_paths()[case]
+    claims = _claims(scen)
+    alone = [evaluate_alone(exp, scen, rv) for rv in claims]
+    for rv, want in zip(claims, alone):
+        assert ne.evaluate(exp, scen, rv) == want
+        assert ne.evaluate_levels(exp, scen, [rv]).tolist() == [want]
+    stacked = ne.evaluate_levels(exp, scen, claims)
+    if case == "reads y":
+        scale = 1.0 + max(float(np.max(np.abs(rv.values))) for rv in claims)
+        assert np.max(np.abs(stacked - alone)) <= 1e-12 * scale
+    else:
+        assert stacked.tolist() == alone
+
+
+def test_monte_carlo_stack_matches_each_claim_alone():
+    # Claims on four levels share one continuation under a y-reading driver:
+    # its sweeps run on the joined levels, so each value stays within the
+    # sweep tolerance of the claim evaluated on its own.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), "montecarlo", n_paths=2000, seed=5)
+    exp = _evaluation_paths()["reads y"]
+    claims = [sc.RandomVariable(i, np.cos(sc.brownian(scen, i)) + 0.1 * i) for i in (3, 7, 12, 20)]
+    stacked = ne.evaluate_levels(exp, scen, claims)
+    alone = np.array([evaluate_alone(exp, scen, rv) for rv in claims])
+    scale = 1.0 + max(float(np.max(np.abs(rv.values))) for rv in claims)
+    assert np.max(np.abs(stacked - alone)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("grid", ["tree50", "mc50"])
+def test_domination_gap_bounds_are_the_envelope_g_expectations(grid, request):
+    scen = request.getfixturevalue(grid)
+    rng = np.random.default_rng(777)
+    n = sc.support_size(scen, 50)
+    x = sc.RandomVariable(50, rng.normal(0.0, 1.0, n))
+    y = sc.RandomVariable(50, rng.normal(0.0, 1.0, n))
+    diff = sc.RandomVariable(50, x.values - y.values)
+    exp = ne.NonlinearExpectation.alpha_maxmin(alpha=0.5, kappa=KAPPA)
+    rep = ne.domination_gap(exp, scen, x, y)
+    assert rep.lower_bound == gexp_value(scen, diff, bs.Driver.kappa_abs(-KAPPA))
+    assert rep.upper_bound == gexp_value(scen, diff, bs.Driver.kappa_abs(KAPPA))
+    assert rep.difference == evaluate_alone(exp, scen, x) - evaluate_alone(exp, scen, y)
+
+
+def test_lone_tree_claim_takes_one_kernel_call_per_envelope(tree50, count_calls):
+    # The benchmark's trace counts tree roll-backs through the one-row
+    # _kernels.tree_backward_value: a lone claim on the tree takes it once
+    # per envelope, the classical mean and a stack of claims never.
+    kernel = count_calls(kern, "tree_backward_value")
+    ops = _evaluation_paths()
+    rv = _claims(tree50)[2]
+    for case, calls in (("classical", 0), ("reads y", 1), ("alpha-maxmin", 2)):
+        kernel[0] = 0
+        ne.evaluate(ops[case], tree50, rv)
+        assert kernel[0] == calls, case
+    kernel[0] = 0
+    ne.evaluate_levels(ops["alpha-maxmin"], tree50, _claims(tree50))
+    assert kernel[0] == 0

@@ -379,10 +379,14 @@ def test_shrinking_envelope_is_exact_on_the_discrete_grid(m):
 
 def test_structural_suite_solves_the_ramp_problem_once(count_calls, tree50):
     # one solve for the ramp problem, which is also the comparison's second
-    # bundle, and one for the comparison's first bundle
+    # bundle, and one for the comparison's first bundle; the means of each
+    # are taken once, the ramp solution's by the representation check,
+    # which the comparison reuses
     calls = count_calls(pc, "solve_reflected")
+    means = count_calls(rf.ReflectedSolution, "mean_values")
     vf.run_structural_checks(tree50)
     assert calls[0] == 2
+    assert means[0] == 2
 
 
 def test_structural_checks_on_the_instance_solution(tree50):
