@@ -238,7 +238,7 @@ def implicit_step(
         y = y_next
         tol = rtol * (1.0 + float(np.max(np.abs(y))))
         if not math.isfinite(move):
-            break
+            raise FixedPointError(f"non-finite values in the implicit step after {sweeps} sweeps")
         if sweeps == 1:
             gap1, tol1 = move, tol
             cap = 1 if fac * move <= tol else _sweep_count(move, tol, q)
@@ -324,7 +324,10 @@ def solve_bsde(
     ``shifts[i] = c*(1 - a*dt)``.  That is the fixed point the re-roll
     approaches, the least feasible solution of ``Y = e + (a*Y + h)*dt + dK``,
     ``Y = u + dK/(1 - a*dt)``, and ``diff_norms[i]`` holds its one pass.
-    A level of ``Y`` or ``Z`` that is not finite raises ``FixedPointError``.
+    A level of ``Z`` that is not finite raises ``FixedPointError`` before
+    its implicit step, so no driver sees it, and so does a level of ``Y``.
+    The fit and the implicit step of a level run without numpy's overflow
+    and invalid-value warnings: what those would flag fails these checks.
     """
     sc.check_rv(scen, claim.rv)
     stop = claim.index
@@ -339,10 +342,16 @@ def solve_bsde(
     zs, diff_norms = [], []
     for i in range(stop - 1, -1, -1):
         t = float(nodes[i])
-        e, z = sc.step_fit(scen, vals, i)
-        if flow is not None:
-            e = e + flow[i]
-        u = x = implicit_step(driver, t, e, z, dt)
+        # an overflow here ends in the finiteness checks below, not in a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, z = sc.step_fit(scen, vals, i)
+            if flow is not None:
+                e = e + flow[i]
+            try:
+                z_rv = sc.RandomVariable(i, z)
+            except ValueError as exc:  # z is a non-empty 1-d level: only finiteness fails
+                raise FixedPointError(f"non-finite integrand produced at index {i}") from exc
+            u = x = implicit_step(driver, t, e, z, dt)
         norms = []
         while True:
             if not np.isfinite(x).all():
@@ -367,10 +376,7 @@ def solve_bsde(
             u = vals
             x = e + np.asarray(driver.fn(t, u, z), dtype=float) * dt
         ys.append(sc.RandomVariable(i, vals))
-        try:
-            zs.append(sc.RandomVariable(i, z))
-        except ValueError as exc:  # z is a non-empty 1-d level: only finiteness fails
-            raise FixedPointError(f"non-finite integrand produced at index {i}") from exc
+        zs.append(z_rv)
         diff_norms.append(tuple(norms))
     return BsdePair(Y=tuple(ys[::-1]), Z=tuple(zs[::-1]), shifts=shifts,
                     diff_norms=tuple(diff_norms[::-1]))

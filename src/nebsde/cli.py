@@ -33,7 +33,6 @@ import argparse
 import ast
 import configparser
 import hashlib
-import operator
 import re
 import sys
 import time
@@ -65,66 +64,36 @@ from .errors import (
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 # leading zeros of an integer literal ("007"), which Python's grammar refuses
 _LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
-_FUNCTIONS = {
-    "min": (2, np.minimum),
-    "max": (2, np.maximum),
-    "abs": (1, np.abs),
-    "exp": (1, np.exp),
-}
-_BINARY = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    # numpy's division, also of two plain floats: a zero divisor gives inf
-    # or nan (with numpy's warning), not an exception
-    ast.Div: np.true_divide,
-}
+_FUNCTIONS = {"min": 2, "max": 2, "abs": 1, "exp": 1}
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+# all that a compiled expression sees besides its variables; "/" is "_div",
+# numpy's division also of two plain floats, so a zero divisor gives inf or
+# nan (with numpy's warning), not an exception
+_GLOBALS = {"__builtins__": {}, "min": np.minimum, "max": np.maximum, "abs": np.abs,
+            "exp": np.exp, "_div": np.true_divide}
 
 
-class Expression:
-    """A parsed arithmetic expression over named variables.
-
-    Supports ``+ - * /``, unary minus, parentheses, and the calls
-    ``min(a, b)``, ``max(a, b)``, ``abs(a)``, ``exp(a)``.  Evaluation
-    broadcasts over numpy arrays.  Division is numpy's for every operand,
-    constants and scalar variables included, so a division by zero gives
-    inf or nan (with numpy's warning) rather than an exception.
-    """
-
-    def __init__(self, source: str, fn, names: frozenset):
-        self.source = source
-        self._fn = fn
-        self.names = names
-
-    def __call__(self, **env):
-        return self._fn(env)
-
-    def __repr__(self):
-        return f"Expression({self.source!r})"
-
-
-def _compile(node, text: str, allowed: frozenset, names: set):
-    """Check one syntax node against the grammar and return its evaluator."""
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        op = _BINARY[type(node.op)]
-        left = _compile(node.left, text, allowed, names)
-        right = _compile(node.right, text, allowed, names)
-        return lambda env: op(left(env), right(env))
+def _checked(node, text: str, allowed: frozenset, names: set):
+    """Check one syntax node against the grammar; return it with ``/`` and numbers rewritten."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
+        node.left = _checked(node.left, text, allowed, names)
+        node.right = _checked(node.right, text, allowed, names)
+        if isinstance(node.op, ast.Div):
+            return ast.Call(ast.Name("_div", ast.Load()), [node.left, node.right], [])
+        return node
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = _compile(node.operand, text, allowed, names)
-        return lambda env: -inner(env)
+        node.operand = _checked(node.operand, text, allowed, names)
+        return node
     segment = text[node.col_offset:node.end_col_offset]
     if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
-        value = float(segment)
-        return lambda env: value
+        return ast.Constant(float(segment))
     if isinstance(node, ast.Name):
         if node.id not in allowed:
             raise ValueError(
                 f"variable {node.id!r} not allowed here (allowed: {sorted(allowed)})"
             )
         names.add(node.id)
-        key = node.id
-        return lambda env: env[key]
+        return node
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
@@ -134,22 +103,30 @@ def _compile(node, text: str, allowed: frozenset, names: set):
         name = node.func.id
         if name not in _FUNCTIONS:
             raise ValueError(f"unknown function {name!r}")
-        arity, fn = _FUNCTIONS[name]
+        arity = _FUNCTIONS[name]
         # a trailing comma is Python syntax, not part of this grammar
         tail = text[node.args[-1].end_col_offset:node.end_col_offset] if node.args else ""
         if len(node.args) != arity or "," in tail:
             raise ValueError(f"{name} takes {arity} argument(s)")
-        args = [_compile(a, text, allowed, names) for a in node.args]
-        return lambda env: fn(*(a(env) for a in args))
+        node.args = [_checked(a, text, allowed, names) for a in node.args]
+        return node
     raise ValueError(f"cannot read {segment!r}")
 
 
-def parse_expression(source: str, allowed) -> Expression:
-    """Parse ``source`` restricted to the variable names in ``allowed``.
+def parse_expression(source: str, names):
+    """``source`` compiled once into a plain function of the variables ``names``.
 
     The text is read with Python's expression grammar, and every node is
-    checked against the small grammar above.  Any Unicode digit reads as its
-    ASCII value, and integer literals may carry leading zeros.
+    checked against this small one: decimal numbers, the variables in
+    ``names``, ``+ - * /``, unary minus, parentheses, and the calls
+    ``min(a, b)``, ``max(a, b)``, ``abs(a)``, ``exp(a)``.  Any Unicode digit
+    reads as its ASCII value, and integer literals may carry leading zeros.
+    The checked tree is compiled into one function, which takes ``names`` in
+    the order given and broadcasts over numpy arrays.  Each number is the
+    float of its text, and the calls and ``/`` are numpy's, for every
+    operand, so a division by zero gives inf or nan (with numpy's warning)
+    rather than an exception.  The function's ``names`` attribute is the
+    set of variables the text reads.
     """
     text = " ".join(source.split())
     text = re.sub(r"\d", lambda d: str(int(d.group())), text)
@@ -157,19 +134,24 @@ def parse_expression(source: str, allowed) -> Expression:
     # Python would skip a comment and fold a non-ASCII name to ASCII (NFKC)
     if not text.isascii() or "#" in text:
         raise ValueError(f"cannot read {source!r}")
-    names = set()
+    used = set()
     try:
         tree = ast.parse(text, mode="eval")
-        fn = _compile(tree.body, text, frozenset(allowed), names)
+        body = _checked(tree.body, text, frozenset(names), used)
+        params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
+                               kwonlyargs=[], kw_defaults=[], defaults=[])
+        tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body)))
+        fn = eval(compile(tree, "<expression>", "eval"), _GLOBALS)
     except (SyntaxError, RecursionError) as exc:
         raise ValueError(f"cannot read {source!r}: {exc}") from None
-    return Expression(source, fn, frozenset(names))
+    fn.names = frozenset(used)
+    return fn
 
 
 # ------------------------------------------------------------------- schema
 
 def _expression(*names):
-    """The parser of an expression over the variables ``names``."""
+    """The parser of an expression compiled into a function of ``names``, in that order."""
     return lambda raw: parse_expression(raw, names)
 
 
@@ -202,7 +184,7 @@ _SCHEMA = {
     "scenario.n_paths": int, "scenario.seed": int, "scenario.basis_degree": int,
     "problem.payoff": _expression("b"),
     "problem.driver": _expression("t", "y", "z"), "problem.driver_lipschitz": float,
-    "problem.loss": _expression("t", "x", "b"),
+    "problem.loss": _expression("t", "b", "x"),
     "problem.loss_lower": float, "problem.loss_upper": float, "problem.loss_shape": str,
     "problem.expectation": str, "problem.kappa": float, "problem.alpha": float,
     "problem.gexp_driver": _expression("t", "y", "z"),
@@ -315,18 +297,14 @@ def _build_driver(cfg, key: str, lipschitz_key: str, grid: sc.TimeGrid,
         lam = _option(cfg, lipschitz_key, required=True)
         if lam <= 0:
             raise ConfigError("must be > 0 for a y/z-dependent driver", key=lipschitz_key)
-
-    def fn(t, y, z):
-        return expr(t=t, y=np.asarray(y, dtype=float), z=np.asarray(z, dtype=float))
-
     with _keyed(lipschitz_key):
-        driver = bs.Driver(fn=fn, lipschitz=lam, depends_on_y=dep_y, depends_on_z=dep_z)
+        driver = bs.Driver(fn=expr, lipschitz=lam, depends_on_y=dep_y, depends_on_z=dep_z)
         if dep_y or dep_z:
             bs.check_lipschitz_lattice(driver, grid.nodes, _DRIVER_PROBE)
             return driver
     zero = np.zeros(1)
     with np.errstate(all="ignore"):
-        bad = [t for t in grid.nodes if not np.all(np.isfinite(fn(float(t), zero, zero)))]
+        bad = [t for t in grid.nodes if not np.all(np.isfinite(expr(float(t), zero, zero)))]
     if bad:
         raise ConfigError(f"driver value not finite at t={bad[0]:g}", key=key)
     return driver
@@ -339,7 +317,7 @@ _LOSS_PROBE_B = np.array([-3.0, 0.0, 3.0])
 
 
 def _build_loss(cfg, grid: sc.TimeGrid) -> rf.LossFunction:
-    """The loss, its declared slope bounds probed on a lattice at every grid date.
+    """The loss, a function of ``(t, b, x)``, its slope bounds probed at every grid date.
 
     A loss that breaks the bounds only outside the lattice still reaches the
     shift search, which then finds no root bracket (exit 4).
@@ -350,14 +328,9 @@ def _build_loss(cfg, grid: sc.TimeGrid) -> rf.LossFunction:
     lower = _option(cfg, "problem.loss_lower", 1.0)
     upper = _option(cfg, "problem.loss_upper", 1.0)
     shape = _option(cfg, "problem.loss_shape", "general")
-    random = "b" in expr.names
-    if random:
-        fn = lambda t, b, x: expr(t=t, b=b, x=np.asarray(x, dtype=float))
-    else:
-        fn = lambda t, x: expr(t=t, x=np.asarray(x, dtype=float))
-    b_values = _LOSS_PROBE_B * np.sqrt(grid.horizon) if random else (0.0,)
+    b_values = _LOSS_PROBE_B * np.sqrt(grid.horizon) if "b" in expr.names else (0.0,)
     with _keyed("problem.loss"):
-        loss = rf.LossFunction(fn=fn, lower=lower, upper=upper, shape=shape, random=random)
+        loss = rf.LossFunction(fn=expr, lower=lower, upper=upper, shape=shape, random=True)
         rf.check_loss_lattice(loss, grid.nodes, _LOSS_PROBE_X, b_values)
     return loss
 
@@ -367,7 +340,7 @@ def _build_payoff(cfg, scen: sc.ScenarioSet) -> sc.RandomVariable:
     expr = _option(cfg, "problem.payoff", required=True)
     try:
         with np.errstate(all="ignore"):
-            return sc.from_terminal_function(scen, lambda b: expr(b=b))
+            return sc.from_terminal_function(scen, expr)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{exc} on the terminal support",
                           key="problem.payoff") from None

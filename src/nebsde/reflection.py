@@ -46,8 +46,9 @@ class LossFunction:
     """Spatial loss profile ``l(t, x)`` (optionally scenario-dependent).
 
     ``fn`` takes ``(t, x)`` arrays, or ``(t, b, x)`` when ``random`` is set
-    (``b`` is the Brownian coordinate).  ``lower`` and ``upper`` are the
-    bi-Lipschitz slope bounds ``0 < lower <= upper``.
+    (``b`` is the Brownian coordinate); every loss the command line reads
+    takes ``(t, b, x)``, whether or not it reads ``b``.  ``lower`` and
+    ``upper`` are the bi-Lipschitz slope bounds ``0 < lower <= upper``.
     """
 
     fn: Callable

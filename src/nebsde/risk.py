@@ -22,7 +22,6 @@ from . import bsde as bs
 from . import picard as pc
 from . import reflection as rf
 from . import scenarios as sc
-from .errors import SupportMismatchError
 
 _YTOL = 1e-12
 
@@ -162,14 +161,7 @@ def _risk_problem(rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet) -> rf.Re
         return sc.tilt_table(scen, rho.kernels, key)
 
     def constraint(i, values):
-        values = np.asarray(values, dtype=float)
-        expected = sc.support_size(scen, i)
-        if values.shape != (expected,):
-            raise SupportMismatchError(
-                f"support shape {values.shape} at index {i}, expected ({expected},)"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
+        values = sc.checked_level(scen, i, values)
         # on paths every index has the table of index 0
         key = i if scen.mode == "tree" else 0
         return float(q.values[i]) - _risk(table(key), rho.penalties, values)

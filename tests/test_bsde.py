@@ -435,12 +435,21 @@ def test_non_finite_driver_output_raises(tree8):
 def test_overflowing_integrand_raises_fixed_point_error():
     # One tree step of 1.7e308 * b: the difference quotient overflows to inf
     # while the z-free driver keeps the mean level at 0.  The Z level is
-    # checked finite where it is built, and that failure is a divergence.
+    # checked finite before the implicit step, and that failure is a
+    # divergence.  One step of 1.6e308 + 1e307 * b: the mean overflows to
+    # inf, and the y-reading driver's sweep moves by nan.  Neither lets a
+    # numpy warning out (the suite turns a RuntimeWarning into an error).
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 1), "tree")
-    claim = bs.TerminalClaim.from_function(scen, lambda b: 1.7e308 * b)
-    with np.errstate(over="ignore"):  # numpy warns when the quotient overflows
-        with pytest.raises(FixedPointError, match="non-finite integrand produced at index 0"):
-            bs.solve_bsde(scen, claim, bs.Driver.constant(0.0))
+    mixed = bs.Driver(fn=lambda t, y, z: -0.2 * y + 0.1 * np.abs(z), lipschitz=0.3,
+                      depends_on_y=True, depends_on_z=True)
+    for payoff, driver, message in (
+        (lambda b: 1.7e308 * b, bs.Driver.constant(0.0),
+         "non-finite integrand produced at index 0"),
+        (lambda b: 1.6e308 + 1e307 * b, mixed, "non-finite values in the implicit step"),
+    ):
+        claim = bs.TerminalClaim.from_function(scen, payoff)
+        with pytest.raises(FixedPointError, match=message):
+            bs.solve_bsde(scen, claim, driver)
 
 
 LIFT_DRIVERS = {

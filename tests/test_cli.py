@@ -20,7 +20,11 @@ from nebsde import cli
 from nebsde import _kernels as kern
 from nebsde import bsde as bs
 from nebsde import picard as pc
+from nebsde import reflection as rf
+from nebsde import verify as vf
 from nebsde.cli import parse_expression, run
+
+from oracles import closure_expression
 
 
 def _write(path, text):
@@ -123,24 +127,18 @@ def test_expression_division_by_zero_is_not_an_exception():
 
 
 def test_expression_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_expression("b +", {"b"})
-    with pytest.raises(ValueError):
-        parse_expression("q + 1", {"b"})
-    with pytest.raises(ValueError):
-        parse_expression("sin(b)", {"b"})
-    with pytest.raises(ValueError):
-        parse_expression("min(b)", {"b"})
-    with pytest.raises(ValueError):
-        parse_expression("b b", {"b"})
-    with pytest.raises(ValueError):
-        parse_expression("b ^ 2", {"b"})
-    # Python syntax outside the grammar
-    for garbage in ("1_0", "0x1", "1j", "True", "'a'", "b ** 2", "b % 2", "+b",
+    # each with the message of the closure evaluator the compiled function
+    # replaced; after the first six, Python syntax outside the grammar
+    for garbage in ("b +", "q + 1", "sin(b)", "min(b)", "b b", "b ^ 2",
+                    "1_0", "0x1", "1j", "True", "'a'", "b ** 2", "b % 2", "+b",
                     "min(b, b=1)", "min(*b)", "min(b, b,)", "(min)(b, b)", "b # note",
-                    "b if b else 1", "b, b", "\uff42"):  # last: fullwidth b
-        with pytest.raises(ValueError):
+                    "b if b else 1", "b, b", "\uff42",  # fullwidth b
+                    "-" * 5000 + "b"):  # deeper than the recursion limit
+        with pytest.raises(ValueError) as compiled:
             parse_expression(garbage, {"b"})
+        with pytest.raises(ValueError) as oracle:
+            closure_expression(garbage, {"b"})
+        assert str(compiled.value) == str(oracle.value), garbage
 
 
 def test_expression_number_forms():
@@ -154,6 +152,55 @@ def test_expression_number_forms():
     # An INI continuation line arrives with its newline and indent.
     e = parse_expression("max(b,\n    0) +\n    0.5", {"b"})
     assert e(b=np.array([-1.0, 2.0])) == pytest.approx([0.5, 2.5], abs=0)
+
+
+_VARIABLES = (("b",), ("t", "y", "z"), ("t", "b", "x"))
+# numbers with leading zeros, and with exponents that overflow or underflow
+_NUMBERS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "0", "00"]),
+    st.sampled_from(["0", "1", "2", "7", "15", "1.", "0.5", ".25", "3.75"]),
+    st.sampled_from(["", "e0", "e-3", "E+2", "e308", "e-320", "e400"]),
+)
+
+
+def _grammar(names):
+    leaves = st.one_of(_NUMBERS, st.sampled_from(names))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds("-{}".format, inner),
+        st.builds("({})".format, inner),
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("{}({}, {})".format, st.sampled_from(["min", "max"]), inner, inner),
+        st.builds("{}({})".format, st.sampled_from(["abs", "exp"]), inner),
+    ), max_leaves=12)
+
+
+@st.composite
+def _expressions(draw):
+    names = draw(st.sampled_from(_VARIABLES))
+    return names, draw(_grammar(names))
+
+
+# zeros of both signs, +-1, huge and tiny values: each variable sees them in
+# its own order, so every pair of them meets somewhere
+_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308, 5e-324, -2.2e-308, 0.5, 3.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=_expressions())
+def test_compiled_expression_matches_the_closure_evaluator(drawn):
+    # The compiled function computes what one closure per node computed,
+    # signed zeros and NaN bits included, and reads the same variables.
+    names, source = drawn
+    fn = parse_expression(source, names)
+    oracle = closure_expression(source, names)
+    assert fn.names == oracle.names
+    args = [np.roll(_VALUES, 3 * k) for k in range(len(names))]
+    with np.errstate(all="ignore"):
+        got = np.asarray(fn(*args))
+        want = np.asarray(oracle(**dict(zip(names, args))))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), source
 
 
 # ------------------------------------------------------------------ commands
@@ -223,6 +270,48 @@ def test_solve_mean_floor_column(tmp_path):
     # interior rows carry a floor value, the terminal row leaves it blank
     assert body[2].count(",") == 4
     assert body[-1].endswith(",")
+
+
+def _readme_ini(steps: int) -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"Example `run.ini`.*?```ini\n(.*?)```", readme, re.S)
+    return re.sub(r"steps = .*", f"steps = {steps}", block)
+
+
+def test_solve_with_a_b_reading_loss_matches_the_library(tmp_path, capsys):
+    # The compiled loss takes (t, b, x) as the library calls it: the CLI
+    # solve, floors included, is the library's solve of the same loss
+    # written as a lambda, bit for bit, and solution.csv writes those values.
+    ini = _readme_ini(50).replace("loss = x - 1.0", "loss = x - 1.0 + 0.1 * min(b, 0) / (1 + t)")
+    ini += "\n[output]\nmean_floor_column = yes\n"
+    cfg = _write(tmp_path / "run.ini", ini)
+    cfg_run = cli.load_run_config(cfg, "solve")
+    assert cfg_run.loss.fn.names == frozenset({"t", "b", "x"})
+    scen = cfg_run.scen
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 1.05)
+    driver = bs.Driver(fn=lambda t, y, z: -0.2 * y + 0.1 * np.abs(z), lipschitz=0.3,
+                       depends_on_y=True, depends_on_z=True)
+    loss = rf.LossFunction(fn=lambda t, b, x: x - 1.0 + 0.1 * np.minimum(b, 0.0) / (1.0 + t),
+                           shape="linear", random=True)
+    sol = pc.solve_reflected(scen, claim, driver, loss, cfg_run.expectation)
+    floors = vf.representation_gap(scen, sol, driver, cfg_run.expectation, loss).floors
+    cli_sol = pc.solve_reflected(scen, bs.TerminalClaim(cfg_run.payoff), cfg_run.driver,
+                                 cfg_run.loss, cfg_run.expectation)
+    cli_floors = vf.representation_gap(scen, cli_sol, cfg_run.driver, cfg_run.expectation,
+                                       cfg_run.loss).floors
+    assert sol.K.total > 0.0
+    for a, b in [(sol.K.values, cli_sol.K.values), (floors, cli_floors),
+                 (sol.diagnostics.constraint_values, cli_sol.diagnostics.constraint_values)]:
+        assert a.tobytes() == b.tobytes()
+    assert all(y.values.tobytes() == c.values.tobytes() for y, c in zip(sol.Y, cli_sol.Y))
+
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == cli._fmt(sol.value) + "\n"
+    rows = (tmp_path / "out" / "solution.csv").read_text().splitlines()[2:]
+    columns = (sol.mean_values(scen), sol.K.values, sol.diagnostics.constraint_values,
+               np.append(floors, np.nan))
+    assert rows == [",".join(cli._fmt(v) for v in (t, *row))
+                    for t, *row in zip(scen.grid.nodes, *columns)]
 
 
 def test_solve_montecarlo_mode(tmp_path, capsys):
@@ -395,6 +484,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "risk.penalties: penalties must match kernels in length"),
         ("kernels = -0.5, 0, 0.5", "kernels = 0, 0.5\npenalties = 0, -1",
          "risk.penalties: penalties must be >= 0"),
+        ("q_constant = 10.0", "q_knots = 0:1:2", "risk.q_knots: bad knot list"),
+        ("[market]\nrate = 0.05\ndrift = 0.05\nvolatility = 0.2\n", "",
+         "market: required section missing"),
+        ("[risk]", "[risk]\n[risk]", "cannot parse config"),
         ("rate = 0.05", "rate = 1e308", "market: the price of risk"),
         ("drift = 0.05\nvolatility = 0.2", "drift = 0.1\nvolatility = 1e-310",
          "market: the price of risk"),
@@ -503,26 +596,35 @@ def test_non_contractive_exits_3(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
-def test_overflowing_integrand_exits_3(tmp_path, capsys):
-    # A Z level that overflows is a divergence (exit 3), not a traceback.
-    ini = """\
+OVERFLOW_INI = """\
 [scenario]
 horizon = 1.0
 steps = 1
 
 [problem]
-payoff = 1.7e308 * b
+payoff = {payoff}
 loss = x
 loss_shape = linear
 """
-    cfg = _write(tmp_path / "run.ini", ini)
-    with np.errstate(over="ignore"):  # numpy warns when the quotient overflows
-        code = run(["solve", "--config", cfg, "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 3, err
-    assert re.search(r"^divergence: non-finite integrand", err, re.M)
-    assert "Traceback" not in err
-    assert (tmp_path / "run.log").is_file()
+
+
+def test_overflowing_integrand_exits_3(tmp_path, capsys):
+    # A Z level that overflows, or a conditional mean that does, is a
+    # divergence (exit 3), not a traceback, and no numpy warning escapes (the
+    # suite turns a RuntimeWarning into an error).
+    for name, payoff, message in (
+        ("z", "1.7e308 * b", "non-finite integrand"),
+        ("mean", "1.6e308 + 1e307 * b\ndriver = -0.2 * y + 0.1 * abs(z)\ndriver_lipschitz = 0.3",
+         "non-finite values in the implicit step"),
+    ):
+        cfg = _write(tmp_path / f"{name}.ini", OVERFLOW_INI.format(payoff=payoff))
+        out = tmp_path / name
+        code = run(["solve", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert re.search(rf"^divergence: {message}", err, re.M)
+        assert "Traceback" not in err
+        assert (out / "run.log").is_file()
 
 
 BUDGET_INI = """\
@@ -685,10 +787,7 @@ def test_readme_example_runs(tmp_path, capsys):
 def test_readme_price_with_a_huge_kernel_runs(tmp_path, capsys):
     # A finite kernel near the float limit tilts all its mass onto the top
     # node instead of overflowing.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    (block,) = re.findall(r"Example `run.ini`.*?```ini\n(.*?)```", readme, re.S)
-    block = re.sub(r"steps = .*", "steps = 50", block)
-    block = re.sub(r"kernels = .*", "kernels = -0.5, 0, 1e308", block)
+    block = re.sub(r"kernels = .*", "kernels = -0.5, 0, 1e308", _readme_ini(50))
     cfg = _write(tmp_path / "run.ini", block)
     assert run(["price", "--config", cfg, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
     assert math.isfinite(float(capsys.readouterr().out))
@@ -699,9 +798,7 @@ def test_readme_verify_with_a_huge_gamma_runs(tmp_path, capsys, gamma):
     # A finite gamma near the float limit overflows the ramp's residual and
     # its tilted competitor: the checks fail, with no traceback and no
     # RuntimeWarning, and the run ends with exit 0.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    (block,) = re.findall(r"Example `run.ini`.*?```ini\n(.*?)```", readme, re.S)
-    block = re.sub(r"steps = .*", "steps = 50", block) + f"gamma = {gamma}\n"
+    block = _readme_ini(50) + f"gamma = {gamma}\n"
     cfg = _write(tmp_path / "run.ini", block)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

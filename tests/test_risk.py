@@ -13,7 +13,7 @@ from nebsde import picard as pc
 from nebsde import reflection as rf
 from nebsde import risk as rk
 from nebsde import scenarios as sc
-from nebsde.errors import BracketFailureError
+from nebsde.errors import BracketFailureError, SupportMismatchError
 
 from oracles import brownian_rv
 
@@ -90,6 +90,20 @@ def test_risk_shift_raises_when_lift_never_lands(tree50, monkeypatch):
     monkeypatch.setattr(rk, "_risk", lambda *args: 1.0)
     with pytest.raises(BracketFailureError):
         rk.risk_shift(rho, q, tree50, 20, brownian_rv(tree50, 20))
+
+
+def test_risk_constraint_checks_each_level(tree50):
+    # The constraint checks a level as a random variable would: one of the
+    # wrong size, or one that is not finite, is refused.
+    rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
+    problem = rk._risk_problem(rho, rk.Benchmark.constant(tree50.grid, 0.1), tree50)
+    good = tree50.tree_values[20]
+    assert problem.constraint(20, good) == 0.1 - rk.evaluate_risk(
+        rho, tree50, 20, sc.RandomVariable(20, good))
+    with pytest.raises(SupportMismatchError):
+        problem.constraint(20, np.zeros(good.size + 1))
+    with pytest.raises(ValueError, match="finite"):
+        problem.constraint(20, np.where(good > 0.0, np.inf, good))
 
 
 def test_risk_scale_reflection_is_feasible_and_scale_free(tree50):

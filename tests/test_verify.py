@@ -309,19 +309,23 @@ def test_comparison_report_loss_ordering_and_competitor(tree100):
 
 
 def test_comparison_report_flags_broken_hypothesis(tree50):
-    # Swapping the drivers breaks f1 >= f2; the report must say so rather
-    # than asserting conclusions.
+    # Swapping the drivers breaks f1 >= f2, swapping the losses l1 <= l2, and
+    # swapping the expectations the weaker first one; the report must say so
+    # rather than asserting conclusions.
     claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.5)
     loss = rf.LossFunction.linear(0.0)
-    first = vf.ParameterBundle(
-        claim=claim, driver=bs.Driver.constant(-0.2), loss=loss, expectation=CLS
-    )
-    second = vf.ParameterBundle(
-        claim=claim, driver=bs.Driver.constant(0.0), loss=loss, expectation=CLS
-    )
-    rep = vf.comparison_report(vf.ComparisonInstance(scen=tree50, first=first, second=second))
-    assert not rep.hypotheses["drivers_ordered"]
-    assert rep.vacuous
+    zero = bs.Driver.constant(0.0)
+    strong = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.3))
+    for key, driver1, loss2, exp1 in (
+        ("drivers_ordered", bs.Driver.constant(-0.2), loss, CLS),
+        ("losses_ordered", zero, rf.LossFunction.linear(0.5), CLS),
+        ("expectations_ordered", zero, loss, strong),
+    ):
+        first = vf.ParameterBundle(claim=claim, driver=driver1, loss=loss, expectation=exp1)
+        second = vf.ParameterBundle(claim=claim, driver=zero, loss=loss2, expectation=CLS)
+        rep = vf.comparison_report(vf.ComparisonInstance(scen=tree50, first=first, second=second))
+        assert [k for k, ok in rep.hypotheses.items() if not ok] == [key]
+        assert rep.vacuous
 
 
 def test_emit_report_lines_and_csv(tmp_path):
