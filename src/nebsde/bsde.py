@@ -121,30 +121,24 @@ def check_lipschitz_lattice(driver: Driver, t_values, values) -> None:
             )
 
 
-@dataclass(frozen=True)
-class TerminalClaim:
-    """A square-integrable payoff on the terminal (or an interior) level."""
+class TerminalClaim(sc.RandomVariable):
+    """A square-integrable payoff: a random variable on the terminal level.
 
-    rv: sc.RandomVariable
+    Any terminal random variable serves as a claim; this adds two constructors."""
 
-    @property
-    def index(self) -> int:
-        return self.rv.index
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.rv.values
-
-    @staticmethod
-    def from_function(scen: sc.ScenarioSet, fn) -> "TerminalClaim":
-        return TerminalClaim(sc.from_terminal_function(scen, fn))
-
-    @staticmethod
-    def constant(scen: sc.ScenarioSet, value: float) -> "TerminalClaim":
+    @classmethod
+    def from_function(cls, scen: sc.ScenarioSet, fn) -> "TerminalClaim":
+        """``fn(B_T)`` on the terminal support; a scalar result is broadcast over it."""
         m = scen.grid.steps
-        return TerminalClaim(
-            sc.RandomVariable(m, np.full(sc.support_size(scen, m), float(value)))
-        )
+        b = sc.brownian(scen, m)
+        vals = np.asarray(fn(b), dtype=float)
+        if vals.ndim == 0:
+            vals = np.full(b.shape, float(vals))
+        return cls(m, vals)
+
+    @classmethod
+    def constant(cls, scen: sc.ScenarioSet, value: float) -> "TerminalClaim":
+        return cls.from_function(scen, lambda b: float(value))
 
 
 @dataclass(frozen=True)
@@ -304,14 +298,15 @@ def zero_noise_continuation(driver: Driver, levels, grid: sc.TimeGrid) -> list:
 
 def solve_bsde(
     scen: sc.ScenarioSet,
-    claim: TerminalClaim,
+    claim: sc.RandomVariable,
     driver: Driver,
     flow=None,
     lift=None,
 ) -> BsdePair:
     """Backward solve from the claim's level down to 0.
 
-    Returns Y on indices ``0..claim.index`` and Z on ``0..claim.index - 1``.
+    ``claim`` is any random variable; returns Y on indices ``0..claim.index``
+    and Z on ``0..claim.index - 1``.
     ``flow``, when given, holds one deterministic increment per step, added
     to the conditional mean before the implicit step, which makes it exact.
     ``lift(i, x) -> k``, when given, is found only after the step: it lifts
@@ -326,10 +321,11 @@ def solve_bsde(
     ``Y = u + dK/(1 - a*dt)``, and ``diff_norms[i]`` holds its one pass.
     A level of ``Z`` that is not finite raises ``FixedPointError`` before
     its implicit step, so no driver sees it, and so does a level of ``Y``.
-    The fit and the implicit step of a level run without numpy's overflow
-    and invalid-value warnings: what those would flag fails these checks.
+    The whole level loop, lifts included, runs in one ``np.errstate``
+    without numpy's overflow and invalid-value warnings: what those would
+    flag fails these checks, or the lift's own.
     """
-    sc.check_rv(scen, claim.rv)
+    sc.check_rv(scen, claim)
     stop = claim.index
     if flow is not None and len(flow) != stop:
         raise ValueError(f"flow needs {stop} increments, got {len(flow)}")
@@ -338,12 +334,12 @@ def solve_bsde(
     a = driver.y_coefficient
     shifts = np.zeros(stop + 1)
     vals = claim.values
-    ys = [claim.rv]
+    ys = [claim]
     zs, diff_norms = [], []
-    for i in range(stop - 1, -1, -1):
-        t = float(nodes[i])
-        # an overflow here ends in the finiteness checks below, not in a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow here ends in the finiteness checks below, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(stop - 1, -1, -1):
+            t = float(nodes[i])
             e, z = sc.step_fit(scen, vals, i)
             if flow is not None:
                 e = e + flow[i]
@@ -352,31 +348,31 @@ def solve_bsde(
             except ValueError as exc:  # z is a non-empty 1-d level: only finiteness fails
                 raise FixedPointError(f"non-finite integrand produced at index {i}") from exc
             u = x = implicit_step(driver, t, e, z, dt)
-        norms = []
-        while True:
-            if not np.isfinite(x).all():
-                raise FixedPointError(f"non-finite values produced at index {i}")
-            if lift is None:
-                vals = x
-                break
-            k = lift(i, x)
-            vals = x + k
-            norms.append(float(np.max(np.abs(vals - u))))
-            if a is not None:
-                shifts[i] = k * (1.0 - a * dt)
-                break
-            shifts[i] = k
-            if not driver.depends_on_y or norms[-1] <= PICARD_TOL:
-                break
-            if len(norms) == _MAX_PASSES:
-                raise PicardDivergenceError(
-                    f"no self-consistency within {_MAX_PASSES} iterations "
-                    f"at step {i} (last difference {norms[-1]:.3g})"
-                )
-            u = vals
-            x = e + np.asarray(driver.fn(t, u, z), dtype=float) * dt
-        ys.append(sc.RandomVariable(i, vals))
-        zs.append(z_rv)
-        diff_norms.append(tuple(norms))
+            norms = []
+            while True:
+                if not np.isfinite(x).all():
+                    raise FixedPointError(f"non-finite values produced at index {i}")
+                if lift is None:
+                    vals = x
+                    break
+                k = lift(i, x)
+                vals = x + k
+                norms.append(float(np.max(np.abs(vals - u))))
+                if a is not None:
+                    shifts[i] = k * (1.0 - a * dt)
+                    break
+                shifts[i] = k
+                if not driver.depends_on_y or norms[-1] <= PICARD_TOL:
+                    break
+                if len(norms) == _MAX_PASSES:
+                    raise PicardDivergenceError(
+                        f"no self-consistency within {_MAX_PASSES} iterations "
+                        f"at step {i} (last difference {norms[-1]:.3g})"
+                    )
+                u = vals
+                x = e + np.asarray(driver.fn(t, u, z), dtype=float) * dt
+            ys.append(sc.RandomVariable(i, vals))
+            zs.append(z_rv)
+            diff_norms.append(tuple(norms))
     return BsdePair(Y=tuple(ys[::-1]), Z=tuple(zs[::-1]), shifts=shifts,
                     diff_norms=tuple(diff_norms[::-1]))

@@ -22,7 +22,8 @@ not vanish at the origin on a grid date, a non-finite risk kernel or
 penalty, and market parameters whose price of risk ``(drift - rate) /
 volatility`` or ``|rate| + |price of risk|`` is not finite), 2 infeasible constraint,
 3 divergence (a non-contractive step, a step that does not settle within
-its sweep or pass cap, or a non-finite value or integrand level), 4 no root
+its sweep or pass cap, or a value, integrand or, in a reflected solve, loss
+level that is not finite), 4 no root
 bracket for a shift search (the declared loss slope bounds do not hold, a
 bracket, also that of a mean floor, does not fit in a float, or a risk lift
 misses the acceptance set).
@@ -226,7 +227,7 @@ class RunConfig:
     scen: sc.ScenarioSet
     seed: int
     digest: str
-    payoff: sc.RandomVariable | None = None  # the payoff on the terminal support
+    payoff: bs.TerminalClaim | None = None  # the payoff on the terminal support
     driver: bs.Driver | None = None
     loss: rf.LossFunction | None = None
     expectation: ne.NonlinearExpectation | None = None
@@ -335,12 +336,12 @@ def _build_loss(cfg, grid: sc.TimeGrid) -> rf.LossFunction:
     return loss
 
 
-def _build_payoff(cfg, scen: sc.ScenarioSet) -> sc.RandomVariable:
+def _build_payoff(cfg, scen: sc.ScenarioSet) -> bs.TerminalClaim:
     """The payoff evaluated on the terminal support, which must come out finite."""
     expr = _option(cfg, "problem.payoff", required=True)
     try:
         with np.errstate(all="ignore"):
-            return sc.from_terminal_function(scen, expr)
+            return bs.TerminalClaim.from_function(scen, expr)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{exc} on the terminal support",
                           key="problem.payoff") from None
@@ -447,8 +448,6 @@ def load_run_config(path: str, command: str, seed_override=None) -> RunConfig:
 # ------------------------------------------------------------------- output
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     x = float(x)
     if np.isnan(x):
         return ""
@@ -514,8 +513,7 @@ def _write_reflected(out: Path, run: RunConfig, sol: rf.ReflectedSolution, floor
 
 def _run_solve(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
-    claim = bs.TerminalClaim(run.payoff)
-    sol = pc.solve_reflected(scen, claim, run.driver, run.loss, run.expectation)
+    sol = pc.solve_reflected(scen, run.payoff, run.driver, run.loss, run.expectation)
     floors = None
     if run.mean_floor_column:
         rep = vf.representation_gap(scen, sol, run.driver, run.expectation, run.loss)
@@ -538,9 +536,8 @@ def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
         # every level's mean takes the whole solve, blended over the same
         # envelopes; ne.evaluate rolls back the root alone, by these steps or,
         # for a monotone claim under kappa*|z|, by one binomial dot product
-        claim = bs.TerminalClaim(rv)
         means = exp.blend(lambda driver: np.array(
-            [sc.expect(scen, y) for y in bs.solve_bsde(scen, claim, driver).Y]))
+            [sc.expect(scen, y) for y in bs.solve_bsde(scen, rv, driver).Y]))
     value = means[0]
     columns = {"mean_y": means, "flow": np.zeros(scen.grid.steps + 1), "constraint": None,
                "mean_floor": None}
@@ -552,8 +549,7 @@ def _run_gexp(run: RunConfig, out: Path, log: _RunLog) -> int:
 
 def _run_price(run: RunConfig, out: Path, log: _RunLog) -> int:
     scen = run.scen
-    claim = bs.TerminalClaim(run.payoff)
-    report = rk.superhedge_price(run.market, scen, claim, run.rho, run.benchmark)
+    report = rk.superhedge_price(run.market, scen, run.payoff, run.rho, run.benchmark)
     _write_reflected(out, run, report.solution)
     _log_solution(log, report.solution)
     for i, ratio in enumerate(report.hedge_ratios):

@@ -197,8 +197,8 @@ def evaluate_levels(exp: NonlinearExpectation, scen: sc.ScenarioSet, rvs) -> np.
     def values(driver):
         levels = bs.zero_noise_continuation(driver, rvs, grid)
         if scen.mode != "tree":
-            return np.array([bs.solve_bsde(scen, bs.TerminalClaim(sc.RandomVariable(rv.index, v)),
-                                           driver).value for rv, v in zip(rvs, levels)])
+            return np.array([bs.solve_bsde(scen, sc.RandomVariable(rv.index, v), driver).value
+                             for rv, v in zip(rvs, levels)])
         if len(levels) == 1:
             return np.array([kern.tree_backward_value(levels[0], grid.dt, driver, grid.nodes)])
         return kern.tree_backward_values(levels, grid.dt, driver, grid.nodes)

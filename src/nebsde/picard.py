@@ -44,7 +44,7 @@ from . import bsde as bs
 from . import expectations as ne
 from . import reflection as rf
 from . import scenarios as sc
-from .errors import InfeasibleProblemError
+from .errors import FixedPointError, InfeasibleProblemError, SupportMismatchError
 
 
 @dataclass
@@ -72,40 +72,48 @@ class SolveDiagnostics:
 
 def _solve_with_problem(
     scen: sc.ScenarioSet,
-    claim: bs.TerminalClaim,
+    claim: sc.RandomVariable,
     driver: bs.Driver,
     problem: rf.ReflectionProblem,
 ) -> rf.ReflectedSolution:
-    sc.check_rv(scen, claim.rv)
+    """Reflected solve of the terminal ``claim``, in one ``np.errstate`` without overflow and
+    invalid-value warnings, where a ``ValueError`` (a level that is not finite) is a
+    ``FixedPointError``; a ``SupportMismatchError`` passes through."""
+    sc.check_rv(scen, claim)
     m = scen.grid.steps
     if claim.index != m:
         raise ValueError("claim must live on the terminal level")
-    term = problem.constraint(m, claim.values)
-    if term < -rf.FEASIBILITY_TOL:
-        raise InfeasibleProblemError(
-            f"terminal constraint value {term:.3g} < -{rf.FEASIBILITY_TOL:g}"
-        )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = problem.constraint(m, claim.values)
+            if term < -rf.FEASIBILITY_TOL:
+                raise InfeasibleProblemError(
+                    f"terminal constraint value {term:.3g} < -{rf.FEASIBILITY_TOL:g}"
+                )
+            shift_iters = np.zeros(m + 1, dtype=int)
+            cons = np.zeros(m + 1)
+            cons[m] = term
+            top = m
+            if problem.constraint_stack is not None:
+                top = _flat_off_top(scen, claim, driver, problem, cons)
 
-    shift_iters = np.zeros(m + 1, dtype=int)
-    cons = np.zeros(m + 1)
-    cons[m] = term
-    top = m
-    if problem.constraint_stack is not None:
-        top = _flat_off_top(scen, claim, driver, problem, cons)
+            def lift(i, x):
+                # above the last violated plain level the lift is 0 (flat off)
+                if i >= top:
+                    return 0.0
+                k, steps, cons[i] = rf.lift(problem, i, x)
+                shift_iters[i] += steps
+                return k
 
-    def lift(i, x):
-        # above the last violated plain level the lift is 0 (flat off)
-        if i >= top:
-            return 0.0
-        k, steps, cons[i] = rf.lift(problem, i, x)
-        shift_iters[i] += steps
-        return k
-
-    pair = bs.solve_bsde(scen, claim, driver, lift=lift)
-    flow = rf.ReflectorFlow(np.concatenate(([0.0], np.cumsum(pair.shifts[:-1]))))
+            pair = bs.solve_bsde(scen, claim, driver, lift=lift)
+            flow = rf.ReflectorFlow(np.concatenate(([0.0], np.cumsum(pair.shifts[:-1]))))
+            # huge values and increments read inf
+            residual = float(np.sum(cons[:-1] * flow.increments))
+    except SupportMismatchError:
+        raise
+    except ValueError as exc:
+        raise FixedPointError(f"non-finite level in the reflected solve: {exc}") from exc
     binding = pair.shifts > 0.0
-    with np.errstate(over="ignore"):  # huge values and increments read inf
-        residual = float(np.sum(cons[:-1] * flow.increments))
     diag = rf.ReflectionDiagnostics(
         constraint_values=cons,
         skorokhod_residual=residual,
@@ -125,7 +133,7 @@ def _solve_with_problem(
 
 def _flat_off_top(
     scen: sc.ScenarioSet,
-    claim: bs.TerminalClaim,
+    claim: sc.RandomVariable,
     driver: bs.Driver,
     problem: rf.ReflectionProblem,
     cons: np.ndarray,
@@ -148,7 +156,7 @@ def _flat_off_top(
 
 def solve_reflected(
     scen: sc.ScenarioSet,
-    claim: bs.TerminalClaim,
+    claim: sc.RandomVariable,
     driver: bs.Driver,
     loss: rf.LossFunction,
     exp: ne.NonlinearExpectation,

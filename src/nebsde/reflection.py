@@ -361,10 +361,9 @@ def minimal_shift(
     exp: ne.NonlinearExpectation,
     loss: LossFunction,
     scen: sc.ScenarioSet,
-    i: int,
     rv: sc.RandomVariable,
 ) -> float:
-    """Smallest ``x >= 0`` with ``E[l(t_i, x + rv)] >= 0``.
+    """Smallest ``x >= 0`` with ``E[l(t_i, x + rv)] >= 0`` at ``rv``'s own index ``i``.
 
     Zero when the constraint already holds.  Otherwise the closed form
     when :func:`closed_form_shift` holds, checked feasible as evaluated;
@@ -375,7 +374,7 @@ def minimal_shift(
     """
     sc.check_rv(scen, rv)
     ne.check_operator(exp, scen)
-    return lift(mean_constraint_problem(scen, loss, exp), i, rv.values)[0]
+    return lift(mean_constraint_problem(scen, loss, exp), rv.index, rv.values)[0]
 
 
 @dataclass(frozen=True)

@@ -135,16 +135,14 @@ def _risk(table: np.ndarray, penalties: np.ndarray, values: np.ndarray) -> float
     return float((-sc.tilted_means(table, values) - penalties).max())
 
 
-def evaluate_risk(rho: RiskMeasure, scen: sc.ScenarioSet, i: int, rv: sc.RandomVariable) -> float:
-    """``rho(t_i, rv)``: the worst penalised tilted mean of the loss ``-rv``.
+def evaluate_risk(rho: RiskMeasure, scen: sc.ScenarioSet, rv: sc.RandomVariable) -> float:
+    """``rho(t_i, rv)`` at ``rv``'s own index ``i``: the worst penalised tilted mean of ``-rv``.
 
     Every kernel's mean comes from one :func:`nebsde.scenarios.tilt_table`
     of index ``i``.
     """
     sc.check_rv(scen, rv)
-    if rv.index != i:
-        raise ValueError("rv must live on index i")
-    return _risk(sc.tilt_table(scen, rho.kernels, i), rho.penalties, rv.values)
+    return _risk(sc.tilt_table(scen, rho.kernels, rv.index), rho.penalties, rv.values)
 
 
 def _risk_problem(rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet) -> rf.ReflectionProblem:
@@ -170,9 +168,9 @@ def _risk_problem(rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet) -> rf.Re
 
 
 def risk_shift(
-    rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet, i: int, rv: sc.RandomVariable
+    rho: RiskMeasure, q: Benchmark, scen: sc.ScenarioSet, rv: sc.RandomVariable
 ) -> float:
-    """Minimal lift onto the acceptance set: ``(rho(t_i, rv) - q_i)^+``.
+    """Minimal lift onto the acceptance set: ``(rho(t_i, rv) - q_i)^+`` at ``rv``'s index ``i``.
 
     Translation invariance of ``rho`` collapses the root search that the
     mean constraint needs.  The closed form can land a rounding error short
@@ -180,12 +178,12 @@ def risk_shift(
     until ``rho(t_i, rv + x) <= q_i`` holds as evaluated, which makes the
     reflected level feasible by construction.
     """
-    return rf.lift(_risk_problem(rho, q, scen), i, rv.values)[0]
+    return rf.lift(_risk_problem(rho, q, scen), rv.index, rv.values)[0]
 
 
 def solve_risk_reflected(
     scen: sc.ScenarioSet,
-    claim: bs.TerminalClaim,
+    claim: sc.RandomVariable,
     driver: bs.Driver,
     rho: RiskMeasure,
     q: Benchmark,
@@ -212,7 +210,7 @@ class PriceReport:
 def superhedge_price(
     market: Market,
     scen: sc.ScenarioSet,
-    claim: bs.TerminalClaim,
+    claim: sc.RandomVariable,
     rho: RiskMeasure,
     q: Benchmark,
 ) -> PriceReport:

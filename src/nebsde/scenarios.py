@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -121,7 +120,7 @@ def _checked_values(values) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ScenarioSet:
     """A realised scenario backend bound to a time grid.
 
@@ -135,13 +134,9 @@ class ScenarioSet:
     n_paths: int = 0
     seed: int = 0
     basis_degree: int = 3
-    tree_values: tuple = field(default=(), compare=False)
-    tree_weights: tuple = field(default=(), compare=False)
-    paths: np.ndarray | None = field(default=None, compare=False)
-
-    def __repr__(self):
-        extra = f", n_paths={self.n_paths}, seed={self.seed}" if self.mode == "montecarlo" else ""
-        return f"ScenarioSet(mode={self.mode!r}, T={self.grid.horizon}, m={self.grid.steps}{extra})"
+    tree_values: tuple = field(default=(), compare=False, repr=False)
+    tree_weights: tuple = field(default=(), compare=False, repr=False)
+    paths: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def build_scenarios(
@@ -425,16 +420,3 @@ def tilted_expect(
     check_rv(scen, rv)
     means = tilted_means(tilt_table(scen, theta, rv.index), rv.values)
     return float(means[0]) if np.ndim(theta) == 0 else means
-
-
-def from_terminal_function(scen: ScenarioSet, fn: Callable[[np.ndarray], np.ndarray]) -> RandomVariable:
-    """Random variable ``fn(B_T)`` on the terminal support.
-
-    Scalar results (constant payoffs) are broadcast over the support.
-    """
-    m = scen.grid.steps
-    b = brownian(scen, m)
-    vals = np.asarray(fn(b), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(b.shape, float(vals))
-    return RandomVariable(m, vals)

@@ -34,10 +34,9 @@ def mean_floor(
     exp: ne.NonlinearExpectation,
     loss: rf.LossFunction,
     scen: sc.ScenarioSet,
-    i: int,
     ybar: sc.RandomVariable,
 ) -> float:
-    """Signed root x of ``E[l(t_i, ybar - mean(ybar) + x)] = 0``.
+    """Signed root x of ``E[l(t_i, ybar - mean(ybar) + x)] = 0`` at ``ybar``'s own index ``i``.
 
     This is the lowest admissible mean at index ``i`` for a process whose
     centered fluctuation matches ``ybar``.  Monotonicity of the constraint
@@ -47,7 +46,7 @@ def mean_floor(
     its final bracket, within ``reflection.OPERATOR_TOL`` of the root.  Raises
     ``BracketFailureError`` when the reach does not fit in a float.
     """
-    return _floor(rf.mean_constraint_problem(scen, loss, exp), i, ybar.values,
+    return _floor(rf.mean_constraint_problem(scen, loss, exp), ybar.index, ybar.values,
                   sc.expect(scen, ybar))
 
 
@@ -142,7 +141,7 @@ def representation_gap(
 class ParameterBundle:
     """One side of a comparison: claim, generator, loss, expectation."""
 
-    claim: bs.TerminalClaim
+    claim: sc.RandomVariable
     driver: bs.Driver
     loss: rf.LossFunction
     expectation: ne.NonlinearExpectation
@@ -289,7 +288,7 @@ class RampFlowInstance:
         return bs.TerminalClaim.from_function(scen, lambda b: b + self.shift)
 
     def t_star(self, scen: sc.ScenarioSet) -> float:
-        margin = sc.expect(scen, self.claim(scen).rv) - self.floor
+        margin = sc.expect(scen, self.claim(scen)) - self.floor
         horizon = scen.grid.horizon
         if not 0.0 < margin < self.gamma * horizon:
             raise ValueError(
@@ -554,7 +553,7 @@ def structural_checks(
 
     margin = inst.shift - inst.floor
     first = ParameterBundle(
-        claim=bs.TerminalClaim(sc.RandomVariable(claim.index, claim.values + 0.4 * margin)),
+        claim=sc.RandomVariable(claim.index, claim.values + 0.4 * margin),
         driver=bs.Driver.constant(-0.5 * inst.gamma),
         loss=rf.LossFunction.linear(inst.floor + 0.6 * margin),
         expectation=classical,
@@ -594,7 +593,7 @@ def structural_checks(
     lo_val = ne.evaluate(
         ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(-kappa)),
         scen,
-        bs.TerminalClaim.constant(scen, c0).rv,
+        bs.TerminalClaim.constant(scen, c0),
     )
     m = scen.grid.steps
     target = c0 * (1.0 + kappa * dt) ** -m
@@ -611,7 +610,7 @@ def structural_checks(
     )
 
     amm = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=kappa)
-    cval = ne.evaluate(amm, scen, bs.TerminalClaim.constant(scen, 1.7).rv)
+    cval = ne.evaluate(amm, scen, bs.TerminalClaim.constant(scen, 1.7))
     records.append(
         CheckRecord(
             name="maxmin-constant-preserving",

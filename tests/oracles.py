@@ -56,7 +56,7 @@ def gexp_value(scen: sc.ScenarioSet, rv: sc.RandomVariable, driver: bs.Driver) -
     (vals,) = bs.zero_noise_continuation(driver, [rv], grid)
     if scen.mode == "tree":
         return kern.tree_backward_value(vals, grid.dt, driver, grid.nodes)
-    return bs.solve_bsde(scen, bs.TerminalClaim(sc.RandomVariable(rv.index, vals)), driver).value
+    return bs.solve_bsde(scen, sc.RandomVariable(rv.index, vals), driver).value
 
 
 def evaluate_alone(exp, scen: sc.ScenarioSet, rv: sc.RandomVariable) -> float:

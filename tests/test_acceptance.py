@@ -33,7 +33,7 @@ def test_a01_lower_envelope_closed_form(tree200):
     target = 2.0 * math.exp(-0.5)
     exp = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(-0.5))
     t0 = time.perf_counter()
-    value = ne.evaluate(exp, tree200, bs.TerminalClaim.constant(tree200, 2.0).rv)
+    value = ne.evaluate(exp, tree200, bs.TerminalClaim.constant(tree200, 2.0))
     elapsed = time.perf_counter() - t0
     err = abs(value - target)
     _line("a01-envelope-closed-form", err <= 1e-3 and elapsed < 1.0,
@@ -42,7 +42,7 @@ def test_a01_lower_envelope_closed_form(tree200):
 
 def test_a02_z_driver_preserves_constants(tree200):
     exp = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.5, include_y=False))
-    value = ne.evaluate(exp, tree200, bs.TerminalClaim.constant(tree200, 3.0).rv)
+    value = ne.evaluate(exp, tree200, bs.TerminalClaim.constant(tree200, 3.0))
     err = abs(value - 3.0)
     _line("a02-constant-preserving", err <= 1e-10, err=err, tol=1e-10)
 
@@ -87,8 +87,8 @@ def test_a05_shift_operator_lipschitz(tree50):
     for _ in range(100):
         x = rng.normal(-0.5, 1.0, 51)
         xp = x + rng.normal(0.0, 0.3, 51)
-        lx = rf.minimal_shift(CLS, loss, tree50, 50, sc.RandomVariable(50, x))
-        lxp = rf.minimal_shift(CLS, loss, tree50, 50, sc.RandomVariable(50, xp))
+        lx = rf.minimal_shift(CLS, loss, tree50, sc.RandomVariable(50, x))
+        lxp = rf.minimal_shift(CLS, loss, tree50, sc.RandomVariable(50, xp))
         bindings += int(lx > 0) + int(lxp > 0)
         bound = 4.0 * sc.expect(tree50, sc.RandomVariable(50, np.abs(x - xp))) + 1e-6
         slack = abs(lx - lxp) - bound

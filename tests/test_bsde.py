@@ -108,7 +108,7 @@ def test_kappa_abs_driver_matches_manual_form(tree8):
 def test_constant_driver_shifts_mean_exactly(tree50):
     claim = bs.TerminalClaim.from_function(tree50, lambda b: np.abs(b))
     pair = bs.solve_bsde(tree50, claim, bs.Driver.constant(0.4))
-    expected = sc.expect(tree50, claim.rv) + 0.4
+    expected = sc.expect(tree50, claim) + 0.4
     assert abs(sc.expect(tree50, pair.Y[0]) - expected) <= EXACT
 
 
@@ -131,8 +131,8 @@ def test_comparison_in_terminal_value(tree8):
     for _ in range(10):
         lo = rng.normal(0.0, 1.0, 9)
         hi = lo + rng.uniform(0.0, 1.0, 9)
-        pa = bs.solve_bsde(tree8, bs.TerminalClaim(sc.RandomVariable(8, lo)), drv)
-        pb = bs.solve_bsde(tree8, bs.TerminalClaim(sc.RandomVariable(8, hi)), drv)
+        pa = bs.solve_bsde(tree8, sc.RandomVariable(8, lo), drv)
+        pb = bs.solve_bsde(tree8, sc.RandomVariable(8, hi), drv)
         for ya, yb in zip(pa.Y, pb.Y):
             assert np.min(yb.values - ya.values) >= -EXACT
 
@@ -154,7 +154,7 @@ def test_lipschitz_lattice_probe():
 
 
 def test_interior_claim(tree8):
-    claim = bs.TerminalClaim(brownian_rv(tree8, 5))
+    claim = brownian_rv(tree8, 5)
     pair = bs.solve_bsde(tree8, claim, bs.Driver.constant(0.0))
     assert len(pair.Y) == 6
     assert abs(pair.value) <= EXACT
@@ -174,6 +174,23 @@ def test_terminal_claim_constructors(tree8):
     assert np.array_equal(c.values, np.full(9, 2.0))
     f = bs.TerminalClaim.from_function(tree8, lambda b: 2.0)
     assert np.array_equal(f.values, c.values)
+
+
+def test_a_claim_is_any_random_variable(tree8):
+    # TerminalClaim is a RandomVariable; a plain one on the same level
+    # solves to the same numbers
+    claim = bs.TerminalClaim.from_function(tree8, lambda b: b + 0.3)
+    assert isinstance(claim, sc.RandomVariable)
+    plain = sc.RandomVariable(claim.index, claim.values)
+    drv = bs.Driver.kappa_abs(0.4)
+    a, b = bs.solve_bsde(tree8, claim, drv), bs.solve_bsde(tree8, plain, drv)
+    assert all(np.array_equal(u.values, v.values) for u, v in zip(a.Y + a.Z, b.Y + b.Z))
+
+
+def test_solve_bsde_refuses_a_flow_of_the_wrong_length(tree8):
+    claim = bs.TerminalClaim.constant(tree8, 1.0)
+    with pytest.raises(ValueError, match="flow needs 8 increments, got 7"):
+        bs.solve_bsde(tree8, claim, bs.Driver.constant(0.0), flow=np.zeros(7))
 
 
 def test_driver_validation():

@@ -295,7 +295,7 @@ def test_solve_with_a_b_reading_loss_matches_the_library(tmp_path, capsys):
                            shape="linear", random=True)
     sol = pc.solve_reflected(scen, claim, driver, loss, cfg_run.expectation)
     floors = vf.representation_gap(scen, sol, driver, cfg_run.expectation, loss).floors
-    cli_sol = pc.solve_reflected(scen, bs.TerminalClaim(cfg_run.payoff), cfg_run.driver,
+    cli_sol = pc.solve_reflected(scen, cfg_run.payoff, cfg_run.driver,
                                  cfg_run.loss, cfg_run.expectation)
     cli_floors = vf.representation_gap(scen, cli_sol, cfg_run.driver, cfg_run.expectation,
                                        cfg_run.loss).floors
@@ -318,6 +318,18 @@ def test_solve_montecarlo_mode(tmp_path, capsys):
     cfg = _write(tmp_path / "run.ini", MC_SOLVE_INI)
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert abs(float(capsys.readouterr().out.strip())) <= 0.05
+
+
+def test_gexp_command_under_the_classical_mean(tmp_path, capsys):
+    # without an expectation the README claim b + 1.05 has mean 1.05 at
+    # every date, and no flow
+    cfg = _write(tmp_path / "run.ini", _readme_ini(50))
+    assert run(["gexp", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "1.05\n"
+    rows = (tmp_path / "solution.csv").read_text().splitlines()
+    assert rows[1] == "t,mean_y,flow"
+    assert len(rows) == 53
+    assert all(row.split(",")[1:] == ["1.05", "0"] for row in rows[2:])
 
 
 def test_gexp_command(tmp_path, capsys):
@@ -599,25 +611,38 @@ def test_non_contractive_exits_3(tmp_path, capsys):
 OVERFLOW_INI = """\
 [scenario]
 horizon = 1.0
-steps = 1
+steps = {steps}
 
 [problem]
 payoff = {payoff}
-loss = x
-loss_shape = linear
+{problem}
 """
+LINEAR_LOSS = "loss = x\nloss_shape = linear"
+STEEP_LOSS = "loss = x * 1000\nloss_lower = 1000\nloss_upper = 1000"
 
 
 def test_overflowing_integrand_exits_3(tmp_path, capsys):
-    # A Z level that overflows, or a conditional mean that does, is a
-    # divergence (exit 3), not a traceback, and no numpy warning escapes (the
-    # suite turns a RuntimeWarning into an error).
-    for name, payoff, message in (
-        ("z", "1.7e308 * b", "non-finite integrand"),
-        ("mean", "1.6e308 + 1e307 * b\ndriver = -0.2 * y + 0.1 * abs(z)\ndriver_lipschitz = 0.3",
+    # A Z level that overflows, a conditional mean that does, a loss level
+    # that does (under the mean and under alpha-maxmin), or a g-expectation's
+    # roll-back of the terminal loss level that does, is a divergence (exit
+    # 3), not a traceback, and no numpy warning escapes (the suite turns a
+    # RuntimeWarning into an error).
+    for name, steps, payoff, problem, message in (
+        ("z", 1, "1.7e308 * b", LINEAR_LOSS, "non-finite integrand"),
+        ("mean", 1, "1.6e308 + 1e307 * b",
+         LINEAR_LOSS + "\ndriver = -0.2 * y + 0.1 * abs(z)\ndriver_lipschitz = 0.3",
          "non-finite values in the implicit step"),
+        ("loss", 10, "1e306 * b", STEEP_LOSS + "\nloss_shape = linear",
+         "non-finite level in the reflected solve"),
+        ("maxmin-loss", 10, "1e306 * b",
+         STEEP_LOSS + "\nexpectation = alpha-maxmin\nalpha = 0.3\nkappa = 0.5",
+         "non-finite level in the reflected solve"),
+        ("gexp-terminal", 1, "1.6e308 + 1e307 * b",
+         LINEAR_LOSS + "\nexpectation = gexp\ngexp_driver = 0.3 * abs(z)\nkappa = 0.3",
+         "non-finite root value"),
     ):
-        cfg = _write(tmp_path / f"{name}.ini", OVERFLOW_INI.format(payoff=payoff))
+        ini = OVERFLOW_INI.format(steps=steps, payoff=payoff, problem=problem)
+        cfg = _write(tmp_path / f"{name}.ini", ini)
         out = tmp_path / name
         code = run(["solve", "--config", cfg, "--out", str(out)])
         err = capsys.readouterr().err

@@ -93,14 +93,14 @@ def test_z_only_driver_preserves_constants(tree50):
 
 
 def test_classical_is_plain_mean(tree50):
-    rv = sc.from_terminal_function(tree50, lambda b: b * b)
+    rv = bs.TerminalClaim.from_function(tree50, lambda b: b * b)
     exp = ne.NonlinearExpectation.classical()
     assert abs(ne.evaluate(exp, tree50, rv) - sc.expect(tree50, rv)) <= EXACT
 
 
 def test_cash_additivity_flag(tree50):
     # The flag holds exactly where E[X + c] = E[X] + c.
-    rv = sc.from_terminal_function(tree50, lambda b: np.sin(3.0 * b))
+    rv = bs.TerminalClaim.from_function(tree50, lambda b: np.sin(3.0 * b))
     shifted = sc.RandomVariable(50, rv.values + 0.8)
     flagged = [
         ne.NonlinearExpectation.classical(),
@@ -121,7 +121,7 @@ def test_maxmin_constant_preserving(tree50):
 
 
 def test_maxmin_is_affine_in_alpha(tree100):
-    rv = sc.from_terminal_function(tree100, lambda b: 0.5 * np.abs(b))
+    rv = bs.TerminalClaim.from_function(tree100, lambda b: 0.5 * np.abs(b))
     vals = {
         a: ne.evaluate(ne.NonlinearExpectation.alpha_maxmin(alpha=a, kappa=KAPPA), tree100, rv)
         for a in (0.0, 0.5, 1.0)
@@ -142,7 +142,7 @@ def test_maxmin_dominates_constant_tilt_grid(tree100):
     # The adapted extremes beat any constant-kernel tilt: above the grid sup
     # at alpha=1, below the grid inf at alpha=0.
     for fn in (lambda b: b, lambda b: 0.5 * np.abs(b), lambda b: 0.4 * b * b):
-        rv = sc.from_terminal_function(tree100, fn)
+        rv = bs.TerminalClaim.from_function(tree100, fn)
         top = ne.NonlinearExpectation.alpha_maxmin(alpha=1.0, kappa=KAPPA)
         bot = ne.NonlinearExpectation.alpha_maxmin(alpha=0.0, kappa=KAPPA)
         assert ne.evaluate(top, tree100, rv) >= _constant_tilt_maxmin(top, tree100, rv) - 1e-10
@@ -216,7 +216,7 @@ def test_tree_evaluate_matches_solve_bsde_on_continued_claim(m, data, kappa, cas
     for j in range(m - 1, index - 1, -1):
         continued = bs.implicit_step(driver, float(scen.grid.nodes[j]), continued,
                                      np.zeros_like(x), scen.grid.dt)
-    claim = bs.TerminalClaim(sc.RandomVariable(index, continued))
+    claim = sc.RandomVariable(index, continued)
     ref = bs.solve_bsde(scen, claim, driver).value
     assert abs(got - ref) <= 1e-12 * (1.0 + np.max(np.abs(continued))), (case, got, ref)
 
@@ -271,14 +271,14 @@ def test_tree_evaluate_runs_no_bsde_solve(tree8, monkeypatch):
     monkeypatch.setattr(bs, "solve_bsde", refuse)
     driver = bs.Driver(fn=lambda t, y, z: -0.5 * y + 0.2 * np.abs(z), lipschitz=0.5,
                        depends_on_y=True, depends_on_z=True)
-    rv = sc.from_terminal_function(tree8, lambda b: b * b)
+    rv = bs.TerminalClaim.from_function(tree8, lambda b: b * b)
     assert np.isfinite(ne.evaluate(ne.NonlinearExpectation.gexp(driver), tree8, rv))
 
 
 def test_non_finite_driver_on_tree_raises_fixed_point_error(tree8):
     nan = bs.Driver(fn=lambda t, y, z: np.full_like(np.asarray(z, dtype=float), np.nan),
                     lipschitz=0.5, depends_on_z=True)
-    rv = sc.from_terminal_function(tree8, lambda b: b + 1.0)
+    rv = bs.TerminalClaim.from_function(tree8, lambda b: b + 1.0)
     with pytest.raises(FixedPointError):
         ne.evaluate(ne.NonlinearExpectation.gexp(nan), tree8, rv)
     with pytest.raises(FixedPointError):
@@ -342,7 +342,7 @@ def test_driver_vanishing_checked_on_every_grid_date():
         pc.solve_reflected(scen, claim, bs.Driver.constant(0.0),
                            rf.LossFunction.linear(1.0), late)
     with pytest.raises(ValueError, match="vanish"):
-        rf.minimal_shift(late, rf.LossFunction.linear(1.0), scen, 20, claim.rv)
+        rf.minimal_shift(late, rf.LossFunction.linear(1.0), scen, claim)
     with pytest.raises(ValueError, match="vanish"):
         ne.check_operator(late, scen)
     early = ne.NonlinearExpectation.gexp(bs.Driver.time_dependent(lambda t: max(t - 2.0, 0.0)))
@@ -361,7 +361,7 @@ def test_envelopes_and_their_blend(tree50):
     assert gexp.envelopes == ((1.0, gexp.driver),)
     assert ne.NonlinearExpectation.classical().envelopes == ()
     assert math.copysign(1.0, gexp.blend(lambda driver: -0.0)) == -1.0
-    rv = sc.from_terminal_function(tree50, lambda b: np.sin(2.0 * b))
+    rv = bs.TerminalClaim.from_function(tree50, lambda b: np.sin(2.0 * b))
     upper, lower = (gexp_value(tree50, rv, d) for d in (hi, lo))
     assert ne.evaluate(amm, tree50, rv) == 0.3 * upper + (1.0 - 0.3) * lower
 
@@ -373,7 +373,7 @@ def test_lower_envelope_is_built_once(tree50, count_calls):
     amm = ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=KAPPA)
     lower = amm.envelopes[1][1]
     assert amm.envelopes[1][1] is lower
-    rv = sc.from_terminal_function(tree50, lambda b: np.sin(2.0 * b))
+    rv = bs.TerminalClaim.from_function(tree50, lambda b: np.sin(2.0 * b))
     for _ in range(3):
         ne.evaluate(amm, tree50, rv)
     assert amm.envelopes[1][1] is lower

@@ -13,7 +13,7 @@ from nebsde import picard as pc
 from nebsde import reflection as rf
 from nebsde import risk as rk
 from nebsde import scenarios as sc
-from nebsde.errors import FixedPointError, PicardDivergenceError
+from nebsde.errors import FixedPointError, PicardDivergenceError, SupportMismatchError
 
 CLS = ne.NonlinearExpectation.classical()
 
@@ -90,6 +90,23 @@ def test_non_finite_level_raises(tree8):
     )
     with pytest.raises(FixedPointError):
         pc.solve_reflected(tree8, claim, driver, rf.LossFunction.linear(0.0), CLS)
+
+
+@pytest.mark.parametrize("exp", [CLS, ne.NonlinearExpectation.alpha_maxmin(0.3, 0.5)],
+                         ids=["classical", "alpha_maxmin"])
+def test_overflowing_loss_level_is_a_fixed_point_error(exp):
+    # The loss 1000*x of the claim 1e306*B_T overflows at the terminal
+    # level: a divergence, with no numpy warning, not a ValueError.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 10), "tree")
+    claim = bs.TerminalClaim.from_function(scen, lambda b: 1e306 * b)
+    loss = rf.LossFunction(fn=lambda t, x: np.asarray(x) * 1000.0, lower=1000.0,
+                           upper=1000.0, shape="linear")
+    with pytest.raises(FixedPointError, match="values must be finite"):
+        pc.solve_reflected(scen, claim, bs.Driver.constant(0.0), loss, exp)
+    # a loss level of the wrong size stays a support mismatch
+    longer = rf.LossFunction(fn=lambda t, x: np.append(x, 0.0))
+    with pytest.raises(SupportMismatchError):
+        pc.solve_reflected(scen, claim, bs.Driver.constant(0.0), longer, CLS)
 
 
 def test_solution_stitching_invariants():
@@ -175,7 +192,7 @@ def test_stored_risk_slack_matches_a_fresh_evaluation(tree50):
     claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.45)
     sol = rk.superhedge_price(mkt, tree50, claim, rho, q).solution
     assert sol.K.total > 0.0 and sol.picard.iterations == [1] * tree50.grid.steps
-    fresh = [0.45 - rk.evaluate_risk(rho, tree50, y.index, y) for y in sol.Y]
+    fresh = [0.45 - rk.evaluate_risk(rho, tree50, y) for y in sol.Y]
     assert np.array_equal(sol.diagnostics.constraint_values, fresh)
 
 
@@ -242,7 +259,7 @@ def test_terminal_level_is_the_claim():
     assert np.array_equal(sol.Y[-1].values, claim.values)
     assert sol.K.increments[-1] == pytest.approx(5e-7, rel=1e-6)
     assert sol.K.total == pytest.approx(5e-7, rel=1e-6)
-    assert abs(sol.value - sc.expect(scen, claim.rv) - sol.K.total) <= 1e-14
+    assert abs(sol.value - sc.expect(scen, claim) - sol.K.total) <= 1e-14
     assert sol.diagnostics.constraint_values[-1] == pytest.approx(-5e-7, rel=1e-6)
 
 

@@ -51,7 +51,7 @@ def test_minimal_shift_against_scalar_bisection(tree50):
         return float(w @ np.minimum(rv.values + s - 0.2, 0.4 * (rv.values + s - 0.2)))
 
     root = brentq(mean_loss, 0.0, 10.0, xtol=1e-12)
-    got = rf.minimal_shift(CLS, loss, tree50, 25, rv)
+    got = rf.minimal_shift(CLS, loss, tree50, rv)
     assert abs(got - root) <= SHIFT_TOL
 
 
@@ -90,7 +90,7 @@ def test_minimal_shift_feasible_and_near_root(tree50, index, level, floor, slope
     def phi(s):
         return rf.constraint_value(CLS, loss, tree50, index, rv.values + s)
 
-    got = rf.minimal_shift(CLS, loss, tree50, index, rv)
+    got = rf.minimal_shift(CLS, loss, tree50, rv)
     assert got >= 0.0
     assert phi(got) >= 0.0
     if got > rf.OPERATOR_TOL:
@@ -295,7 +295,7 @@ def test_shift_rejects_operator_not_monotone_on_tree(tree50, exp):
     # trusted; it is refused before any evaluation.
     rv = sc.RandomVariable(50, tree50.tree_values[50] - 2.0)
     with pytest.raises(ValueError, match="not monotone"):
-        rf.minimal_shift(exp, rf.LossFunction.linear(0.0), tree50, 50, rv)
+        rf.minimal_shift(exp, rf.LossFunction.linear(0.0), tree50, rv)
     mc = sc.build_scenarios(sc.TimeGrid(1.0, 50), "montecarlo", n_paths=50, seed=1)
     ne.check_operator(exp, mc)  # paths are not checked for monotonicity
     y_only = ne.NonlinearExpectation.gexp(bs.Driver(fn=lambda t, y, z: -0.5 * y,
@@ -313,12 +313,12 @@ def test_overflowing_bracket_raises_bracket_failure():
     exp = ne.NonlinearExpectation.gexp(driver)
     rv = sc.RandomVariable(50, scen.tree_values[50] - 2.0)
     with pytest.raises(BracketFailureError, match="overflows"):
-        rf.minimal_shift(exp, rf.LossFunction.linear(0.0), scen, 50, rv)
+        rf.minimal_shift(exp, rf.LossFunction.linear(0.0), scen, rv)
 
 
 def test_minimal_shift_zero_when_feasible(tree50):
     rv = sc.RandomVariable(10, tree50.tree_values[10] + 5.0)
-    assert rf.minimal_shift(CLS, rf.LossFunction.linear(0.0), tree50, 10, rv) == 0.0
+    assert rf.minimal_shift(CLS, rf.LossFunction.linear(0.0), tree50, rv) == 0.0
 
 
 def test_minimal_shift_under_lower_envelope(tree50):
@@ -326,13 +326,13 @@ def test_minimal_shift_under_lower_envelope(tree50):
     # the floor, whatever the kappa continuation does around it.
     gneg = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(-0.5))
     rv = sc.RandomVariable(40, np.zeros(41))
-    got = rf.minimal_shift(gneg, rf.LossFunction.linear(1.0), tree50, 40, rv)
+    got = rf.minimal_shift(gneg, rf.LossFunction.linear(1.0), tree50, rv)
     assert abs(got - 1.0) <= SHIFT_TOL
 
 
 def test_minimal_shift_plateau_guard(tree50):
     rv = sc.RandomVariable(20, np.full(21, 1.0 - 1e-9))
-    got = rf.minimal_shift(CLS, rf.LossFunction.linear(1.0), tree50, 20, rv)
+    got = rf.minimal_shift(CLS, rf.LossFunction.linear(1.0), tree50, rv)
     assert 0.0 <= got <= 1e-8
 
 
@@ -446,7 +446,7 @@ def test_infeasible_terminal_raises(tree50):
 
 
 def test_claim_must_be_terminal(tree50):
-    claim = bs.TerminalClaim(brownian_rv(tree50, 30))
+    claim = brownian_rv(tree50, 30)
     with pytest.raises(ValueError):
         _solve_constant(tree50, claim, 0.0, rf.LossFunction.linear(0.0))
 

@@ -33,14 +33,14 @@ def test_evaluate_risk_matches_weighted_sums():
     for theta, pen in zip(kernels, penalties):
         g = np.exp(theta * b)
         cands.append(float(w @ (g * (-x))) / float(w @ g) - pen)
-    assert abs(rk.evaluate_risk(rho, scen, 20, rv) - max(cands)) <= EXACT
+    assert abs(rk.evaluate_risk(rho, scen, rv) - max(cands)) <= EXACT
 
 
 def test_evaluate_risk_interior_closed_form(tree50):
     # Single kernel theta on B_i: tilted mean factorises into per-step tanh.
     sq = math.sqrt(tree50.grid.dt)
     rho = rk.RiskMeasure(kernels=np.array([0.6]), penalties=np.array([0.0]))
-    got = rho_val = rk.evaluate_risk(rho, tree50, 13, brownian_rv(tree50, 13))
+    got = rho_val = rk.evaluate_risk(rho, tree50, brownian_rv(tree50, 13))
     exact = -13 * sq * math.tanh(0.6 * sq)
     assert abs(got - exact) <= EXACT
     assert rho_val < 0.0  # tilting cannot beat the deterministic bound here
@@ -49,9 +49,9 @@ def test_evaluate_risk_interior_closed_form(tree50):
 def test_translation_invariance(tree50):
     rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
     rv = brownian_rv(tree50, 20)
-    base = rk.evaluate_risk(rho, tree50, 20, rv)
+    base = rk.evaluate_risk(rho, tree50, rv)
     shifted = rk.evaluate_risk(
-        rho, tree50, 20, sc.RandomVariable(20, rv.values + 0.7)
+        rho, tree50, sc.RandomVariable(20, rv.values + 0.7)
     )
     assert abs(shifted - (base - 0.7)) <= EXACT
 
@@ -60,12 +60,12 @@ def test_risk_shift_is_positive_part(tree50):
     rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
     q = rk.Benchmark.constant(tree50.grid, 0.1)
     rv = brownian_rv(tree50, 20)
-    rho_val = rk.evaluate_risk(rho, tree50, 20, rv)
-    assert rk.risk_shift(rho, q, tree50, 20, rv) == pytest.approx(
+    rho_val = rk.evaluate_risk(rho, tree50, rv)
+    assert rk.risk_shift(rho, q, tree50, rv) == pytest.approx(
         max(rho_val - 0.1, 0.0), abs=EXACT
     )
     rich = sc.RandomVariable(20, rv.values + 10.0)
-    assert rk.risk_shift(rho, q, tree50, 20, rich) == 0.0
+    assert rk.risk_shift(rho, q, tree50, rich) == 0.0
 
 
 def test_risk_shift_divides_by_scale_and_is_feasible(tree50):
@@ -74,12 +74,12 @@ def test_risk_shift_divides_by_scale_and_is_feasible(tree50):
     rv = brownian_rv(tree50, 20)
     q = rk.Benchmark.constant(tree50.grid, 0.0)
     rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
-    unit = rk.evaluate_risk(rho, tree50, 20, rv)
+    unit = rk.evaluate_risk(rho, tree50, rv)
     assert unit > 0.1
-    x = rk.risk_shift(rho, q, tree50, 20, rv)
+    x = rk.risk_shift(rho, q, tree50, rv)
     assert x == pytest.approx(unit, abs=EXACT)
     lifted = sc.RandomVariable(20, rv.values + x)
-    assert 0.0 - rk.evaluate_risk(rho, tree50, 20, lifted) >= 0.0
+    assert 0.0 - rk.evaluate_risk(rho, tree50, lifted) >= 0.0
 
 
 def test_risk_shift_raises_when_lift_never_lands(tree50, monkeypatch):
@@ -89,7 +89,7 @@ def test_risk_shift_raises_when_lift_never_lands(tree50, monkeypatch):
     q = rk.Benchmark.constant(tree50.grid, 0.0)
     monkeypatch.setattr(rk, "_risk", lambda *args: 1.0)
     with pytest.raises(BracketFailureError):
-        rk.risk_shift(rho, q, tree50, 20, brownian_rv(tree50, 20))
+        rk.risk_shift(rho, q, tree50, brownian_rv(tree50, 20))
 
 
 def test_risk_constraint_checks_each_level(tree50):
@@ -99,7 +99,7 @@ def test_risk_constraint_checks_each_level(tree50):
     problem = rk._risk_problem(rho, rk.Benchmark.constant(tree50.grid, 0.1), tree50)
     good = tree50.tree_values[20]
     assert problem.constraint(20, good) == 0.1 - rk.evaluate_risk(
-        rho, tree50, 20, sc.RandomVariable(20, good))
+        rho, tree50, sc.RandomVariable(20, good))
     with pytest.raises(SupportMismatchError):
         problem.constraint(20, np.zeros(good.size + 1))
     with pytest.raises(ValueError, match="finite"):

@@ -50,7 +50,7 @@ def test_tree_expectation_matches_path_enumeration():
     for signs in itertools.product((-1.0, 1.0), repeat=m):
         total += fn(sum(signs) * sq)
     brute = total / 2.0**m
-    rv = sc.from_terminal_function(scen, fn)
+    rv = bs.TerminalClaim.from_function(scen, fn)
     assert abs(sc.expect(scen, rv) - brute) <= EXACT
 
 
@@ -62,7 +62,7 @@ def test_tree_terminal_moments(tree50):
 
 
 def test_tree_tower_property(tree50):
-    rv = sc.from_terminal_function(tree50, lambda b: np.maximum(b, 0.0) + 0.1 * b * b)
+    rv = bs.TerminalClaim.from_function(tree50, lambda b: np.maximum(b, 0.0) + 0.1 * b * b)
     via_mid = sc.cond_expect(tree50, sc.cond_expect(tree50, rv, 30), 10)
     direct = sc.cond_expect(tree50, rv, 10)
     assert np.max(np.abs(via_mid.values - direct.values)) <= EXACT
@@ -215,7 +215,7 @@ def test_girsanov_weights_renormalised(tree50, mc50):
 
 
 def test_zero_tilt_is_plain_expectation(tree50):
-    rv = sc.from_terminal_function(tree50, lambda b: b * b - b)
+    rv = bs.TerminalClaim.from_function(tree50, lambda b: b * b - b)
     assert abs(sc.tilted_expect(tree50, 0.0, rv) - sc.expect(tree50, rv)) <= EXACT
 
 
@@ -425,6 +425,38 @@ def test_tree_step_fit_is_the_two_steps(tree50):
     assert np.array_equal(z, sc.step_z(tree50, v, 30))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mc_step_z_is_step_fits_z(seed):
+    # step_z projects Y_{i+1}*dB_i/dt alone; step_fit projects it beside
+    # Y_{i+1} with the same Gram matrix, so the two agree up to rounding.
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), "montecarlo", n_paths=2000, seed=seed)
+    for i in (0, 1, 10, 19):
+        v = np.sin(3.0 * sc.brownian(scen, i + 1)) + 0.5
+        _, z = sc.step_fit(scen, v, i)
+        assert np.max(np.abs(sc.step_z(scen, v, i) - z)) <= 1e-12 * np.max(np.abs(z))
+
+
+def test_index_outside_the_grid_is_refused(tree8):
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        sc.RandomVariable(-1, np.zeros(1))
+    for i in (-1, 9):
+        with pytest.raises(ValueError, match="outside grid 0..8"):
+            sc.support_size(tree8, i)
+    with pytest.raises(ValueError, match="must lie in 0..5"):
+        sc.cond_expect(tree8, brownian_rv(tree8, 5), 6)
+
+
+def test_scenario_set_repr_leaves_out_the_levels():
+    # the generated repr shows the grid and the settings, not the stored
+    # levels or paths
+    tree = sc.build_scenarios(sc.TimeGrid(1.0, 1000), "tree")
+    mc = sc.build_scenarios(sc.TimeGrid(1.0, 1000), "montecarlo", n_paths=50, seed=4)
+    for scen, mode in ((tree, "tree"), (mc, "montecarlo")):
+        text = repr(scen)
+        assert len(text) < 200, text
+        assert f"mode={mode!r}" in text and "steps=1000" in text
+
+
 def test_mc_determinism():
     grid = sc.TimeGrid(1.0, 10)
     a = sc.build_scenarios(grid, "montecarlo", n_paths=200, seed=11)
@@ -441,8 +473,8 @@ def test_brownian_rv_matches_stored_support(tree8):
     assert np.array_equal(rv.values, tree8.tree_values[5])
 
 
-def test_from_terminal_function_broadcasts_scalars(tree8):
-    rv = sc.from_terminal_function(tree8, lambda b: 2.0)
+def test_terminal_claim_from_function_broadcasts_scalars(tree8):
+    rv = bs.TerminalClaim.from_function(tree8, lambda b: 2.0)
     assert rv.index == 8
     assert np.array_equal(rv.values, np.full(9, 2.0))
 

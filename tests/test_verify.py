@@ -1,6 +1,7 @@
 """Structural checks: floors, representation, comparisons, competitor demos."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -26,7 +27,7 @@ def test_mean_floor_linear_loss_is_exact_floor(tree50):
     # centered fluctuation looks like.
     ybar = sc.RandomVariable(20, tree50.tree_values[20] + 3.0)
     loss = rf.LossFunction.linear(0.7)
-    got = vf.mean_floor(CLS, loss, tree50, 20, ybar)
+    got = vf.mean_floor(CLS, loss, tree50, ybar)
     assert abs(got - 0.7) <= 2e-8
 
 
@@ -44,14 +45,14 @@ def test_mean_floor_kinked_loss_matches_bisection(tree50):
         return float(w @ np.minimum(v - 0.2, 0.5 * (v - 0.2)))
 
     root = brentq(mean_loss, -10.0, 10.0, xtol=1e-12)
-    assert abs(vf.mean_floor(CLS, loss, tree50, i, ybar) - root) <= 2e-8
+    assert abs(vf.mean_floor(CLS, loss, tree50, ybar) - root) <= 2e-8
 
 
 def test_mean_floor_signed_root(tree50):
     # A loss with positive value at zero mean admits negative floors.
     loss = rf.LossFunction.linear(-0.4)
     ybar = sc.RandomVariable(10, tree50.tree_values[10])
-    got = vf.mean_floor(CLS, loss, tree50, 10, ybar)
+    got = vf.mean_floor(CLS, loss, tree50, ybar)
     assert abs(got - (-0.4)) <= 2e-8
 
 
@@ -69,9 +70,9 @@ def test_mean_floor_overflowing_bracket_raises_bracket_failure(mode):
     exp = ne.NonlinearExpectation.gexp(driver)
     ybar = brownian_rv(scen, 10)
     with pytest.raises(BracketFailureError, match="overflows"):
-        vf.mean_floor(exp, rf.LossFunction.linear(0.2), scen, 10, ybar)
+        vf.mean_floor(exp, rf.LossFunction.linear(0.2), scen, ybar)
     with pytest.raises(BracketFailureError, match="overflows"):
-        rf.minimal_shift(exp, rf.LossFunction.linear(0.2), scen, 10, ybar)
+        rf.minimal_shift(exp, rf.LossFunction.linear(0.2), scen, ybar)
 
 
 def test_mean_floor_cash_additive_reach_has_no_exponential():
@@ -83,7 +84,7 @@ def test_mean_floor_cash_additive_reach_has_no_exponential():
     loss = rf.LossFunction(fn=lambda t, x: np.minimum(x, 0.6 * np.asarray(x)),
                            lower=0.6, upper=1.0, shape="concave")
     ybar = sc.RandomVariable(30, scen.tree_values[30] + 3.0)
-    got = vf.mean_floor(amm, loss, scen, 30, ybar)
+    got = vf.mean_floor(amm, loss, scen, ybar)
     centered = ybar.values - sc.expect(scen, ybar)
 
     def phi(x):
@@ -122,8 +123,18 @@ def test_representation_floors_are_mean_floor(exp, loss):
     driver = bs.Driver.constant(-1.0)
     sol = pc.solve_reflected(scen, claim, driver, loss, exp)
     rep = vf.representation_gap(scen, sol, driver, exp, loss)
-    floors = [vf.mean_floor(exp, loss, scen, i, sol.Y[i]) for i in range(30)]
+    floors = [vf.mean_floor(exp, loss, scen, sol.Y[i]) for i in range(30)]
     assert rep.floors.tolist() == floors
+
+
+def test_representation_needs_a_full_grid_solution():
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, 20), "tree")
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.5)
+    loss = rf.LossFunction.linear(0.0)
+    sol = pc.solve_reflected(scen, claim, bs.Driver.constant(-1.0), loss, CLS)
+    short = dataclasses.replace(sol, Y=sol.Y[:-1])
+    with pytest.raises(ValueError, match="full-grid solution"):
+        vf.representation_gap(scen, short, bs.Driver.constant(-1.0), CLS, loss)
 
 
 def test_representation_gap_vanishes_when_slack():
@@ -370,7 +381,7 @@ def test_shrinking_envelope_is_exact_on_the_discrete_grid(m):
     kappa, c0 = 0.5, 2.0
     scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
     lower = ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(-kappa))
-    got = ne.evaluate(lower, scen, bs.TerminalClaim.constant(scen, c0).rv)
+    got = ne.evaluate(lower, scen, bs.TerminalClaim.constant(scen, c0))
     exact = c0 * (1.0 + kappa * scen.grid.dt) ** -m
     assert abs(got - exact) <= (m + 2) * np.finfo(float).eps * c0
     if m <= 50:
