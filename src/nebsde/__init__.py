@@ -14,7 +14,6 @@ from .errors import (
     FixedPointError,
     InfeasibleProblemError,
     NonContractiveStepError,
-    PicardDivergenceError,
     SupportMismatchError,
 )
 from .expectations import DominationReport, NonlinearExpectation, domination_gap, evaluate

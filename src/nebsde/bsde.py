@@ -6,8 +6,8 @@ then the value is rolled back with an implicit-in-y Euler step,
 :func:`implicit_step`.  Tree mode uses exact pairwise averages and one-step
 difference quotients; Monte Carlo mode uses one regression fit for both.
 :func:`solve_bsde` is the one backward loop: a reflected solve passes it a
-lift, which it applies after each step until the lifted level settles, or
-once per level for a driver declared affine in y.
+lift, which moves each rolled-back level once: by a translation, or, when
+the driver reads y and is not affine in it, through the step.
 """
 from __future__ import annotations
 
@@ -18,13 +18,10 @@ from typing import Callable
 import numpy as np
 
 from . import scenarios as sc
-from .errors import FixedPointError, NonContractiveStepError, PicardDivergenceError
+from .errors import FixedPointError, NonContractiveStepError
 
 _SWEEP_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
-# per-step agreement of successive lifted levels, and the passes allowed
-PICARD_TOL = 1e-8
-_MAX_PASSES = 100
 
 
 @dataclass(frozen=True)
@@ -78,10 +75,6 @@ class Driver:
     def constant(value: float) -> "Driver":
         c = float(value)
         return Driver(fn=lambda t, y, z: np.full_like(np.asarray(y, dtype=float), c))
-
-    @staticmethod
-    def time_dependent(fn: Callable[[float], float]) -> "Driver":
-        return Driver(fn=lambda t, y, z: np.full_like(np.asarray(y, dtype=float), float(fn(t))))
 
     @staticmethod
     def kappa_abs(kappa: float, include_y: bool = True) -> "Driver":
@@ -143,14 +136,12 @@ class TerminalClaim(sc.RandomVariable):
 
 @dataclass(frozen=True)
 class BsdePair:
-    """``Y`` on indices ``0..stop`` and ``Z`` on steps, with the lift ``shifts[i]``
-    of each level (zeros without a lift) and, per step, ``diff_norms[i]``:
-    ``max|y - u|`` after each lifted pass (empty without a lift)."""
+    """``Y`` on indices ``0..stop`` and ``Z`` on steps, with the flow increment
+    ``shifts[i]`` of each level's lift (zeros without a lift)."""
 
     Y: tuple
     Z: tuple
     shifts: np.ndarray
-    diff_norms: tuple
 
     @property
     def value(self) -> float:
@@ -207,6 +198,12 @@ def implicit_step(
     out as its one-level call bit for bit under a closed-form or explicit
     step, and within the sweep tolerance of it under a sweep.
     """
+    return _implicit_step(driver, t, e, z, dt, e)
+
+
+def _implicit_step(driver: Driver, t: float, e: np.ndarray, z: np.ndarray, dt: float,
+                   start: np.ndarray) -> np.ndarray:
+    """:func:`implicit_step` with its fixed-point sweep, if any, started from ``start``."""
     _check_contractive(driver, dt)
     if driver.kappa_structure is not None:
         kdt = driver.kappa_structure * dt
@@ -220,7 +217,7 @@ def implicit_step(
     q = driver.lipschitz * dt
     fac = max(1.0, q / (1.0 - q))
     rtol = max(_SWEEP_TOL, _EPS / (1.0 - q))
-    y = e
+    y = start
     sweeps, due_at = 0, 1
     while True:
         y_next = e + np.asarray(driver.fn(t, y, z), dtype=float) * dt
@@ -228,9 +225,9 @@ def implicit_step(
         if sweeps < due_at:
             y = y_next
             continue
-        move = float(np.max(np.abs(y_next - y)))
+        move = float(np.abs(y_next - y).max())
         y = y_next
-        tol = rtol * (1.0 + float(np.max(np.abs(y))))
+        tol = rtol * (1.0 + float(np.abs(y).max()))
         if not math.isfinite(move):
             raise FixedPointError(f"non-finite values in the implicit step after {sweeps} sweeps")
         if sweeps == 1:
@@ -296,6 +293,25 @@ def zero_noise_continuation(driver: Driver, levels, grid: sc.TimeGrid) -> list:
     return out
 
 
+def _lift_through_step(lift, i: int, driver: Driver, t: float, e: np.ndarray, z: np.ndarray,
+                       dt: float, u: np.ndarray, slope: float) -> tuple:
+    """``(k, level(k), slope)``, ``k = lift(i, u, level)``, ``level(d)`` solving ``y = e + d +
+    f(t, y, z)*dt`` from the last solution moved by ``d - d'`` times each node's slope over the
+    last two calls (``u`` at 0; the first call takes ``slope``), which returns as its mean."""
+    probed = {0.0: u}
+    last = [0.0, u, slope]
+
+    def level(d: float) -> np.ndarray:
+        d1, y1, s = last
+        probed[d] = y = _implicit_step(driver, t, e + d, z, dt, y1 + (d - d1) * s)
+        last[:] = d, y, (y - y1) / (d - d1) if d != d1 else s
+        return y
+
+    k = lift(i, u, level)
+    # a copy: the sweep's own output amid its freed temporaries fragments the heap
+    return k, (probed[k] if k in probed else level(k)).copy(), np.mean(last[2])
+
+
 def solve_bsde(
     scen: sc.ScenarioSet,
     claim: sc.RandomVariable,
@@ -309,16 +325,14 @@ def solve_bsde(
     and Z on ``0..claim.index - 1``.
     ``flow``, when given, holds one deterministic increment per step, added
     to the conditional mean before the implicit step, which makes it exact.
-    ``lift(i, x) -> k``, when given, is found only after the step: it lifts
-    each rolled-back level ``x`` to ``x + k`` (the claim's level stays the
-    claim); for a driver that reads y, the step is rolled again from the
-    lifted level until two passes agree to ``PICARD_TOL``
-    (``PicardDivergenceError`` after ``_MAX_PASSES``).  A driver declaring
-    ``y_coefficient = a`` is lifted once per level instead: with ``u`` the
-    exact step, ``c = lift(i, u)`` gives ``Y_i = u + c`` and
-    ``shifts[i] = c*(1 - a*dt)``.  That is the fixed point the re-roll
-    approaches, the least feasible solution of ``Y = e + (a*Y + h)*dt + dK``,
-    ``Y = u + dK/(1 - a*dt)``, and ``diff_norms[i]`` holds its one pass.
+    ``lift(i, u, level) -> k``, when given, lifts each rolled-back level
+    ``u`` once (the claim's level stays the claim).  If the driver ignores
+    y or declares ``y_coefficient = a``, ``level`` is None, ``Y_i = u + k``
+    and ``shifts[i] = k*(1 - a*dt)`` (``k`` without ``a``): the least
+    feasible solution of ``Y = e + (a*Y + h)*dt + dK``.  Otherwise
+    ``level(d)`` is the step with the flow increment ``d``, whose nodes
+    rise in ``d`` at slopes within ``[1/(1 + q), 1/(1 - q)]``, ``q =
+    lipschitz*dt``, and ``shifts[i] = k``, ``Y_i = level(k)``.
     A level of ``Z`` that is not finite raises ``FixedPointError`` before
     its implicit step, so no driver sees it, and so does a level of ``Y``.
     The whole level loop, lifts included, runs in one ``np.errstate``
@@ -333,9 +347,10 @@ def solve_bsde(
     dt = scen.grid.dt
     a = driver.y_coefficient
     shifts = np.zeros(stop + 1)
+    slope = 1.0
     vals = claim.values
     ys = [claim]
-    zs, diff_norms = [], []
+    zs = []
     # an overflow here ends in the finiteness checks below, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(stop - 1, -1, -1):
@@ -347,32 +362,16 @@ def solve_bsde(
                 z_rv = sc.RandomVariable(i, z)
             except ValueError as exc:  # z is a non-empty 1-d level: only finiteness fails
                 raise FixedPointError(f"non-finite integrand produced at index {i}") from exc
-            u = x = implicit_step(driver, t, e, z, dt)
-            norms = []
-            while True:
-                if not np.isfinite(x).all():
-                    raise FixedPointError(f"non-finite values produced at index {i}")
-                if lift is None:
-                    vals = x
-                    break
-                k = lift(i, x)
-                vals = x + k
-                norms.append(float(np.max(np.abs(vals - u))))
-                if a is not None:
-                    shifts[i] = k * (1.0 - a * dt)
-                    break
-                shifts[i] = k
-                if not driver.depends_on_y or norms[-1] <= PICARD_TOL:
-                    break
-                if len(norms) == _MAX_PASSES:
-                    raise PicardDivergenceError(
-                        f"no self-consistency within {_MAX_PASSES} iterations "
-                        f"at step {i} (last difference {norms[-1]:.3g})"
-                    )
-                u = vals
-                x = e + np.asarray(driver.fn(t, u, z), dtype=float) * dt
+            vals = implicit_step(driver, t, e, z, dt)
+            if not np.isfinite(vals).all():
+                raise FixedPointError(f"non-finite values produced at index {i}")
+            if lift is not None and (a is not None or not driver.depends_on_y):
+                k = lift(i, vals, None)
+                vals = vals + k
+                shifts[i] = k if a is None else k * (1.0 - a * dt)
+            elif lift is not None:
+                shifts[i], vals, slope = _lift_through_step(lift, i, driver, t, e, z, dt, vals,
+                                                            slope)
             ys.append(sc.RandomVariable(i, vals))
             zs.append(z_rv)
-            diff_norms.append(tuple(norms))
-    return BsdePair(Y=tuple(ys[::-1]), Z=tuple(zs[::-1]), shifts=shifts,
-                    diff_norms=tuple(diff_norms[::-1]))
+    return BsdePair(Y=tuple(ys[::-1]), Z=tuple(zs[::-1]), shifts=shifts)

@@ -22,11 +22,11 @@ not vanish at the origin on a grid date, a non-finite risk kernel or
 penalty, and market parameters whose price of risk ``(drift - rate) /
 volatility`` or ``|rate| + |price of risk|`` is not finite), 2 infeasible constraint,
 3 divergence (a non-contractive step, a step that does not settle within
-its sweep or pass cap, or a value, integrand or, in a reflected solve, loss
+its sweep cap, or a value, integrand or, in a reflected solve, loss
 level that is not finite), 4 no root
 bracket for a shift search (the declared loss slope bounds do not hold, a
-bracket, also that of a mean floor, does not fit in a float, or a risk lift
-misses the acceptance set).
+bracket, also that of a mean floor, does not fit in a float, a risk lift
+misses the acceptance set, or a flow search does not close).
 """
 from __future__ import annotations
 
@@ -57,7 +57,6 @@ from .errors import (
     FixedPointError,
     InfeasibleProblemError,
     NonContractiveStepError,
-    PicardDivergenceError,
 )
 
 # ---------------------------------------------------------------- expressions
@@ -489,12 +488,6 @@ def _log_solution(log: _RunLog, sol: rf.ReflectedSolution):
     log.add(f"flow_total={_fmt(sol.K.total)}")
     log.add(f"skorokhod_residual={_fmt(sol.diagnostics.skorokhod_residual)}")
     log.add(f"min_constraint={_fmt(float(np.min(sol.diagnostics.constraint_values)))}")
-    its = sol.picard.iterations
-    log.add(
-        f"picard_steps={len(its)} picard_iterations={sum(its)} "
-        f"picard_iterations_max={max(its, default=0)} "
-        f"picard_ratio_max={_fmt(sol.picard.ratio_max)}"
-    )
     diag = sol.diagnostics
     log.add(f"shift_closed_form={diag.shift_closed_form} shift_search={diag.shift_search} "
             f"shift_steps={int(diag.shift_iterations.sum())}")
@@ -580,7 +573,6 @@ def _run_verify(run: RunConfig, out: Path, log: _RunLog) -> int:
 # library failures that end a run after the config was read: exit code, label
 _SOLVER_FAILURES = {
     InfeasibleProblemError: (2, "infeasible"),
-    PicardDivergenceError: (3, "divergence"),
     NonContractiveStepError: (3, "divergence"),
     FixedPointError: (3, "divergence"),
     BracketFailureError: (4, "bracket failure"),

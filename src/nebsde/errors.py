@@ -21,10 +21,6 @@ class FixedPointError(RuntimeError):
     """The inner fixed-point sweep for an implicit step did not converge."""
 
 
-class PicardDivergenceError(RuntimeError):
-    """A step's successive approximation did not settle within its iteration budget."""
-
-
 class ConfigError(ValueError):
     """A run configuration is missing, malformed, or inconsistent.
 

@@ -17,7 +17,7 @@ for the classical mean also on Monte Carlo paths), so the shift is
 ``-E[l(t_i, Y_i)]/a`` in closed form, stepped up until the constraint holds
 as evaluated.  Every other pair searches for the root of the constraint
 in the shift between 0 and a slope-bound bracket, with the ITP method
-(:func:`_monotone_root`).
+(:func:`_monotone_root`), as does a lift through a step (or :func:`_bounded_root`).
 """
 from __future__ import annotations
 
@@ -303,7 +303,7 @@ def mean_constraint_problem(
                              constraint_stack=stack)
 
 
-def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float):
+def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float, level=None, q=0.0):
     """Root of ``phi(x) = problem.constraint(i, values + x)``, given ``phi(0) = v0 != 0``.
 
     Returns ``(lo, hi, steps, phi(hi))`` with ``phi(hi) >= 0``.  An exact
@@ -312,16 +312,19 @@ def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float):
     gap over the slope, and at least one spacing of ``max|values| + |x|``,
     doubled at each step, since a closed form can land a rounding error
     short of the root.  Any other searches (:func:`_monotone_root`) from the
-    slope-bound reach ``|v0|*exp(kappa_t)/slope``.  Raises
-    ``BracketFailureError`` when the reach does not fit in a float or the
-    closed form is still short after 8 steps.  A search's final bracket is
-    ``OPERATOR_TOL`` wide.
+    slope-bound reach ``|v0|*exp(kappa_t)/slope``, to a final bracket
+    ``OPERATOR_TOL`` wide.  ``level(x)``, when given, replaces ``values + x``
+    (``v0 < 0``): a step with flow increment ``x``, rising at ``[1/(1 + q),
+    1/(1 - q)]``, so a search reaches ``1 + q`` times as far and an exact
+    problem takes :func:`_bounded_root` (``lo = hi``; its closed-form probe
+    is no step).  ``BracketFailureError`` when the reach overflows or a
+    search does not close.
     """
 
     def phi(x):
-        return problem.constraint(i, values + x)
+        return problem.constraint(i, values + x if level is None else level(x))
 
-    if problem.exact:
+    if problem.exact and level is None:
         x = -v0 / problem.slope
         step = np.spacing(float(np.max(np.abs(values))) + abs(x))
         for _ in range(_LIFT_STEPS):
@@ -333,8 +336,12 @@ def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float):
         raise BracketFailureError(
             f"closed-form shift at index {i} still {-gap:.3g} short after {_LIFT_STEPS} steps"
         )
+    if problem.exact:
+        x, probes, gap = _bounded_root(phi, v0, problem.slope / (1.0 + q),
+                                       problem.slope / (1.0 - q), OPERATOR_TOL)
+        return x, x, probes - 1, gap
     with np.errstate(over="ignore"):
-        reach = abs(v0) * np.exp(problem.kappa_t) / problem.slope
+        reach = abs(v0) * np.exp(problem.kappa_t) * (1.0 + q) / problem.slope
     if not np.isfinite(reach):
         raise BracketFailureError(
             f"shift bracket at index {i} overflows (kappa * T = {problem.kappa_t:.3g})"
@@ -342,18 +349,45 @@ def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float):
     return _monotone_root(phi, v0, reach, OPERATOR_TOL)
 
 
-def lift(problem: ReflectionProblem, i: int, values: np.ndarray):
+def _bounded_root(phi: Callable, v0: float, lower: float, upper: float, tol: float):
+    """Root of ``phi``, ``phi(0) = v0 < 0``, rising ``lower`` to ``upper`` times the step.
+
+    A probe ``(x, v)`` puts the root between ``x - v/lower`` and ``x - v/upper``.  The
+    first is the closed form ``-2*v0/(lower + upper)``, each next the secant root of the last
+    two (slope held in ``[lower, upper]``; the bounds' middle if they did not halve), kept in
+    the bounds and moved ``tol*lower/(2*upper)`` up.  Returns ``(x, probes, phi(x))`` at the
+    first ``phi(x) >= 0`` whose bounds put the root within ``tol`` below ``x``.
+    """
+    floor, ceiling = -v0 / upper, -v0 / lower
+    px, pv = 0.0, v0
+    x = 0.5 * (floor + ceiling)
+    for probes in range(1, _MAX_ROOT_STEPS + 1):
+        width = ceiling - floor
+        v = phi(x)
+        below, above = sorted((x - v / lower, x - v / upper))
+        floor, ceiling = max(floor, below), min(ceiling, above)
+        if v >= 0.0 and x - floor <= tol:
+            return x, probes, v
+        slope = min(max((v - pv) / (x - px), lower), upper) if x != px else upper
+        r = x - v / slope if ceiling - floor <= 0.5 * width else 0.5 * (floor + ceiling)
+        px, pv = x, v
+        # rounding may leave the bounds crossed; the lower one then rules
+        x = min(max(r, floor), max(ceiling, floor)) + 0.5 * tol * lower / upper
+    raise BracketFailureError(f"bounded root search did not close in {_MAX_ROOT_STEPS} probes")
+
+
+def lift(problem: ReflectionProblem, i: int, values: np.ndarray, level=None, q: float = 0.0):
     """The minimal lift of level ``i`` onto ``problem.constraint(i, .) >= 0``.
 
     Returns ``(x, steps, value)``: the smallest ``x >= 0`` (to ``OPERATOR_TOL``) with
     ``value = problem.constraint(i, values + x) >= 0`` as evaluated, and the
     search steps it took, each one constraint evaluation (0 when the
-    constraint holds at 0 or the lift has a closed form).
+    constraint holds at 0 or the lift has a closed form); ``level``, ``q``: :func:`_root`.
     """
     h0 = problem.constraint(i, values)
     if h0 >= 0.0:
         return 0.0, 0, h0
-    _, x, steps, value = _root(problem, i, values, h0)
+    _, x, steps, value = _root(problem, i, values, h0, level, q)
     return x, steps, value
 
 
@@ -386,9 +420,9 @@ class ReflectionDiagnostics:
     ``skorokhod_residual`` is built from it.
     ``shift_iterations[i]`` counts the root-search steps spent on level
     ``i``, each one constraint evaluation (0 where the shift has a closed
-    form); ``shift_closed_form`` and ``shift_search`` count the binding
-    levels (positive shift) that took no search step and those that took
-    some.
+    form, or a flow search's closed form certified); ``shift_closed_form``
+    and ``shift_search`` count the binding levels (positive shift) that took
+    no search step and those that took some.
     """
 
     constraint_values: np.ndarray

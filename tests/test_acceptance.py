@@ -182,14 +182,13 @@ def _per_step_closed_form(scen, y_coefficient=None):
 
 def test_a08_window_count_invariance(tree100):
     # Each step of the reflected recursion against its closed form, the
-    # generator left to the sweep and the re-roll.
+    # generator left to the sweep and each binding date's flow increment to
+    # the search, OPERATOR_TOL wide.
     sol, worst_y, worst_k = _per_step_closed_form(tree100)
-    binding = [n for n in sol.picard.diff_norms if len(n) >= 2]
-    norms = binding[0] if binding else []
-    contracting = len(norms) >= 2 and norms[1] / norms[0] < 1.0
-    ok = worst_y <= 5e-8 and worst_k <= 5e-8 and contracting and sol.K.total > 0.01
+    searched = sol.diagnostics.shift_search
+    ok = worst_y <= 5e-8 and worst_k <= 5e-8 and searched > 0 and sol.K.total > 0.01
     _line("a08-per-step-closed-form", ok, max_y_diff=worst_y, max_dk_diff=worst_k,
-          tol=5e-8, first_ratio=norms[1] / norms[0] if len(norms) >= 2 else float("nan"))
+          tol=5e-8, searched=searched)
 
 
 def test_a08_affine_step_is_the_closed_form(tree100):
@@ -197,10 +196,10 @@ def test_a08_affine_step_is_the_closed_form(tree100):
     # step and one lift per level, so each level is its closed form to
     # rounding.
     sol, worst_y, worst_k = _per_step_closed_form(tree100, y_coefficient=-0.2)
-    one_pass = sol.picard.iterations == [1] * tree100.grid.steps
-    ok = worst_y <= 1e-12 and worst_k <= 1e-12 and one_pass and sol.K.total > 0.01
+    closed = sol.diagnostics.shift_search == 0
+    ok = worst_y <= 1e-12 and worst_k <= 1e-12 and closed and sol.K.total > 0.01
     _line("a08-affine-per-step-closed-form", ok, max_y_diff=worst_y, max_dk_diff=worst_k,
-          tol=1e-12, one_pass=one_pass)
+          tol=1e-12, closed_form=closed)
 
 
 def test_a09_risk_and_mean_reflection_agree(tree100):

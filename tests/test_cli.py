@@ -24,7 +24,7 @@ from nebsde import reflection as rf
 from nebsde import verify as vf
 from nebsde.cli import parse_expression, run
 
-from oracles import closure_expression
+from oracles import closure_expression, slack_superhedge_price
 
 
 def _write(path, text):
@@ -278,6 +278,21 @@ def _readme_ini(steps: int) -> str:
     return re.sub(r"steps = .*", f"steps = {steps}", block)
 
 
+def test_readme_price_is_the_discounted_claim(tmp_path, capsys):
+    # The README's price example at 50 steps: theta = 0 and q = 10 never
+    # binds, so the price is the claim's mean 1.05 discounted over 50 steps,
+    # 1.05/(1 + 0.05/50)**50, on the affine path with no search.
+    cfg = _write(tmp_path / "run.ini", _readme_ini(50))
+    assert run(["price", "--config", cfg, "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.strip()
+    assert printed == "0.998815849176"
+    run_cfg = cli.load_run_config(cfg, "price")
+    exact = slack_superhedge_price(0.05, 0.0, run_cfg.scen, run_cfg.payoff.values)
+    assert abs(exact - 1.05 / (1.0 + 0.05 / 50) ** 50) <= 1e-15
+    assert printed == f"{exact:.12g}"
+    assert "shift_closed_form=0 shift_search=0" in (tmp_path / "run.log").read_text()
+
+
 def test_solve_with_a_b_reading_loss_matches_the_library(tmp_path, capsys):
     # The compiled loss takes (t, b, x) as the library calls it: the CLI
     # solve, floors included, is the library's solve of the same loss
@@ -350,8 +365,9 @@ def test_price_command(tmp_path, capsys):
     log = (tmp_path / "run.log").read_text()
     assert "price=" in log
     assert "flow_total=0" in log
-    # a slack constraint: one pass per step and no ratio to report
-    assert "picard_steps=50 picard_iterations=50 picard_iterations_max=1 picard_ratio_max=\n" in log
+    # a slack constraint: no level lifted, so no search
+    assert "shift_closed_form=0 shift_search=0 shift_steps=0\n" in log
+    assert "picard_" not in log
 
 
 def test_verify_command(tmp_path, capsys):
@@ -666,25 +682,26 @@ loss = x - 1.0
 
 
 def test_iteration_budget_exit_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(bs, "_MAX_PASSES", 1)
+    # the implicit step of this y-driver allowed one sweep cannot settle
+    monkeypatch.setattr(bs, "_sweep_count", lambda gap, tol, ratio: 1)
     cfg = _write(tmp_path / "run.ini", BUDGET_INI)
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert "divergence" in capsys.readouterr().err
+    assert re.search(r"^divergence: implicit step did not converge in 1 sweeps",
+                     capsys.readouterr().err, re.M)
+    assert (tmp_path / "run.log").is_file()
 
 
-def test_run_log_picard_summary(tmp_path):
+def test_run_log_flow_search_summary(tmp_path):
     cfg = _write(tmp_path / "run.ini", BUDGET_INI)
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "run.log").read_text().splitlines()
-    (line,) = [ln for ln in lines if ln.startswith("picard_steps=")]
-    fields = dict(part.split("=") for part in line.split())
-    assert list(fields) == ["picard_steps", "picard_iterations", "picard_iterations_max",
-                            "picard_ratio_max"]
-    # every binding step of this y-driver takes two passes, the last step one
-    assert fields["picard_steps"] == "12"
-    assert fields["picard_iterations_max"] == "2"
-    assert 12 < int(fields["picard_iterations"]) <= 24
-    assert 0.0 <= float(fields["picard_ratio_max"]) < 1.0
+    assert not [ln for ln in lines if ln.startswith("picard_")]
+    (line,) = [ln for ln in lines if ln.startswith("shift_closed_form=")]
+    fields = {k: int(v) for k, v in (part.split("=") for part in line.split())}
+    # every binding date of this y-driver searches its flow increment once
+    assert fields["shift_closed_form"] == 0
+    assert 0 < fields["shift_search"] <= 12
+    assert fields["shift_steps"] >= fields["shift_search"]
 
 
 def test_run_log_shift_paths(tmp_path):

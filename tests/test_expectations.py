@@ -16,7 +16,7 @@ from nebsde import reflection as rf
 from nebsde import scenarios as sc
 from nebsde.errors import FixedPointError
 
-from oracles import brownian_rv, evaluate_alone, gexp_value
+from oracles import brownian_rv, evaluate_alone, gexp_value, time_dependent_driver
 
 EXACT = 1e-12
 KAPPA = 0.5
@@ -336,7 +336,7 @@ def test_driver_vanishing_checked_on_every_grid_date():
     # A generator that is 0 on [0, 1] but not on (1, 2] does not preserve
     # constants on a horizon of 2; the solve refuses it before evaluating.
     scen = sc.build_scenarios(sc.TimeGrid(2.0, 20), "tree")
-    late = ne.NonlinearExpectation.gexp(bs.Driver.time_dependent(lambda t: max(t - 1.0, 0.0)))
+    late = ne.NonlinearExpectation.gexp(time_dependent_driver(lambda t: max(t - 1.0, 0.0)))
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 1.0)
     with pytest.raises(ValueError, match="vanish"):
         pc.solve_reflected(scen, claim, bs.Driver.constant(0.0),
@@ -345,7 +345,7 @@ def test_driver_vanishing_checked_on_every_grid_date():
         rf.minimal_shift(late, rf.LossFunction.linear(1.0), scen, claim)
     with pytest.raises(ValueError, match="vanish"):
         ne.check_operator(late, scen)
-    early = ne.NonlinearExpectation.gexp(bs.Driver.time_dependent(lambda t: max(t - 2.0, 0.0)))
+    early = ne.NonlinearExpectation.gexp(time_dependent_driver(lambda t: max(t - 2.0, 0.0)))
     ne.check_operator(early, scen)
 
 

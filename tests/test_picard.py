@@ -1,4 +1,4 @@
-"""The reflected backward recursion: per-step iteration, oracles, failure handling."""
+"""The reflected backward recursion: one root per date, oracles, failure handling."""
 
 import configparser
 import dataclasses
@@ -13,7 +13,9 @@ from nebsde import picard as pc
 from nebsde import reflection as rf
 from nebsde import risk as rk
 from nebsde import scenarios as sc
-from nebsde.errors import FixedPointError, PicardDivergenceError, SupportMismatchError
+from nebsde.errors import BracketFailureError, FixedPointError, SupportMismatchError
+
+from oracles import REROLL_TOL, reroll_solve, time_dependent_driver
 
 CLS = ne.NonlinearExpectation.classical()
 
@@ -28,24 +30,32 @@ def _binding_instance(m=60):
     return scen, claim, driver, rf.LossFunction.linear(1.0)
 
 
-def test_iteration_norms_contract():
+def test_flow_search_takes_one_root_per_date():
+    # A driver that reads y: each binding level is the step taken with its
+    # flow increment, Y_i = S(e + dK_i) to the sweep tolerance, and dK_i is
+    # the least such increment: OPERATOR_TOL less misses the constraint.
     scen, claim, driver, loss = _binding_instance()
     sol = pc.solve_reflected(scen, claim, driver, loss, CLS)
-    diag = sol.picard
-    assert [len(norms) for norms in diag.diff_norms] == diag.iterations
-    binding = [norms for norms in diag.diff_norms if len(norms) >= 2]
-    assert binding  # the lift feeds back through the generator
-    for norms in binding:
-        assert norms[1] < norms[0]
-        assert norms[-1] <= 1e-8
-    assert diag.ratio_max < 1.0
-    assert diag.attempts == 1
+    m, dt = scen.grid.steps, scen.grid.dt
+    assert sol.picard.iterations == [1] * m and sol.picard.attempts == 1
+    problem = rf.mean_constraint_problem(scen, loss, CLS)
+    binding = np.flatnonzero(sol.K.increments > 0.0)
+    assert binding.size > m // 2
+    assert sol.diagnostics.shift_search == binding.size
+    for i in binding:
+        t = float(scen.grid.nodes[i])
+        e, z = sc.step_fit(scen, sol.Y[i + 1].values, i)
+        d = sol.K.increments[i]
+        stepped = bs.implicit_step(driver, t, e + d, z, dt)
+        assert np.max(np.abs(stepped - sol.Y[i].values)) <= 1e-12
+        short = bs.implicit_step(driver, t, e + d - rf.OPERATOR_TOL, z, dt)
+        assert problem.constraint(i, short) <= 1e-12
 
 
 def test_state_free_generator_collapses_to_exact_pass(tree50):
     claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.5)
     loss = rf.LossFunction.linear(0.0)
-    driver = bs.Driver.time_dependent(lambda t: -1.0 + 0.2 * t)
+    driver = time_dependent_driver(lambda t: -1.0 + 0.2 * t)
     via_picard = pc.solve_reflected(tree50, claim, driver, loss, CLS)
     # Hand oracle: B is a martingale, so the unreflected level is
     # B_{t_i} + 0.5 + sum_{j >= i} c_j dt; the minimal shift under the floor
@@ -61,11 +71,13 @@ def test_state_free_generator_collapses_to_exact_pass(tree50):
         expected = tree50.tree_values[i] + 0.5 + tail[i] + suffix[i]
         assert np.max(np.abs(y.values - expected)) <= 2e-8
     assert via_picard.picard.iterations == [1] * 50
+    assert via_picard.diagnostics.shift_search == 0
 
 
 def test_iteration_budget_exhaustion_raises(monkeypatch):
-    # A binding problem with a state-dependent generator needs at least two
-    # passes on each binding step; a budget of one must fail.
+    # A binding problem with a state-dependent generator searches each
+    # binding date's flow increment; the closed form alone lands q*|v0| from
+    # the root, so a budget of one probe must fail.
     scen = sc.build_scenarios(sc.TimeGrid(1.0, 12), "tree")
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 1.05)
     driver = bs.Driver(
@@ -73,12 +85,12 @@ def test_iteration_budget_exhaustion_raises(monkeypatch):
     )
     loss = rf.LossFunction.linear(1.0)
     with monkeypatch.context() as patch:
-        patch.setattr(bs, "_MAX_PASSES", 1)
-        with pytest.raises(PicardDivergenceError):
+        patch.setattr(rf, "_MAX_ROOT_STEPS", 1)
+        with pytest.raises(BracketFailureError, match="did not close in 1 probes"):
             pc.solve_reflected(scen, claim, driver, loss, CLS)
-    # Same instance with the shipped budget self-consists in two passes.
+    # Same instance with the shipped budget: one search per binding date.
     sol = pc.solve_reflected(scen, claim, driver, loss, CLS)
-    assert max(sol.picard.iterations) == 2
+    assert sol.diagnostics.shift_search > 0 and sol.diagnostics.shift_closed_form == 0
     assert sol.K.total > 0.1
 
 
@@ -176,7 +188,7 @@ def test_stored_constraint_values_match_a_fresh_evaluation(case):
     elif case == "gexp-concave":
         assert diag.shift_closed_form == 0
     else:
-        assert max(sol.picard.iterations) > 1
+        assert diag.shift_search > 0
     fresh = [rf.constraint_value(exp, loss, scen, y.index, y.values) for y in sol.Y]
     assert np.array_equal(diag.constraint_values, fresh)
     assert rf.skorokhod_residual(scen, sol, loss, exp) == diag.skorokhod_residual
@@ -184,68 +196,146 @@ def test_stored_constraint_values_match_a_fresh_evaluation(case):
 
 def test_stored_risk_slack_matches_a_fresh_evaluation(tree50):
     # A rate != 0 makes the wealth generator read y; declared affine in y,
-    # each binding step takes one lift, and the stored slack is the one that
-    # lift verified on the final level.
+    # each binding step takes one closed-form lift, and the stored slack is
+    # the one that lift verified on the final level.
     mkt = rk.Market(rate=0.05, drift=0.25, volatility=0.2)
     rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
     q = rk.Benchmark.constant(tree50.grid, 0.45)
     claim = bs.TerminalClaim.from_function(tree50, lambda b: b + 0.45)
     sol = rk.superhedge_price(mkt, tree50, claim, rho, q).solution
-    assert sol.K.total > 0.0 and sol.picard.iterations == [1] * tree50.grid.steps
+    assert sol.K.total > 0.0 and sol.diagnostics.shift_search == 0
     fresh = [0.45 - rk.evaluate_risk(rho, tree50, y) for y in sol.Y]
     assert np.array_equal(sol.diagnostics.constraint_values, fresh)
 
 
-def _affine_case(case, scen, driver):
-    """A binding reflected solve of ``driver`` under ``case``'s constraint."""
+def _affine_case(case, scen):
+    """``(claim, problem, solve)`` of a binding reflected solve under ``case``'s constraint;
+    ``solve(driver)`` runs it."""
     if case == "risk":
         claim = bs.TerminalClaim.from_function(scen, lambda b: b + 0.45)
         rho = rk.RiskMeasure.coherent_family([-0.5, 0.0, 0.5])
-        return rk.solve_risk_reflected(scen, claim, driver, rho,
-                                       rk.Benchmark.constant(scen.grid, 0.45))
+        q = rk.Benchmark.constant(scen.grid, 0.45)
+        return (claim, rk._risk_problem(rho, q, scen),
+                lambda driver: rk.solve_risk_reflected(scen, claim, driver, rho, q))
     exp = {"classical": CLS,
            "gexp-z": ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.3, include_y=False)),
            "gexp-y": ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.3))}[case]
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + 1.05)
-    return pc.solve_reflected(scen, claim, driver, rf.LossFunction.linear(1.0), exp)
+    loss = rf.LossFunction.linear(1.0)
+    return (claim, rf.mean_constraint_problem(scen, loss, exp),
+            lambda driver: pc.solve_reflected(scen, claim, driver, loss, exp))
 
 
 @pytest.mark.parametrize("rate", [0.05, -0.05, 0.0])
 @pytest.mark.parametrize("case", ["classical", "gexp-z", "gexp-y", "risk"])
 def test_affine_lift_matches_the_re_roll(tree50, case, rate):
     # The wealth generator -(r*y + z) declared affine in y (a = -r, also at
-    # r = 0) against the same fn untagged, the oracle, which sweeps each
-    # step and re-rolls each lifted one.  Under a closed-form lift of a
-    # cash-additive constraint (classical, gexp-z, risk) the re-roll's second
-    # pass moves its level by a constant that the lift takes back, so it
-    # lands on u + lift(u) with the swept u: each step is within the sweep
-    # tolerance 1e-13*(1 + max|Y|) of the exact one, and a tree step
-    # (positive weights, since sqrt(dt) <= 1, over 1 + r*dt) passes an
-    # error on at most 1/(1 - |r|*dt) times, so Y agrees within m sweep
-    # tolerances times (1 - |r|*dt)**-m, and Z, a difference quotient over
-    # 2*sqrt(dt), within that over sqrt(dt).  K and the constraint values
-    # agree within PICARD_TOL.  A searched lift (gexp-y) lands anywhere in
-    # its final bracket, OPERATOR_TOL wide, on either side, and moves the
-    # constraint by at most (1 - 0.3*dt)**-m < 2 per unit shift, so there
-    # Y, K and the constraint values agree within 2*OPERATOR_TOL; a
-    # constant shift leaves Z as it is, so Z keeps the sweep bound.
+    # r = 0) against the same fn untagged under the re-roll oracle, which
+    # sweeps each step and re-rolls each lifted one.  Under a closed-form
+    # lift of a cash-additive constraint (classical, gexp-z, risk) the
+    # re-roll's second pass moves its level by a constant that the lift
+    # takes back, so it lands on u + lift(u) with the swept u: each step is
+    # within the sweep tolerance 1e-13*(1 + max|Y|) of the exact one, and a
+    # tree step (positive weights, since sqrt(dt) <= 1, over 1 + r*dt)
+    # passes an error on at most 1/(1 - |r|*dt) times, so Y agrees within m
+    # sweep tolerances times (1 - |r|*dt)**-m, and Z, a difference quotient
+    # over 2*sqrt(dt), within that over sqrt(dt).  K and the constraint
+    # values agree within REROLL_TOL.  A searched lift (gexp-y) lands
+    # anywhere in its final bracket, OPERATOR_TOL wide, on either side, and
+    # moves the constraint by at most (1 - 0.3*dt)**-m < 2 per unit shift,
+    # so there Y, K and the constraint values agree within 2*OPERATOR_TOL;
+    # a constant shift leaves Z as it is, so Z keeps the sweep bound.
     m, dt = tree50.grid.steps, tree50.grid.dt
     fn = lambda t, y, z: -(rate * np.asarray(y) + np.asarray(z))
     plain = bs.Driver(fn=fn, lipschitz=abs(rate) + 1.0, depends_on_y=True, depends_on_z=True)
-    tagged = _affine_case(case, tree50, dataclasses.replace(plain, y_coefficient=-rate))
-    oracle = _affine_case(case, tree50, plain)
+    claim, problem, solve = _affine_case(case, tree50)
+    tagged = solve(dataclasses.replace(plain, y_coefficient=-rate))
+    ys, zs, dk, cons = reroll_solve(tree50, claim, plain, problem)
     assert tagged.K.total > 0.05
-    assert tagged.picard.iterations == [1] * m and max(oracle.picard.iterations) > 1
+    assert tagged.diagnostics.shift_search > 0 if case == "gexp-y" else (
+        tagged.diagnostics.shift_search == 0)
     y_max = max(float(np.max(np.abs(y.values))) for y in tagged.Y)
     swept = m * bs._SWEEP_TOL * (1.0 + y_max) * (1.0 - abs(rate) * dt) ** -m
-    y_tol, k_tol = (2.0 * rf.OPERATOR_TOL,) * 2 if case == "gexp-y" else (swept, bs.PICARD_TOL)
-    assert max(float(np.max(np.abs(a.values - b.values)))
-               for a, b in zip(tagged.Y, oracle.Y)) <= y_tol
-    assert max(float(np.max(np.abs(a.values - b.values)))
-               for a, b in zip(tagged.Z, oracle.Z)) <= swept / np.sqrt(dt)
-    assert np.max(np.abs(tagged.K.values - oracle.K.values)) <= k_tol
-    assert np.max(np.abs(tagged.diagnostics.constraint_values
-                         - oracle.diagnostics.constraint_values)) <= k_tol
+    y_tol, k_tol = (2.0 * rf.OPERATOR_TOL,) * 2 if case == "gexp-y" else (swept, REROLL_TOL)
+    assert max(float(np.max(np.abs(a.values - b))) for a, b in zip(tagged.Y, ys)) <= y_tol
+    assert max(float(np.max(np.abs(a.values - b))) for a, b in zip(tagged.Z, zs)) <= swept / np.sqrt(dt)
+    assert np.max(np.abs(tagged.K.increments - dk)) <= k_tol
+    assert np.max(np.abs(tagged.diagnostics.constraint_values - cons)) <= k_tol
+
+
+FLOW_DRIVERS = {
+    "readme": Y_DRIVER,
+    "sin": bs.Driver(fn=lambda t, y, z: 0.5 * np.sin(y) - 1.0 + 0.2 * np.abs(z),
+                     lipschitz=0.7, depends_on_y=True, depends_on_z=True),
+    "kinked": bs.Driver(fn=lambda t, y, z: -2.0 * np.maximum(y, 0.5 * np.asarray(y)) - 1.0,
+                        lipschitz=2.0, depends_on_y=True),
+    "kappa": bs.Driver.kappa_abs(-0.4),
+}
+FLOW_CASES = {
+    # driver, operator, loss, claim offset, scenario mode
+    "readme-classical": ("readme", CLS, rf.LossFunction.linear(1.0), 1.05, "tree"),
+    "readme-classical-paths": ("readme", CLS, rf.LossFunction.linear(1.0), 1.05, "montecarlo"),
+    "sin-classical": ("sin", CLS, rf.LossFunction.linear(0.0), 0.5, "tree"),
+    "kinked-classical": ("kinked", CLS, rf.LossFunction.linear(0.0), 0.5, "tree"),
+    "kappa-classical": ("kappa", CLS, rf.LossFunction.linear(1.0), 1.05, "tree"),
+    "sin-maxmin-concave": ("sin", ne.NonlinearExpectation.alpha_maxmin(0.3, 0.5), CONCAVE, 0.5,
+                           "tree"),
+    "sin-gexp-concave": ("sin", ne.NonlinearExpectation.gexp(
+        bs.Driver.kappa_abs(0.3, include_y=False)), CONCAVE, 0.5, "tree"),
+    "readme-gexp-y": ("readme", ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.3)),
+                      rf.LossFunction.linear(1.0), 1.05, "tree"),
+}
+
+
+def _flow_case(case, m=50):
+    name, exp, loss, offset, mode = FLOW_CASES[case]
+    kwargs = {"n_paths": 2000, "seed": 3, "basis_degree": 3} if mode == "montecarlo" else {}
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), mode, **kwargs)
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + offset)
+    return scen, claim, FLOW_DRIVERS[name], loss, exp
+
+
+@pytest.mark.parametrize("case", list(FLOW_CASES))
+def test_flow_search_matches_the_re_roll(case):
+    # The search of each date's flow increment against the re-roll oracle.
+    # Both solve one date to a tolerance: the search puts dK_i within
+    # OPERATOR_TOL above the least increment, and the re-roll ends within
+    # REROLL_TOL*q/(1 - q) of its fixed point, q = lipschitz*dt, with a lift
+    # within OPERATOR_TOL of its own least one.  A binding level sits on its
+    # constraint, so it does not carry the errors of the levels above it,
+    # and the per-step gaps add up at most over the m steps: Y and dK agree
+    # within 2*OPERATOR_TOL + m*REROLL_TOL*q/(1 - q), and on the tree Z, a
+    # difference quotient over 2*sqrt(dt), within that over sqrt(dt).
+    scen, claim, driver, loss, exp = _flow_case(case)
+    m, dt = scen.grid.steps, scen.grid.dt
+    sol = pc.solve_reflected(scen, claim, driver, loss, exp)
+    ys, zs, dk, cons = reroll_solve(scen, claim, driver, rf.mean_constraint_problem(scen, loss, exp))
+    q = driver.lipschitz * dt
+    bound = 2.0 * rf.OPERATOR_TOL + m * REROLL_TOL * q / (1.0 - q)
+    assert sol.diagnostics.shift_search > 0
+    assert max(float(np.max(np.abs(a.values - b))) for a, b in zip(sol.Y, ys)) <= bound
+    assert np.max(np.abs(sol.K.increments - dk)) <= bound
+    if scen.mode == "tree":
+        assert max(float(np.max(np.abs(a.values - b)))
+                   for a, b in zip(sol.Z, zs)) <= bound / np.sqrt(dt)
+
+
+@pytest.mark.parametrize("case", ["sin-maxmin-concave", "kinked-classical"])
+def test_scheme_residual_is_the_sweep_tolerance(case):
+    # Y_i - E_i[Y_{i+1}] - f(t_i, Y_i, Z_i)*dt - dK_i, recomputed from the
+    # solution, relative to 1 + max|Y_i|: each level is the implicit step
+    # with its flow increment, which its sweep solves to 1e-13 of the level.
+    scen, claim, driver, loss, exp = _flow_case(case)
+    sol = pc.solve_reflected(scen, claim, driver, loss, exp)
+    assert sol.K.total > 0.1
+    worst = 0.0
+    for i in range(scen.grid.steps):
+        y = sol.Y[i].values
+        e, z = sc.step_fit(scen, sol.Y[i + 1].values, i)
+        gap = y - e - driver.fn(float(scen.grid.nodes[i]), y, z) * scen.grid.dt
+        gap -= sol.K.increments[i]
+        worst = max(worst, float(np.max(np.abs(gap))) / (1.0 + float(np.max(np.abs(y)))))
+    assert worst <= bs._SWEEP_TOL
 
 
 def test_terminal_level_is_the_claim():
@@ -297,10 +387,10 @@ def _per_level_solve(scen, claim, driver, loss, exp):
     shift_iters = np.zeros(m + 1, dtype=int)
     cons = np.zeros(m + 1)
     cons[m] = problem.constraint(m, claim.values)
+    q = driver.lipschitz * scen.grid.dt
 
-    def lift(i, x):
-        k, steps, cons[i] = rf.lift(problem, i, x)
-        shift_iters[i] += steps
+    def lift(i, u, level):
+        k, shift_iters[i], cons[i] = rf.lift(problem, i, u, level, q)
         return k
 
     return bs.solve_bsde(scen, claim, driver, lift=lift), cons, shift_iters
@@ -324,7 +414,7 @@ def _flat_off_case(case, scen):
     return {
         "slack": (5.0, const, rf.LossFunction.linear(0.0), GEXP_Y),
         # a drop in the last step only, then a rise: level m - 1 alone binds
-        "last-level": (0.21, bs.Driver.time_dependent(lambda t: -1.0 if t >= last else 1.0),
+        "last-level": (0.21, time_dependent_driver(lambda t: -1.0 if t >= last else 1.0),
                        rf.LossFunction.linear(0.0), MAXMIN),
         "early-block": (0.5, const, CONCAVE, GEXP_Y),
         "y-driver": (0.5, Y_DRIVER, rf.LossFunction.linear(0.6), GEXP_Y),
@@ -349,10 +439,10 @@ def test_flat_off_solve_matches_the_per_level_recursion(case, count_calls):
     sol = pc.solve_reflected(scen, claim, driver, loss, exp)
     binding = np.flatnonzero(pair.shifts > 0.0)
     top = int(binding[-1]) + 1 if binding.size else 0
-    # one lift per pass of each level below that level, none above
-    assert lifts[0] == sum(len(norms) for norms in pair.diff_norms[:top])
+    # one lift of each level below that level, none above
+    assert lifts[0] == top
     assert {"slack": top == 0, "last-level": binding.tolist() == [m - 1],
-            "early-block": 0 < top < m // 2, "y-driver": max(sol.picard.iterations) > 1,
+            "early-block": 0 < top < m // 2, "y-driver": sol.diagnostics.shift_search > 0,
             "alpha-maxmin": 0 < top < m, "cli-driver": 0 < top < m}[case]
     assert len(sol.Y) == len(pair.Y) and len(sol.Z) == len(pair.Z)
     assert all(np.array_equal(a.values, b.values) for a, b in zip(sol.Y, pair.Y))
@@ -364,8 +454,7 @@ def test_flat_off_solve_matches_the_per_level_recursion(case, count_calls):
     lifted = pair.shifts > 0.0
     assert diag.shift_closed_form == np.count_nonzero(lifted & (shift_iters == 0))
     assert diag.shift_search == np.count_nonzero(lifted & (shift_iters > 0))
-    assert sol.picard.iterations == [len(norms) for norms in pair.diff_norms]
-    assert sol.picard.diff_norms == list(pair.diff_norms)
+    assert sol.picard.iterations == [1] * m
     audit = rf.skorokhod_residual(scen, sol, loss, exp)
     if case == "cli-driver":
         # the audit's stacked roll-back sweeps all levels as one array; each

@@ -15,7 +15,7 @@ from nebsde import risk as rk
 from nebsde import scenarios as sc
 from nebsde.errors import BracketFailureError, SupportMismatchError
 
-from oracles import brownian_rv
+from oracles import binding_superhedge, brownian_rv, slack_superhedge_price, tree_risk
 
 EXACT = 1e-12
 CLS = ne.NonlinearExpectation.classical()
@@ -361,3 +361,72 @@ def test_benchmark_must_cover_grid(tree50):
     short = rk.Benchmark(np.full(10, 1.0))
     with pytest.raises(ValueError):
         rk.solve_risk_reflected(tree50, claim, bs.Driver.constant(0.0), rho, short)
+
+
+def _random_superhedge(seed):
+    """A random tree superhedge: market with ``|theta|*sqrt(dt) <= 1`` (at the edge for one
+    seed in seven), kernels, penalties (zero for odd seeds), a linear benchmark curve that
+    admits the claim at the horizon, and the claim's terminal values."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 61))
+    horizon = float(rng.uniform(0.25, 2.0))
+    scen = sc.build_scenarios(sc.TimeGrid(horizon, m), "tree")
+    edge = 1.0 / np.sqrt(scen.grid.dt)
+    rate = 0.0 if seed % 5 == 0 else float(rng.uniform(-0.2, 0.2))
+    vol = float(rng.uniform(0.1, 0.5))
+    theta = float(rng.choice([-1.0, 1.0])) * edge if seed % 7 == 3 else (
+        float(rng.uniform(-1.0, 1.0)) * min(3.0, edge))
+    mkt = rk.Market(rate=rate, drift=rate + theta * vol, volatility=vol)
+    k = int(rng.integers(1, 4))
+    kernels = rng.uniform(-1.0, 1.0, k)
+    penalties = np.zeros(k) if seed % 2 else rng.uniform(0.0, 0.2, k)
+    rho = rk.RiskMeasure(kernels, penalties)
+    b = scen.tree_values[m]
+    xi = rng.uniform(0.5, 1.5) + rng.uniform(-1.0, 1.0) * b + 0.2 * rng.normal(size=m + 1)
+    q_end = tree_risk(kernels, penalties, scen, m, xi) + rng.uniform(0.0, 0.3)
+    q = rk.Benchmark.from_knots(scen.grid, [(0.0, float(rng.uniform(-2.5, 0.0))),
+                                            (horizon, q_end)])
+    return scen, mkt, rho, q, xi
+
+
+def _rounding_bound(scen, mkt, ys):
+    """Rounding of the solve and its closed form on ``m`` levels: per level, a tree step
+    and a division, and a risk value whose tilted mean of ``n <= m + 1`` terms rounds by
+    at most ``n`` units of ``eps*max|Y|`` on each side; a step over ``1 + r*dt`` passes an
+    earlier level's error on at most ``1/(1 + r*dt)`` times."""
+    m, dt = scen.grid.steps, scen.grid.dt
+    y_max = max(float(np.max(np.abs(y))) for y in ys)
+    growth = max(1.0, (1.0 + mkt.rate * dt) ** -m)
+    return m * (2 * (m + 1) + 16) * np.finfo(float).eps * (1.0 + y_max) * growth
+
+
+@pytest.mark.parametrize("seed", range(14))
+def test_superhedge_matches_its_closed_form(seed):
+    # The wealth step is the discounted binomial mean with p = (1 -
+    # theta*sqrt(dt))/2: under a binding benchmark the solve is the plain
+    # roll-back plus the discounted running max of the lifts, and under a
+    # benchmark that never binds the price is binomial(m, p) @ xi over
+    # (1 + r*dt)**m.
+    scen, mkt, rho, q, xi = _random_superhedge(seed)
+    claim = sc.RandomVariable(scen.grid.steps, xi)
+    sol = rk.superhedge_price(mkt, scen, claim, rho, q).solution
+    ys, dk = binding_superhedge(mkt.rate, mkt.price_of_risk, scen, xi, rho.kernels,
+                                rho.penalties, q.values)
+    bound = _rounding_bound(scen, mkt, ys)
+    assert sol.diagnostics.shift_search == 0
+    assert max(float(np.max(np.abs(a.values - b))) for a, b in zip(sol.Y, ys)) <= bound
+    assert np.max(np.abs(sol.K.increments - dk)) <= bound
+    never = rk.Benchmark.constant(scen.grid, 1e3)
+    price = rk.superhedge_price(mkt, scen, claim, rho, never).price
+    assert abs(price - slack_superhedge_price(mkt.rate, mkt.price_of_risk, scen, xi)) <= bound
+
+
+def test_random_superhedges_bind_and_reach_the_edge():
+    # the cases above are not all slack, and some sit at |theta|*sqrt(dt) = 1
+    cases = [_random_superhedge(seed) for seed in range(14)]
+    binding = [rk.superhedge_price(mkt, scen, sc.RandomVariable(scen.grid.steps, xi), rho,
+                                   q).solution.K.total > 0.0
+               for scen, mkt, rho, q, xi in cases]
+    assert 4 <= sum(binding) <= 10
+    assert any(abs(abs(mkt.price_of_risk) * np.sqrt(scen.grid.dt) - 1.0) <= 1e-12
+               for scen, mkt, _, _, _ in cases)
