@@ -17,7 +17,7 @@ from .errors import (
     SupportMismatchError,
 )
 from .expectations import DominationReport, NonlinearExpectation, domination_gap, evaluate
-from .picard import SolveDiagnostics, solve_reflected
+from .picard import solve_reflected
 from .reflection import (
     LossFunction,
     ReflectedSolution,
@@ -40,9 +40,7 @@ from .scenarios import (
     ScenarioSet,
     TimeGrid,
     build_scenarios,
-    cond_expect,
     expect,
-    tilted_expect,
 )
 from .verify import (
     ComparisonInstance,

@@ -25,8 +25,8 @@ volatility`` or ``|rate| + |price of risk|`` is not finite), 2 infeasible constr
 its sweep cap, or a value, integrand or, in a reflected solve, loss
 level that is not finite), 4 no root
 bracket for a shift search (the declared loss slope bounds do not hold, a
-bracket, also that of a mean floor, does not fit in a float, a risk lift
-misses the acceptance set, or a flow search does not close).
+bracket, also that of a mean floor, does not fit in a float, or a bounded
+search, such as a risk lift that misses the acceptance set, does not close).
 """
 from __future__ import annotations
 

@@ -20,11 +20,11 @@ once (``ReflectionProblem.constraint_stack``: a mean constraint under a
 g-expectation or alpha-maxmin on the tree, where one evaluation is a tree
 roll-back), the solve first runs the plain recursion and evaluates every
 level's constraint on ``X`` in one stacked roll-back to find ``j*``.  The
-one lifted recursion then lifts nothing above ``j*``: those levels come
-out as ``X``, with their stacked constraint values and shift 0, as the
-level-by-level recursion records them (its constraint values bit for bit
-under closed-form and explicit drivers, within the sweep tolerance under
-other drivers that read ``y``), and no constraint is evaluated there.
+one lifted recursion then starts from the plain level ``j* + 1``, and
+``X``'s own levels above it join the solution with their stacked
+constraint values and shift 0, as the level-by-level recursion records
+them (its constraint values bit for bit under closed-form and explicit
+drivers, within the sweep tolerance under other drivers that read ``y``).
 Every other problem (the classical mean, the risk constraint, Monte Carlo
 paths), where one evaluation is a dot product or a regression, lifts every
 level from the claim.
@@ -75,28 +75,27 @@ def _solve_with_problem(
             shift_iters = np.zeros(m + 1, dtype=int)
             cons = np.zeros(m + 1)
             cons[m] = term
-            top = m
+            ys, zs = (claim,), ()
             if problem.constraint_stack is not None:
-                top = _flat_off_top(scen, claim, driver, problem, cons)
+                ys, zs = _flat_off_top(scen, claim, driver, problem, cons)
 
             q = driver.lipschitz * scen.grid.dt
 
             def lift(i, u, level):
-                # above the last violated plain level the lift is 0 (flat off)
-                if i >= top:
-                    return 0.0
                 k, shift_iters[i], cons[i] = rf.lift(problem, i, u, level, q)
                 return k
 
-            pair = bs.solve_bsde(scen, claim, driver, lift=lift)
-            flow = rf.ReflectorFlow(np.concatenate(([0.0], np.cumsum(pair.shifts[:-1]))))
+            # the lifted pass starts from the plain level above the last violated one
+            pair = bs.solve_bsde(scen, ys[0], driver, lift=lift)
+            shifts = np.concatenate((pair.shifts, np.zeros(len(zs))))
+            flow = rf.ReflectorFlow(np.concatenate(([0.0], np.cumsum(shifts[:-1]))))
             # huge values and increments read inf
             residual = float(np.sum(cons[:-1] * flow.increments))
     except SupportMismatchError:
         raise
     except ValueError as exc:
         raise FixedPointError(f"non-finite level in the reflected solve: {exc}") from exc
-    binding = pair.shifts > 0.0
+    binding = shifts > 0.0
     diag = rf.ReflectionDiagnostics(
         constraint_values=cons,
         skorokhod_residual=residual,
@@ -107,7 +106,7 @@ def _solve_with_problem(
     picard_diag = SolveDiagnostics(window_bounds=[(i, i + 1) for i in range(m)],
                                    iterations=[1] * m)
     return rf.ReflectedSolution(
-        Y=pair.Y, Z=pair.Z, K=flow, diagnostics=diag, picard=picard_diag
+        Y=pair.Y + ys[1:], Z=pair.Z + zs, K=flow, diagnostics=diag, picard=picard_diag
     )
 
 
@@ -117,21 +116,22 @@ def _flat_off_top(
     driver: bs.Driver,
     problem: rf.ReflectionProblem,
     cons: np.ndarray,
-) -> int:
-    """One past the last level the plain recursion violates.
+) -> tuple:
+    """``(Y, Z)`` of the plain recursion from one past the last level it violates up.
 
     Fills ``cons[:m]`` with the constraint of every plain level, from one
-    stacked evaluation; the lifted solve overwrites it below the returned
-    level.  When level ``m - 1`` already violates, returns ``m`` and stacks
-    no level.
+    stacked evaluation; the lifted solve overwrites it below that level.
+    When level ``m - 1`` already violates, returns the claim alone and
+    stacks no level.
     """
     m = claim.index
     plain = bs.solve_bsde(scen, claim, driver)
     if problem.constraint(m - 1, plain.Y[m - 1].values) < 0.0:
-        return m
+        return (claim,), ()
     cons[:m] = problem.constraint_stack(plain.Y[:m])
     violated = np.flatnonzero(cons[:m] < 0.0)
-    return int(violated[-1]) + 1 if violated.size else 0
+    top = int(violated[-1]) + 1 if violated.size else 0
+    return plain.Y[top:], plain.Z[top:]
 
 
 def solve_reflected(
@@ -145,7 +145,7 @@ def solve_reflected(
 
     One backward pass: at each step the level is rolled back and lifted
     once (see above).  Under a g-expectation or alpha-maxmin on the tree
-    the pass lifts nothing above the last level the unreflected solution
+    the lifted pass starts above the last level the unreflected solution
     violates (the flat-off rule above).
     """
     ne.check_operator(exp, scen)

@@ -14,10 +14,10 @@ verified, which the reflected solve stores as the level's constraint value.
 For a cash-additive operator and a linear loss of slope ``a`` the
 constraint moves by exactly ``a*x`` under a shift ``x`` (on the tree, and
 for the classical mean also on Monte Carlo paths), so the shift is
-``-E[l(t_i, Y_i)]/a`` in closed form, stepped up until the constraint holds
-as evaluated.  Every other pair searches for the root of the constraint
-in the shift between 0 and a slope-bound bracket, with the ITP method
-(:func:`_monotone_root`), as does a lift through a step (or :func:`_bounded_root`).
+``-E[l(t_i, Y_i)]/a`` in closed form: the first probe of :func:`_bounded_root`,
+which also lifts such a problem through a step.  Every other lift searches
+for the root between 0 and a slope-bound bracket, with the ITP method
+(:func:`_monotone_root`).
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ _MAX_ROOT_STEPS = 200
 _ITP_K1 = 0.2
 _ITP_N0 = 1
 _MAX_WIDEN = 8
-_LIFT_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -307,35 +306,26 @@ def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float, lev
     """Root of ``phi(x) = problem.constraint(i, values + x)``, given ``phi(0) = v0 != 0``.
 
     Returns ``(lo, hi, steps, phi(hi))`` with ``phi(hi) >= 0``.  An exact
-    problem takes the closed form ``-v0/slope`` (``lo = hi``, no steps),
-    stepped up until it holds as evaluated: each step adds the remaining
-    gap over the slope, and at least one spacing of ``max|values| + |x|``,
-    doubled at each step, since a closed form can land a rounding error
-    short of the root.  Any other searches (:func:`_monotone_root`) from the
-    slope-bound reach ``|v0|*exp(kappa_t)/slope``, to a final bracket
-    ``OPERATOR_TOL`` wide.  ``level(x)``, when given, replaces ``values + x``
-    (``v0 < 0``): a step with flow increment ``x``, rising at ``[1/(1 + q),
-    1/(1 - q)]``, so a search reaches ``1 + q`` times as far and an exact
-    problem takes :func:`_bounded_root` (``lo = hi``; its closed-form probe
-    is no step).  ``BracketFailureError`` when the reach overflows or a
-    search does not close.
+    problem takes :func:`_bounded_root` (``lo = hi``) from the closed form
+    ``-v0/slope``.  A translation moves ``phi`` at exactly the slope: both
+    bounds are the slope, the tolerance two spacings of ``max|values| +
+    |v0/slope|``, and no step is counted.  ``level(x)``, when given, replaces
+    ``values + x`` (``v0 < 0``): a step with flow increment ``x``, rising at
+    ``[1/(1 + q), 1/(1 - q)]``, so the bounds are the slope over ``1 + q``
+    and ``1 - q``, the tolerance ``OPERATOR_TOL``, and each probe after the
+    first a step.  Any other problem searches (:func:`_monotone_root`) from
+    the reach ``|v0|*exp(kappa_t)*(1 + q)/slope`` to a final bracket
+    ``OPERATOR_TOL`` wide.  ``BracketFailureError`` when the reach overflows
+    or a search does not close.
     """
 
     def phi(x):
         return problem.constraint(i, values + x if level is None else level(x))
 
     if problem.exact and level is None:
-        x = -v0 / problem.slope
-        step = np.spacing(float(np.max(np.abs(values))) + abs(x))
-        for _ in range(_LIFT_STEPS):
-            gap = phi(x)
-            if gap >= 0.0:
-                return x, x, 0, gap
-            x += max(-gap / problem.slope, step)
-            step *= 2.0
-        raise BracketFailureError(
-            f"closed-form shift at index {i} still {-gap:.3g} short after {_LIFT_STEPS} steps"
-        )
+        tol = 2.0 * math.ulp(float(np.max(np.abs(values))) + abs(v0 / problem.slope))
+        x, _, gap = _bounded_root(phi, v0, problem.slope, problem.slope, tol)
+        return x, x, 0, gap
     if problem.exact:
         x, probes, gap = _bounded_root(phi, v0, problem.slope / (1.0 + q),
                                        problem.slope / (1.0 - q), OPERATOR_TOL)
@@ -350,13 +340,15 @@ def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float, lev
 
 
 def _bounded_root(phi: Callable, v0: float, lower: float, upper: float, tol: float):
-    """Root of ``phi``, ``phi(0) = v0 < 0``, rising ``lower`` to ``upper`` times the step.
+    """Root of ``phi``, ``phi(0) = v0``, rising ``lower`` to ``upper`` times the step.
 
-    A probe ``(x, v)`` puts the root between ``x - v/lower`` and ``x - v/upper``.  The
-    first is the closed form ``-2*v0/(lower + upper)``, each next the secant root of the last
-    two (slope held in ``[lower, upper]``; the bounds' middle if they did not halve), kept in
-    the bounds and moved ``tol*lower/(2*upper)`` up.  Returns ``(x, probes, phi(x))`` at the
-    first ``phi(x) >= 0`` whose bounds put the root within ``tol`` below ``x``.
+    ``v0 < 0``, or either sign when ``lower == upper``.  A probe ``(x, v)`` puts the root
+    between ``x - v/lower`` and ``x - v/upper``.  The first is the closed form
+    ``-2*v0/(lower + upper)``, each next the secant root of the last two (slope held in
+    ``[lower, upper]``; the bounds' middle if they did not halve; with ``lower == upper``
+    the last probe's root estimate), kept in the bounds and moved ``tol*lower/(2*upper)``
+    up.  Returns ``(x, probes, phi(x))`` at the first ``phi(x) >= 0`` whose bounds put the
+    root within ``tol`` below ``x``.
     """
     floor, ceiling = -v0 / upper, -v0 / lower
     px, pv = 0.0, v0
@@ -379,10 +371,11 @@ def _bounded_root(phi: Callable, v0: float, lower: float, upper: float, tol: flo
 def lift(problem: ReflectionProblem, i: int, values: np.ndarray, level=None, q: float = 0.0):
     """The minimal lift of level ``i`` onto ``problem.constraint(i, .) >= 0``.
 
-    Returns ``(x, steps, value)``: the smallest ``x >= 0`` (to ``OPERATOR_TOL``) with
+    Returns ``(x, steps, value)``: the smallest ``x >= 0`` (to :func:`_root`'s tolerance) with
     ``value = problem.constraint(i, values + x) >= 0`` as evaluated, and the
     search steps it took, each one constraint evaluation (0 when the
-    constraint holds at 0 or the lift has a closed form); ``level``, ``q``: :func:`_root`.
+    constraint holds at 0 or the lift is an exact translation, even where
+    rounding takes a second probe); ``level``, ``q``: :func:`_root`.
     """
     h0 = problem.constraint(i, values)
     if h0 >= 0.0:
@@ -419,8 +412,8 @@ class ReflectionDiagnostics:
     level ``i`` (the claim's own value at the terminal index), and
     ``skorokhod_residual`` is built from it.
     ``shift_iterations[i]`` counts the root-search steps spent on level
-    ``i``, each one constraint evaluation (0 where the shift has a closed
-    form, or a flow search's closed form certified); ``shift_closed_form``
+    ``i``, each one constraint evaluation (0 where the shift is an exact
+    translation, or a flow search's closed form certified); ``shift_closed_form``
     and ``shift_search`` count the binding levels (positive shift) that took
     no search step and those that took some.
     """

@@ -172,10 +172,10 @@ def risk_shift(
 ) -> float:
     """Minimal lift onto the acceptance set: ``(rho(t_i, rv) - q_i)^+`` at ``rv``'s index ``i``.
 
-    Translation invariance of ``rho`` collapses the root search that the
-    mean constraint needs.  The closed form can land a rounding error short
-    of the set, so the lift (:func:`nebsde.reflection.lift`) is stepped up
-    until ``rho(t_i, rv + x) <= q_i`` holds as evaluated, which makes the
+    Translation invariance of ``rho`` makes the closed form the first probe
+    of the lift's bounded search (:func:`nebsde.reflection.lift`).  A closed
+    form a rounding error short of the set takes one more probe, so
+    ``rho(t_i, rv + x) <= q_i`` holds as evaluated, which makes the
     reflected level feasible by construction.
     """
     return rf.lift(_risk_problem(rho, q, scen), rv.index, rv.values)[0]

@@ -429,18 +429,21 @@ def test_flat_off_solve_matches_the_per_level_recursion(case, count_calls):
     # The one lifted recursion lifts nothing above the last level the plain
     # solution violates; every output equals the level-by-level recursion's
     # exactly (the CLI driver's audit residual within the sweep tolerance),
-    # and the levels above that level take no lift.
+    # and the levels above that level take no lift and no second step.
     m = 24
     scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
     offset, driver, loss, exp = _flat_off_case(case, scen)
     claim = bs.TerminalClaim.from_function(scen, lambda b: b + offset)
     pair, cons, shift_iters = _per_level_solve(scen, claim, driver, loss, exp)
     lifts = count_calls(rf, "lift")
+    fits = count_calls(sc, "step_fit")
     sol = pc.solve_reflected(scen, claim, driver, loss, exp)
     binding = np.flatnonzero(pair.shifts > 0.0)
     top = int(binding[-1]) + 1 if binding.size else 0
     # one lift of each level below that level, none above
     assert lifts[0] == top
+    # each level stepped once by the plain pass, and again below top only
+    assert fits[0] == m + top
     assert {"slack": top == 0, "last-level": binding.tolist() == [m - 1],
             "early-block": 0 < top < m // 2, "y-driver": sol.diagnostics.shift_search > 0,
             "alpha-maxmin": 0 < top < m, "cli-driver": 0 < top < m}[case]

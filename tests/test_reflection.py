@@ -20,6 +20,7 @@ from oracles import brownian_rv
 
 EXACT = 1e-12
 SHIFT_TOL = 2e-8
+EPS = float(np.finfo(float).eps)
 CLS = ne.NonlinearExpectation.classical()
 
 
@@ -170,6 +171,51 @@ def test_itp_root_takes_fewer_steps_on_smooth_phi():
         assert 2 * itp < bisection, (family, itp, bisection)
 
 
+def _probed(phi):
+    """``phi`` recording its probes, and the list they go to."""
+    probes = []
+
+    def recorded(x):
+        probes.append(x)
+        return phi(x)
+
+    return recorded, probes
+
+
+@pytest.mark.parametrize("root", [0.75, -0.75, 1e-3, -3.0e5])
+def test_bounded_root_with_one_slope_is_the_closed_form(root):
+    # lower == upper: the first probe is -v0/slope, which certifies itself
+    # whatever the sign of v0 (mean_floor's v0 may be positive).
+    slope = 0.5
+    phi, probes = _probed(lambda x: slope * (x - root))
+    v0 = -slope * root
+    x, count, value = rf._bounded_root(phi, v0, slope, slope, 2.0 * np.spacing(abs(root)))
+    assert probes == [x] and count == 1
+    assert x == -v0 / slope == root and value == 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("ulps", [1, 3, 40])
+def test_bounded_root_with_one_slope_steps_off_a_short_closed_form(sign, ulps):
+    # phi reads a few ulps short at the closed form -v0/slope: the lower
+    # bound rises to that probe's own root estimate, and the next probe sits
+    # one nudge (half of tol) above it and is feasible.
+    slope, v0 = 0.3, -sign * 0.51
+    closed = -v0 / slope
+    root = closed + ulps * np.spacing(abs(closed))
+
+    def exact(x):
+        return slope * (x - root)
+
+    phi, probes = _probed(exact)
+    tol = 2.0 * np.spacing(abs(closed))
+    x, count, value = rf._bounded_root(phi, v0, slope, slope, tol)
+    assert probes[0] == closed and exact(closed) < 0.0
+    assert count == 2 and probes == [closed, x]
+    assert x == closed - exact(closed) / slope + 0.5 * tol
+    assert value == exact(x) >= 0.0
+
+
 CASH_ADDITIVE = {
     "classical": lambda kappa: CLS,
     "alpha_maxmin": lambda kappa: ne.NonlinearExpectation.alpha_maxmin(alpha=0.3, kappa=kappa),
@@ -193,9 +239,9 @@ def test_closed_form_shift_matches_bisection_and_brentq(
 ):
     # Cash-additive operator, loss of one slope: the closed-form shift meets
     # the constraint as evaluated, takes no bisection step, and sits within
-    # tol of the bisection root and of an independent root.  A monotone
-    # level (noise None) takes the kernel's comonotone path, a random one
-    # the recursion.
+    # tol of the bisection root and within rounding of an independent root.
+    # A monotone level (noise None) takes the kernel's comonotone path, a
+    # random one the recursion.
     exp = CASH_ADDITIVE[kind](kappa)
     loss = rf.LossFunction(fn=lambda t, x: slope * (np.asarray(x) - floor),
                            lower=slope, upper=slope, shape="linear")
@@ -220,7 +266,16 @@ def test_closed_form_shift_matches_bisection_and_brentq(
     _, hi, _, _ = rf._monotone_root(phi, h0, -h0 / slope, rf.OPERATOR_TOL)
     assert abs(got - hi) <= rf.OPERATOR_TOL
     root = brentq(phi, 0.0, 1.0 - 2.0 * h0 / slope, xtol=1e-14)
-    assert abs(got - root) <= rf.OPERATOR_TOL
+    # brentq lands within xtol + 4*eps*|root| of a sign change of phi as
+    # evaluated.  The lift sits at most its tolerance, two spacings of
+    # max|values| + |got|, above its lower bound on the root.  phi as
+    # evaluated is off slope*(x - root) by its rounding, in shift units at
+    # most 4 eps of max|values| + |got| + |floor| per roll-back step, plus
+    # the loss's own; a bound on the root errs by that, on either side.
+    scale = float(np.max(np.abs(values))) + abs(got) + abs(floor)
+    bound = (1e-14 + 4.0 * EPS * abs(root) + 2.0 * np.spacing(scale)
+             + 2.0 * 4.0 * (index + 2) * EPS * scale)
+    assert abs(got - root) <= bound
 
 
 def test_closed_form_solve_matches_forced_bisection(tree200):
