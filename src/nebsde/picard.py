@@ -18,13 +18,16 @@ recursion from the claim) violates its constraint, ``K`` is flat and ``Y =
 X`` (the same paper).  Where the problem can evaluate a stack of levels at
 once (``ReflectionProblem.constraint_stack``: a mean constraint under a
 g-expectation or alpha-maxmin on the tree, where one evaluation is a tree
-roll-back), the solve first runs the plain recursion and evaluates every
-level's constraint on ``X`` in one stacked roll-back to find ``j*``.  The
-one lifted recursion then starts from the plain level ``j* + 1``, and
-``X``'s own levels above it join the solution with their stacked
-constraint values and shift 0, as the level-by-level recursion records
-them (its constraint values bit for bit under closed-form and explicit
-drivers, within the sweep tolerance under other drivers that read ``y``).
+roll-back), the solve first takes the plain step to level ``m - 1``; when
+that level violates, ``j* = m - 1`` and the lifted recursion starts from
+the claim.  Otherwise it runs the rest of the plain recursion and
+evaluates every level's constraint on ``X`` in one stacked roll-back to
+find ``j*``.  The one lifted recursion then starts from the plain level
+``j* + 1``, and ``X``'s own levels above it join the solution with their
+stacked constraint values and shift 0, as the level-by-level recursion
+records them (its constraint values bit for bit under closed-form and
+explicit drivers, within the sweep tolerance under other drivers that read
+``y``).
 Every other problem (the classical mean, the risk constraint, Monte Carlo
 paths), where one evaluation is a dot product or a regression, lifts every
 level from the claim.
@@ -121,17 +124,27 @@ def _flat_off_top(
 
     Fills ``cons[:m]`` with the constraint of every plain level, from one
     stacked evaluation; the lifted solve overwrites it below that level.
-    When level ``m - 1`` already violates, returns the claim alone and
-    stacks no level.
+    Takes the plain step to level ``m - 1`` first: when that level already
+    violates, returns the claim alone, and steps and stacks no other level.
     """
     m = claim.index
-    plain = bs.solve_bsde(scen, claim, driver)
-    if problem.constraint(m - 1, plain.Y[m - 1].values) < 0.0:
+    e, z = sc.step_fit(scen, claim.values, m - 1)
+    try:
+        z_first = sc.RandomVariable(m - 1, z)
+        y_first = sc.RandomVariable(m - 1, bs.implicit_step(
+            driver, float(scen.grid.nodes[m - 1]), e, z, scen.grid.dt))
+    except ValueError:
+        # a step that is not finite: the plain solve raises its own error
+        bs.solve_bsde(scen, claim, driver)
+        raise
+    if problem.constraint(m - 1, y_first.values) < 0.0:
         return (claim,), ()
-    cons[:m] = problem.constraint_stack(plain.Y[:m])
+    rest = bs.solve_bsde(scen, y_first, driver)
+    ys, zs = rest.Y + (claim,), rest.Z + (z_first,)
+    cons[:m] = problem.constraint_stack(ys[:m])
     violated = np.flatnonzero(cons[:m] < 0.0)
     top = int(violated[-1]) + 1 if violated.size else 0
-    return plain.Y[top:], plain.Z[top:]
+    return ys[top:], zs[top:]
 
 
 def solve_reflected(

@@ -16,8 +16,8 @@ constraint moves by exactly ``a*x`` under a shift ``x`` (on the tree, and
 for the classical mean also on Monte Carlo paths), so the shift is
 ``-E[l(t_i, Y_i)]/a`` in closed form: the first probe of :func:`_bounded_root`,
 which also lifts such a problem through a step.  Every other lift searches
-for the root between 0 and a slope-bound bracket, with the ITP method
-(:func:`_monotone_root`).
+for the root between 0 and a slope-bound bracket (:func:`_monotone_root`):
+secant steps that close from both sides, under ITP's worst-case projection.
 """
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ from .errors import BracketFailureError
 OPERATOR_TOL = 1e-8
 FEASIBILITY_TOL = 1e-6
 _MAX_ROOT_STEPS = 200
-# ITP constants: k1 = _ITP_K1 / (initial bracket width), k2 = 2, n0 = _ITP_N0
-_ITP_K1 = 0.2
+# ITP's n0: the search may take this many steps more than bisection
 _ITP_N0 = 1
 _MAX_WIDEN = 8
 
@@ -183,16 +182,22 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
     the constraint up to rounding has a reach far below the spacing of its
     values, so ``phi`` cannot change sign until the step resolves.
 
-    The search is ITP (interpolate, truncate, project; Oliveira and
-    Takahashi, *ACM TOMS* 47(1), 2021).  Each step takes the regula falsi
-    point of the bracket, moves it towards the midpoint by ``k1*w**2`` (``w``
-    the bracket width, ``k1 = 0.2/w0`` for the initial width ``w0``) and
-    projects it to within ``r`` of the midpoint, where ``r`` keeps the
-    bracket on the bisection schedule plus ``n0 = 1`` step.  So the search
-    takes at most one step more than bisection (two when the final width
-    rounds just above ``tol``), and far fewer where ``phi`` is smooth or
-    piecewise linear.  Returns ``(lo, hi, steps, phi(hi))`` with
-    ``phi(hi) >= 0`` and ``hi - lo <= tol`` (unless the step cap is hit).
+    Each step interpolates, steps past the estimate and projects.  The
+    estimate is the secant root of the two latest probes, or the regula falsi
+    point of the bracket when that leaves it; the first step also moves it
+    towards the midpoint by a fifth of the bracket, since the reach may be
+    far off.  The probe then lies ``tol/4`` past the estimate, away from the
+    latest probe, and at least ``tol/2`` inside the bracket (Brent's minimum
+    step, *Algorithms for Minimization without Derivatives*, 1973), so that
+    the last two probes straddle the root.  ITP's projection (Oliveira and
+    Takahashi, *ACM TOMS* 47(1), 2021) keeps it within a radius of the
+    midpoint that holds the bracket to the bisection schedule plus ``n0 = 1``
+    step.  So the search takes at most two steps more than bisection (one by
+    ``n0``, one when the final width rounds just above ``tol``), and a few
+    where ``phi`` is smooth or piecewise linear.  Returns ``(lo, hi, steps,
+    phi(hi))`` with ``phi(lo) <= 0 <= phi(hi)`` as evaluated (``phi(lo) < 0``
+    unless ``lo`` is a far end where ``phi`` is 0) and ``hi - lo <= tol``
+    (unless the step cap is hit).
     """
     sign = 1.0 if v0 < 0.0 else -1.0
     far = sign * reach
@@ -206,6 +211,8 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
         lo, hi, at_lo, at_hi = 0.0, far, v0, at_far
     else:
         lo, hi, at_lo, at_hi = far, 0.0, at_far, v0
+    # the two latest probes; the latest is always an end of the bracket
+    before, at_before, last, at_last = 0.0, v0, far, at_far
     width = hi - lo
     # ITP's eps is tol/2: the projection radius is eps * 2**(n_max - step) - w/2
     eps = 0.5 * tol
@@ -214,25 +221,27 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
     while hi - lo > tol and steps < _MAX_ROOT_STEPS:
         w = hi - lo
         mid = 0.5 * (lo + hi)
-        span = at_hi - at_lo
-        # interpolate: the regula falsi point (the midpoint on a flat bracket)
-        x = lo - at_lo / span * w if span > 0.0 else mid
-        toward = 1.0 if mid >= x else -1.0
-        # truncate: move it towards the midpoint by k1*w**2
-        delta = _ITP_K1 * w * (w / width)
-        if delta <= abs(mid - x):
-            x += toward * delta
-        else:
-            x = mid
+        # interpolate: the secant root, else the regula falsi point, else the midpoint
+        rise = at_last - at_before
+        x = last - at_last * (last - before) / rise if rise != 0.0 else mid
+        if not lo < x < hi:
+            span = at_hi - at_lo
+            x = lo - at_lo / span * w if span > 0.0 else mid
+        if steps == 0:
+            # truncate: towards the midpoint by a fifth of the bracket
+            x = x + math.copysign(0.2 * w, mid - x) if 0.2 * w < abs(mid - x) else mid
+        # step tol/4 past the estimate, away from the latest probe, and stay tol/2 inside
+        x = min(max(x + math.copysign(0.25 * tol, x - last), lo + eps), hi - eps)
         # project: stay within the radius that keeps the minmax step count
         radius = max(0.0, math.ldexp(eps, n_max - steps) - 0.5 * w)
         if abs(x - mid) > radius:
-            x = mid - toward * radius
+            x = mid + math.copysign(radius, x - mid)
         at_x = phi(x)
         if at_x >= 0.0:
             hi, at_hi = x, at_x
         else:
             lo, at_lo = x, at_x
+        before, at_before, last, at_last = last, at_last, x, at_x
         steps += 1
     return lo, hi, steps, at_hi
 
@@ -315,8 +324,9 @@ def _root(problem: ReflectionProblem, i: int, values: np.ndarray, v0: float, lev
     and ``1 - q``, the tolerance ``OPERATOR_TOL``, and each probe after the
     first a step.  Any other problem searches (:func:`_monotone_root`) from
     the reach ``|v0|*exp(kappa_t)*(1 + q)/slope`` to a final bracket
-    ``OPERATOR_TOL`` wide.  ``BracketFailureError`` when the reach overflows
-    or a search does not close.
+    ``OPERATOR_TOL`` wide, each step one evaluation of ``phi`` besides
+    ``phi(0)`` and those of the far end.  ``BracketFailureError`` when the
+    reach overflows or a search does not close.
     """
 
     def phi(x):

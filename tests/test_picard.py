@@ -100,8 +100,11 @@ def test_non_finite_level_raises(tree8):
         fn=lambda t, y, z: np.full_like(np.asarray(z, dtype=float), np.inf),
         lipschitz=1.0, depends_on_z=True,
     )
-    with pytest.raises(FixedPointError):
-        pc.solve_reflected(tree8, claim, driver, rf.LossFunction.linear(0.0), CLS)
+    # the g-expectation takes the flat-off rule's first plain step, which
+    # leaves the error to the plain solve
+    for exp in (CLS, ne.NonlinearExpectation.gexp(bs.Driver.kappa_abs(0.3))):
+        with pytest.raises(FixedPointError, match="non-finite values produced at index 7"):
+            pc.solve_reflected(tree8, claim, driver, rf.LossFunction.linear(0.0), exp)
 
 
 @pytest.mark.parametrize("exp", [CLS, ne.NonlinearExpectation.alpha_maxmin(0.3, 0.5)],
@@ -442,8 +445,9 @@ def test_flat_off_solve_matches_the_per_level_recursion(case, count_calls):
     top = int(binding[-1]) + 1 if binding.size else 0
     # one lift of each level below that level, none above
     assert lifts[0] == top
-    # each level stepped once by the plain pass, and again below top only
-    assert fits[0] == m + top
+    # each level stepped once by the plain pass, and again below top only;
+    # when level m - 1 violates, the plain pass stops after that one step
+    assert fits[0] == (1 + m if top == m else m + top)
     assert {"slack": top == 0, "last-level": binding.tolist() == [m - 1],
             "early-block": 0 < top < m // 2, "y-driver": sol.diagnostics.shift_search > 0,
             "alpha-maxmin": 0 < top < m, "cli-driver": 0 < top < m}[case]
@@ -476,3 +480,26 @@ def test_flat_off_rule_is_read_from_the_problem(tree8):
     assert rf.mean_constraint_problem(tree8, loss, MAXMIN).constraint_stack is not None
     assert rf.mean_constraint_problem(tree8, loss, CLS).constraint_stack is None
     assert rf.mean_constraint_problem(mc, loss, GEXP_Y).constraint_stack is None
+
+
+@pytest.mark.parametrize("m", [8, 200])
+def test_searched_g_expectation_solve_lands_on_its_exact_value(m, count_calls):
+    # The claim b + offset under the driver -1 binds at time 0: the concave
+    # loss is 0 only at 0 and the g-expectation of the constant 0 is 0, so
+    # Y_0 = 0 and K_T = 1 - offset exactly.  Every searched level lands on
+    # the feasible side, within half a tolerance above its root; level 0
+    # lands on its own and takes K_T with it.
+    offset = 0.5
+    scen = sc.build_scenarios(sc.TimeGrid(1.0, m), "tree")
+    claim = bs.TerminalClaim.from_function(scen, lambda b: b + offset)
+    evals = count_calls(rf, "constraint_value")
+    sol = pc.solve_reflected(scen, claim, bs.Driver.constant(-1.0), CONCAVE, GEXP_Y)
+    diag = sol.diagnostics
+    assert 0.0 <= sol.K.total - (1.0 - offset) <= 0.5 * rf.OPERATOR_TOL
+    # each searched level evaluates phi(0) and the far end besides its steps,
+    # one evaluation each
+    assert diag.shift_search > 0
+    assert evals[0] >= diag.shift_iterations.sum() + 2 * diag.shift_search
+    if m == 200:
+        # 77 searched levels; ITP with k1 = 0.2/w0 took 540 steps
+        assert diag.shift_iterations.sum() <= 400

@@ -142,6 +142,8 @@ ROOT_FAMILIES = {
     reach_factor=st.floats(0.01, 20.0),
     tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
 )
+# a cubic root the search closes at its bound, bisection's 34 steps + 2
+@example(family="cubic", sign=1.0, exponent=0.0, reach_factor=1.25, tol=1e-10)
 def test_itp_root_matches_bisection_oracle(family, sign, exponent, reach_factor, tol):
     # Both signs of phi(0): a positive one is the mean floor's root below 0.
     root = sign * 10.0**exponent
@@ -169,6 +171,25 @@ def test_itp_root_takes_fewer_steps_on_smooth_phi():
             itp += rf._monotone_root(phi, phi(0.0), reach, rf.OPERATOR_TOL)[2]
             bisection += _bisect_root(phi, phi(0.0), reach, rf.OPERATOR_TOL)[2]
         assert 2 * itp < bisection, (family, itp, bisection)
+
+
+# mean steps over 400 roots in [-3, 3] with reach 1.3|r| at tol 1e-8; ITP
+# with k1 = 0.2/w0 took 10.9, 9.1, 28.9 and 28.9, bisection 27.6 on the kink
+FAMILY_MEAN_STEPS = {"linear": 3.5, "expm1": 9.1, "kinked": 14.0, "cubic": 28.9}
+
+
+def test_root_families_stay_within_their_step_bounds():
+    roots = np.random.default_rng(0).uniform(-3.0, 3.0, 400)
+    for family, bound in FAMILY_MEAN_STEPS.items():
+        steps = []
+        for root in roots:
+            phi = lambda x: ROOT_FAMILIES[family](x, root)
+            v0, reach = phi(0.0), 1.3 * abs(root)
+            lo, hi, count, _ = rf._monotone_root(phi, v0, reach, rf.OPERATOR_TOL)
+            assert phi(lo) < 0.0 <= phi(hi) and hi - lo <= rf.OPERATOR_TOL
+            assert count <= _bisect_root(phi, v0, reach, rf.OPERATOR_TOL)[2] + 2, (family, root)
+            steps.append(count)
+        assert np.mean(steps) <= bound, (family, np.mean(steps))
 
 
 def _probed(phi):
