@@ -183,8 +183,10 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
     values, so ``phi`` cannot change sign until the step resolves.
 
     Each step interpolates, steps past the estimate and projects.  The
-    estimate is the secant root of the two latest probes, or the regula falsi
-    point of the bracket when that leaves it; the first step also moves it
+    estimate is the secant root of the latest probe and the earlier probe of
+    least ``|phi|`` (so a probe that the projection sent far from the root
+    does not anchor the next secant), or the regula falsi point of the
+    bracket when that leaves it; the first step also moves it
     towards the midpoint by a fifth of the bracket, since the reach may be
     far off.  The probe then lies ``tol/4`` past the estimate, away from the
     latest probe, and at least ``tol/2`` inside the bracket (Brent's minimum
@@ -211,7 +213,7 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
         lo, hi, at_lo, at_hi = 0.0, far, v0, at_far
     else:
         lo, hi, at_lo, at_hi = far, 0.0, at_far, v0
-    # the two latest probes; the latest is always an end of the bracket
+    # the latest probe, always an end of the bracket, and the earlier probe of least |phi|
     before, at_before, last, at_last = 0.0, v0, far, at_far
     width = hi - lo
     # ITP's eps is tol/2: the projection radius is eps * 2**(n_max - step) - w/2
@@ -221,7 +223,7 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
     while hi - lo > tol and steps < _MAX_ROOT_STEPS:
         w = hi - lo
         mid = 0.5 * (lo + hi)
-        # interpolate: the secant root, else the regula falsi point, else the midpoint
+        # interpolate: their secant root, else the regula falsi point, else the midpoint
         rise = at_last - at_before
         x = last - at_last * (last - before) / rise if rise != 0.0 else mid
         if not lo < x < hi:
@@ -241,7 +243,9 @@ def _monotone_root(phi: Callable, v0: float, reach: float, tol: float):
             hi, at_hi = x, at_x
         else:
             lo, at_lo = x, at_x
-        before, at_before, last, at_last = last, at_last, x, at_x
+        if abs(at_last) <= abs(at_before):
+            before, at_before = last, at_last
+        last, at_last = x, at_x
         steps += 1
     return lo, hi, steps, at_hi
 

@@ -482,8 +482,10 @@ def test_flat_off_rule_is_read_from_the_problem(tree8):
     assert rf.mean_constraint_problem(mc, loss, GEXP_Y).constraint_stack is None
 
 
-@pytest.mark.parametrize("m", [8, 200])
-def test_searched_g_expectation_solve_lands_on_its_exact_value(m, count_calls):
+# search steps: 4 searched levels at m = 8, 77 at m = 200; ITP with
+# k1 = 0.2/w0 took 35 and 540, a secant of the two latest probes 54 and 319
+@pytest.mark.parametrize("m, max_steps", [(8, 40), (200, 400)])
+def test_searched_g_expectation_solve_lands_on_its_exact_value(m, max_steps, count_calls):
     # The claim b + offset under the driver -1 binds at time 0: the concave
     # loss is 0 only at 0 and the g-expectation of the constant 0 is 0, so
     # Y_0 = 0 and K_T = 1 - offset exactly.  Every searched level lands on
@@ -500,6 +502,4 @@ def test_searched_g_expectation_solve_lands_on_its_exact_value(m, count_calls):
     # one evaluation each
     assert diag.shift_search > 0
     assert evals[0] >= diag.shift_iterations.sum() + 2 * diag.shift_search
-    if m == 200:
-        # 77 searched levels; ITP with k1 = 0.2/w0 took 540 steps
-        assert diag.shift_iterations.sum() <= 400
+    assert diag.shift_iterations.sum() <= max_steps
